@@ -306,7 +306,7 @@ class ArtifactCache:
                 self._miss(fingerprint, "corrupt")
                 span.set(outcome="miss")
                 return None
-            merged = CaptureStore(retain_captures=False)
+            merged = CaptureStore()
             try:
                 for shard_id in range(n_shards):
                     shard = load_store(

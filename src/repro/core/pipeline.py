@@ -175,8 +175,6 @@ class Study:
         self,
         start: Optional[dt.date] = None,
         end: Optional[dt.date] = None,
-        *,
-        retain_captures: bool = False,
     ) -> CaptureStore:
         """Run the social-media platform over a window (default: the
         whole study period)."""
@@ -191,7 +189,6 @@ class Study:
             ),
             config=PlatformConfig(
                 seed=self.config.seed + 2,
-                retain_captures=retain_captures,
                 faults=self.config.faults,
                 retry=self.config.retry,
                 spill=(

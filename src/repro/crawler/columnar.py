@@ -21,9 +21,8 @@ shard stores in shard order reproduces the serial insertion order, which
 is the argument that keeps sharded runs bit-identical to serial ones
 (docs/ARCHITECTURE.md, "Columnar capture store").
 
-Row objects (:class:`~repro.crawler.capture.Observation`, and full
-:class:`~repro.crawler.capture.Capture` lists in ``retain_captures``
-mode) are materialized lazily and cached; the analysis layers keep their
+Row objects (:class:`~repro.crawler.capture.Observation`) are
+materialized lazily and cached; the analysis layers keep their
 object-based API while the crawl loop only ever touches arrays.
 """
 
@@ -53,114 +52,10 @@ def vantage_id(region: str, address_space: str) -> int:
     return VANTAGE_IDS[Vantage(region=region, address_space=address_space)]
 
 
-class CaptureColumns:
-    """Full captures as parallel columns (``retain_captures`` mode only).
-
-    Scalars live in ``array`` columns (status uses -1 as the ``None``
-    sentinel; timed_out/dialog_shown/blocked_by_antibot pack into one
-    flags byte); reference-typed fields (URLs, timestamps, transaction
-    tuples, ...) stay as per-column Python lists. ``from_captures`` ->
-    ``to_captures`` is an exact identity (pinned by tests).
-    """
-
-    __slots__ = (
-        "capture_id", "status", "vantage", "flags", "fault",
-        "seed_url", "final_url", "captured_at", "transactions",
-        "cookies", "storage_records", "screenshot", "page_text",
-        "dom_dialog",
-    )
-
-    _TIMED_OUT = 1
-    _DIALOG_SHOWN = 2
-    _BLOCKED = 4
-
-    def __init__(self) -> None:
-        self.capture_id = array("q")
-        self.status = array("i")
-        self.vantage = array("b")
-        self.flags = array("b")
-        self.fault: List[Optional[str]] = []
-        self.seed_url: List[object] = []
-        self.final_url: List[object] = []
-        self.captured_at: List[dt.datetime] = []
-        self.transactions: List[tuple] = []
-        self.cookies: List[tuple] = []
-        self.storage_records: List[tuple] = []
-        self.screenshot: List[object] = []
-        self.page_text: List[str] = []
-        self.dom_dialog: List[object] = []
-
-    def __len__(self) -> int:
-        return len(self.capture_id)
-
-    def append(self, c: Capture) -> None:
-        self.capture_id.append(c.capture_id)
-        self.status.append(-1 if c.status is None else c.status)
-        self.vantage.append(VANTAGE_IDS[c.vantage])
-        self.flags.append(
-            (self._TIMED_OUT if c.timed_out else 0)
-            | (self._DIALOG_SHOWN if c.dialog_shown else 0)
-            | (self._BLOCKED if c.blocked_by_antibot else 0)
-        )
-        self.fault.append(c.fault)
-        self.seed_url.append(c.seed_url)
-        self.final_url.append(c.final_url)
-        self.captured_at.append(c.captured_at)
-        self.transactions.append(c.transactions)
-        self.cookies.append(c.cookies)
-        self.storage_records.append(c.storage_records)
-        self.screenshot.append(c.screenshot)
-        self.page_text.append(c.page_text)
-        self.dom_dialog.append(c.dom_dialog)
-
-    def extend(self, other: "CaptureColumns") -> None:
-        """Concatenate *other*'s rows after this segment's (no remap:
-        every column is either absolute or a fixed-table id)."""
-        self.capture_id.extend(other.capture_id)
-        self.status.extend(other.status)
-        self.vantage.extend(other.vantage)
-        self.flags.extend(other.flags)
-        self.fault.extend(other.fault)
-        self.seed_url.extend(other.seed_url)
-        self.final_url.extend(other.final_url)
-        self.captured_at.extend(other.captured_at)
-        self.transactions.extend(other.transactions)
-        self.cookies.extend(other.cookies)
-        self.storage_records.extend(other.storage_records)
-        self.screenshot.extend(other.screenshot)
-        self.page_text.extend(other.page_text)
-        self.dom_dialog.extend(other.dom_dialog)
-
-    def get(self, i: int) -> Capture:
-        status = self.status[i]
-        flags = self.flags[i]
-        return Capture(
-            capture_id=self.capture_id[i],
-            seed_url=self.seed_url[i],
-            final_url=self.final_url[i],
-            captured_at=self.captured_at[i],
-            vantage=VANTAGE_TABLE[self.vantage[i]],
-            status=None if status < 0 else status,
-            transactions=self.transactions[i],
-            cookies=self.cookies[i],
-            storage_records=self.storage_records[i],
-            screenshot=self.screenshot[i],
-            page_text=self.page_text[i],
-            timed_out=bool(flags & self._TIMED_OUT),
-            dom_dialog=self.dom_dialog[i],
-            dialog_shown=bool(flags & self._DIALOG_SHOWN),
-            blocked_by_antibot=bool(flags & self._BLOCKED),
-            fault=self.fault[i],
-        )
-
-    def to_captures(self) -> List[Capture]:
-        return [self.get(i) for i in range(len(self))]
-
-
 class CaptureStore:
     """The platform's queryable capture database, stored columnarly.
 
-    The public query API (``observations``, ``captures``, ``by_domain``,
+    The public query API (``observations``, ``by_domain``,
     ``unique_domains``, ``observations_for``, ``domains_with_cmp``) is
     unchanged from the row-based store; the object views are lazy,
     cached, and invalidated by writes. Dicts handed out by
@@ -168,8 +63,7 @@ class CaptureStore:
     instead of mutating one a caller may still hold.
     """
 
-    def __init__(self, retain_captures: bool = False):
-        self.retain_captures = retain_captures
+    def __init__(self) -> None:
         self.total_requests = 0
         self.n_captures = 0
         # Interning tables.
@@ -182,11 +76,8 @@ class CaptureStore:
         self._col_date = array("i")  # date ordinals
         self._col_cmp = array("b")
         self._col_vantage = array("b")
-        # Full-capture columns (retain mode only).
-        self._capture_cols = CaptureColumns() if retain_captures else None
         # Lazy object views.
         self._obs_cache: Optional[List[Observation]] = None
-        self._captures_cache: Optional[List[Capture]] = None
         self._snapshot: Optional[Dict[str, List[Observation]]] = None
 
     # ------------------------------------------------------------------
@@ -211,7 +102,6 @@ class CaptureStore:
     def _invalidate(self) -> None:
         self._obs_cache = None
         self._snapshot = None
-        self._captures_cache = None
 
     # ------------------------------------------------------------------
     # Writes
@@ -258,13 +148,11 @@ class CaptureStore:
         self._invalidate()
 
     def add(self, capture: Capture, cmp_key: Optional[str]) -> Observation:
-        """Append one full capture (the row-path write)."""
+        """Append one full capture, compacted to its observation."""
         obs = capture.to_observation(cmp_key)
         self.add_observation(obs)
         self.total_requests += capture.n_requests
         self.n_captures += 1
-        if self._capture_cols is not None:
-            self._capture_cols.append(capture)
         return obs
 
     def add_observation(self, obs: Observation) -> Observation:
@@ -301,8 +189,6 @@ class CaptureStore:
         self._col_vantage.extend(other._col_vantage)
         self.total_requests += other.total_requests
         self.n_captures += other.n_captures
-        if self._capture_cols is not None and other._capture_cols is not None:
-            self._capture_cols.extend(other._capture_cols)
         self._invalidate()
 
     def digest_parts(self) -> Iterable[bytes]:
@@ -356,15 +242,6 @@ class CaptureStore:
                 )
             self._obs_cache = out
         return self._obs_cache
-
-    @property
-    def captures(self) -> List[Capture]:
-        """Full captures (``retain_captures`` mode; else always empty)."""
-        if self._capture_cols is None:
-            return []
-        if self._captures_cache is None:
-            self._captures_cache = self._capture_cols.to_captures()
-        return self._captures_cache
 
     def iter_rows(
         self,
@@ -470,27 +347,6 @@ class CaptureStore:
         )
 
     # ------------------------------------------------------------------
-    # Round-trip constructors (tests, tooling)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_captures(
-        cls,
-        captures: Sequence[Capture],
-        cmp_keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> "CaptureStore":
-        """A retain-mode store holding *captures* columnarly."""
-        store = cls(retain_captures=True)
-        if cmp_keys is None:
-            cmp_keys = [None] * len(captures)
-        for capture, cmp_key in zip(captures, cmp_keys):
-            store.add(capture, cmp_key)
-        return store
-
-    def to_captures(self) -> List[Capture]:
-        """The stored captures as row objects (retain mode)."""
-        return list(self.captures)
-
-    # ------------------------------------------------------------------
     # Pickling (shard results travel between processes)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
@@ -498,5 +354,4 @@ class CaptureStore:
         # Cached object views are derived data; never ship them.
         state["_obs_cache"] = None
         state["_snapshot"] = None
-        state["_captures_cache"] = None
         return state

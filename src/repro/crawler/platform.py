@@ -16,20 +16,27 @@ sequential state. Passing a :class:`~repro.crawler.executor.CrawlExecutor`
 fans the crawl phase out over day-range shards; the default is the plain
 serial loop.
 
-The crawl phase has two equivalent implementations:
+One kernel crawls every accepted event, whatever runs it:
+:func:`crawl_batch` takes a batch of accepted share events, derives the
+vantage and queue-delay draws and the visit key of every event at once
+with uint64 numpy replicas of the keyed fold (:func:`_fold64_arr`,
+:func:`_draw_arr`; bit-identical to :mod:`repro.det`), renders each
+visit's compact skeleton (:func:`~repro.web.serving.visit_compact`),
+detects the batch over its host masks and appends it to the columnar
+store in one call. Only rows the fault schedule touches leave the
+vectorized flow: they run a per-row retry loop
+(:func:`~repro.faults.run_with_retries`) around the same precomputed
+visit, so a recovered crawl is bit-identical to its fault-free self.
 
-* the **row path** (``retain_captures=True``): full ``Capture`` objects
-  through :func:`crawl_share_event`, as the tests and the toplist study
-  need;
-* the **compact path** (the default): :func:`crawl_share_event_compact`
-  renders only the visit skeleton and yields a :class:`CompactCrawl` --
-  interned ids and a fingerprint bitmask, no transaction or page
-  objects -- which lands directly in the columnar
-  :class:`~repro.crawler.columnar.CaptureStore`.
-
-Both derive every observable from the same keyed draws
-(:mod:`repro.web.serving`), so they are bit-identical where they
-overlap; ``tests/test_columnar.py`` pins that equivalence.
+The serial loop (and with it :meth:`NetographPlatform.ingest_day` and
+the streaming engine) calls the kernel once per day. Every executor
+backend ships the same payload, a :class:`SocialShardSpec` recipe of
+per-day accepted indices; the worker (:func:`crawl_social_shard`)
+regenerates each day and calls the kernel on it, cutting the batch at
+the schedule's crash point and at the resume index. The row reference
+(:func:`~repro.crawler.browser.crawl_url` compacted with
+``Capture.to_observation``) survives only as the test oracle in
+``tests/test_columnar.py``.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -57,13 +65,8 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> storage -> platform)
     from repro.cache import ArtifactCache, Fingerprint
 
-from repro.crawler.browser import (
-    DEFAULT_PROFILE,
-    CrawlProfile,
-    _schedule_domain,
-    crawl_url,
-)
-from repro.crawler.capture import Capture, Vantage
+from repro.crawler.browser import DEFAULT_PROFILE, CrawlProfile
+from repro.crawler.capture import Vantage
 from repro.crawler.columnar import (
     VANTAGE_IDS,
     VANTAGE_STRS,
@@ -81,10 +84,11 @@ from repro.crawler.executor import (
 from repro.crawler.queue import CaptureQueue
 from repro.crawler.seeds import ShareEvent, SocialShareStream, StreamConfig
 from repro.crawler.spill import SpillSettings, SpillingCaptureStore
-from repro.det import KeyedRand, fold64, key64
+from repro.det import key64
 from repro.detect.engine import DetectionEngine, hosts_mask
 from repro.faults import (
     Clock,
+    Fault,
     FaultSchedule,
     FaultTally,
     RetryPolicy,
@@ -96,31 +100,26 @@ from repro.net import publish_cache_gauges
 from repro.net.psl import default_psl
 from repro.obs import Observability, resolve_obs
 from repro.obs.memory import publish_memory_gauges
-from repro.web.serving import structural_band, visit_compact, visit_key_prefix
+from repro.web.serving import CompactVisit, visit_compact, visit_key_prefix
 from repro.web.worldgen import CacheLimits, World, publish_world_cache_gauges
 
 __all__ = [
     "CaptureStore",  # re-export: the store moved to repro.crawler.columnar
-    "CompactCrawl",
     "NetographPlatform",
     "PlatformConfig",
     "PlatformStats",
     "SocialShardSpec",
-    "SocialShardTask",
     "SocialShardResult",
-    "crawl_share_event",
-    "crawl_share_event_compact",
+    "crawl_batch",
     "crawl_social_shard",
-    "event_rng",
     "resume_social_shard",
 ]
 
 _EU_CLOUD_ID = VANTAGE_IDS[Vantage("EU", "cloud")]
 _US_CLOUD_ID = VANTAGE_IDS[Vantage("US", "cloud")]
 
-#: date-ordinal -> date memo for the compact path (a run sees at most a
-#: few hundred distinct days).
-_DATES: Dict[int, dt.date] = {}
+#: A crawl-phase store: resident, or spilling past a row budget.
+Store = Union[CaptureStore, SpillingCaptureStore]
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,6 @@ class PlatformConfig:
     seed: int = 23
     #: Fraction of crawls assigned to the EU cloud (the rest go US).
     eu_share: float = 0.5
-    #: Keep full captures in memory (tests); otherwise only the compact
-    #: observations are retained, like the real platform's database rows.
-    retain_captures: bool = False
     profile: CrawlProfile = DEFAULT_PROFILE
     #: Chaos schedule injected into every crawl; ``None`` (the default)
     #: keeps the pipeline bit-identical to a build without repro.faults.
@@ -143,8 +139,8 @@ class PlatformConfig:
     #: Spill budget for crawl-phase stores (:mod:`repro.crawler.spill`);
     #: ``None`` keeps every row resident. An execution knob like
     #: ``parallelism`` -- never fingerprinted, cannot change results.
-    #: Ignored in ``retain_captures`` mode and under a fault schedule
-    #: (crash checkpoints ship whole stores between workers).
+    #: A sharded run whose fault schedule crashes workers rejects it
+    #: (a resumed shard would reuse its checkpoint's segment directory).
     spill: Optional[SpillSettings] = None
     #: World memo-cache bounds applied inside shard workers; ``None``
     #: keeps each worker world's construction-time defaults. Eviction
@@ -170,53 +166,17 @@ class PlatformStats:
 
 
 # ----------------------------------------------------------------------
-# Per-event determinism
-# ----------------------------------------------------------------------
-def event_rng(seed: int, event: ShareEvent) -> KeyedRand:
-    """The RNG driving one crawl's vantage and queue delay.
-
-    Keyed on ``(seed, url, share time)`` instead of drawing from a shared
-    sequential stream, so the assignment is identical no matter how many
-    crawls ran before it -- the property that makes sharded execution
-    bit-identical to the serial loop. Two accepted events can never
-    collide on the key: the queue's 48h URL cooldown rejects a second
-    submission of the same URL at the same instant.
-    """
-    at = event.at
-    return KeyedRand(
-        fold64(
-            _event_prefix(seed), event.url.h64, at.toordinal(),
-            at.hour * 3600 + at.minute * 60 + at.second,
-        )
-    )
-
-
-#: Per-seed event-key prefix (the ``key64(seed, 5)`` fold state).
-_EVENT_PREFIX: Dict[int, int] = {}
-
-
-def _event_prefix(seed: int) -> int:
-    prefix = _EVENT_PREFIX.get(seed)
-    if prefix is None:
-        # Benign race: key64 is pure, racing workers store equal values.
-        prefix = _EVENT_PREFIX[seed] = key64(seed, 5)  # repro-lint: disable=RACE001
-    return prefix
-
-
-# ----------------------------------------------------------------------
-# Vectorized key derivation (serial day batches)
+# Vectorized key derivation
 # ----------------------------------------------------------------------
 # uint64 replicas of repro.det's fold/mix: numpy uint64 arithmetic wraps
 # mod 2**64 exactly like the Python-int `& _MASK` chain, and the final
 # `(x >> 11) * 2**-53` float conversion is exact in both (the shifted
 # value fits in 53 bits), so these produce bit-identical keys and draws.
-# The per-event path (repro.det.KeyedRand) stays the source of truth --
-# shard workers use it -- and tests pin the equivalence.
+# repro.det stays the source of truth; tests pin the equivalence.
 _U64 = np.uint64
 _NP_MC = _U64(0xFF51AFD7ED558CCD)
 _NP_M1 = _U64(0xBF58476D1CE4E5B9)
 _NP_M2 = _U64(0x94D049BB133111EB)
-_NP_GOLDEN = _U64(0x9E3779B97F4A7C15)
 _S30, _S27, _S31, _S11 = _U64(30), _U64(27), _U64(31), _U64(11)
 
 
@@ -247,49 +207,6 @@ def _draw_arr(keys: "np.ndarray", position: int) -> "np.ndarray":
     return (x >> _S11).astype(np.float64) * 1.1102230246251565e-16  # 2**-53
 
 
-class CompactCrawl:
-    """One crawl's outcome on the columnar path: ids and a bitmask.
-
-    Mirrors exactly the fields of the :class:`Capture` -> observation
-    compaction: the PSL-resolved final domain, the capture date as an
-    ordinal, the vantage table id, the fingerprint mask of the kept
-    transactions' hosts, and the fault/failure accounting fields the
-    platform meters. ``fault`` doubles as the retry-loop hook
-    (:func:`repro.faults.run_with_retries` duck-types on it).
-    """
-
-    __slots__ = (
-        "capture_id", "domain", "date_ordinal", "vantage_id", "status",
-        "mask", "n_requests", "timed_out", "fault",
-    )
-
-    def __init__(
-        self,
-        capture_id: int,
-        domain: str,
-        date_ordinal: int,
-        vantage_id: int,
-        status: Optional[int],
-        mask: int,
-        n_requests: int,
-        timed_out: bool,
-        fault: Optional[str],
-    ):
-        self.capture_id = capture_id
-        self.domain = domain
-        self.date_ordinal = date_ordinal
-        self.vantage_id = vantage_id
-        self.status = status
-        self.mask = mask
-        self.n_requests = n_requests
-        self.timed_out = timed_out
-        self.fault = fault
-
-    @property
-    def succeeded(self) -> bool:
-        return self.status is not None and 200 <= self.status < 400
-
-
 #: host -> registrable-domain memo. PSL mapping is world-independent,
 #: so one process-wide table serves every run.
 _DOMAIN_MEMO: Dict[str, str] = {}
@@ -305,92 +222,146 @@ def _final_domain(host: str) -> str:
     return domain
 
 
-def crawl_share_event(
+def _fault_kind(result: Union[CompactVisit, Fault]) -> Optional[str]:
+    return result.kind if isinstance(result, Fault) else None
+
+
+# ----------------------------------------------------------------------
+# The crawl kernel
+# ----------------------------------------------------------------------
+def crawl_batch(
     world: World,
-    event: ShareEvent,
     config: PlatformConfig,
-    capture_id: int,
+    events: Sequence[ShareEvent],
+    store: Store,
+    engine: DetectionEngine,
     clock: Optional[Clock] = None,
     tally: Optional[FaultTally] = None,
-) -> Capture:
-    """Crawl one accepted share event (pure: no shared mutable state).
+) -> Tuple[int, int, int]:
+    """Crawl a batch of accepted share events into *store*, in order.
 
-    Injected transient faults are retried under ``config.retry`` with
-    backoff through *clock*; the crawl timestamp stays fixed across
-    retries (backoff is operational delay, not crawl-visible time), so a
-    recovered crawl is bit-identical to its fault-free counterpart.
+    Each crawl's vantage and queue delay are keyed on ``(config seed,
+    url, share time)`` and its page render on ``(world seed, url,
+    capture date, vantage)``, so a row never depends on which batch it
+    rode in. Two accepted events can never collide on the event key:
+    the queue's 48h URL cooldown rejects a second submission of the
+    same URL at the same instant.
+
+    Rows the fault schedule faults on their first attempt are retried
+    under ``config.retry`` with backoff through *clock*; the capture
+    date stays fixed across retries (backoff is operational delay, not
+    crawl-visible time). A row whose retries run out is stored the way
+    :func:`repro.crawler.browser.crawl_url` records a faulted capture:
+    the seed URL's registrable domain, no requests, no CMP.
+
+    Returns ``(ok, failed, exhausted)``: successful crawls, organic
+    failures of the synthetic web, and crawls that ended on an injected
+    fault. The three sum to ``len(events)`` (Section 3.4 accounting).
     """
-    rng = event_rng(config.seed, event)
-    region = "EU" if rng.random() < config.eu_share else "US"
-    vantage = Vantage(region=region, address_space="cloud")
-    # URLs are visited within a couple of minutes of submission.
-    when = event.at + dt.timedelta(seconds=rng.randrange(60, 300))
-
-    def attempt(attempt_no: int) -> Capture:
-        return crawl_url(
-            world,
-            event.url,
-            when=when,
-            vantage=vantage,
-            profile=config.profile,
-            capture_id=capture_id,
-            faults=config.faults,
-            attempt=attempt_no,
-        )
-
-    if config.faults is None:
-        return attempt(0)
-    return run_with_retries(
-        attempt,
-        key=f"{event.url}@{event.at.isoformat()}",
-        policy=config.retry,
-        clock=clock,
-        tally=tally,
+    n = len(events)
+    if n == 0:
+        return 0, 0, 0
+    h64s = np.fromiter(
+        (event.url.h64 for event in events), dtype=np.uint64, count=n
     )
-
-
-def crawl_share_event_compact(
-    world: World,
-    event: ShareEvent,
-    config: PlatformConfig,
-    capture_id: int,
-    clock: Optional[Clock] = None,
-    tally: Optional[FaultTally] = None,
-) -> CompactCrawl:
-    """:func:`crawl_share_event` on the columnar path.
-
-    Draws vantage and queue delay from the same keyed stream, renders
-    only the visit skeleton, and returns interned scalars instead of a
-    ``Capture``. Fault injection and retries behave identically to the
-    row path (same schedule key, same retry loop).
-    """
-    at = event.at
-    rng = event_rng(config.seed, event)
-    region = "EU" if rng.random() < config.eu_share else "US"
-    vantage_id = _EU_CLOUD_ID if region == "EU" else _US_CLOUD_ID
-    delay = rng.randrange(60, 300)
-    # when = event.at + delay, without building datetime objects.
-    seconds = at.hour * 3600 + at.minute * 60 + at.second + delay
-    ordinal = at.toordinal() + (1 if seconds >= 86_400 else 0)
+    # Share times as seconds since day 1; split into (ordinal, second).
+    ords, secs = np.divmod(
+        np.fromiter(
+            (
+                at.toordinal() * 86_400 + at.hour * 3_600 + at.minute * 60
+                + at.second
+                for at in (event.at for event in events)
+            ),
+            dtype=np.int64,
+            count=n,
+        ),
+        86_400,
+    )
+    ekeys = _fold64_arr(
+        key64(config.seed, 5), h64s, ords.astype(np.uint64),
+        secs.astype(np.uint64),
+    )
+    eu = _draw_arr(ekeys, 1) < config.eu_share
+    delays = (_draw_arr(ekeys, 2) * 240).astype(np.int64)
+    # Visited 60..300s after the share; crossing midnight rolls the date.
+    cap_ords = ords + (secs + 60 + delays >= 86_400)
+    vkeys = _fold64_arr(
+        visit_key_prefix(world.config.seed),
+        h64s, cap_ords.astype(np.uint64), (~eu).astype(np.uint64), 0,
+    )
+    eu_l = eu.tolist()
+    vk_l = vkeys.tolist()
+    ord_l = cap_ords.tolist()
+    vid_l = np.where(eu, _EU_CLOUD_ID, _US_CLOUD_ID).tolist()
     cutoff = config.profile.cutoff
-
-    if config.faults is None:
-        return _compact_attempt(
-            world, event, region, vantage_id, ordinal, cutoff, capture_id
-        )
-
-    schedule_domain = _schedule_domain(event.url)
-    vantage_str = VANTAGE_STRS[vantage_id]
     faults = config.faults
-
-    def attempt(attempt_no: int) -> CompactCrawl:
-        fault = faults.fault_for(schedule_domain, vantage_str, attempt_no)
-        if fault is not None:
-            return _faulted_compact(
-                schedule_domain, ordinal, vantage_id, capture_id, fault.kind
+    dates: Dict[int, dt.date] = {}
+    domains: List[str] = []
+    masks: List[int] = []
+    n_reqs: List[int] = []
+    ok = exhausted = 0
+    for i, event in enumerate(events):
+        url = event.url
+        ordinal = ord_l[i]
+        date = dates.get(ordinal)
+        if date is None:
+            date = dates[ordinal] = dt.date.fromordinal(ordinal)
+        region = "EU" if eu_l[i] else "US"
+        vantage = VANTAGE_STRS[vid_l[i]]
+        visit: Union[CompactVisit, Fault]
+        if faults is not None and faults.fault_for(
+            _final_domain(url.host), vantage, 0
+        ) is not None:
+            visit = _visit_with_retries(
+                world, config, event, date, region, vantage, vk_l[i],
+                clock, tally,
             )
-        return _compact_attempt(
-            world, event, region, vantage_id, ordinal, cutoff, capture_id
+            if isinstance(visit, Fault):
+                exhausted += 1
+                domains.append(_final_domain(url.host))
+                masks.append(0)
+                n_reqs.append(0)
+                continue
+        else:
+            visit = visit_compact(
+                world, url, date, region, "cloud", cutoff, vk_l[i]
+            )
+        kept = visit.kept_hosts
+        domains.append(_final_domain(visit.final_host))
+        masks.append(hosts_mask(kept))
+        n_reqs.append(len(kept))
+        status = visit.status
+        if status is not None and 200 <= status < 400:
+            ok += 1
+    cmp_keys = engine.detect_batch(masks, ord_l)
+    store.append_batch(domains, ord_l, cmp_keys, vid_l, n_reqs)
+    return ok, n - ok - exhausted, exhausted
+
+
+def _visit_with_retries(
+    world: World,
+    config: PlatformConfig,
+    event: ShareEvent,
+    date: dt.date,
+    region: str,
+    vantage: str,
+    key: int,
+    clock: Optional[Clock],
+    tally: Optional[FaultTally],
+) -> Union[CompactVisit, Fault]:
+    """The per-row fallback of :func:`crawl_batch` for a faulted row:
+    the visit once an attempt is fault-free, else the last fault."""
+    faults = config.faults
+    assert faults is not None
+    domain = _final_domain(event.url.host)
+
+    def attempt(attempt_no: int) -> Union[CompactVisit, Fault]:
+        fault = faults.fault_for(domain, vantage, attempt_no)
+        if fault is not None:
+            return fault
+        return visit_compact(
+            world, event.url, date, region, "cloud", config.profile.cutoff,
+            key,
         )
 
     return run_with_retries(
@@ -399,98 +370,21 @@ def crawl_share_event_compact(
         policy=config.retry,
         clock=clock,
         tally=tally,
-    )
-
-
-def _compact_attempt(
-    world: World,
-    event: ShareEvent,
-    region: str,
-    vantage_id: int,
-    ordinal: int,
-    cutoff: float,
-    capture_id: int,
-) -> CompactCrawl:
-    date = _DATES.get(ordinal)
-    if date is None:
-        # Benign race: fromordinal is pure, equal values race in.
-        date = _DATES[ordinal] = dt.date.fromordinal(ordinal)  # repro-lint: disable=RACE001
-    visit = visit_compact(world, event.url, date, region, "cloud", cutoff)
-    return CompactCrawl(
-        capture_id=capture_id,
-        domain=_final_domain(visit.final_host),
-        date_ordinal=ordinal,
-        vantage_id=vantage_id,
-        status=visit.status,
-        mask=hosts_mask(visit.kept_hosts),
-        n_requests=len(visit.kept_hosts),
-        timed_out=visit.timed_out,
-        fault=None,
-    )
-
-
-def _faulted_compact(
-    domain: str,
-    ordinal: int,
-    vantage_id: int,
-    capture_id: int,
-    kind: str,
-) -> CompactCrawl:
-    """The compact row an injected fault produces (mirrors
-    :func:`repro.crawler.browser._faulted_capture`: conservative
-    failure, no transactions, only anti-bot challenges carry a status).
-    """
-    status: Optional[int] = None
-    timed_out = False
-    if kind == "slow-response":
-        timed_out = True
-    elif kind == "antibot-challenge":
-        status = 403
-    return CompactCrawl(
-        capture_id=capture_id,
-        domain=domain,
-        date_ordinal=ordinal,
-        vantage_id=vantage_id,
-        status=status,
-        mask=0,
-        n_requests=0,
-        timed_out=timed_out,
-        fault=kind,
+        faulted=_fault_kind,
     )
 
 
 # ----------------------------------------------------------------------
-# Shard tasks (module-level so the process backend can pickle them)
+# Shard payloads (module-level so the process backend can pickle them)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SocialShardTask:
-    """One day-range shard of accepted share events (materialized)."""
-
-    shard_id: int
-    world_ref: WorldRef
-    config: PlatformConfig
-    #: ``(event, capture_id)`` pairs, in serial acceptance order.
-    events: Tuple[Tuple[ShareEvent, int], ...]
-    #: Resume bookkeeping, set by :func:`resume_social_shard` after a
-    #: worker crash: skip tasks below ``start_index`` and seed state
-    #: from ``checkpoint``.
-    start_index: int = 0
-    shard_attempt: int = 0
-    checkpoint: Optional["SocialShardResult"] = None
-
-
 @dataclass(frozen=True)
 class SocialShardSpec:
-    """One shard as a *recipe* instead of materialized events.
+    """One shard as a *recipe*: the payload of every executor backend.
 
-    The process backend used to pickle every accepted ``ShareEvent``
-    (URL, timestamp, platform) into each worker. Since the seed stream
-    is deterministic per day, a shard is fully described by the stream
-    config plus, per day, the indices of the accepted events in that
-    day's stream -- a few ints per crawl. The worker regenerates the
-    day's events and selects the accepted ones; capture ids are the
-    serial acceptance order, contiguous within a shard by construction
-    (shards are contiguous slices of the acceptance sequence).
+    The seed stream is deterministic per day, so a shard is fully
+    described by the stream config plus, per day, the indices of the
+    accepted events in that day's stream -- a few ints per crawl. The
+    worker regenerates the day's events and selects the accepted ones.
     """
 
     shard_id: int
@@ -500,64 +394,49 @@ class SocialShardSpec:
     #: ``(day_ordinal, accepted-event indices within that day)`` runs,
     #: in acceptance order.
     runs: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    first_capture_id: int
+    #: Resume bookkeeping, set by :func:`resume_social_shard` after a
+    #: worker crash: skip events below ``start_index`` and seed state
+    #: from ``checkpoint``.
     start_index: int = 0
     shard_attempt: int = 0
     checkpoint: Optional["SocialShardResult"] = None
 
-    def materialize(self, world: World) -> Tuple[Tuple[ShareEvent, int], ...]:
-        """Regenerate this shard's ``(event, capture_id)`` sequence.
-
-        The eager reference path: the crawl loop consumes
-        :meth:`iter_day_chunks` instead, and ``tests/test_scale.py``
-        pins the two equal element for element.
-        """
-        stream = SocialShareStream(world, self.stream_config)
-        out: List[Tuple[ShareEvent, int]] = []
-        capture_id = self.first_capture_id
-        for ordinal, indices in self.runs:
-            day_events = stream.events_for_day(dt.date.fromordinal(ordinal))
-            for index in indices:
-                out.append((day_events[index], capture_id))
-                capture_id += 1
-        return tuple(out)
+    @property
+    def n_events(self) -> int:
+        """Number of crawls this shard describes."""
+        return sum(len(indices) for _ordinal, indices in self.runs)
 
     def iter_day_chunks(
         self, world: World
-    ) -> "Iterator[Tuple[Tuple[ShareEvent, int], ...]]":
-        """Per-day ``(event, capture_id)`` chunks, generated lazily.
+    ) -> "Iterator[Tuple[ShareEvent, ...]]":
+        """Each run's accepted events, one day generated at a time.
 
-        Same events, same order, same capture-id assignment as
-        :meth:`materialize`, but at most one day's accepted events are
-        resident at a time: each day streams through the seed
-        generator (:meth:`SocialShareStream.iter_day_events`) and stops
-        as soon as the day's last accepted index has been selected.
-        ``runs`` indices are ascending within a day by construction
-        (acceptance follows chronological event order), which is what
-        lets one forward pass select them.
+        Each day streams through the seed generator
+        (:meth:`SocialShareStream.iter_day_events`) and stops as soon as
+        the day's last accepted index has been selected, so at most one
+        day's accepted events are resident. ``runs`` indices are
+        ascending within a day by construction (acceptance follows
+        chronological event order), which is what lets one forward pass
+        select them.
         """
         stream = SocialShareStream(world, self.stream_config)
-        capture_id = self.first_capture_id
         for ordinal, indices in self.runs:
-            chunk: List[Tuple[ShareEvent, int]] = []
+            chunk: List[ShareEvent] = []
             wanted = iter(indices)
             want = next(wanted, None)
-            if want is None:
-                yield ()
-                continue
-            day_events = stream.iter_day_events(dt.date.fromordinal(ordinal))
-            for index, event in enumerate(day_events):
-                if index == want:
-                    chunk.append((event, capture_id))
-                    capture_id += 1
-                    want = next(wanted, None)
-                    if want is None:
-                        break
+            if want is not None:
+                day_events = stream.iter_day_events(dt.date.fromordinal(ordinal))
+                for index, event in enumerate(day_events):
+                    if index == want:
+                        chunk.append(event)
+                        want = next(wanted, None)
+                        if want is None:
+                            break
             yield tuple(chunk)
 
 
 def _shard_spill_settings(
-    config: PlatformConfig, task: "SocialShardSpec | SocialShardTask"
+    config: PlatformConfig, task: SocialShardSpec
 ) -> SpillSettings:
     """Per-shard spill settings: shards sharing a configured directory
     get disjoint subdirectories so their segment files never collide."""
@@ -574,22 +453,21 @@ def _shard_spill_settings(
 @dataclass(frozen=True)
 class SocialShardResult:
     shard_id: int
-    store: Union[CaptureStore, SpillingCaptureStore]
+    store: Store
     failures: int
     captures_seen: int
     overcounted: int
     faults: FaultTally = field(default_factory=FaultTally)
 
 
-def crawl_social_shard(
-    task: Union[SocialShardTask, SocialShardSpec]
-) -> SocialShardResult:
+def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
     """Crawl one shard into a private store (runs inside a worker).
 
-    A chaos schedule may kill the worker before a scheduled task index:
+    A chaos schedule may kill the worker before a scheduled event index:
     the shard raises :class:`WorkerCrash` carrying its partial result as
     the checkpoint, and the executor re-submits a task resumed from it.
-    Because each crawl is keyed independently, the resumed run's final
+    Batches are cut at the crash point and at the resume index, and
+    every crawl is keyed independently, so the resumed run's final
     result is bit-identical to an uninterrupted one.
     """
     world = resolve_world(task.world_ref)
@@ -599,26 +477,12 @@ def crawl_social_shard(
         # the thread backend every shard re-applies the same limits to
         # the shared world, which is idempotent.
         world.set_cache_limits(config.world_cache_limits)
-    if isinstance(task, SocialShardSpec):
-        n_events = _task_size(task)
-        pairs: "Iterator[Tuple[ShareEvent, int]]" = itertools.chain.from_iterable(
-            task.iter_day_chunks(world)
-        )
-    else:
-        n_events = len(task.events)
-        pairs = iter(task.events)
     engine = DetectionEngine()
-    store: Union[CaptureStore, SpillingCaptureStore]
-    if (
-        config.spill is not None
-        and config.faults is None
-        and not config.retain_captures
-    ):
-        # Crash checkpoints ship whole stores through WorkerCrash, so
-        # spilling stays off under a fault schedule (see PlatformConfig).
-        store = SpillingCaptureStore(_shard_spill_settings(config, task))
-    else:
-        store = CaptureStore(retain_captures=config.retain_captures)
+    store: Store = (
+        SpillingCaptureStore(_shard_spill_settings(config, task))
+        if config.spill is not None
+        else CaptureStore()
+    )
     tally = FaultTally()
     failures = 0
     base_seen = base_overcounted = 0
@@ -632,59 +496,42 @@ def crawl_social_shard(
     clock = VirtualClock()
     schedule = config.faults
     crash_at = (
-        schedule.crash_point(task.shard_id, n_events, task.shard_attempt)
+        schedule.crash_point(task.shard_id, task.n_events, task.shard_attempt)
         if schedule is not None
         else None
     )
-    compact = not config.retain_captures
-    for index, (event, capture_id) in enumerate(pairs):
-        if index < task.start_index:
-            continue
-        if crash_at is not None and index == crash_at:
-            raise WorkerCrash(
-                task.shard_id,
-                done=index,
-                checkpoint=SocialShardResult(
-                    shard_id=task.shard_id,
-                    store=store,
-                    failures=failures,
-                    captures_seen=base_seen + engine.captures_seen,
-                    overcounted=base_overcounted + engine.overcounted,
-                    faults=tally,
-                ),
+
+    def result() -> SocialShardResult:
+        return SocialShardResult(
+            shard_id=task.shard_id,
+            store=store,
+            failures=failures,
+            captures_seen=base_seen + engine.captures_seen,
+            overcounted=base_overcounted + engine.overcounted,
+            faults=tally,
+        )
+
+    lo = 0
+    for chunk in task.iter_day_chunks(world):
+        hi = lo + len(chunk)
+        begin = max(lo, task.start_index)
+        crashing = crash_at is not None and begin <= crash_at < hi
+        end = crash_at if crashing else hi
+        if begin < end:
+            _ok, failed, exhausted = crawl_batch(
+                world, config, chunk[begin - lo:end - lo], store, engine,
+                clock, tally,
             )
-        if compact:
-            row = crawl_share_event_compact(
-                world, event, config, capture_id, clock=clock, tally=tally
-            )
-            if not row.succeeded:
-                failures += 1
-            cmp_key = engine.detect_compact(row.mask, row.date_ordinal)
-            store.append_row(
-                row.domain, row.date_ordinal, cmp_key, row.vantage_id,
-                row.n_requests,
-            )
-        else:
-            capture = crawl_share_event(
-                world, event, config, capture_id, clock=clock, tally=tally
-            )
-            if not capture.succeeded:
-                failures += 1
-            detection = engine.detect(capture)
-            store.add(capture, detection.cmp_key)
-    return SocialShardResult(
-        shard_id=task.shard_id,
-        store=store,
-        failures=failures,
-        captures_seen=base_seen + engine.captures_seen,
-        overcounted=base_overcounted + engine.overcounted,
-        faults=tally,
-    )
+            failures += failed + exhausted
+        if crashing:
+            raise WorkerCrash(task.shard_id, done=end, checkpoint=result())
+        lo = hi
+    return result()
 
 
 def resume_social_shard(
-    task: Union[SocialShardTask, SocialShardSpec], crash: WorkerCrash
-) -> Union[SocialShardTask, SocialShardSpec]:
+    task: SocialShardSpec, crash: WorkerCrash
+) -> SocialShardSpec:
     """The task that continues *task* past *crash* (executor callback)."""
     return dataclasses.replace(
         task,
@@ -734,7 +581,7 @@ class NetographPlatform:
         )
         #: Per-shard stores of the most recent sharded run; consumed by
         #: the cache-populate path so warm entries keep shard granularity.
-        self._last_shard_stores: Optional[List[CaptureStore]] = None
+        self._last_shard_stores: Optional[List[Store]] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -746,7 +593,7 @@ class NetographPlatform:
         executor: Optional[CrawlExecutor] = None,
         cache: Optional["ArtifactCache"] = None,
         fingerprint: Optional["Fingerprint"] = None,
-    ) -> CaptureStore:
+    ) -> Store:
         """Run the platform over ``[start, end)`` and return the store.
 
         Passing an existing *store* continues a previous run (the real
@@ -760,43 +607,34 @@ class NetographPlatform:
         bit-identical to a cold run, by the exact-round-trip guarantee
         of :mod:`repro.crawler.storage` -- and skips the dedup and crawl
         phases entirely; a miss computes cold and populates the entry
-        (per-shard when the run was sharded). Caching is bypassed when
-        ``retain_captures`` is set, because full captures are never
-        persisted.
+        (per-shard when the run was sharded).
         """
-        caching = (
-            cache is not None
-            and fingerprint is not None
-            and not self.config.retain_captures
-        )
-        if caching:
-            cached = cache.load_capture_store(fingerprint)
-            if cached is not None:
-                if store is None:
-                    return cached
-                store.merge(cached)
-                return store
-            self._last_shard_stores = None
-            fresh = self._run_cold(start, end, None, on_day, executor)
-            cache.save_capture_store(
-                fingerprint, self._last_shard_stores or fresh
-            )
+        if cache is None or fingerprint is None:
+            return self._run_cold(start, end, store, on_day, executor)
+        cached = cache.load_capture_store(fingerprint)
+        if cached is not None:
             if store is None:
-                return fresh
-            if isinstance(fresh, SpillingCaptureStore) and not isinstance(
-                store, SpillingCaptureStore
-            ):
-                # A plain store can only concatenate in-memory columns;
-                # fold the spilled run back together first (O(rows),
-                # but this path means the caller asked for a resident
-                # continuation store anyway).
-                store.merge(fresh.fold_in())
-            else:
-                store.merge(fresh)
+                return cached
+            store.merge(cached)
             return store
-        return self._run_cold(start, end, store, on_day, executor)
+        self._last_shard_stores = None
+        fresh = self._run_cold(start, end, None, on_day, executor)
+        cache.save_capture_store(fingerprint, self._last_shard_stores or fresh)
+        if store is None:
+            return fresh
+        if isinstance(fresh, SpillingCaptureStore) and not isinstance(
+            store, SpillingCaptureStore
+        ):
+            # A plain store can only concatenate in-memory columns;
+            # fold the spilled run back together first (O(rows), but
+            # this path means the caller asked for a resident
+            # continuation store anyway).
+            store.merge(fresh.fold_in())
+        else:
+            store.merge(fresh)
+        return store
 
-    def ingest_day(self, day: dt.date, store: CaptureStore) -> CaptureStore:
+    def ingest_day(self, day: dt.date, store: Store) -> Store:
         """Crawl one stream day into *store* (the streaming entry point).
 
         Exactly ``run(day, day + 1 day, store=store)`` on the serial
@@ -846,27 +684,32 @@ class NetographPlatform:
         self,
         start: dt.date,
         end: dt.date,
-        store: Optional[CaptureStore] = None,
+        store: Optional[Store] = None,
         on_day: Optional[Callable[[dt.date], None]] = None,
         executor: Optional[CrawlExecutor] = None,
-    ) -> CaptureStore:
+    ) -> Store:
         """The uncached dedup + crawl pipeline behind :meth:`run`."""
-        if self.config.world_cache_limits is not None:
+        config = self.config
+        parallel = executor is not None and executor.config.parallel
+        crash = config.faults.crash if config.faults is not None else None
+        if parallel and config.spill is not None and crash is not None:
+            raise ValueError(
+                f"memory_budget (spill row_budget={config.spill.row_budget}) "
+                f"cannot be combined with the fault schedule's crash spec "
+                f"{crash!r} on a sharded run: a resumed shard would reuse "
+                "its checkpoint's segment directory"
+            )
+        if config.world_cache_limits is not None:
             # Shard workers re-apply this to their resolved worlds; the
             # serial path crawls against self.world directly, so bound
             # it here. Bit-invisible either way.
-            self.world.set_cache_limits(self.config.world_cache_limits)
+            self.world.set_cache_limits(config.world_cache_limits)
         if store is None:
-            config = self.config
-            if (
-                config.spill is not None
-                and config.faults is None
-                and not config.retain_captures
-            ):
-                store = SpillingCaptureStore(config.spill)
-            else:
-                store = CaptureStore(retain_captures=config.retain_captures)
-        parallel = executor is not None and executor.config.parallel
+            store = (
+                SpillingCaptureStore(config.spill)
+                if config.spill is not None
+                else CaptureStore()
+            )
         timing = self.obs.enabled
         with self.obs.span(
             "platform.run",
@@ -874,10 +717,9 @@ class NetographPlatform:
             end=end.isoformat(),
             parallel=parallel,
         ) as run_span:
-            #: ``(event, capture_id, day_ordinal, index_in_day,
-            #: seconds_in_day)`` in acceptance order; ordinal/index feed
-            #: shard *specs*, seconds feeds the vectorized key derivation.
-            pending: List[Tuple[ShareEvent, int, int, int, int]] = []
+            #: ``(day_ordinal, index_in_day)`` of every accepted event in
+            #: acceptance order -- what shard specs are cut from.
+            accepted: List[Tuple[int, int]] = []
             crawl_seconds = 0.0
             run_tally = FaultTally()
             day = start
@@ -888,39 +730,40 @@ class NetographPlatform:
                 self._m_events.inc(len(events))
                 submit_at = self.queue.submit_at
                 day_base = ordinal * 86_400
+                batch: List[ShareEvent] = []
                 for index, event in enumerate(events):
                     at = event.at
                     secs = at.hour * 3_600 + at.minute * 60 + at.second
                     if not submit_at(event.url, day_base + secs):
                         continue
                     self._capture_id += 1
-                    pending.append(
-                        (event, self._capture_id, ordinal, index, secs)
-                    )
-                if not parallel:
+                    if parallel:
+                        accepted.append((ordinal, index))
+                    else:
+                        batch.append(event)
+                if batch:
                     # Span-duration timing only; never crawl-visible.
                     batch_start = (
                         time.perf_counter()  # repro-lint: disable=DET002
                         if timing
                         else 0.0
                     )
-                    self._crawl_pending(store, pending, run_tally)
+                    self._crawl_day(store, batch, run_tally)
                     if timing:
                         crawl_seconds += (
                             time.perf_counter()  # repro-lint: disable=DET002
                             - batch_start
                         )
-                    pending.clear()
                 self.queue.prune(
                     dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1)
                 )
                 if on_day is not None:
                     on_day(day)
                 day += dt.timedelta(days=1)
-            if parallel and pending:
+            if accepted:
                 assert executor is not None
-                self._run_sharded(executor, pending, store, run_tally)
-            elif timing:
+                self._run_sharded(executor, accepted, store, run_tally)
+            elif timing and not parallel:
                 self.obs.tracer.record_span(
                     "platform.crawl", crawl_seconds, mode="serial"
                 )
@@ -944,55 +787,22 @@ class NetographPlatform:
         return store
 
     # ------------------------------------------------------------------
-    def _crawl_pending(
-        self,
-        store: CaptureStore,
-        pending: List[Tuple[ShareEvent, int, int, int, int]],
-        tally: FaultTally,
+    def _crawl_day(
+        self, store: Store, events: List[ShareEvent], tally: FaultTally
     ) -> None:
         """Serial crawl of one day's accepted events."""
-        if self.config.retain_captures:
-            for event, capture_id, _ordinal, _index, _secs in pending:
-                self._crawl_into(store, event, capture_id, tally)
-            return
-        config = self.config
-        if config.faults is None and pending:
-            if structural_band(config.profile.cutoff) is not None:
-                self._crawl_pending_vec(store, pending)
-                return
-        # Columnar fast path: crawl compact rows, detect the whole
-        # batch over the mask column, append rows without objects.
-        world = self.world
-        clock = self.clock
-        rows = [
-            crawl_share_event_compact(
-                world, event, config, capture_id, clock=clock, tally=tally
-            )
-            for event, capture_id, _ordinal, _index, _secs in pending
-        ]
-        cmp_keys = self.engine.detect_batch(
-            [row.mask for row in rows], [row.date_ordinal for row in rows]
+        ok, failed, exhausted = crawl_batch(
+            self.world, self.config, events, store, self.engine,
+            self.clock, tally,
         )
-        store.append_batch(
-            [row.domain for row in rows],
-            [row.date_ordinal for row in rows],
-            cmp_keys,
-            [row.vantage_id for row in rows],
-            [row.n_requests for row in rows],
-        )
-        ok = failed = exhausted = 0
-        for row in rows:
-            if row.succeeded:
-                ok += 1
-            elif row.fault is not None:
-                # Retry budget ran out on an injected fault; keep that
-                # visible separately so the Section 3.4 accounting still
-                # sums (ok + failed + retries_exhausted == crawls).
-                exhausted += 1
-            else:
-                failed += 1
-        self.stats.crawls += len(rows)
+        self.stats.crawls += len(events)
         self.stats.failures += failed + exhausted
+        self._meter_crawls(ok, failed, exhausted)
+
+    def _meter_crawls(self, ok: int, failed: int, exhausted: int) -> None:
+        """Crawl outcomes by label. ``retries_exhausted`` is kept apart
+        from organic failures so the Section 3.4 accounting still sums
+        (ok + failed + retries_exhausted == crawls)."""
         if ok:
             self._m_crawls.inc(ok, outcome="ok")
         if failed:
@@ -1000,173 +810,40 @@ class NetographPlatform:
         if exhausted:
             self._m_crawls.inc(exhausted, outcome="retries_exhausted")
 
-    def _crawl_pending_vec(
-        self,
-        store: CaptureStore,
-        pending: List[Tuple[ShareEvent, int, int, int, int]],
-    ) -> None:
-        """One day's fault-free compact batch, keys derived vectorized.
-
-        Replicates :func:`crawl_share_event_compact` row by row: the
-        event keys and the vantage/delay draws are computed for the
-        whole batch with the uint64 replicas of the keyed fold
-        (:func:`_fold64_arr` -- bit-identical to :mod:`repro.det`),
-        then each visit runs through the same structural fast path the
-        per-event code uses. Shard workers keep the scalar path;
-        ``tests/test_executor.py`` pins serial == sharded.
-        """
-        world = self.world
-        config = self.config
-        cutoff = config.profile.cutoff
-        n = len(pending)
-        h64s = np.fromiter(
-            (item[0].url.h64 for item in pending), dtype=np.uint64, count=n
-        )
-        ords = np.fromiter(
-            (item[2] for item in pending), dtype=np.uint64, count=n
-        )
-        secs = np.fromiter(
-            (item[4] for item in pending), dtype=np.uint64, count=n
-        )
-        ekeys = _fold64_arr(_event_prefix(config.seed), h64s, ords, secs)
-        eu = _draw_arr(ekeys, 1) < config.eu_share
-        delays = (_draw_arr(ekeys, 2) * 240).astype(np.int64)
-        # when = at + 60..300s; crossing midnight rolls the capture date.
-        cap_ords = ords.astype(np.int64) + (
-            secs.astype(np.int64) + 60 + delays >= 86_400
-        )
-        vkeys = _fold64_arr(
-            visit_key_prefix(world.config.seed),
-            h64s, cap_ords.astype(np.uint64), (~eu).astype(np.uint64), 0,
-        )
-        eu_l = eu.tolist()
-        vk_l = vkeys.tolist()
-        ord_l = cap_ords.tolist()
-        dates = _DATES
-        domains: List[str] = []
-        masks: List[int] = []
-        n_reqs: List[int] = []
-        ok = 0
-        for i, item in enumerate(pending):
-            co = ord_l[i]
-            date = dates.get(co)
-            if date is None:
-                date = dates[co] = dt.date.fromordinal(co)
-            region = "EU" if eu_l[i] else "US"
-            visit = visit_compact(
-                world, item[0].url, date, region, "cloud", cutoff, vk_l[i]
-            )
-            kept = visit.kept_hosts
-            domains.append(_final_domain(visit.final_host))
-            masks.append(hosts_mask(kept))
-            n_reqs.append(len(kept))
-            status = visit.status
-            if status is not None and 200 <= status < 400:
-                ok += 1
-        cmp_keys = self.engine.detect_batch(masks, ord_l)
-        vid_l = np.where(eu, _EU_CLOUD_ID, _US_CLOUD_ID).tolist()
-        store.append_batch(domains, ord_l, cmp_keys, vid_l, n_reqs)
-        failed = n - ok
-        self.stats.crawls += n
-        self.stats.failures += failed
-        if ok:
-            self._m_crawls.inc(ok, outcome="ok")
-        if failed:
-            self._m_crawls.inc(failed, outcome="failed")
-
-    def _crawl_into(
-        self,
-        store: CaptureStore,
-        event: ShareEvent,
-        capture_id: int,
-        tally: FaultTally,
-    ) -> None:
-        capture = crawl_share_event(
-            self.world,
-            event,
-            self.config,
-            capture_id,
-            clock=self.clock,
-            tally=tally,
-        )
-        self.stats.crawls += 1
-        if not capture.succeeded:
-            self.stats.failures += 1
-            # A failure whose capture still carries a fault kind means
-            # the retry budget ran out on an injected fault; keep that
-            # visible separately so the Section 3.4 accounting still
-            # sums (ok + failed + retries_exhausted == crawls).
-            if capture.fault is not None:
-                self._m_crawls.inc(outcome="retries_exhausted")
-            else:
-                self._m_crawls.inc(outcome="failed")
-        else:
-            self._m_crawls.inc(outcome="ok")
-        detection = self.engine.detect(capture)
-        store.add(capture, detection.cmp_key)
-
     # ------------------------------------------------------------------
     def _shard_payloads(
-        self,
-        executor: CrawlExecutor,
-        accepted: List[Tuple[ShareEvent, int, int, int, int]],
-    ) -> List[Union[SocialShardTask, SocialShardSpec]]:
-        """Partition the acceptance sequence into shard payloads.
+        self, executor: CrawlExecutor, accepted: List[Tuple[int, int]]
+    ) -> List[SocialShardSpec]:
+        """Partition the acceptance sequence into shard specs.
 
-        Thread (and serial) backends share memory, so shards carry their
-        event tuples directly. The process backend ships
-        :class:`SocialShardSpec` recipes instead -- the worker holds the
-        world already (``resolve_world``), so the payload shrinks to the
-        per-day accepted indices.
+        Every backend ships the same recipe: the worker resolves the
+        world (shared for threads, regenerated once per process) and
+        regenerates the accepted events from per-day indices.
         """
         n_shards = executor.config.n_shards(len(accepted))
-        chunks = partition_grouped(
-            accepted, n_shards, key=lambda item: item[0].at.date()
-        )
+        chunks = partition_grouped(accepted, n_shards, key=lambda item: item[0])
         world_ref = world_ref_for_backend(self.world, executor.config.backend)
-        if executor.config.backend != "process":
-            return [
-                SocialShardTask(
-                    shard_id=i,
-                    world_ref=world_ref,
-                    config=self.config,
-                    events=tuple((item[0], item[1]) for item in chunk),
-                )
-                for i, chunk in enumerate(chunks)
-            ]
-        tasks: List[Union[SocialShardTask, SocialShardSpec]] = []
-        for i, chunk in enumerate(chunks):
-            runs: List[Tuple[int, Tuple[int, ...]]] = []
-            day_ordinal: Optional[int] = None
-            indices: List[int] = []
-            for _event, _capture_id, ordinal, index, _secs in chunk:
-                if ordinal != day_ordinal:
-                    if indices:
-                        assert day_ordinal is not None
-                        runs.append((day_ordinal, tuple(indices)))
-                    day_ordinal = ordinal
-                    indices = []
-                indices.append(index)
-            if indices:
-                assert day_ordinal is not None
-                runs.append((day_ordinal, tuple(indices)))
-            tasks.append(
-                SocialShardSpec(
-                    shard_id=i,
-                    world_ref=world_ref,
-                    config=self.config,
-                    stream_config=self.stream.config,
-                    runs=tuple(runs),
-                    first_capture_id=chunk[0][1],
-                )
+        return [
+            SocialShardSpec(
+                shard_id=i,
+                world_ref=world_ref,
+                config=self.config,
+                stream_config=self.stream.config,
+                runs=tuple(
+                    (ordinal, tuple(index for _ordinal, index in run))
+                    for ordinal, run in itertools.groupby(
+                        chunk, key=lambda item: item[0]
+                    )
+                ),
             )
-        return tasks
+            for i, chunk in enumerate(chunks)
+        ]
 
     def _run_sharded(
         self,
         executor: CrawlExecutor,
-        accepted: List[Tuple[ShareEvent, int, int, int, int]],
-        store: CaptureStore,
+        accepted: List[Tuple[int, int]],
+        store: Store,
         run_tally: FaultTally,
     ) -> None:
         with self.obs.span(
@@ -1190,7 +867,7 @@ class NetographPlatform:
                         "executor.shard",
                         secs,
                         shard=task.shard_id,
-                        tasks=_task_size(task),
+                        tasks=task.n_events,
                         crawls=result.store.n_captures,
                         failures=result.failures,
                     )
@@ -1225,7 +902,7 @@ class NetographPlatform:
                 exec_stats.shards.append(
                     ShardStats(
                         shard_id=task.shard_id,
-                        tasks=_task_size(task),
+                        tasks=task.n_events,
                         crawls=result.store.n_captures,
                         failures=result.failures,
                         seconds=secs,
@@ -1251,15 +928,12 @@ class NetographPlatform:
     def _absorb_shard_metrics(self, result: SocialShardResult) -> None:
         """Fold a shard's detection/crawl accounting into this process's
         stats and metrics (detection itself ran inside the worker)."""
-        ok = result.store.n_captures - result.failures
         exhausted = result.faults.exhausted
-        plain_failed = result.failures - exhausted
-        if ok:
-            self._m_crawls.inc(ok, outcome="ok")
-        if plain_failed:
-            self._m_crawls.inc(plain_failed, outcome="failed")
-        if exhausted:
-            self._m_crawls.inc(exhausted, outcome="retries_exhausted")
+        self._meter_crawls(
+            result.store.n_captures - result.failures,
+            result.failures - exhausted,
+            exhausted,
+        )
         matches: Dict[str, int] = {}
         if self.obs.enabled:
             for _domain, _ordinal, cmp_key, _vid in result.store.iter_rows():
@@ -1268,10 +942,3 @@ class NetographPlatform:
         self.engine.absorb(
             result.captures_seen, result.overcounted, matches
         )
-
-
-def _task_size(task: Union[SocialShardTask, SocialShardSpec]) -> int:
-    """Number of crawls a shard payload describes."""
-    if isinstance(task, SocialShardSpec):
-        return sum(len(indices) for _ordinal, indices in task.runs)
-    return len(task.events)

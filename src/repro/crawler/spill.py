@@ -83,13 +83,8 @@ class SpillingCaptureStore:
     """A :class:`CaptureStore` facade with bounded resident rows.
 
     Drop-in for the write path and the streaming read path of the plain
-    store. ``retain_captures`` mode is unsupported (full captures are
-    never persisted, so they cannot spill); the platform keeps the
-    plain store for that mode.
+    store.
     """
-
-    #: Mirrors the plain store's attribute so shared code can branch.
-    retain_captures = False
 
     def __init__(self, settings: SpillSettings):
         self.settings = settings
@@ -99,7 +94,7 @@ class SpillingCaptureStore:
         else:
             self._directory = tempfile.mkdtemp(prefix="repro-spill-")
         self._segments: List[_Segment] = []
-        self._active = CaptureStore(retain_captures=False)
+        self._active = CaptureStore()
         self._spilled_rows = 0
         self._spilled_captures = 0
         self._spilled_requests = 0
@@ -196,7 +191,7 @@ class SpillingCaptureStore:
         self._spilled_rows += active.n_rows
         self._spilled_captures += active.n_captures
         self._spilled_requests += active.total_requests
-        self._active = CaptureStore(retain_captures=False)
+        self._active = CaptureStore()
 
     # ------------------------------------------------------------------
     # Streaming reads (one segment resident at a time)
@@ -244,7 +239,7 @@ class SpillingCaptureStore:
         never spilled, by the columnar merge-order invariant.
         """
         if self._fold_cache is None:
-            merged = CaptureStore(retain_captures=False)
+            merged = CaptureStore()
             for store in self.iter_segment_stores():
                 merged.merge(store)
             self._fold_cache = merged
@@ -256,10 +251,6 @@ class SpillingCaptureStore:
     @property
     def observations(self) -> List[Observation]:
         return self.fold_in().observations
-
-    @property
-    def captures(self) -> List[Capture]:
-        return []
 
     @property
     def unique_domains(self) -> int:

@@ -229,7 +229,7 @@ def load_store(
     resume names both the unit and the file, not just one of them.
     """
     label = f"{context}: {path}" if context else str(path)
-    store = CaptureStore(retain_captures=False)
+    store = CaptureStore()
     header: Optional[dict] = None
     first = True
     with open(path, "r", encoding="utf-8") as handle:

@@ -146,27 +146,6 @@ class DetectionEngine:
             self._m_overcounted.inc()
         return result
 
-    def detect_compact(self, mask: int, date_ordinal: int) -> Optional[str]:
-        """Columnar-path detection: one precomputed host mask in, the
-        detected CMP key out. Bit-identical to :meth:`detect` on the
-        capture the mask came from (pinned by tests)."""
-        self.captures_seen += 1
-        self._m_captures.inc()
-        if (
-            self.apply_outlier_exclusion
-            and mask & _QBIT
-            and _WIN_LO <= date_ordinal <= _WIN_HI
-        ):
-            mask &= ~_QBIT
-            self._m_excluded.inc(cmp="quantcast")
-        key = _MASK_FIRST[mask]
-        if key is not None:
-            self._m_matches.inc(cmp=key)
-            if _MASK_COUNT[mask] > 1:
-                self.overcounted += 1
-                self._m_overcounted.inc()
-        return key
-
     def detect_batch(
         self, masks: Sequence[int], date_ordinals: Sequence[int]
     ) -> List[Optional[str]]:

@@ -20,6 +20,7 @@ method call per update and allocates nothing.
 
 from __future__ import annotations
 
+import bisect
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -130,11 +131,30 @@ class HistogramSeries:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # First bound >= value; past the last bound lands in +Inf.
+        self.bucket_counts[bisect.bisect_left(bounds, value)] += 1
+
+    def quantile(self, q: float, bounds: Sequence[float]) -> float:
+        """The *q*-quantile (0..1) estimated from the bucket counts.
+
+        Finds the bucket holding rank ``q * count`` and interpolates
+        linearly between its bounds (Prometheus' ``histogram_quantile``
+        rule), clamped to the observed min/max; 0.0 when empty. The
+        error is at most one bucket's width.
+        """
+        if not self.count:
+            return 0.0
+        assert self.min is not None and self.max is not None
+        rank = q * self.count
+        seen = 0
+        for i, n in enumerate(self.bucket_counts):
+            if n and seen + n >= rank:
+                lo = bounds[i - 1] if i else 0.0
+                hi = bounds[i] if i < len(bounds) else self.max
+                estimate = lo + (hi - lo) * (rank - seen) / n
+                return min(max(estimate, self.min), self.max)
+            seen += n
+        return self.max
 
     @property
     def mean(self) -> float:
@@ -168,6 +188,10 @@ class Histogram(Metric):
 
     def series(self, **labels: object) -> Optional[HistogramSeries]:
         return self._series.get(_label_key(labels))
+
+    def labeled_series(self) -> List[Tuple[Dict[str, str], HistogramSeries]]:
+        """Every ``(labels, series)`` pair, in label-key order."""
+        return [(dict(key), series) for key, series in sorted(self._series.items())]
 
     def records(self) -> List[dict]:
         out = []

@@ -14,12 +14,15 @@ keeps ingesting:
 * ``GET /stats``              -- engine progress + query latency
   percentiles (p50/p90/p99 per endpoint)
 
-Every query runs inside a ``stream.query`` obs span and lands in the
-``stream_query_seconds`` latency histogram, labeled by endpoint. The
-handler threads only touch the engine through its lock-guarded query
-methods, so serving is safe while :meth:`StreamingStudyEngine.advance_day`
-runs. Latency measurement uses the wall clock deliberately -- it meters
-the service, never a result (hence the DET002 suppressions).
+Every query runs inside a ``stream.query`` obs span and is recorded
+once, in the ``stream_query_seconds`` latency histogram labeled by
+endpoint; ``/stats`` estimates its percentiles from the bucket counts,
+so the server's memory stays flat however many requests it answers.
+The handler threads only touch the engine through its lock-guarded
+query methods, so serving is safe while
+:meth:`StreamingStudyEngine.advance_day` runs. Latency measurement uses
+the wall clock deliberately -- it meters the service, never a result
+(hence the DET002 suppressions).
 """
 
 from __future__ import annotations
@@ -32,46 +35,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.obs.metrics import Histogram
 from repro.stream.engine import StreamingStudyEngine
 
-
-def percentile(values: List[float], q: float) -> float:
-    """The *q*-quantile (0..1) of *values* by nearest-rank on a sorted
-    copy; 0.0 for an empty list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
-class _QueryLatencies:
-    """Per-endpoint latency samples, lock-guarded (handler threads)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._samples: Dict[str, List[float]] = {}
-
-    def record(self, endpoint: str, seconds: float) -> None:
-        with self._lock:
-            bucket = self._samples.get(endpoint)
-            if bucket is None:
-                self._samples[endpoint] = [seconds]
-            else:
-                bucket.append(seconds)
-
-    def snapshot(self) -> Dict[str, dict]:
-        with self._lock:
-            samples = {k: list(v) for k, v in self._samples.items()}
-        return {
-            endpoint: {
-                "count": len(values),
-                "p50_ms": round(percentile(values, 0.50) * 1e3, 3),
-                "p90_ms": round(percentile(values, 0.90) * 1e3, 3),
-                "p99_ms": round(percentile(values, 0.99) * 1e3, 3),
-            }
-            for endpoint, values in samples.items()
-        }
+#: ``stream_query_seconds`` bucket bounds: 50 us to ~10 s in steps of
+#: 25%, so a bucket-interpolated percentile is off by at most 25%.
+QUERY_BUCKETS: Tuple[float, ...] = tuple(5e-5 * 1.25**k for k in range(56))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -93,8 +62,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive 500
             status, payload = 500, {"error": str(exc)}
         elapsed = time.perf_counter() - started  # repro-lint: disable=DET002
-        self.server.latencies.record(endpoint, elapsed)
-        self.server.h_query.observe(elapsed, endpoint=endpoint)
+        self.server.record_latency(endpoint, elapsed)
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -118,7 +86,7 @@ class _Handler(BaseHTTPRequestHandler):
             }
         if endpoint == "/stats":
             payload = engine.stats_payload()
-            payload["queries"] = self.server.latencies.snapshot()
+            payload["queries"] = self.server.latency_snapshot()
             return 200, payload
         if endpoint == "/adoption":
             date, error = self._date_param(query)
@@ -209,11 +177,43 @@ class QueryServer(ThreadingHTTPServer):
     ) -> None:
         super().__init__((host, port), _Handler)
         self.engine = engine
-        self.latencies = _QueryLatencies()
-        self.h_query = engine.obs.metrics.histogram(
-            "stream_query_seconds", "query-server request latency"
+        metrics = engine.obs.metrics
+        # /stats reads its percentiles off this histogram, so it must
+        # record even when the engine's obs is the null backend.
+        self.h_query = (
+            metrics.histogram(
+                "stream_query_seconds", "query-server request latency",
+                buckets=QUERY_BUCKETS,
+            )
+            if metrics.enabled
+            else Histogram(
+                "stream_query_seconds", "query-server request latency",
+                buckets=QUERY_BUCKETS,
+            )
         )
+        #: Handler threads record concurrently; the histogram is not
+        #: thread-safe on its own.
+        self._latency_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
+
+    def record_latency(self, endpoint: str, seconds: float) -> None:
+        """Record one answered request (handler threads call this)."""
+        with self._latency_lock:
+            self.h_query.observe(seconds, endpoint=endpoint)
+
+    def latency_snapshot(self) -> Dict[str, dict]:
+        """Per-endpoint request count and p50/p90/p99 in milliseconds."""
+        bounds = self.h_query.buckets
+        with self._latency_lock:
+            return {
+                labels["endpoint"]: {
+                    "count": series.count,
+                    "p50_ms": round(series.quantile(0.50, bounds) * 1e3, 3),
+                    "p90_ms": round(series.quantile(0.90, bounds) * 1e3, 3),
+                    "p99_ms": round(series.quantile(0.99, bounds) * 1e3, 3),
+                }
+                for labels, series in self.h_query.labeled_series()
+            }
 
     @property
     def port(self) -> int:

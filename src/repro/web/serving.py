@@ -388,22 +388,6 @@ _KEEP_ALL = 20.2
 _QCA_HOST = "quantcast.mgr.consensu.org"
 
 
-def structural_band(cutoff: float) -> Optional[bool]:
-    """The ``keep_all`` flag when *cutoff* falls in a structural band.
-
-    ``False`` for the fast band (slow loaders cut), ``True`` for the
-    keep-all band, ``None`` when the cutoff needs the draw-exact
-    skeleton path. Callers (the platform's vectorized day batch) use
-    this to decide whether :func:`visit_compact` will take the cached
-    fast path for a whole batch.
-    """
-    if _SAFE_LO <= cutoff <= _SAFE_HI:
-        return False
-    if cutoff >= _KEEP_ALL:
-        return True
-    return None
-
-
 def visit_key_prefix(world_seed: int) -> int:
     """The cached ``key64(seed, 17)`` fold prefix of :func:`visit_key`."""
     prefix = _VK_PREFIX.get(world_seed)

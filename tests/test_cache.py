@@ -289,11 +289,6 @@ class TestWarmStudy:
         inval = obs.metrics.counter("cache_invalidations_total")
         assert inval.value(stage="social-crawl") == 1
 
-    def test_retain_captures_bypasses_cache(self, tmp_path):
-        study = Study(small_config(tmp_path))
-        study.run_social_crawl(retain_captures=True)
-        assert not (tmp_path / "cache").exists()
-
     def test_no_cache_dir_runs_cold(self, tmp_path):
         study = Study(small_config(tmp_path, cache_dir=None))
         assert study.cache is None

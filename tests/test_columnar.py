@@ -1,16 +1,20 @@
-"""Columnar CaptureStore invariants (PR 6 tentpole).
+"""Columnar CaptureStore and crawl-kernel invariants.
 
-Pins the three contracts the columnar rewrite rests on:
+Pins the contracts the columnar crawl path rests on:
 
-* ``from_captures`` -> ``to_captures`` is an exact identity (the
-  struct-of-arrays packing loses nothing);
-* merging segment stores in order is bit-identical to serial appends --
-  rows, interning tables, digests, and query-view ordering all match;
+* batch appends and merging segment stores in order are bit-identical
+  to serial appends -- rows, interning tables, digests, and query-view
+  ordering all match;
 * the batched detection path returns exactly what the per-capture
-  ``detect`` loop returns, counters included.
+  ``detect`` loop returns, counters included;
+* the vectorized key derivation (`numpy` fold/draw) matches the scalar
+  :mod:`repro.det` reference;
+* the crawl kernel stores, row for row, what the ``Capture`` reference
+  (``crawl_url`` + ``to_observation``) records for the same accepted
+  events -- at fast-band, keep-all and skeleton-path cutoffs, with and
+  without fault schedules.
 
-Plus the vectorized key-derivation parity (`numpy` fold/draw vs the
-scalar :mod:`repro.det` reference) and the columnar adoption path.
+Plus the columnar adoption path.
 """
 
 import datetime as dt
@@ -20,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adoption import AdoptionSeries
-from repro.crawler.browser import crawl_url
-from repro.crawler.capture import Capture, Observation, Vantage
+from repro.crawler.browser import CrawlProfile, crawl_url
+from repro.crawler.capture import Observation, Vantage
 from repro.crawler.columnar import (
     VANTAGE_IDS,
     VANTAGE_TABLE,
@@ -34,10 +38,13 @@ from repro.crawler.platform import (
     _draw_arr,
     _fold64_arr,
 )
+from repro.crawler.queue import CaptureQueue
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.storage import store_digest
-from repro.det import KeyedRand, fold64
+from repro.det import KeyedRand, fold64, key64
 from repro.detect.engine import DetectionEngine, hosts_mask
+from repro.faults import FaultSchedule, FaultSpec, RetryPolicy, run_with_retries
+from repro.faults.retry import FAST_TEST_POLICY
 from repro.net.url import URL
 from repro.web.worldgen import World, WorldConfig
 
@@ -51,35 +58,6 @@ _domain = st.from_regex(r"[a-z]{1,8}\.(com|org|de)", fullmatch=True)
 _cmp = st.one_of(st.none(), st.sampled_from(["onetrust", "quantcast", "sp"]))
 _vantage = st.sampled_from(VANTAGE_TABLE)
 _date = st.dates(dt.date(2018, 1, 1), dt.date(2021, 12, 31))
-
-
-@st.composite
-def _captures(draw):
-    """Synthetic captures spanning the scalar-packing edge cases."""
-    n = draw(st.integers(min_value=0, max_value=12))
-    out = []
-    for i in range(n):
-        host = draw(_domain)
-        status = draw(
-            st.one_of(st.none(), st.sampled_from([200, 204, 301, 404, 503]))
-        )
-        out.append(
-            Capture(
-                capture_id=draw(st.integers(0, 2**40)),
-                seed_url=URL.parse(f"https://www.{host}/"),
-                final_url=URL.parse(f"https://{host}/landing"),
-                captured_at=dt.datetime(2020, 1, 1, 12)
-                + dt.timedelta(minutes=i),
-                vantage=draw(_vantage),
-                status=status,
-                page_text=draw(st.text(max_size=20)),
-                timed_out=draw(st.booleans()),
-                dialog_shown=draw(st.booleans()),
-                blocked_by_antibot=draw(st.booleans()),
-                fault=draw(st.one_of(st.none(), st.just("net.timeout"))),
-            )
-        )
-    return out
 
 
 _rows = st.lists(
@@ -103,32 +81,9 @@ def _store_from_rows(rows):
 
 
 # ----------------------------------------------------------------------
-# Round-trip identity
+# Batch writes
 # ----------------------------------------------------------------------
 class TestRoundTrip:
-    @settings(max_examples=60, deadline=None)
-    @given(captures=_captures())
-    def test_from_captures_to_captures_identity(self, captures):
-        store = CaptureStore.from_captures(captures)
-        assert store.to_captures() == captures
-
-    def test_real_crawl_captures_roundtrip(self):
-        # Browser-produced captures exercise every reference column
-        # (transactions, cookies, screenshots, storage records).
-        world = World(WorldConfig(seed=11, n_domains=150))
-        captures = [
-            crawl_url(
-                world,
-                URL.parse(f"https://www.{world.site(rank).domain}/"),
-                when=dt.datetime(2020, 5, 1 + rank % 20, 9),
-                vantage=VANTAGE_TABLE[rank % len(VANTAGE_TABLE)],
-            )
-            for rank in range(1, 13)
-        ]
-        store = CaptureStore.from_captures(captures)
-        assert store.to_captures() == captures
-        assert store.n_captures == len(captures)
-
     @settings(max_examples=60, deadline=None)
     @given(rows=_rows)
     def test_append_batch_equals_append_row(self, rows):
@@ -263,6 +218,109 @@ class TestVectorizedKeys:
             rng = KeyedRand(key)
             rng.skip(position - 1)
             assert value == rng.random()
+
+
+# ----------------------------------------------------------------------
+# The crawl kernel == the Capture row reference
+# ----------------------------------------------------------------------
+ORACLE_WINDOW = (dt.date(2020, 4, 1), dt.date(2020, 4, 4))
+
+#: Every transient kind, each recoverable within FAST_TEST_POLICY.
+TRANSIENT = FaultSchedule(
+    seed=13,
+    specs=(
+        FaultSpec("dns-error", rate=0.15, attempts=1),
+        FaultSpec("connection-reset", rate=0.12, attempts=2),
+        FaultSpec("slow-response", rate=0.10, attempts=1),
+        FaultSpec("antibot-challenge", rate=0.08, attempts=3),
+    ),
+)
+#: Every row's first attempt fails, so every row takes the retry path.
+RETRY_ALL = FaultSchedule(
+    seed=13, specs=(FaultSpec("connection-reset", rate=1.0, attempts=1),)
+)
+PERMANENT = FaultSchedule(
+    seed=13, specs=(FaultSpec("dns-error", rate=0.3, persistent=True),)
+)
+RETRY = {
+    "none": None,
+    "transient": FAST_TEST_POLICY,
+    "retry-all": FAST_TEST_POLICY,
+    "permanent": RetryPolicy(max_retries=2, jitter=0.0),
+}
+SCHEDULES = {
+    "none": None,
+    "transient": TRANSIENT,
+    "retry-all": RETRY_ALL,
+    "permanent": PERMANENT,
+}
+
+
+def reference_rows(world, stream, config, start, end):
+    """Every accepted event crawled through ``crawl_url`` and compacted
+    with ``to_observation``; vantage and queue delay come from a scalar
+    :class:`KeyedRand` on the ``(seed, url, share time)`` event key.
+
+    Returns ``(rows, total requests, failures)``.
+    """
+    queue = CaptureQueue()
+    engine = DetectionEngine()
+    prefix = key64(config.seed, 5)
+    rows, requests, failures = [], 0, 0
+    day = start
+    while day < end:
+        for event in stream.events_for_day(day):
+            at = event.at
+            secs = at.hour * 3600 + at.minute * 60 + at.second
+            if not queue.submit_at(event.url, at.toordinal() * 86_400 + secs):
+                continue
+            rng = KeyedRand(fold64(prefix, event.url.h64, at.toordinal(), secs))
+            region = "EU" if rng.random() < config.eu_share else "US"
+            vantage = Vantage(region, "cloud")
+            when = at + dt.timedelta(seconds=rng.randrange(60, 300))
+            capture = run_with_retries(
+                lambda attempt: crawl_url(
+                    world, event.url, when=when, vantage=vantage,
+                    profile=config.profile, faults=config.faults,
+                    attempt=attempt,
+                ),
+                key=f"{event.url}@{at.isoformat()}",
+                policy=config.retry,
+            )
+            obs = capture.to_observation(engine.detect(capture).cmp_key)
+            rows.append((obs.domain, obs.date, obs.cmp_key, obs.vantage))
+            requests += capture.n_requests
+            failures += not capture.succeeded
+        queue.prune(dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1))
+        day += dt.timedelta(days=1)
+    return rows, requests, failures
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("cutoff", [10.0, 120.0, 15.0])
+    def test_kernel_rows_match_crawl_url(self, cutoff, schedule):
+        world = World(WorldConfig(seed=11, n_domains=400))
+        stream = SocialShareStream(world, StreamConfig(seed=3, events_per_day=80))
+        config = PlatformConfig(
+            seed=5,
+            profile=CrawlProfile(name="oracle", cutoff=cutoff),
+            faults=SCHEDULES[schedule],
+            retry=RETRY[schedule],
+        )
+        platform = NetographPlatform(world, stream, config)
+        store = platform.run(*ORACLE_WINDOW)
+        rows, requests, failures = reference_rows(
+            world, stream, config, *ORACLE_WINDOW
+        )
+        assert [
+            (o.domain, o.date, o.cmp_key, o.vantage) for o in store.observations
+        ] == rows
+        assert store.total_requests == requests
+        assert platform.stats.failures == failures
+        assert any(cmp_key for _d, _o, cmp_key, _v in rows)
+        if schedule != "none":
+            assert platform.stats.faults.injected > 0
 
 
 # ----------------------------------------------------------------------

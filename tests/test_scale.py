@@ -9,6 +9,7 @@ negative host cache cannot outgrow its cap, and the spilling store's
 footprint is set by the row budget, not the row count.
 """
 
+import dataclasses
 import datetime as dt
 import itertools
 import tracemalloc
@@ -28,6 +29,8 @@ from repro.crawler.platform import (
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.spill import SpillSettings, SpillingCaptureStore
 from repro.crawler.storage import store_digest
+from repro.faults import CrashSpec, FaultSchedule, FaultSpec
+from repro.faults.retry import FAST_TEST_POLICY
 from repro.obs import Observability
 from repro.web.lru import MISSING, BoundedLRU
 from repro.web.worldgen import (
@@ -42,6 +45,17 @@ WINDOW = (dt.date(2020, 3, 1), dt.date(2020, 3, 8))
 #: Small enough to force constant eviction on a 300-domain world.
 TINY_LIMITS = CacheLimits(
     sites=8, hosts=8, negative_hosts=4, visit_plans=8, share_urls=8
+)
+
+
+#: Transient faults plus worker crashes, all recoverable by retrying.
+TRANSIENT = FaultSchedule(
+    seed=13,
+    specs=(
+        FaultSpec("dns-error", rate=0.15, attempts=1),
+        FaultSpec("connection-reset", rate=0.12, attempts=2),
+    ),
+    crash=CrashSpec(rate=0.6),
 )
 
 
@@ -203,6 +217,51 @@ class TestSpillBitIdentity:
         finally:
             spilled.cleanup()
 
+    def test_serial_spill_under_fault_schedule(self):
+        """Serial runs cannot crash, so the budget holds under chaos."""
+        chaos = dict(faults=TRANSIENT, retry=FAST_TEST_POLICY)
+        plain = Study(small_config(**chaos)).run_social_crawl()
+        study = Study(small_config(memory_budget=40, **chaos))
+        spilled = study.run_social_crawl()
+        try:
+            assert isinstance(spilled, SpillingCaptureStore)
+            assert spilled.n_segments > 0
+            assert study.last_crawl_stats.faults.injected > 0
+            assert store_digest(spilled) == store_digest(plain)
+        finally:
+            spilled.cleanup()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_crash_free_sharded_spill_under_faults(self, backend):
+        chaos = dict(
+            faults=dataclasses.replace(TRANSIENT, crash=None),
+            retry=FAST_TEST_POLICY,
+            backend=backend,
+            parallelism=2,
+        )
+        plain = Study(small_config(**chaos)).run_social_crawl()
+        spilled = Study(
+            small_config(memory_budget=40, **chaos)
+        ).run_social_crawl()
+        try:
+            assert isinstance(spilled, SpillingCaptureStore)
+            assert store_digest(spilled) == store_digest(plain)
+        finally:
+            spilled.cleanup()
+
+    def test_sharded_spill_with_crash_spec_fails_loudly(self):
+        study = Study(
+            small_config(
+                faults=TRANSIENT,
+                retry=FAST_TEST_POLICY,
+                backend="thread",
+                parallelism=2,
+                memory_budget=40,
+            )
+        )
+        with pytest.raises(ValueError, match=r"memory_budget.*CrashSpec"):
+            study.run_social_crawl()
+
     def test_spill_cold_warm_cache_round_trip(self, tmp_path):
         reference = Study(small_config()).run_social_crawl()
         config = small_config(
@@ -335,7 +394,6 @@ class TestSpillStoreAPI:
             SpillSettings(row_budget=4, directory=str(tmp_path))
         )
         self._fill(spilling, 12)
-        assert spilling.captures == []
         assert spilling.unique_domains == plain.unique_domains
         assert spilling.by_domain() == plain.by_domain()
         assert spilling.observations_for("site-1.example") == (
@@ -446,8 +504,19 @@ class TestNegativeHostCache:
 
 
 # ----------------------------------------------------------------------
-# Lazy shard regeneration: same events, same order, same ids
+# Lazy shard regeneration: same events, same order
 # ----------------------------------------------------------------------
+def materialize(spec, world):
+    """The eager reference for ``SocialShardSpec.iter_day_chunks``: every
+    run's day regenerated in full, then indexed."""
+    stream = SocialShareStream(world, spec.stream_config)
+    out = []
+    for ordinal, indices in spec.runs:
+        day_events = stream.events_for_day(dt.date.fromordinal(ordinal))
+        out.extend(day_events[index] for index in indices)
+    return tuple(out)
+
+
 class TestLazyShardEquality:
     def _spec(self, world, stream):
         runs = []
@@ -458,21 +527,26 @@ class TestLazyShardEquality:
             # exercised by offset 2 taking nothing early on.
             indices = tuple(range(offset, n, 3))
             runs.append((day.toordinal(), indices))
+        runs.append((WINDOW[0].toordinal() + 3, ()))
         return SocialShardSpec(
             shard_id=0,
             world_ref=world_ref_for_backend(world, "serial"),
             config=PlatformConfig(),
             stream_config=stream.config,
             runs=tuple(runs),
-            first_capture_id=17,
         )
 
     def test_iter_day_chunks_matches_materialize(self):
         world = World(WorldConfig(seed=5, n_domains=300))
         stream = SocialShareStream(world)
         spec = self._spec(world, stream)
-        lazy = tuple(itertools.chain.from_iterable(spec.iter_day_chunks(world)))
-        assert lazy == spec.materialize(world)
+        chunks = list(spec.iter_day_chunks(world))
+        assert [len(chunk) for chunk in chunks] == [
+            len(indices) for _ordinal, indices in spec.runs
+        ]
+        lazy = tuple(itertools.chain.from_iterable(chunks))
+        assert len(lazy) == spec.n_events
+        assert lazy == materialize(spec, world)
 
     def test_iter_events_matches_eager_day_lists(self):
         world = World(WorldConfig(seed=5, n_domains=300))

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.crawler.platform import NetographPlatform, PlatformConfig
+from repro.crawler.platform import NetographPlatform
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 
 DAY = dt.date(2020, 4, 1)
@@ -128,9 +128,12 @@ class TestPlatform:
         platform.run(dt.date(2020, 4, 3), dt.date(2020, 4, 5), store=store)
         assert store.n_captures > n_first
 
-    def test_retain_captures_flag(self, study):
-        platform = NetographPlatform(
-            study.world, config=PlatformConfig(retain_captures=True)
-        )
+    def test_one_observation_per_crawl(self, study):
+        platform = NetographPlatform(study.world)
         store = platform.run(dt.date(2020, 4, 1), dt.date(2020, 4, 2))
-        assert len(store.captures) == store.n_captures > 0
+        assert (
+            len(store.observations)
+            == store.n_captures
+            == platform.stats.crawls
+            > 0
+        )

@@ -86,7 +86,7 @@ class TestStorage:
 def synthetic_store(observations, extra_failed_captures=0, total_requests=0):
     """A store whose counters may exceed its observation count (the
     shape produced when failed-capture accounting diverges)."""
-    store = CaptureStore(retain_captures=False)
+    store = CaptureStore()
     for obs in observations:
         store.add_observation(obs)
         store.n_captures += 1

@@ -8,6 +8,9 @@ analysis payloads -- cold and when resumed from a mid-window checkpoint.
 
 import datetime as dt
 import json
+import sys
+import threading
+import tracemalloc
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -247,11 +250,57 @@ class TestQueryServer:
         ]
 
     def test_stats_includes_query_latencies(self, server):
-        self._get(server, "/healthz")
+        # The fixture engine runs on the null obs backend: /stats still
+        # reads its percentiles off the server's own histogram.
+        for _ in range(5):
+            self._get(server, "/healthz")
         status, payload = self._get(server, "/stats")
         assert status == 200
-        assert payload["queries"]["/healthz"]["count"] >= 1
-        assert payload["queries"]["/healthz"]["p99_ms"] >= 0.0
+        healthz = payload["queries"]["/healthz"]
+        assert healthz["count"] >= 5
+        series = server.h_query.series(endpoint="/healthz")
+        assert series.min * 1e3 - 1e-3 <= healthz["p50_ms"]
+        assert healthz["p50_ms"] <= healthz["p90_ms"] <= healthz["p99_ms"]
+        assert healthz["p99_ms"] <= series.max * 1e3 + 1e-3
+
+    def test_latency_memory_stays_bounded(self, server):
+        """Each request lands in fixed histogram buckets, never a list."""
+        for _ in range(20):
+            self._get(server, "/healthz")
+        before = server.latency_snapshot()["/healthz"]["count"]
+        tracemalloc.start()
+        try:
+            start, _peak = tracemalloc.get_traced_memory()
+            for i in range(20_000):
+                server.record_latency("/healthz", 1e-4 * (1 + i % 50))
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # A sample list would hold 20k floats (>= 160 KB of pointers).
+        assert grown < 16_384
+        assert server.latency_snapshot()["/healthz"]["count"] == before + 20_000
+
+    def test_concurrent_recording_loses_no_update(self, server):
+        """Handler threads record concurrently; the lock keeps counts."""
+        per_thread, n_threads = 2_000, 8
+
+        def hammer():
+            for _ in range(per_thread):
+                server.record_latency("/stress", 1e-3)
+
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stress = server.latency_snapshot()["/stress"]
+        assert stress["count"] == per_thread * n_threads
 
     def test_unknown_endpoint_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
