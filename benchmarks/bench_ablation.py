@@ -191,11 +191,13 @@ def test_ablation_queue_dedup(benchmark, bench_study):
         accepted = 0
         day = dt.date(2020, 4, 1)
         while day < dt.date(2020, 4, 15):
-            for event in stream.events_for_day(day):
-                if dedup:
-                    accepted += queue.submit(event.url, event.at)
-                else:
-                    accepted += 1
+            batch = stream.events_for_day(day)
+            if dedup:
+                base = batch.ordinal * 86_400
+                for url, second in zip(batch.urls, batch.seconds.tolist()):
+                    accepted += queue.submit_at(url, base + second)
+            else:
+                accepted += len(batch)
             day += dt.timedelta(days=1)
         return accepted
 

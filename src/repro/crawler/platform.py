@@ -16,24 +16,28 @@ sequential state. Passing a :class:`~repro.crawler.executor.CrawlExecutor`
 fans the crawl phase out over day-range shards; the default is the plain
 serial loop.
 
-One kernel crawls every accepted event, whatever runs it:
-:func:`crawl_batch` takes a batch of accepted share events, derives the
-vantage and queue-delay draws and the visit key of every event at once
-with uint64 numpy replicas of the keyed fold (:func:`_fold64_arr`,
-:func:`_draw_arr`; bit-identical to :mod:`repro.det`), renders each
-visit's compact skeleton (:func:`~repro.web.serving.visit_compact`),
-detects the batch over its host masks and appends it to the columnar
-store in one call. Only rows the fault schedule touches leave the
-vectorized flow: they run a per-row retry loop
-(:func:`~repro.faults.run_with_retries`) around the same precomputed
-visit, so a recovered crawl is bit-identical to its fault-free self.
+Each day is generated once, as a columnar
+:class:`~repro.crawler.seeds.ShareBatch`; the dedup phase feeds the
+queue from its int seconds column, and one kernel crawls every accepted
+event, whatever runs it: :func:`crawl_batch` takes a day's batch,
+derives the vantage and queue-delay draws and the visit key of every
+event at once with uint64 numpy replicas of the keyed fold
+(:func:`_fold64_arr`, :func:`_draw_arr`; bit-identical to
+:mod:`repro.det`), renders each visit's compact skeleton
+(:func:`~repro.web.serving.visit_compact`), detects the batch over its
+host masks and appends it to the columnar store in one call. Only rows
+the fault schedule touches leave the vectorized flow: they run a per-row
+retry loop (:func:`~repro.faults.run_with_retries`) around the same
+precomputed visit, so a recovered crawl is bit-identical to its
+fault-free self.
 
 The serial loop (and with it :meth:`NetographPlatform.ingest_day` and
 the streaming engine) calls the kernel once per day. Every executor
 backend ships the same payload, a :class:`SocialShardSpec` recipe of
-per-day accepted indices; the worker (:func:`crawl_social_shard`)
-regenerates each day and calls the kernel on it, cutting the batch at
-the schedule's crash point and at the resume index. The row reference
+the accepted events' raw draw rows per day; the worker
+(:func:`crawl_social_shard`) draws each of its days once, builds URLs
+for its own rows only and calls the kernel on them, cutting the batch
+at the schedule's crash point and at the resume index. The row reference
 (:func:`~repro.crawler.browser.crawl_url` compacted with
 ``Capture.to_observation``) survives only as the test oracle in
 ``tests/test_columnar.py``.
@@ -55,7 +59,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -82,7 +85,7 @@ from repro.crawler.executor import (
     world_ref_for_backend,
 )
 from repro.crawler.queue import CaptureQueue
-from repro.crawler.seeds import ShareEvent, SocialShareStream, StreamConfig
+from repro.crawler.seeds import ShareBatch, SocialShareStream, StreamConfig
 from repro.crawler.spill import SpillSettings, SpillingCaptureStore
 from repro.det import key64
 from repro.detect.engine import DetectionEngine, hosts_mask
@@ -232,13 +235,14 @@ def _fault_kind(result: Union[CompactVisit, Fault]) -> Optional[str]:
 def crawl_batch(
     world: World,
     config: PlatformConfig,
-    events: Sequence[ShareEvent],
+    batch: ShareBatch,
     store: Store,
     engine: DetectionEngine,
     clock: Optional[Clock] = None,
     tally: Optional[FaultTally] = None,
 ) -> Tuple[int, int, int]:
-    """Crawl a batch of accepted share events into *store*, in order.
+    """Crawl one day's batch of accepted share events into *store*, in
+    order.
 
     Each crawl's vantage and queue delay are keyed on ``(config seed,
     url, share time)`` and its page render on ``(world seed, url,
@@ -256,76 +260,67 @@ def crawl_batch(
 
     Returns ``(ok, failed, exhausted)``: successful crawls, organic
     failures of the synthetic web, and crawls that ended on an injected
-    fault. The three sum to ``len(events)`` (Section 3.4 accounting).
+    fault. The three sum to ``len(batch)`` (Section 3.4 accounting).
     """
-    n = len(events)
+    n = len(batch)
     if n == 0:
         return 0, 0, 0
-    h64s = np.fromiter(
-        (event.url.h64 for event in events), dtype=np.uint64, count=n
-    )
-    # Share times as seconds since day 1; split into (ordinal, second).
-    ords, secs = np.divmod(
-        np.fromiter(
-            (
-                at.toordinal() * 86_400 + at.hour * 3_600 + at.minute * 60
-                + at.second
-                for at in (event.at for event in events)
-            ),
-            dtype=np.int64,
-            count=n,
-        ),
-        86_400,
-    )
+    urls = batch.urls
+    h64s = np.fromiter((url.h64 for url in urls), dtype=np.uint64, count=n)
+    secs = batch.seconds
     ekeys = _fold64_arr(
-        key64(config.seed, 5), h64s, ords.astype(np.uint64),
-        secs.astype(np.uint64),
+        key64(config.seed, 5), h64s, batch.ordinal, secs.astype(np.uint64)
     )
     eu = _draw_arr(ekeys, 1) < config.eu_share
     delays = (_draw_arr(ekeys, 2) * 240).astype(np.int64)
     # Visited 60..300s after the share; crossing midnight rolls the date.
-    cap_ords = ords + (secs + 60 + delays >= 86_400)
+    rolled = secs + 60 + delays >= 86_400
+    cap_ords = batch.ordinal + rolled
     vkeys = _fold64_arr(
         visit_key_prefix(world.config.seed),
         h64s, cap_ords.astype(np.uint64), (~eu).astype(np.uint64), 0,
     )
+    days = (dt.date.fromordinal(batch.ordinal),
+            dt.date.fromordinal(batch.ordinal + 1))
+    rolled_l = rolled.tolist()
     eu_l = eu.tolist()
     vk_l = vkeys.tolist()
     ord_l = cap_ords.tolist()
     vid_l = np.where(eu, _EU_CLOUD_ID, _US_CLOUD_ID).tolist()
     cutoff = config.profile.cutoff
     faults = config.faults
-    dates: Dict[int, dt.date] = {}
     domains: List[str] = []
     masks: List[int] = []
     n_reqs: List[int] = []
     ok = exhausted = 0
-    for i, event in enumerate(events):
-        url = event.url
-        ordinal = ord_l[i]
-        date = dates.get(ordinal)
-        if date is None:
-            date = dates[ordinal] = dt.date.fromordinal(ordinal)
+    for i, url in enumerate(urls):
+        date, key = days[rolled_l[i]], vk_l[i]
         region = "EU" if eu_l[i] else "US"
         vantage = VANTAGE_STRS[vid_l[i]]
         visit: Union[CompactVisit, Fault]
+        seed_domain = _final_domain(url.host) if faults is not None else ""
         if faults is not None and faults.fault_for(
-            _final_domain(url.host), vantage, 0
+            seed_domain, vantage, 0
         ) is not None:
-            visit = _visit_with_retries(
-                world, config, event, date, region, vantage, vk_l[i],
-                clock, tally,
+            # The per-row fallback around the same precomputed visit;
+            # backoff jitter is keyed on "<url>@<share time>".
+            visit = run_with_retries(
+                lambda attempt: faults.fault_for(seed_domain, vantage, attempt)
+                or visit_compact(world, url, date, region, "cloud", cutoff, key),
+                key=f"{url}@{batch.at(i).isoformat()}",
+                policy=config.retry,
+                clock=clock,
+                tally=tally,
+                faulted=_fault_kind,
             )
             if isinstance(visit, Fault):
                 exhausted += 1
-                domains.append(_final_domain(url.host))
+                domains.append(seed_domain)
                 masks.append(0)
                 n_reqs.append(0)
                 continue
         else:
-            visit = visit_compact(
-                world, url, date, region, "cloud", cutoff, vk_l[i]
-            )
+            visit = visit_compact(world, url, date, region, "cloud", cutoff, key)
         kept = visit.kept_hosts
         domains.append(_final_domain(visit.final_host))
         masks.append(hosts_mask(kept))
@@ -338,42 +333,6 @@ def crawl_batch(
     return ok, n - ok - exhausted, exhausted
 
 
-def _visit_with_retries(
-    world: World,
-    config: PlatformConfig,
-    event: ShareEvent,
-    date: dt.date,
-    region: str,
-    vantage: str,
-    key: int,
-    clock: Optional[Clock],
-    tally: Optional[FaultTally],
-) -> Union[CompactVisit, Fault]:
-    """The per-row fallback of :func:`crawl_batch` for a faulted row:
-    the visit once an attempt is fault-free, else the last fault."""
-    faults = config.faults
-    assert faults is not None
-    domain = _final_domain(event.url.host)
-
-    def attempt(attempt_no: int) -> Union[CompactVisit, Fault]:
-        fault = faults.fault_for(domain, vantage, attempt_no)
-        if fault is not None:
-            return fault
-        return visit_compact(
-            world, event.url, date, region, "cloud", config.profile.cutoff,
-            key,
-        )
-
-    return run_with_retries(
-        attempt,
-        key=f"{event.url}@{event.at.isoformat()}",
-        policy=config.retry,
-        clock=clock,
-        tally=tally,
-        faulted=_fault_kind,
-    )
-
-
 # ----------------------------------------------------------------------
 # Shard payloads (module-level so the process backend can pickle them)
 # ----------------------------------------------------------------------
@@ -382,17 +341,19 @@ class SocialShardSpec:
     """One shard as a *recipe*: the payload of every executor backend.
 
     The seed stream is deterministic per day, so a shard is fully
-    described by the stream config plus, per day, the indices of the
-    accepted events in that day's stream -- a few ints per crawl. The
-    worker regenerates the day's events and selects the accepted ones.
+    described by the stream config plus, per day, the raw draw rows of
+    the accepted events (:attr:`ShareBatch.rows`) -- a few ints per
+    crawl. The worker draws each day's random matrix once, selects its
+    rows with numpy and builds URLs for those rows only; a day split
+    across shards is never walked past another shard's events.
     """
 
     shard_id: int
     world_ref: WorldRef
     config: PlatformConfig
     stream_config: StreamConfig
-    #: ``(day_ordinal, accepted-event indices within that day)`` runs,
-    #: in acceptance order.
+    #: ``(day_ordinal, accepted events' raw draw rows)`` runs, in
+    #: acceptance order (rows ascend within a day).
     runs: Tuple[Tuple[int, Tuple[int, ...]], ...]
     #: Resume bookkeeping, set by :func:`resume_social_shard` after a
     #: worker crash: skip events below ``start_index`` and seed state
@@ -404,35 +365,13 @@ class SocialShardSpec:
     @property
     def n_events(self) -> int:
         """Number of crawls this shard describes."""
-        return sum(len(indices) for _ordinal, indices in self.runs)
+        return sum(len(rows) for _ordinal, rows in self.runs)
 
-    def iter_day_chunks(
-        self, world: World
-    ) -> "Iterator[Tuple[ShareEvent, ...]]":
-        """Each run's accepted events, one day generated at a time.
-
-        Each day streams through the seed generator
-        (:meth:`SocialShareStream.iter_day_events`) and stops as soon as
-        the day's last accepted index has been selected, so at most one
-        day's accepted events are resident. ``runs`` indices are
-        ascending within a day by construction (acceptance follows
-        chronological event order), which is what lets one forward pass
-        select them.
-        """
+    def iter_day_chunks(self, world: World) -> Iterator[ShareBatch]:
+        """Each run's accepted events as one batch, a day at a time."""
         stream = SocialShareStream(world, self.stream_config)
-        for ordinal, indices in self.runs:
-            chunk: List[ShareEvent] = []
-            wanted = iter(indices)
-            want = next(wanted, None)
-            if want is not None:
-                day_events = stream.iter_day_events(dt.date.fromordinal(ordinal))
-                for index, event in enumerate(day_events):
-                    if index == want:
-                        chunk.append(event)
-                        want = next(wanted, None)
-                        if want is None:
-                            break
-            yield tuple(chunk)
+        for ordinal, rows in self.runs:
+            yield stream.events_for_day(dt.date.fromordinal(ordinal), rows)
 
 
 def _shard_spill_settings(
@@ -519,8 +458,8 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
         end = crash_at if crashing else hi
         if begin < end:
             _ok, failed, exhausted = crawl_batch(
-                world, config, chunk[begin - lo:end - lo], store, engine,
-                clock, tally,
+                world, config, chunk.take(range(begin - lo, end - lo)),
+                store, engine, clock, tally,
             )
             failures += failed + exhausted
         if crashing:
@@ -717,7 +656,7 @@ class NetographPlatform:
             end=end.isoformat(),
             parallel=parallel,
         ) as run_span:
-            #: ``(day_ordinal, index_in_day)`` of every accepted event in
+            #: ``(day_ordinal, raw draw row)`` of every accepted event in
             #: acceptance order -- what shard specs are cut from.
             accepted: List[Tuple[int, int]] = []
             crawl_seconds = 0.0
@@ -730,25 +669,26 @@ class NetographPlatform:
                 self._m_events.inc(len(events))
                 submit_at = self.queue.submit_at
                 day_base = ordinal * 86_400
-                batch: List[ShareEvent] = []
-                for index, event in enumerate(events):
-                    at = event.at
-                    secs = at.hour * 3_600 + at.minute * 60 + at.second
-                    if not submit_at(event.url, day_base + secs):
-                        continue
-                    self._capture_id += 1
-                    if parallel:
-                        accepted.append((ordinal, index))
-                    else:
-                        batch.append(event)
-                if batch:
+                picked = [
+                    i
+                    for i, (url, second) in enumerate(
+                        zip(events.urls, events.seconds.tolist())
+                    )
+                    if submit_at(url, day_base + second)
+                ]
+                self._capture_id += len(picked)
+                if parallel:
+                    accepted.extend(
+                        (ordinal, row) for row in events.rows[picked].tolist()
+                    )
+                elif picked:
                     # Span-duration timing only; never crawl-visible.
                     batch_start = (
                         time.perf_counter()  # repro-lint: disable=DET002
                         if timing
                         else 0.0
                     )
-                    self._crawl_day(store, batch, run_tally)
+                    self._crawl_day(store, events.take(picked), run_tally)
                     if timing:
                         crawl_seconds += (
                             time.perf_counter()  # repro-lint: disable=DET002
@@ -788,14 +728,14 @@ class NetographPlatform:
 
     # ------------------------------------------------------------------
     def _crawl_day(
-        self, store: Store, events: List[ShareEvent], tally: FaultTally
+        self, store: Store, batch: ShareBatch, tally: FaultTally
     ) -> None:
         """Serial crawl of one day's accepted events."""
         ok, failed, exhausted = crawl_batch(
-            self.world, self.config, events, store, self.engine,
+            self.world, self.config, batch, store, self.engine,
             self.clock, tally,
         )
-        self.stats.crawls += len(events)
+        self.stats.crawls += len(batch)
         self.stats.failures += failed + exhausted
         self._meter_crawls(ok, failed, exhausted)
 
@@ -818,7 +758,7 @@ class NetographPlatform:
 
         Every backend ships the same recipe: the worker resolves the
         world (shared for threads, regenerated once per process) and
-        regenerates the accepted events from per-day indices.
+        re-derives the accepted events from their per-day draw rows.
         """
         n_shards = executor.config.n_shards(len(accepted))
         chunks = partition_grouped(accepted, n_shards, key=lambda item: item[0])
@@ -830,7 +770,7 @@ class NetographPlatform:
                 config=self.config,
                 stream_config=self.stream.config,
                 runs=tuple(
-                    (ordinal, tuple(index for _ordinal, index in run))
+                    (ordinal, tuple(row for _ordinal, row in run))
                     for ordinal, run in itertools.groupby(
                         chunk, key=lambda item: item[0]
                     )

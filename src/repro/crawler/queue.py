@@ -217,8 +217,3 @@ class CaptureQueue:
             skipped_domain=stats["skipped_domain"],
             skipped_url=stats["skipped_url"],
         )
-
-    @staticmethod
-    def _domain_of(url: URL) -> str:
-        reg = default_psl().registrable_domain(url.host)
-        return reg if reg is not None else url.host

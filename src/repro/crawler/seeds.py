@@ -11,14 +11,16 @@ point at arbitrary subsites, not just landing pages.
 web: Zipf-skewed site selection, subsite paths, occasional shortener
 indirection, and a Twitter/Reddit platform mix. Event generation is
 deterministic per day, so analyses can re-derive any slice of the stream
-without storing it.
+without storing it. A day comes out as one columnar :class:`ShareBatch`;
+its raw draw-row column lets a shard worker re-derive exactly the events
+it was handed and nothing else.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +63,48 @@ class ShareEvent:
     platform: str  # "twitter" | "reddit"
 
 
+@dataclass(frozen=True, eq=False)
+class ShareBatch:
+    """One day's share events as columns, in stream order.
+
+    The crawl path reads the columns directly; iterating a batch yields
+    :class:`ShareEvent` objects for analyses and tests.
+    """
+
+    ordinal: int
+    #: Raw row of each event in the day's draw matrix (ascending).
+    rows: np.ndarray
+    urls: List[URL]
+    #: Share time of each event as int seconds since midnight.
+    seconds: np.ndarray
+    #: True where the event came from Twitter, False for Reddit.
+    twitter: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.urls)
+
+    def at(self, i: int) -> dt.datetime:
+        """The share time of event *i*."""
+        return dt.datetime.fromordinal(self.ordinal) + dt.timedelta(
+            seconds=int(self.seconds[i])
+        )
+
+    def __iter__(self) -> Iterator[ShareEvent]:
+        for i, twitter in enumerate(self.twitter.tolist()):
+            yield ShareEvent(
+                self.at(i), self.urls[i], "twitter" if twitter else "reddit"
+            )
+
+    def take(self, positions: Sequence[int]) -> "ShareBatch":
+        """The events at *positions*, in that order."""
+        index = np.asarray(positions, dtype=np.intp)
+        return ShareBatch(
+            self.ordinal, self.rows[index],
+            [self.urls[i] for i in index.tolist()], self.seconds[index],
+            self.twitter[index],
+        )
+
+
 class SocialShareStream:
     """Deterministic per-day generator of share events."""
 
@@ -82,51 +126,52 @@ class SocialShareStream:
         self._url_cache: dict = world._share_url_cache
 
     # ------------------------------------------------------------------
-    def events_for_day(self, day: dt.date) -> List[ShareEvent]:
-        """All share events of one simulated day, chronological."""
-        return list(self.iter_day_events(day))
-
-    def iter_day_events(self, day: dt.date) -> Iterator[ShareEvent]:
-        """One day's share events, generated lazily in stream order.
+    def events_for_day(
+        self, day: dt.date, rows: Optional[Sequence[int]] = None
+    ) -> ShareBatch:
+        """One simulated day's share events, chronological.
 
         All randomness of a day is drawn up front as one uniform matrix
-        (one row per candidate event, one column per decision) from the
-        day-keyed numpy generator; the Python loop then only routes the
-        precomputed values. That keeps the stream deterministic per day
-        while avoiding ~6 stdlib RNG calls per event, which dominated
-        the generator's cost before the crawl path was columnarized.
-        Yielding instead of appending lets shard workers select their
-        accepted events without ever holding a full day list
-        (:meth:`~repro.crawler.platform.SocialShardSpec.iter_day_chunks`);
-        the emitted order -- including the skip of zero-weight sites --
-        is identical to the list the eager wrapper returns.
+        (one row per candidate event, one column per decision) plus a
+        sorted column of share seconds, from the day-keyed numpy
+        generator; the Python loop only routes each candidate to its
+        site and URL. Candidates on sites that are never shared are
+        skipped, so the batch's ``rows`` column maps every kept event
+        back to its draw row.
+
+        *rows* (ascending draw rows, e.g. a shard's accepted events)
+        routes only those candidates: the result equals the full batch
+        restricted to them, and no other row's URL is built.
         """
         config = self.config
+        ordinal = day.toordinal()
         np_rng = np.random.default_rng(
-            (config.seed * 1_000_003 + day.toordinal()) % (2**63)
+            (config.seed * 1_000_003 + ordinal) % (2**63)
         )
         n = config.events_per_day
         u = np_rng.random((n, 5))
-        ranks = np.searchsorted(self._cdf, u[:, 0], side="left") + 1
         seconds = np.sort(np_rng.integers(0, 86_400, size=n))
-        u_index = u[:, 1].tolist()
-        # Exponential deviates for the subsite choice, from column 2.
-        depth = (-np.log1p(-u[:, 2])).tolist()
-        u_short = u[:, 3].tolist()
-        u_platform = u[:, 4].tolist()
+        # Exponential deviates for the subsite choice, from column 2, over
+        # the full day so a selected row's deviate is bit-identical.
+        depth = -np.log1p(-u[:, 2])
+        if rows is None:
+            picked = np.arange(n)
+        else:
+            picked = np.asarray(rows, dtype=np.intp)
+            u, seconds, depth = u[picked], seconds[picked], depth[picked]
+        ranks = np.searchsorted(self._cdf, u[:, 0], side="left") + 1
 
         landing_prob = config.landing_page_prob
         privacy_cut = landing_prob + 0.01 * (1.0 - landing_prob)
         shortener_prob = config.shortener_prob
-        twitter_share = config.twitter_share
         world = self.world
         site_at = world.site
         url_cache = self._url_cache
-        year, month, dday = day.year, day.month, day.day
-        datetime_ = dt.datetime
-
-        for i, (rank, sec) in enumerate(
-            zip(ranks.tolist(), seconds.tolist())
+        kept: List[int] = []
+        urls: List[URL] = []
+        for i, (rank, ui, deviate, us) in enumerate(
+            zip(ranks.tolist(), u[:, 1].tolist(), depth.tolist(),
+                u[:, 3].tolist())
         ):
             site = site_at(rank)
             if site.share_weight <= 0.0:
@@ -136,17 +181,16 @@ class SocialShareStream:
             # article: [0, p) -> landing, [p, p') -> privacy policy
             # (1% of the remainder), else an article whose depth comes
             # from the precomputed exponential deviate.
-            ui = u_index[i]
             if ui < landing_prob:
                 index = 0
             elif ui < privacy_cut:
                 index = site.privacy_policy_index
             else:
                 index = 1 + min(
-                    int(depth[i] * site.n_subsites / 3),
+                    int(deviate * site.n_subsites / 3),
                     site.n_subsites - 1,
                 )
-            shortened = u_short[i] < shortener_prob
+            shortened = us < shortener_prob
             url = url_cache.get((rank, index, shortened))
             if url is None:
                 if shortened:
@@ -164,26 +208,14 @@ class SocialShareStream:
                         path=site.subsite_path(index),
                     )
                 url_cache[(rank, index, shortened)] = url
-            h, rem = divmod(sec, 3600)
-            m, s = divmod(rem, 60)
-            yield ShareEvent(
-                at=datetime_(year, month, dday, h, m, s),
-                url=url,
-                platform=(
-                    "twitter"
-                    if u_platform[i] < twitter_share
-                    else "reddit"
-                ),
-            )
-
-    def iter_events(
-        self, start: dt.date, end: dt.date
-    ) -> Iterator[ShareEvent]:
-        """Events for every day in ``[start, end)``, one day resident
-        at a time (the days stream through :meth:`iter_day_events`
-        instead of materializing each full day list)."""
-        day = start
-        while day < end:
-            yield from self.iter_day_events(day)
-            day += dt.timedelta(days=1)
+            kept.append(i)
+            urls.append(url)
+        keep = np.asarray(kept, dtype=np.intp)
+        return ShareBatch(
+            ordinal=ordinal,
+            rows=picked[keep],
+            urls=urls,
+            seconds=seconds[keep],
+            twitter=u[keep, 4] < config.twitter_share,
+        )
 

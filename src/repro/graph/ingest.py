@@ -30,7 +30,6 @@ wrote; property writes never conflict) -- the two properties
 
 from __future__ import annotations
 
-import datetime as dt
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.crawler.columnar import VANTAGE_STRS, VANTAGE_TABLE, CaptureStore
@@ -242,8 +241,3 @@ def parse_purpose_csv(text: str) -> frozenset:
     if not text:
         return frozenset()
     return frozenset(int(part) for part in text.split(","))
-
-
-def iso_or_none(text: str) -> Optional[dt.date]:
-    """Decode an ``ADOPTED`` edge date property (``""`` = open-ended)."""
-    return None if not text else dt.date.fromisoformat(text)

@@ -965,13 +965,3 @@ class Program:
                 for target in self.resolve_call(func, spawn.worker):
                     out.append((target, qualname))
         return sorted(set(out))
-
-    # -- tracked declarations ------------------------------------------
-    def find_decls(self, name: str) -> List[Tuple[ModuleIndex, DictDecl]]:
-        """All modules declaring tracked dict *name*, sorted by module."""
-        found = []
-        for module in sorted(self.modules):
-            decl = self.modules[module].decls.get(name)
-            if decl is not None:
-                found.append((self.modules[module], decl))
-        return found

@@ -16,13 +16,16 @@ key, crawl config) go into labels, not the metric name.
 Disabled-mode cost is handled by :class:`NullMetricsRegistry`: it hands
 out shared no-op instruments, so an uninstrumented run pays one no-op
 method call per update and allocates nothing.
+
+:func:`prometheus_text` renders instruments in the Prometheus text
+exposition format 0.0.4 (the query server's ``/metrics``).
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ioutil import PathLike, atomic_write
 
@@ -50,15 +53,62 @@ class Metric:
     def records(self) -> List[dict]:
         raise NotImplementedError
 
+    def samples(self) -> List[str]:
+        """Prometheus sample lines, in label-key order."""
+        raise NotImplementedError
 
-class Counter(Metric):
-    """A monotonically increasing count, optionally labeled."""
 
-    kind = "counter"
+class _ValueMetric(Metric):
+    """One number per labeled series (counters and gauges)."""
 
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._series: Dict[LabelKey, float] = {}
+
+    def records(self) -> List[dict]:
+        return [
+            {
+                "metric": self.name,
+                "type": self.kind,
+                "labels": dict(key),
+                "value": value,
+            }
+            for key, value in sorted(self._series.items())
+        ]
+
+    def samples(self) -> List[str]:
+        return [
+            f"{self.name}{_prom_labels(key)} {float(value)!r}"
+            for key, value in sorted(self._series.items())
+        ]
+
+
+def _prom_labels(key: LabelKey, le: Optional[str] = None) -> str:
+    """``{k="v",...}`` with escaped values; ``le`` goes last."""
+    pairs = list(key) + ([("le", le)] if le is not None else [])
+    escaped = (
+        (k, v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n"))
+        for k, v in pairs
+    )
+    return "{%s}" % ",".join(f'{k}="{v}"' for k, v in escaped) if pairs else ""
+
+
+def prometheus_text(metrics: Iterable[Metric]) -> str:
+    """*metrics* in the Prometheus text exposition format 0.0.4: a
+    ``# HELP`` and ``# TYPE`` line per metric, then its samples."""
+    lines: List[str] = []
+    for metric in metrics:
+        help_text = metric.help.replace("\\", "\\\\").replace("\n", "\\n")
+        lines.append(f"# HELP {metric.name} {help_text}")
+        lines.append(f"# TYPE {metric.name} {metric.kind}")
+        lines.extend(metric.samples())
+    return "".join(line + "\n" for line in lines)
+
+
+class Counter(_ValueMetric):
+    """A monotonically increasing count, optionally labeled."""
+
+    kind = "counter"
 
     def inc(self, value: float = 1, **labels: object) -> None:
         key = _label_key(labels)
@@ -72,43 +122,17 @@ class Counter(Metric):
         """Sum over all labeled series."""
         return sum(self._series.values())
 
-    def records(self) -> List[dict]:
-        return [
-            {
-                "metric": self.name,
-                "type": self.kind,
-                "labels": dict(key),
-                "value": value,
-            }
-            for key, value in sorted(self._series.items())
-        ]
 
-
-class Gauge(Metric):
+class Gauge(_ValueMetric):
     """A point-in-time value (last write wins)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
-        self._series: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: object) -> None:
         self._series[_label_key(labels)] = value
 
     def value(self, **labels: object) -> Optional[float]:
         return self._series.get(_label_key(labels))
-
-    def records(self) -> List[dict]:
-        return [
-            {
-                "metric": self.name,
-                "type": self.kind,
-                "labels": dict(key),
-                "value": value,
-            }
-            for key, value in sorted(self._series.items())
-        ]
 
 
 class HistogramSeries:
@@ -156,10 +180,6 @@ class HistogramSeries:
             seen += n
         return self.max
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
 
 class Histogram(Metric):
     """A distribution with fixed bucket bounds (non-cumulative counts)."""
@@ -192,6 +212,23 @@ class Histogram(Metric):
     def labeled_series(self) -> List[Tuple[Dict[str, str], HistogramSeries]]:
         """Every ``(labels, series)`` pair, in label-key order."""
         return [(dict(key), series) for key, series in sorted(self._series.items())]
+
+    def samples(self) -> List[str]:
+        """Cumulative ``_bucket`` lines (through ``le="+Inf"``), then
+        ``_sum`` and ``_count``, per labeled series."""
+        lines = []
+        bounds = [repr(bound) for bound in self.buckets] + ["+Inf"]
+        for key, series in sorted(self._series.items()):
+            cumulative = 0
+            for le, n in zip(bounds, series.bucket_counts):
+                cumulative += n
+                lines.append(
+                    f"{self.name}_bucket{_prom_labels(key, le)} {cumulative}"
+                )
+            labels = _prom_labels(key)
+            lines.append(f"{self.name}_sum{labels} {series.sum!r}")
+            lines.append(f"{self.name}_count{labels} {series.count}")
+        return lines
 
     def records(self) -> List[dict]:
         out = []
@@ -239,21 +276,12 @@ class MetricsRegistry:
         help: str = "",
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
-        existing = self._metrics.get(name)
-        if existing is None:
-            metric = Histogram(name, help, buckets)
-            self._metrics[name] = metric
-            return metric
-        if not isinstance(existing, Histogram):
-            raise ValueError(
-                f"metric {name!r} already registered as {existing.kind}"
-            )
-        return existing
+        return self._register(Histogram, name, help, buckets)
 
-    def _register(self, cls, name: str, help: str):
+    def _register(self, cls, name: str, help: str, *args):
         existing = self._metrics.get(name)
         if existing is None:
-            metric = cls(name, help)
+            metric = cls(name, help, *args)
             self._metrics[name] = metric
             return metric
         if not isinstance(existing, cls):
@@ -275,6 +303,10 @@ class MetricsRegistry:
         for name in sorted(self._metrics):
             records.extend(self._metrics[name].records())
         return records
+
+    def prometheus_text(self) -> str:
+        """Every instrument, by name, in Prometheus text format."""
+        return prometheus_text(self._metrics[name] for name in sorted(self._metrics))
 
     def write_jsonl(self, path: PathLike) -> int:
         """Atomically export the snapshot as JSON Lines; returns the

@@ -13,6 +13,8 @@ keeps ingesting:
 * ``GET /vantage``            -- per-vantage CMP occurrence table
 * ``GET /stats``              -- engine progress + query latency
   percentiles (p50/p90/p99 per endpoint)
+* ``GET /metrics``            -- the metrics registry in Prometheus text
+  format 0.0.4 (on the null obs backend: the query-latency histogram)
 
 Every query runs inside a ``stream.query`` obs span and is recorded
 once, in the ``stream_query_seconds`` latency histogram labeled by
@@ -32,10 +34,10 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, prometheus_text
 from repro.stream.engine import StreamingStudyEngine
 
 #: ``stream_query_seconds`` bucket bounds: 50 us to ~10 s in steps of
@@ -48,6 +50,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "QueryServer"  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: without it a keep-alive response's body write
+    #: waits out the client's delayed ACK (~40 ms per query).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -63,9 +68,14 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = 500, {"error": str(exc)}
         elapsed = time.perf_counter() - started  # repro-lint: disable=DET002
         self.server.record_latency(endpoint, elapsed)
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            content_type = "application/json"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -76,7 +86,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _route(
         self, endpoint: str, query: Dict[str, List[str]]
-    ) -> Tuple[int, dict]:
+    ) -> Tuple[int, Union[dict, str]]:
         engine = self.server.engine
         if endpoint == "/healthz":
             watermark = engine.watermark
@@ -88,6 +98,8 @@ class _Handler(BaseHTTPRequestHandler):
             payload = engine.stats_payload()
             payload["queries"] = self.server.latency_snapshot()
             return 200, payload
+        if endpoint == "/metrics":
+            return 200, self.server.metrics_text()
         if endpoint == "/adoption":
             date, error = self._date_param(query)
             if error is not None:
@@ -214,6 +226,15 @@ class QueryServer(ThreadingHTTPServer):
                 }
                 for labels, series in self.h_query.labeled_series()
             }
+
+    def metrics_text(self) -> str:
+        """The ``/metrics`` body: the engine's registry, or on the null
+        obs backend the standalone ``stream_query_seconds`` histogram."""
+        metrics = self.engine.obs.metrics
+        with self.engine.lock, self._latency_lock:
+            if metrics.enabled:
+                return metrics.prometheus_text()
+            return prometheus_text([self.h_query])
 
     @property
     def port(self) -> int:

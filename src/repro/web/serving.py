@@ -812,14 +812,6 @@ def _decode_short_ref(
     return world.site(rank), idx
 
 
-def _decode_short_link(world: World, url: URL) -> Optional[URL]:
-    ref = _decode_short_ref(world, url)
-    if ref is None:
-        return None
-    site, idx = ref
-    return URL.parse(f"https://{site.domain}{site.subsite_path(idx)}")
-
-
 def _subsite_index(site: Website, url: URL) -> int:
     path = url.path
     if path in ("", "/"):

@@ -32,6 +32,8 @@ from repro.crawler.columnar import (
     CaptureStore,
     vantage_id,
 )
+from repro.crawler import platform as platform_module
+from repro.crawler.executor import CrawlExecutor, ExecutorConfig
 from repro.crawler.platform import (
     NetographPlatform,
     PlatformConfig,
@@ -47,6 +49,7 @@ from repro.faults import FaultSchedule, FaultSpec, RetryPolicy, run_with_retries
 from repro.faults.retry import FAST_TEST_POLICY
 from repro.net.url import URL
 from repro.web.worldgen import World, WorldConfig
+from tests.share_oracle import oracle_day_events
 
 np = pytest.importorskip("numpy")
 
@@ -256,6 +259,18 @@ SCHEDULES = {
 }
 
 
+def accepted_events(stream, start, end):
+    """The oracle stream's events the capture queue accepts, in order."""
+    queue = CaptureQueue()
+    day = start
+    while day < end:
+        for _row, event in oracle_day_events(stream, day):
+            if queue.submit(event.url, event.at):
+                yield event
+        queue.prune(dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1))
+        day += dt.timedelta(days=1)
+
+
 def reference_rows(world, stream, config, start, end):
     """Every accepted event crawled through ``crawl_url`` and compacted
     with ``to_observation``; vantage and queue delay come from a scalar
@@ -263,36 +278,29 @@ def reference_rows(world, stream, config, start, end):
 
     Returns ``(rows, total requests, failures)``.
     """
-    queue = CaptureQueue()
     engine = DetectionEngine()
     prefix = key64(config.seed, 5)
     rows, requests, failures = [], 0, 0
-    day = start
-    while day < end:
-        for event in stream.events_for_day(day):
-            at = event.at
-            secs = at.hour * 3600 + at.minute * 60 + at.second
-            if not queue.submit_at(event.url, at.toordinal() * 86_400 + secs):
-                continue
-            rng = KeyedRand(fold64(prefix, event.url.h64, at.toordinal(), secs))
-            region = "EU" if rng.random() < config.eu_share else "US"
-            vantage = Vantage(region, "cloud")
-            when = at + dt.timedelta(seconds=rng.randrange(60, 300))
-            capture = run_with_retries(
-                lambda attempt: crawl_url(
-                    world, event.url, when=when, vantage=vantage,
-                    profile=config.profile, faults=config.faults,
-                    attempt=attempt,
-                ),
-                key=f"{event.url}@{at.isoformat()}",
-                policy=config.retry,
-            )
-            obs = capture.to_observation(engine.detect(capture).cmp_key)
-            rows.append((obs.domain, obs.date, obs.cmp_key, obs.vantage))
-            requests += capture.n_requests
-            failures += not capture.succeeded
-        queue.prune(dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1))
-        day += dt.timedelta(days=1)
+    for event in accepted_events(stream, start, end):
+        at = event.at
+        secs = at.hour * 3600 + at.minute * 60 + at.second
+        rng = KeyedRand(fold64(prefix, event.url.h64, at.toordinal(), secs))
+        region = "EU" if rng.random() < config.eu_share else "US"
+        vantage = Vantage(region, "cloud")
+        when = at + dt.timedelta(seconds=rng.randrange(60, 300))
+        capture = run_with_retries(
+            lambda attempt: crawl_url(
+                world, event.url, when=when, vantage=vantage,
+                profile=config.profile, faults=config.faults,
+                attempt=attempt,
+            ),
+            key=f"{event.url}@{at.isoformat()}",
+            policy=config.retry,
+        )
+        obs = capture.to_observation(engine.detect(capture).cmp_key)
+        rows.append((obs.domain, obs.date, obs.cmp_key, obs.vantage))
+        requests += capture.n_requests
+        failures += not capture.succeeded
     return rows, requests, failures
 
 
@@ -321,6 +329,38 @@ class TestKernelOracle:
         assert any(cmp_key for _d, _o, cmp_key, _v in rows)
         if schedule != "none":
             assert platform.stats.faults.injected > 0
+
+
+class TestRetryKey:
+    """A faulted row's backoff is keyed on ``"<url>@<share time>"``,
+    whichever path crawls it: the serial loop or a shard worker that
+    re-derived the row from its raw draw row."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_retry_key_is_url_at_share_time(self, monkeypatch, workers):
+        keys = []
+
+        def recording(attempt_fn, *, key, **kwargs):
+            keys.append(key)
+            return run_with_retries(attempt_fn, key=key, **kwargs)
+
+        monkeypatch.setattr(platform_module, "run_with_retries", recording)
+        world = World(WorldConfig(seed=11, n_domains=400))
+        stream = SocialShareStream(world, StreamConfig(seed=3, events_per_day=80))
+        config = PlatformConfig(seed=5, faults=RETRY_ALL, retry=FAST_TEST_POLICY)
+        executor = (
+            CrawlExecutor(ExecutorConfig(workers=workers, backend="thread"))
+            if workers > 1
+            else None
+        )
+        NetographPlatform(world, stream, config).run(
+            *ORACLE_WINDOW, executor=executor
+        )
+        # Thread shards interleave their calls; compare as multisets.
+        assert sorted(keys) == sorted(
+            f"{event.url}@{event.at.isoformat()}"
+            for event in accepted_events(stream, *ORACLE_WINDOW)
+        )
 
 
 # ----------------------------------------------------------------------

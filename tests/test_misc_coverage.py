@@ -11,25 +11,24 @@ from repro.crawler.seeds import SocialShareStream, StreamConfig
 
 
 class TestStreamIteration:
-    def test_iter_events_spans_days(self, world):
+    def test_batch_events_fall_on_their_day(self, world):
         stream = SocialShareStream(
             world, StreamConfig(seed=2, events_per_day=50)
         )
-        events = list(
-            stream.iter_events(dt.date(2020, 4, 1), dt.date(2020, 4, 4))
-        )
-        days = {e.at.date() for e in events}
-        assert days == {
-            dt.date(2020, 4, 1),
-            dt.date(2020, 4, 2),
-            dt.date(2020, 4, 3),
-        }
+        for offset in range(3):
+            day = dt.date(2020, 4, 1) + dt.timedelta(days=offset)
+            batch = stream.events_for_day(day)
+            assert batch.ordinal == day.toordinal()
+            assert {e.at.date() for e in batch} == {day}
+            assert [batch.at(i) for i in range(len(batch))] == [
+                e.at for e in batch
+            ]
 
-    def test_iter_events_empty_range(self, world):
+    def test_empty_row_selection(self, world):
         stream = SocialShareStream(world)
-        assert list(
-            stream.iter_events(dt.date(2020, 4, 1), dt.date(2020, 4, 1))
-        ) == []
+        batch = stream.events_for_day(dt.date(2020, 4, 1), rows=())
+        assert len(batch) == 0
+        assert list(batch) == []
 
 
 class TestPlatformCallbacks:

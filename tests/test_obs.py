@@ -23,6 +23,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.obs.trace import NullTracer, Tracer
+from tests.prometheus import parse_prometheus
 
 WINDOW = (dt.date(2020, 4, 1), dt.date(2020, 4, 8))
 MAY = dt.date(2020, 5, 15)
@@ -96,6 +97,36 @@ class TestMetricsRegistry:
         ]
         assert len(records) == n == 2
         assert records == reg.snapshot()
+
+    def test_prometheus_text_format(self):
+        reg = MetricsRegistry()
+        reg.counter("b_total", "b things").inc(2, z="1", a='q"\\x')
+        reg.counter("b_total").inc(a="0")
+        reg.gauge("a_depth", "queue depth\nnow").set(1.5)
+        h = reg.histogram("c_seconds", "latency", buckets=(0.1, 1.0))
+        for v in (0.05, 0.5, 0.5, 5.0):
+            h.observe(v, endpoint="/x")
+        text = reg.prometheus_text()
+        meta, samples = parse_prometheus(text)
+        assert meta == {
+            "a_depth": ("queue depth\\nnow", "gauge"),
+            "b_total": ("b things", "counter"),
+            "c_seconds": ("latency", "histogram"),
+        }
+        assert text.splitlines()[:2] == [
+            "# HELP a_depth queue depth\\nnow",
+            "# TYPE a_depth gauge",
+        ]
+        assert samples == [
+            ("a_depth", {}, 1.5),
+            ("b_total", {"a": "0"}, 1.0),
+            ("b_total", {"a": 'q\\"\\\\x', "z": "1"}, 2.0),
+            ("c_seconds_bucket", {"endpoint": "/x", "le": "0.1"}, 1.0),
+            ("c_seconds_bucket", {"endpoint": "/x", "le": "1.0"}, 3.0),
+            ("c_seconds_bucket", {"endpoint": "/x", "le": "+Inf"}, 4.0),
+            ("c_seconds_sum", {"endpoint": "/x"}, 0.05 + 0.5 + 0.5 + 5.0),
+            ("c_seconds_count", {"endpoint": "/x"}, 4.0),
+        ]
 
 
 class TestTracer:

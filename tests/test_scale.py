@@ -504,60 +504,80 @@ class TestNegativeHostCache:
 
 
 # ----------------------------------------------------------------------
-# Lazy shard regeneration: same events, same order
+# Shard recipes: raw draw rows, one generator pass per day
 # ----------------------------------------------------------------------
 def materialize(spec, world):
     """The eager reference for ``SocialShardSpec.iter_day_chunks``: every
-    run's day regenerated in full, then indexed."""
+    run's day generated in full, then its raw draw rows picked out."""
     stream = SocialShareStream(world, spec.stream_config)
     out = []
-    for ordinal, indices in spec.runs:
-        day_events = stream.events_for_day(dt.date.fromordinal(ordinal))
-        out.extend(day_events[index] for index in indices)
+    for ordinal, rows in spec.runs:
+        day = stream.events_for_day(dt.date.fromordinal(ordinal))
+        wanted = set(rows)
+        out.extend(
+            event
+            for row, event in zip(day.rows.tolist(), day)
+            if row in wanted
+        )
     return tuple(out)
 
 
-class TestLazyShardEquality:
-    def _spec(self, world, stream):
-        runs = []
-        for offset in range(3):
-            day = WINDOW[0] + dt.timedelta(days=offset)
-            n = len(stream.events_for_day(day))
-            # Every 3rd emitted event, plus one empty day run shape
-            # exercised by offset 2 taking nothing early on.
-            indices = tuple(range(offset, n, 3))
-            runs.append((day.toordinal(), indices))
-        runs.append((WINDOW[0].toordinal() + 3, ()))
-        return SocialShardSpec(
-            shard_id=0,
-            world_ref=world_ref_for_backend(world, "serial"),
-            config=PlatformConfig(),
-            stream_config=stream.config,
-            runs=tuple(runs),
-        )
+def _spec(world, stream, runs, shard_id=0):
+    return SocialShardSpec(
+        shard_id=shard_id,
+        world_ref=world_ref_for_backend(world, "serial"),
+        config=PlatformConfig(),
+        stream_config=stream.config,
+        runs=tuple(runs),
+    )
 
+
+class TestLazyShardEquality:
     def test_iter_day_chunks_matches_materialize(self):
         world = World(WorldConfig(seed=5, n_domains=300))
         stream = SocialShareStream(world)
-        spec = self._spec(world, stream)
+        runs = []
+        for offset in range(3):
+            day = WINDOW[0] + dt.timedelta(days=offset)
+            # Every 3rd kept event's draw row, from a different phase
+            # each day, plus an empty run.
+            rows = stream.events_for_day(day).rows[offset::3]
+            runs.append((day.toordinal(), tuple(rows.tolist())))
+        runs.append((WINDOW[0].toordinal() + 3, ()))
+        spec = _spec(world, stream, runs)
         chunks = list(spec.iter_day_chunks(world))
         assert [len(chunk) for chunk in chunks] == [
-            len(indices) for _ordinal, indices in spec.runs
+            len(rows) for _ordinal, rows in spec.runs
+        ]
+        assert [chunk.rows.tolist() for chunk in chunks] == [
+            list(rows) for _ordinal, rows in spec.runs
         ]
         lazy = tuple(itertools.chain.from_iterable(chunks))
         assert len(lazy) == spec.n_events
         assert lazy == materialize(spec, world)
 
-    def test_iter_events_matches_eager_day_lists(self):
-        world = World(WorldConfig(seed=5, n_domains=300))
-        stream = SocialShareStream(world)
-        start, end = WINDOW[0], WINDOW[0] + dt.timedelta(days=3)
-        eager = []
-        day = start
-        while day < end:
-            eager.extend(stream.events_for_day(day))
-            day += dt.timedelta(days=1)
-        assert list(stream.iter_events(start, end)) == eager
+    def test_split_day_builds_only_each_shards_urls(self):
+        """A day split across two shards: each worker builds the URLs of
+        its own rows, never those of the rows before them."""
+        config = WorldConfig(seed=5, n_domains=300)
+        stream_config = StreamConfig(events_per_day=400)
+        reference = SocialShareStream(World(config), stream_config)
+        day = reference.events_for_day(WINDOW[0])
+        half = len(day) // 2
+        for positions in (range(half), range(half, len(day))):
+            own = day.take(list(positions))
+            world = World(config, cache_limits=UNBOUNDED_CACHE_LIMITS)
+            spec = _spec(
+                world,
+                SocialShareStream(world, stream_config),
+                [(day.ordinal, tuple(own.rows.tolist()))],
+            )
+            (chunk,) = spec.iter_day_chunks(world)
+            assert chunk.urls == own.urls
+            assert len(world._share_url_cache) == len(set(own.urls))
+        # The second shard's rows start mid-day: walking the day up to
+        # them (the old recipe) would have built every earlier URL too.
+        assert len(set(own.urls)) < len(set(day.urls))
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ analysis payloads -- cold and when resumed from a mid-window checkpoint.
 
 import datetime as dt
 import json
+import socket
 import sys
 import threading
 import tracemalloc
@@ -24,6 +25,8 @@ from repro.core.vantage import VantageTable
 from repro.crawler.columnar import VANTAGE_STRS
 from repro.crawler.storage import store_digest
 from repro.stream import serve_engine
+from repro.stream.server import _Handler
+from tests.prometheus import parse_prometheus
 
 START = dt.date(2020, 3, 1)
 MID = dt.date(2020, 3, 8)
@@ -311,6 +314,65 @@ class TestQueryServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             self._get(server, "/adoption?date=not-a-date")
         assert excinfo.value.code == 400
+
+    def test_metrics_count_agrees_with_stats(self, server):
+        """On the null obs backend /metrics renders the standalone
+        latency histogram; its counts are the ones /stats reports."""
+        for _ in range(3):
+            self._get(server, "/healthz")
+        url = f"http://127.0.0.1:{server.port}/metrics"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            content_type = response.headers["Content-Type"]
+            text = response.read().decode("utf-8")
+        _status, stats = self._get(server, "/stats")
+        assert content_type.startswith("text/plain; version=0.0.4")
+        meta, samples = parse_prometheus(text)
+        assert meta == {
+            "stream_query_seconds": ("query-server request latency", "histogram")
+        }
+        counts = {
+            labels["endpoint"]: value
+            for name, labels, value in samples
+            if name == "stream_query_seconds_count"
+        }
+        # /stats also counts the /metrics request, recorded after render.
+        expected = {
+            endpoint: query["count"] - (endpoint == "/metrics")
+            for endpoint, query in stats["queries"].items()
+        }
+        assert counts == {k: v for k, v in expected.items() if v}
+        assert counts["/healthz"] >= 3
+        for endpoint, count in counts.items():
+            buckets = [
+                (labels["le"], value)
+                for name, labels, value in samples
+                if name == "stream_query_seconds_bucket"
+                and labels["endpoint"] == endpoint
+            ]
+            assert buckets[-1] == ("+Inf", count)
+            cumulative = [value for _le, value in buckets]
+            assert cumulative == sorted(cumulative)
+
+    def test_accepted_sockets_set_tcp_nodelay(self, engine):
+        """Responses must not wait on the client's delayed ACK."""
+        seen = []
+
+        class Probe(_Handler):
+            def setup(self):
+                super().setup()
+                seen.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+
+        server = serve_engine(engine)
+        server.RequestHandlerClass = Probe
+        try:
+            self._get(server, "/healthz")
+        finally:
+            server.close()
+        assert seen and all(seen)
 
 
 class TestCli:
