@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: verify test lint cache-guard chaos coverage smoke-streaming bench-throughput bench-baseline bench-obs bench-lint bench-lint-floor bench-faults bench-cache bench-streaming bench-streaming-baseline bench-graph bench-graph-baseline bench-scale bench-scale-baseline
+.PHONY: verify test lint cache-guard chaos coverage smoke-streaming bench-throughput bench-baseline bench-obs bench-lint bench-lint-floor bench-faults bench-cache bench-streaming bench-streaming-baseline bench-graph bench-graph-baseline bench-scale bench-scale-baseline study-bench-test
 
 ## Tier-1 tests + determinism lint + a ~10s smoke run of the executor.
 verify:
@@ -98,3 +98,9 @@ bench-scale:
 ## Re-record the BENCH_scale.json small-vs-large RSS baseline.
 bench-scale-baseline:
 	PYTHONPATH=src $(PYTHON) benchmarks/record_scale.py
+
+## The study benchmark's own tests: each workload runs once at smoke
+## scale with failed = 0 and reproduces the digests in
+## benchmarks/study/reference.json (the graph digest among them).
+study-bench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/study -q

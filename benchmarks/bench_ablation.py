@@ -22,12 +22,11 @@ from repro.crawler.queue import CaptureQueue
 
 def test_ablation_interpolation(benchmark, bench_study, longitudinal_store):
     """How much of the Figure 6 series the estimator contributes."""
-    by_domain = longitudinal_store.by_domain()
     restrict = set(bench_study.toplist_domains)
 
     def build(interpolate, fade):
-        return AdoptionSeries.from_store(
-            by_domain, restrict,
+        return AdoptionSeries.from_columnar(
+            longitudinal_store, restrict,
             interpolate=interpolate, fade_out_days=fade,
         )
 
@@ -103,7 +102,7 @@ def test_ablation_landing_pages_only(benchmark, bench_study):
             world, stream=stream, config=PlatformConfig(seed=6)
         )
         store = platform.run(dt.date(2020, 4, 1), dt.date(2020, 5, 15))
-        series = AdoptionSeries.from_store(store.by_domain())
+        series = AdoptionSeries.from_columnar(store)
         return store, series.counts_on(dt.date(2020, 5, 10))
 
     def subsite_only_detected(store):

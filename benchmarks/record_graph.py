@@ -1,9 +1,10 @@
 """Record the consent-graph baseline to ``BENCH_graph.json``.
 
 Standalone perf recorder for :mod:`repro.graph`: times the full study
-graph build (nodes+edges per second) and the latency of every shadow
-query over it, writing a compact JSON record so the graph subsystem's
-perf trajectory is tracked in-repo from PR to PR. Run from the
+graph build (nodes+edges per second) and the latency of every analysis
+query over it -- each query's projection of the graph plus its one
+:mod:`repro.core` call -- writing a compact JSON record so the graph
+subsystem's perf trajectory is tracked in-repo. Run from the
 repository root:
 
     PYTHONPATH=src python benchmarks/record_graph.py

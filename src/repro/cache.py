@@ -91,10 +91,6 @@ CODE_VERSIONS: Dict[str, int] = {
     # written under the batch "social-crawl" fingerprint for the same
     # prefix window, so batch and follow runs share crawl artifacts.
     "stream-checkpoint": 1,
-    # Consent ecosystem graph (repro.graph): canonical payload of the
-    # study graph, content-addressed on the capture-store and GVL
-    # history digests plus the ranking depth.
-    "graph-build": 1,
 }
 
 #: Static stage -> module-closure map: the modules whose code
@@ -140,16 +136,6 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
     "stream-checkpoint": [
         "repro.stream.engine",
         "repro.stream.state",
-    ],
-    "graph-build": [
-        "repro.graph.ingest",
-        "repro.graph.model",
-        "repro.toplist.providers",
-        "repro.toplist.tranco",
-        "repro.crawler.columnar",
-        "repro.tcf.gvl",
-        "repro.web.lru",
-        "repro.web.worldgen",
     ],
 }
 

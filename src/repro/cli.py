@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="crawl-phase worker count (1 = serial)",
+        help="crawl-phase worker count, >= 1 (1 = serial)",
     )
     parser.add_argument(
         "--backend",
@@ -204,9 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="summary: node/edge counts and canonical digest; "
         "marketshare: Figure 5 over ADOPTED edges; adoption: monthly "
         "CMP counts from CAPTURED edges; vantage: Table 1 from "
-        "CAPTURED edges; gvl-churn: Figures 7/8 from MEMBER_OF edge "
-        "diffs; country-fig5: per-country Figure 5 over a CrUX-shaped "
-        "bucketed ranking",
+        "CAPTURED edges; gvl-churn: Figures 7/8 over the GVL history "
+        "in MEMBER_OF edges; country-fig5: per-country Figure 5 over "
+        "a CrUX-shaped bucketed ranking",
     )
     graph_query.add_argument(
         "--date",
@@ -226,11 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    observe = args.metrics_out is not None or args.trace_out is not None
-    obs = Observability() if observe else None
-    study = Study(
-        StudyConfig(
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = StudyConfig(
             seed=args.seed,
             n_domains=args.domains,
             toplist_size=min(args.toplist, args.domains),
@@ -238,9 +237,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             cache_dir=None if args.no_cache else args.cache_dir,
             memory_budget=args.memory_budget,
-        ),
-        obs=obs,
-    )
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    observe = args.metrics_out is not None or args.trace_out is not None
+    obs = Observability() if observe else None
+    study = Study(config, obs=obs)
     handler = {
         "crawl": _cmd_crawl,
         "table1": _cmd_table1,
@@ -290,13 +292,38 @@ def _cmd_table1(study: Study, args) -> int:
     return 0
 
 
-def _cmd_figure5(study: Study, args) -> int:
-    curve = study.marketshare_curve(args.date)
+def _print_curve(curve, prefix: str = "") -> None:
+    """One line per toplist size: total and per-CMP share (Figure 5)."""
     for size, total, per_cmp in curve.rows():
         detail = "  ".join(
             f"{k}={v * 100:.2f}%" for k, v in per_cmp.items() if v
         )
-        print(f"top {size:>9,}: {total * 100:5.2f}%   {detail}")
+        print(f"{prefix}top {size:>9,}: {total * 100:5.2f}%   {detail}")
+
+
+def _print_monthly_counts(series, dates) -> None:
+    """One line per date with any CMP domain: total and per-CMP counts
+    (Figure 6)."""
+    for date in dates:
+        counts = series.counts_on(date)
+        total = sum(counts.values())
+        if total:
+            print(f"{date}  {total:>5}  {dict(counts)}")
+
+
+def _print_gvl(analysis) -> None:
+    """Vendor counts, purpose-change events per kind and net LI ->
+    consent movement (Figures 7/8)."""
+    for date, count in analysis.vendor_count_series()[::15]:
+        print(f"{date}  {count:>4} vendors")
+    events = analysis.change_events()
+    for kind in sorted(events):
+        print(f"  {kind:<22} {events[kind]:>5}")
+    print(f"net LI -> consent: {analysis.net_li_to_consent():+d}")
+
+
+def _cmd_figure5(study: Study, args) -> int:
+    _print_curve(study.marketshare_curve(args.date))
     return 0
 
 
@@ -304,13 +331,8 @@ def _cmd_figure6(study: Study, args) -> int:
     from repro.core.adoption import AdoptionSeries
     from repro.crawler.storage import load_store
 
-    store = load_store(args.infile)
-    series = AdoptionSeries.from_store(store.by_domain())
-    for date in study.monthly_dates():
-        counts = series.counts_on(date)
-        total = sum(counts.values())
-        if total:
-            print(f"{date}  {total:>5}  {dict(counts)}")
+    series = AdoptionSeries.from_columnar(load_store(args.infile))
+    _print_monthly_counts(series, study.monthly_dates())
     return 0
 
 
@@ -318,10 +340,7 @@ def _cmd_gvl(study: Study, args) -> int:
     from repro.core.gvl_analysis import GvlAnalysis
     from repro.tcf.gvlgen import generate_gvl_history
 
-    analysis = GvlAnalysis(generate_gvl_history())
-    for date, count in analysis.vendor_count_series()[::15]:
-        print(f"{date}  {count:>4} vendors")
-    print(f"net LI -> consent: {analysis.net_li_to_consent():+d}")
+    _print_gvl(GvlAnalysis(generate_gvl_history()))
     return 0
 
 
@@ -455,41 +474,23 @@ def _cmd_graph_query(study: Study, args) -> int:
             for label, count in graph.stats().items():
                 print(f"  {label:<22} {count:>7,}")
         elif args.query == "marketshare":
-            curve = fig5_curve(graph, date)
-            for size, total, per_cmp in curve.rows():
-                detail = "  ".join(
-                    f"{k}={v * 100:.2f}%" for k, v in per_cmp.items() if v
-                )
-                print(f"top {size:>9,}: {total * 100:5.2f}%   {detail}")
+            _print_curve(fig5_curve(graph, date))
         elif args.query == "adoption":
-            series = adoption_series(graph)
-            for when in study.monthly_dates():
-                counts = series.counts_on(when)
-                total = sum(counts.values())
-                if total:
-                    print(f"{when}  {total:>5}  {dict(counts)}")
+            _print_monthly_counts(adoption_series(graph), study.monthly_dates())
         elif args.query == "vantage":
             print(vantage_table(graph).format_table())
         elif args.query == "gvl-churn":
-            churn = gvl_churn(graph)
-            for when, count in churn["vendor_counts"][::15]:
-                print(f"{when}  {count:>4} vendors")
-            for kind, count in churn["events"]:
-                print(f"  {kind:<22} {count:>5}")
-            print(f"net LI -> consent: {churn['net_li_to_consent']:+d}")
+            _print_gvl(gvl_churn(graph))
         else:  # country-fig5
             countries = graph_countries(graph)
             if args.country is None or args.country not in countries:
                 print("pass --country CC; available: "
                       + " ".join(countries))
                 return 2 if args.country is not None else 0
-            curve = country_fig5(graph, args.country, date)
-            for size, total, per_cmp in curve.rows():
-                detail = "  ".join(
-                    f"{k}={v * 100:.2f}%" for k, v in per_cmp.items() if v
-                )
-                print(f"{args.country} top {size:>7,}: "
-                      f"{total * 100:5.2f}%   {detail}")
+            _print_curve(
+                country_fig5(graph, args.country, date),
+                prefix=f"{args.country} ",
+            )
     return 0
 
 

@@ -54,16 +54,10 @@ class DomainTimeline:
         interpolate: bool = True,
         fade_out_days: int = FADE_OUT_DAYS,
     ) -> "DomainTimeline":
-        """Build the interpolated timeline from raw observations.
-
-        ``interpolate=False`` and/or ``fade_out_days=0`` disable the two
-        estimator components -- used by the ablation benchmarks to show
-        how much of the Figure 6 series each rule contributes.
-        """
-        return cls._from_daily(
+        """:meth:`from_day_rows` over ``Observation`` objects."""
+        return cls.from_day_rows(
             domain,
-            _daily_states(observations),
-            len(observations),
+            [(obs.date.toordinal(), obs.cmp_key) for obs in observations],
             interpolate=interpolate,
             fade_out_days=fade_out_days,
         )
@@ -77,33 +71,17 @@ class DomainTimeline:
         interpolate: bool = True,
         fade_out_days: int = FADE_OUT_DAYS,
     ) -> "DomainTimeline":
-        """:meth:`from_observations` on raw ``(date_ordinal, cmp_key)``
-        pairs (:meth:`CaptureStore.domain_day_rows
-        <repro.crawler.columnar.CaptureStore.domain_day_rows>`).
+        """Build the interpolated timeline from ``(date_ordinal,
+        cmp_key)`` capture rows in capture order.
 
-        Bit-identical to the object path: rows arrive in insertion
-        order, so the per-day capture lists -- and therefore the 1/3
-        vote and its ``Counter`` tie-breaking -- are sequenced exactly
-        as :func:`_daily_states` sees them.
+        Row order matters: the per-day capture lists -- and therefore
+        the 1/3 vote and its ``Counter`` tie-breaking -- are sequenced
+        as the rows arrive. ``interpolate=False`` and/or
+        ``fade_out_days=0`` disable the two estimator components --
+        used by the ablation benchmarks to show how much of the
+        Figure 6 series each rule contributes.
         """
-        return cls._from_daily(
-            domain,
-            _daily_states_from_rows(rows),
-            len(rows),
-            interpolate=interpolate,
-            fade_out_days=fade_out_days,
-        )
-
-    @classmethod
-    def _from_daily(
-        cls,
-        domain: str,
-        daily: Dict[dt.date, Optional[str]],
-        n_observations: int,
-        *,
-        interpolate: bool,
-        fade_out_days: int,
-    ) -> "DomainTimeline":
+        daily = _daily_states_from_rows(rows)
         if not daily:
             return cls(domain=domain, intervals=(), n_observations=0)
         days = sorted(daily)
@@ -135,7 +113,7 @@ class DomainTimeline:
         return cls(
             domain=domain,
             intervals=tuple(intervals),
-            n_observations=n_observations,
+            n_observations=len(rows),
         )
 
     # ------------------------------------------------------------------
@@ -241,25 +219,11 @@ def day_vote(states: Sequence[Optional[str]]) -> Optional[str]:
     return None
 
 
-def _daily_states(
-    observations: Sequence[Observation],
-) -> Dict[dt.date, Optional[str]]:
-    """Aggregate captures into one state per day via the 1/3 heuristic."""
-    per_day: Dict[dt.date, List[Optional[str]]] = defaultdict(list)
-    for obs in observations:
-        per_day[obs.date].append(obs.cmp_key)
-    return {day: day_vote(states) for day, states in per_day.items()}
-
-
 def _daily_states_from_rows(
     rows: Sequence[Tuple[int, Optional[str]]],
 ) -> Dict[dt.date, Optional[str]]:
-    """:func:`_daily_states` on ``(date_ordinal, cmp_key)`` pairs.
-
-    Same vote, same tie-breaking: per-day lists collect states in row
-    order (the columnar store's insertion order), matching the order
-    the object path builds them in.
-    """
+    """Aggregate ``(date_ordinal, cmp_key)`` rows into one state per day
+    via the 1/3 heuristic; per-day lists keep row order."""
     per_day: Dict[int, List[Optional[str]]] = defaultdict(list)
     for ordinal, cmp_key in rows:
         per_day[ordinal].append(cmp_key)
@@ -291,9 +255,9 @@ class AdoptionSeries:
     timelines: Dict[str, DomainTimeline]
 
     @classmethod
-    def from_store(
+    def from_day_rows(
         cls,
-        by_domain: Mapping[str, Sequence[Observation]],
+        per_domain_rows: Mapping[str, Sequence[Tuple[int, Optional[str]]]],
         restrict_to: Optional[Iterable[str]] = None,
         *,
         interpolate: bool = True,
@@ -301,18 +265,21 @@ class AdoptionSeries:
     ) -> "AdoptionSeries":
         """Build timelines for every (or a restricted set of) domain(s).
 
+        *per_domain_rows* maps each domain, in first-capture order, to
+        its ``(date_ordinal, cmp_key)`` rows in capture order; the
+        series keeps that domain order (its payload serialization order).
         *restrict_to* is how the Figure 6 analysis narrows the social
         media dataset down to the Tranco-10k domains. The estimator
-        knobs are forwarded to :meth:`DomainTimeline.from_observations`.
+        knobs are forwarded to :meth:`DomainTimeline.from_day_rows`.
         """
         wanted = set(restrict_to) if restrict_to is not None else None
         timelines = {}
-        for domain, observations in by_domain.items():
+        for domain, rows in per_domain_rows.items():
             if wanted is not None and domain not in wanted:
                 continue
-            timelines[domain] = DomainTimeline.from_observations(
+            timelines[domain] = DomainTimeline.from_day_rows(
                 domain,
-                observations,
+                rows,
                 interpolate=interpolate,
                 fade_out_days=fade_out_days,
             )
@@ -327,28 +294,14 @@ class AdoptionSeries:
         interpolate: bool = True,
         fade_out_days: int = FADE_OUT_DAYS,
     ) -> "AdoptionSeries":
-        """:meth:`from_store` straight off a columnar ``CaptureStore``.
-
-        Consumes :meth:`CaptureStore.domain_day_rows
-        <repro.crawler.columnar.CaptureStore.domain_day_rows>` instead
-        of the materialized ``by_domain()`` object view, skipping one
-        ``Observation`` per capture. Bit-identical output (pinned by
-        tests): domains arrive in the same first-capture order, rows in
-        the same insertion order, so every timeline -- and the payload
-        serialization order -- matches the object path exactly.
-        """
-        wanted = set(restrict_to) if restrict_to is not None else None
-        timelines = {}
-        for domain, rows in store.domain_day_rows().items():
-            if wanted is not None and domain not in wanted:
-                continue
-            timelines[domain] = DomainTimeline.from_day_rows(
-                domain,
-                rows,
-                interpolate=interpolate,
-                fade_out_days=fade_out_days,
-            )
-        return cls(timelines=timelines)
+        """:meth:`from_day_rows` over a columnar ``CaptureStore``'s
+        :meth:`~repro.crawler.columnar.CaptureStore.domain_day_rows`."""
+        return cls.from_day_rows(
+            store.domain_day_rows(),
+            restrict_to,
+            interpolate=interpolate,
+            fade_out_days=fade_out_days,
+        )
 
     # ------------------------------------------------------------------
     # Cache serialization (repro.cache adoption artifacts)
@@ -393,13 +346,13 @@ class AdoptionSeries:
 class AdoptionAccumulator:
     """Incremental :class:`AdoptionSeries` construction (streaming path).
 
-    The batch constructors (:meth:`AdoptionSeries.from_store`,
-    :meth:`AdoptionSeries.from_columnar`) re-derive every timeline from
-    the full capture history -- O(window) per run. This accumulator is
-    the O(delta) equivalent: feed it ``(domain, date_ordinal, cmp_key)``
-    rows as they arrive (insertion order, exactly as the columnar store
-    appends them) and only domains touched since the last snapshot have
-    their timelines rebuilt.
+    The batch constructor (:meth:`AdoptionSeries.from_day_rows`)
+    re-derives every timeline from the full capture history --
+    O(window) per run. This accumulator is the O(delta) equivalent:
+    feed it ``(domain, date_ordinal, cmp_key)`` rows as they arrive
+    (insertion order, exactly as the columnar store appends them) and
+    only domains touched since the last snapshot have their timelines
+    rebuilt.
 
     Equivalence contract (pinned by the streaming property tests): after
     any prefix of a row feed, :meth:`series` is byte-identical -- same

@@ -20,7 +20,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cmps.base import CMP_KEYS
 from repro.toplist.tranco import TrancoList
@@ -142,11 +142,40 @@ def marketshare_by_toplist_size(
     seed: int = 5,
 ) -> MarketShareCurve:
     """Compute the cumulative marketshare curve at *date*."""
-    max_size = len(tranco)
+    true_ranks = tranco.top_true_ranks(len(tranco))
+    return stratified_marketshare(
+        len(true_ranks),
+        lambda position: world.site(int(true_ranks[position])).cmp_on(date),
+        date,
+        sizes,
+        exact_limit=exact_limit,
+        samples_per_stratum=samples_per_stratum,
+        seed=seed,
+    )
+
+
+def stratified_marketshare(
+    n: int,
+    cmp_at: Callable[[int], Optional[str]],
+    date: dt.date,
+    sizes: Optional[Sequence[int]] = None,
+    *,
+    exact_limit: int = 10_000,
+    samples_per_stratum: int = 2_000,
+    seed: int = 5,
+) -> MarketShareCurve:
+    """The Figure 5 estimator over any ranked list of *n* domains.
+
+    ``cmp_at(position)`` is the CMP of the domain at 0-based
+    *position* on *date* (``None`` for none). Prefixes up to
+    *exact_limit* (and strata no larger than *samples_per_stratum*)
+    are counted exactly; deeper strata are estimated from a seeded
+    uniform sample of positions, scaled up to the stratum size.
+    """
     if sizes is None:
-        sizes = default_sizes(max_size)
-    sizes = sorted(set(min(s, max_size) for s in sizes))
-    if sizes[0] < 1:
+        sizes = default_sizes(n)
+    sizes = sorted(set(min(s, n) for s in sizes))
+    if sizes and sizes[0] < 1:
         raise ValueError("toplist sizes must be positive")
 
     rng = random.Random(seed)
@@ -154,22 +183,22 @@ def marketshare_by_toplist_size(
     counts: Dict[str, List[float]] = {k: [] for k in CMP_KEYS}
     prev = 0
     for size in sizes:
-        stratum = tranco.top_true_ranks(size)[prev:]
-        if size <= exact_limit or len(stratum) <= samples_per_stratum:
-            for true_rank in stratum.tolist():
-                cmp_key = world.site(int(true_rank)).cmp_on(date)
+        length = size - prev
+        if size <= exact_limit or length <= samples_per_stratum:
+            for position in range(prev, size):
+                cmp_key = cmp_at(position)
                 if cmp_key is not None:
                     cum[cmp_key] += 1
         else:
-            sampled = rng.sample(range(len(stratum)), samples_per_stratum)
+            sampled = rng.sample(range(length), samples_per_stratum)
             stratum_counts: Counter = Counter()
             for idx in sampled:
-                cmp_key = world.site(int(stratum[idx])).cmp_on(date)
+                cmp_key = cmp_at(prev + idx)
                 if cmp_key is not None:
                     stratum_counts[cmp_key] += 1
-            scale = len(stratum) / samples_per_stratum
-            for key, n in stratum_counts.items():
-                cum[key] += n * scale
+            scale = length / samples_per_stratum
+            for key, n_sampled in stratum_counts.items():
+                cum[key] += n_sampled * scale
         for key in CMP_KEYS:
             counts[key].append(float(cum[key]))
         prev = size

@@ -26,7 +26,7 @@ from repro.core.adoption import AdoptionSeries, month_starts
 from repro.core.marketshare import MarketShareCurve, marketshare_by_toplist_size
 from repro.core.switching import SwitchingFlows
 from repro.core.vantage import VantageTable
-from repro.crawler.executor import CrawlExecutor, ExecutorConfig
+from repro.crawler.executor import BACKENDS, CrawlExecutor, ExecutorConfig
 from repro.crawler.platform import (
     CaptureStore,
     NetographPlatform,
@@ -61,7 +61,7 @@ class StudyConfig:
     events_per_day: int = 400
     study_start: dt.date = dt.date(2018, 3, 1)
     study_end: dt.date = dt.date(2020, 9, 30)
-    #: Crawl-phase worker count; 1 keeps the plain serial loops.
+    #: Crawl-phase worker count (>= 1); 1 keeps the plain serial loops.
     parallelism: int = 1
     #: Worker-pool backend for ``parallelism > 1``: "thread" | "process".
     backend: str = "thread"
@@ -86,6 +86,28 @@ class StudyConfig:
     #: never part of a fingerprint, cannot change results (spilling is
     #: bit-invisible; digest equality is pinned by ``tests/test_scale.py``).
     memory_budget: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # Execution knobs that cannot work fail here, not deep in a run
+        # that would silently fall back to serial or to no spilling.
+        if self.parallelism < 1:
+            raise ValueError(
+                f"parallelism must be >= 1, got {self.parallelism}"
+            )
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+            )
+        if self.memory_budget is not None and self.memory_budget < 1:
+            raise ValueError(
+                "memory_budget must be >= 1 row or None, got "
+                f"{self.memory_budget}"
+            )
+        if self.checkpoint_every_days < 0:
+            raise ValueError(
+                "checkpoint_every_days must be >= 0, got "
+                f"{self.checkpoint_every_days}"
+            )
 
 
 class Study:
@@ -193,7 +215,7 @@ class Study:
                 retry=self.config.retry,
                 spill=(
                     SpillSettings(row_budget=self.config.memory_budget)
-                    if self.config.memory_budget
+                    if self.config.memory_budget is not None
                     else None
                 ),
             ),
@@ -299,8 +321,6 @@ class Study:
             payload = self.cache.load_payload(fingerprint)
             if payload is not None:
                 return AdoptionSeries.from_payload(payload)
-        # Columnar path: identical output to from_store(store.by_domain())
-        # without materializing one Observation per capture first.
         series = AdoptionSeries.from_columnar(store, restrict)
         if fingerprint is not None:
             self.cache.save_payload(fingerprint, series.to_payload())
@@ -344,16 +364,10 @@ class Study:
         Unifies the capture store (``CAPTURED``/``OBSERVES`` edges), the
         Tranco ranking and its worldgen ground truth (``RANK``/
         ``ADOPTED``), CrUX-shaped per-country lists and, when given, a
-        GVL version history, behind one query surface. Cached under the
-        ``graph-build`` stage, content-addressed on the store and GVL
-        digests plus the ranking depth -- the graph's own canonical
-        digest guarantees a cache hit is bit-identical to a rebuild.
+        GVL version history, behind one query surface. Always built:
+        building is no slower than loading a cached payload was.
         """
-        from repro.graph import (
-            ConsentGraph,
-            build_study_graph,
-            gvl_history_digest,
-        )
+        from repro.graph import build_study_graph
         from repro.toplist.providers import per_country_toplists
 
         depth = (
@@ -361,21 +375,6 @@ class Study:
             if ranking_depth is None
             else min(ranking_depth, len(self.tranco))
         )
-        fingerprint = None
-        if self.cache is not None:
-            fingerprint = self.fingerprint(
-                "graph-build",
-                key=(f"depth{depth}",),
-                store=store_digest(store) if store is not None else "none",
-                gvl=(
-                    gvl_history_digest(gvl_versions)
-                    if gvl_versions is not None
-                    else "none"
-                ),
-            )
-            payload = self.cache.load_payload(fingerprint)
-            if payload is not None:
-                return ConsentGraph.from_payload(payload)
         with self.obs.span("graph.build", depth=depth) as span:
             graph = build_study_graph(
                 store=store,
@@ -388,8 +387,6 @@ class Study:
                 gvl_versions=gvl_versions,
             )
             span.set(nodes=graph.n_nodes, edges=graph.n_edges)
-        if fingerprint is not None:
-            self.cache.save_payload(fingerprint, graph.to_payload())
         return graph
 
     def vantage_table(self, when: dt.date, size: Optional[int] = None) -> VantageTable:

@@ -34,27 +34,18 @@ class VantageTable:
 
     @classmethod
     def from_crawl(cls, result: ToplistCrawlResult) -> "VantageTable":
-        counts: Dict[str, Counter] = {}
-        cmp_domains: Dict[str, frozenset] = {}
+        """Table 1 from a toplist crawl: per configuration, in crawl
+        order, captures count by final domain (so redirect targets are
+        counted once) under the :class:`VantageAccumulator` rule."""
+        accumulator = VantageAccumulator(result.captures)
         for config_name, captures in result.captures.items():
-            per_cmp: Counter = Counter()
-            detected = set()
-            # Count by final domain so redirect targets are counted once.
-            seen_domains: Dict[str, Optional[str]] = {}
             for capture in captures.values():
-                key = detect_cmp(capture).cmp_key
-                domain = capture.final_domain
-                if key is not None:
-                    seen_domains[domain] = key
-                else:
-                    seen_domains.setdefault(domain, None)
-            for domain, key in seen_domains.items():
-                if key is not None:
-                    per_cmp[key] += 1
-                    detected.add(domain)
-            counts[config_name] = per_cmp
-            cmp_domains[config_name] = frozenset(detected)
-        return cls(counts=counts, cmp_domains=cmp_domains)
+                accumulator.add(
+                    config_name,
+                    capture.final_domain,
+                    detect_cmp(capture).cmp_key,
+                )
+        return accumulator.table()
 
     @classmethod
     def from_stream_rows(
@@ -65,10 +56,8 @@ class VantageTable:
         *rows* are ``(config_name, domain, cmp_key)`` in capture order
         -- for the social platform, the config name is the vantage
         string (``EU-cloud``/``US-cloud``). Same counting rule as
-        :meth:`from_crawl`: per configuration a domain is counted once,
-        under the CMP of its most recent CMP-positive capture. This is
-        the batch counterpart of :class:`VantageAccumulator`; the
-        streaming tests pin byte-identical payloads between the two.
+        :meth:`from_crawl`: the :class:`VantageAccumulator` fed to the
+        end of *rows*.
         """
         accumulator = VantageAccumulator()
         for config_name, domain, cmp_key in rows:
@@ -175,20 +164,26 @@ class VantageTable:
 
 
 class VantageAccumulator:
-    """Incremental :class:`VantageTable` state (streaming path).
+    """Incremental :class:`VantageTable` state -- Table 1's one counting
+    rule.
 
-    Maintains, per crawl configuration, the ``domain -> last CMP-positive
-    key`` map the batch :meth:`VantageTable.from_crawl` builds in one
-    pass -- updated in O(1) per capture row as the stream arrives.
-    Configurations and domains keep first-appearance order, so
-    :meth:`table` serializes byte-identically to the batch constructors
-    over the same rows.
+    Per crawl configuration, a domain is counted once, under the CMP of
+    its most recent CMP-positive capture. The accumulator keeps the
+    ``domain -> last CMP-positive key`` map per configuration, updated
+    in O(1) per capture row; the batch constructors feed it to the end,
+    the streaming engine row by row. Configurations and domains keep
+    first-appearance order, so :meth:`table` serializes identically
+    however the rows arrived. *configs* pre-registers configurations
+    in order, so a configuration without captures keeps its (empty)
+    column.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, configs: Iterable[str] = ()) -> None:
         #: config -> domain -> last CMP-positive key (or None if the
         #: domain has only ever been seen CMP-less from that config).
-        self._seen: Dict[str, Dict[str, Optional[str]]] = {}
+        self._seen: Dict[str, Dict[str, Optional[str]]] = {
+            name: {} for name in configs
+        }
 
     def add(
         self, config_name: str, domain: str, cmp_key: Optional[str]
@@ -206,9 +201,9 @@ class VantageAccumulator:
         """Materialize the table over every row ingested so far.
 
         The per-CMP counters are rebuilt from the maintained domain
-        maps (O(domains seen), not O(rows)); building them here rather
-        than online keeps counter insertion order identical to the
-        batch path, which walks domains in first-appearance order.
+        maps (O(domains seen), not O(rows)), walking domains in
+        first-appearance order, so counter insertion order does not
+        depend on when the table is taken.
         """
         counts: Dict[str, Counter] = {}
         cmp_domains: Dict[str, frozenset] = {}

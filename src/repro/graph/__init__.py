@@ -3,15 +3,15 @@
 ``repro.graph`` unifies every entity the paper's analyses touch --
 domains, CMPs, TCF vendors, GVL versions, rankings, countries, vantages
 -- behind a single deterministic graph (:mod:`~repro.graph.model`),
-populated by composable ingestors (:mod:`~repro.graph.ingest`) and
-queried by projections pinned bit-identical to the :mod:`repro.core`
-derivations (:mod:`~repro.graph.query`). See the "Consent ecosystem
-graph" section of ARCHITECTURE.md for the schema and contracts.
+populated by composable ingestors (:mod:`~repro.graph.ingest`). Its
+queries (:mod:`~repro.graph.query`) are projections: each reshapes the
+graph into the input of one :mod:`repro.core` analysis and calls it.
+See the "Consent ecosystem graph" section of ARCHITECTURE.md for the
+schema and contracts.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Mapping, Optional, Sequence
 
 from repro.graph.ingest import (
@@ -28,15 +28,16 @@ from repro.graph.model import (
     NODE_TYPES,
     ConsentGraph,
     GraphError,
-    merge_graphs,
 )
 from repro.graph.query import (
     adoption_series,
     capture_rows,
     country_fig5,
+    domain_day_rows,
     fig5_curve,
     graph_countries,
     gvl_churn,
+    gvl_history,
     observed_curve,
     observes_degree,
     toplist_ranks,
@@ -53,17 +54,17 @@ __all__ = [
     "build_study_graph",
     "capture_rows",
     "country_fig5",
+    "domain_day_rows",
     "fig5_curve",
     "graph_countries",
     "gvl_churn",
-    "gvl_history_digest",
+    "gvl_history",
     "ingest_captures",
     "ingest_country_rankings",
     "ingest_gvl",
     "ingest_toplist",
     "ingest_vantages",
     "ingest_world_adoption",
-    "merge_graphs",
     "observed_curve",
     "observes_degree",
     "toplist_ranks",
@@ -79,19 +80,18 @@ def build_study_graph(
     ranking_depth: Optional[int] = None,
     country_toplists: Optional[Mapping] = None,
     gvl_versions: Optional[Sequence] = None,
-    include_vantages: bool = True,
 ) -> ConsentGraph:
     """Build the full consent-ecosystem graph for one study.
 
-    Every source is optional; pass what the study has and the matching
-    ingestors run (the ingestors commute, so the result is the same
-    graph whichever subset is present). *ranking_depth* bounds the
-    ``RANK`` edges ingested from *tranco* (and, when *world* is also
-    given, which domains get ground-truth ``ADOPTED`` edges).
+    The fixed vantage table is always ingested; every other source is
+    optional -- pass what the study has and the matching ingestors run
+    (the ingestors commute, so the result is the same graph whichever
+    subset is present). *ranking_depth* bounds the ``RANK`` edges
+    ingested from *tranco* (and, when *world* is also given, which
+    domains get ground-truth ``ADOPTED`` edges).
     """
     graph = ConsentGraph()
-    if include_vantages:
-        ingest_vantages(graph)
+    ingest_vantages(graph)
     if store is not None:
         ingest_captures(graph, store)
     if tranco is not None:
@@ -110,24 +110,3 @@ def build_study_graph(
     if gvl_versions is not None:
         ingest_gvl(graph, gvl_versions)
     return graph
-
-
-def gvl_history_digest(versions: Sequence) -> str:
-    """A content digest of a GVL version history, for cache fingerprints.
-
-    Hashes each version's number, date and per-vendor declarations in
-    sorted order -- the same facts :func:`ingest_gvl` encodes, so equal
-    digests mean the graph-build stage would ingest identical edges.
-    """
-    hasher = hashlib.sha256()
-    for version in sorted(versions, key=lambda v: v.version):
-        hasher.update(
-            f"{version.version}:{version.last_updated.isoformat()}\n".encode(
-                "utf-8"
-            )
-        )
-        for vendor in sorted(version.vendors, key=lambda v: v.id):
-            consent = ",".join(str(p) for p in sorted(vendor.purpose_ids))
-            li = ",".join(str(p) for p in sorted(vendor.leg_int_purpose_ids))
-            hasher.update(f"  {vendor.id}|{consent}|{li}\n".encode("utf-8"))
-    return hasher.hexdigest()

@@ -42,9 +42,7 @@ from repro.toplist.providers import EU_COUNTRIES, CountryToplist
 NO_CMP = ""
 
 
-def ingest_captures(
-    graph: ConsentGraph, store: CaptureStore, *, seq_base: int = 0
-) -> None:
+def ingest_captures(graph: ConsentGraph, store: CaptureStore) -> None:
     """Fold a capture store's detection rows into the graph.
 
     One ``CAPTURED`` edge per row, ``domain -> vantage``, with the
@@ -52,14 +50,9 @@ def ingest_captures(
     key as properties. The ``seq`` property is what lets queries
     re-derive exact capture order (and therefore byte-identical
     adoption/vantage results) from a canonically-sorted edge set; it is
-    also why re-ingesting the same store is a no-op while two different
-    stores never collide.
-
-    *seq_base* offsets the sequence numbers -- when ingesting shard
-    stores separately (instead of ``CaptureStore.merge`` first), pass
-    each shard the cumulative row count of the shards before it, and
-    the merged graph is digest-identical to the serial build (the
-    shard-merge associativity property test).
+    also why re-ingesting the same store is a no-op. Sharded crawls
+    merge their stores first (``CaptureStore.merge``, in shard order)
+    and ingest the merged store once.
 
     Deduplicated ``OBSERVES`` edges (``domain -> cmp``) record the
     "ever seen with" relation, making observed CMP marketshare a plain
@@ -77,7 +70,7 @@ def ingest_captures(
     }
     cmp_nodes: Dict[str, int] = {}
     for seq, (domain, ordinal, cmp_key, vantage) in enumerate(
-        store.iter_rows(), start=seq_base
+        store.iter_rows()
     ):
         src = domain_nodes.get(domain)
         if src is None:
@@ -180,8 +173,10 @@ def ingest_gvl(graph: ConsentGraph, versions: Sequence) -> None:
     exactly the per-purpose basis diff :func:`repro.tcf.gvl.diff_versions`
     computes. Deduplicated ``DECLARES`` edges (``vendor -> purpose``,
     labeled by basis) keep "which vendors ever declared purpose p"
-    a one-hop degree query.
+    a one-hop degree query; each is added once, not once per version
+    that repeats the declaration.
     """
+    declared = set()
     for version in sorted(versions, key=lambda v: v.version):
         vnode = graph.add_node(
             "gvl_version",
@@ -200,20 +195,20 @@ def ingest_gvl(graph: ConsentGraph, versions: Sequence) -> None:
                 consent=_purpose_csv(vendor.purpose_ids),
                 li=_purpose_csv(vendor.leg_int_purpose_ids),
             )
-            for pid in sorted(vendor.purpose_ids):
-                graph.add_edge(
-                    "DECLARES",
-                    vendor_node,
-                    graph.add_node("purpose", f"{pid:02d}", purpose_id=pid),
-                    basis="consent",
-                )
-            for pid in sorted(vendor.leg_int_purpose_ids):
-                graph.add_edge(
-                    "DECLARES",
-                    vendor_node,
-                    graph.add_node("purpose", f"{pid:02d}", purpose_id=pid),
-                    basis="legitimate-interest",
-                )
+            for basis, purpose_ids in (
+                ("consent", vendor.purpose_ids),
+                ("legitimate-interest", vendor.leg_int_purpose_ids),
+            ):
+                for pid in sorted(purpose_ids):
+                    if (vendor_node, pid, basis) in declared:
+                        continue
+                    declared.add((vendor_node, pid, basis))
+                    graph.add_edge(
+                        "DECLARES",
+                        vendor_node,
+                        graph.add_node("purpose", f"{pid:02d}", purpose_id=pid),
+                        basis=basis,
+                    )
 
 
 def ingest_vantages(graph: ConsentGraph) -> None:

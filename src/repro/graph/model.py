@@ -3,11 +3,10 @@
 One :class:`ConsentGraph` holds every entity the paper's analyses touch
 -- domains, CMPs, TCF vendors, GVL versions, rankings, countries,
 vantages -- as typed nodes, and every relationship between them as typed
-property edges. The analyses that :mod:`repro.core` derives ad hoc per
-figure (CMP marketshare, adoption series, vantage tables, GVL churn)
-become *projections* of this one relational structure
-(:mod:`repro.graph.query`), each pinned bit-identical to the original
-derivation by the differential parity suite.
+property edges. The paper's analyses run over *projections* of this one
+relational structure (:mod:`repro.graph.query`): each projection
+reshapes the graph into the input of the :mod:`repro.core` function
+that defines the analysis.
 
 Design rules, all load-bearing:
 
@@ -20,8 +19,7 @@ Design rules, all load-bearing:
 * **Canonical digest.** :meth:`ConsentGraph.digest` hashes the *sorted*
   node and edge relations, never insertion order. Two graphs holding the
   same facts digest identically no matter which ingestor ran first --
-  the property the ingest-order-independence tests pin, and what makes
-  the digest usable as a :mod:`repro.cache` content address.
+  the property the ingest-order-independence tests pin.
 * **Order-free queries.** Nothing in the query layer may read insertion
   order; every traversal sorts explicitly (by natural key, by a ``seq``
   property, by version number). :meth:`adjacency` hands out sorted edge
@@ -29,19 +27,18 @@ Design rules, all load-bearing:
 
 The graph is deliberately in-memory and plain-Python: at study scale
 (tens of thousands of capture rows, a few hundred vendors over a few
-hundred GVL versions) a dict-interned edge table builds in well under a
-second (``BENCH_graph.json``), and the cache layer persists it as one
-canonical JSON payload.
+hundred GVL versions) a dict-interned edge table builds in a second or
+two (``BENCH_graph.json``), so it is always built, never cached.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-#: Property values are JSON scalars only, so the canonical payload
-#: round-trips exactly and digests are stable across Python versions.
+#: Property values are JSON scalars only, so digests are stable across
+#: Python versions.
 PropValue = object  # str | int | float | bool | None
 
 #: The node types the ingestors populate. Not enforced as a closed set
@@ -250,7 +247,7 @@ class ConsentGraph:
         return len(table.get((node_id, etype), ()))
 
     # ------------------------------------------------------------------
-    # Canonical form: digest + cache payload
+    # Canonical form
     # ------------------------------------------------------------------
     def _canonical_nodes(self) -> Iterator[Tuple[str, str, Dict[str, PropValue]]]:
         for ntype, key in sorted(self._node_ids):
@@ -274,8 +271,7 @@ class ConsentGraph:
         Insertion-order independent: the hash walks nodes sorted by
         ``(type, key)`` and edges sorted by ``(etype, endpoints,
         props)``. Equal digests therefore mean equal graphs as *sets of
-        facts* -- the fingerprint the ``graph-build`` cache stage and
-        the property suite rely on.
+        facts* -- the fingerprint the property suite relies on.
         """
         if self._digest_cache is None:
             hasher = hashlib.sha256()
@@ -297,40 +293,6 @@ class ConsentGraph:
             self._digest_cache = hasher.hexdigest()
         return self._digest_cache
 
-    def to_payload(self) -> dict:
-        """The graph as one canonical JSON-serializable payload.
-
-        Nodes and edges are emitted in canonical (sorted) order, so the
-        payload bytes -- like the digest -- are insertion-order
-        independent, and :meth:`from_payload` rebuilds a graph with the
-        identical digest (pinned by tests).
-        """
-        return {
-            "nodes": [
-                [ntype, key, _sorted_dict(props)]
-                for ntype, key, props in self._canonical_nodes()
-            ],
-            "edges": [
-                [etype, list(src), list(dst), _sorted_dict(props)]
-                for etype, src, dst, props in self._canonical_edges()
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ConsentGraph":
-        """Exact inverse of :meth:`to_payload`."""
-        graph = cls()
-        for ntype, key, props in payload["nodes"]:
-            graph.add_node(ntype, key, **props)
-        for etype, src, dst, props in payload["edges"]:
-            graph.add_edge(
-                etype,
-                graph.add_node(src[0], src[1]),
-                graph.add_node(dst[0], dst[1]),
-                **props,
-            )
-        return graph
-
     def stats(self) -> Dict[str, int]:
         """Node/edge counts per type (sorted keys), for reporting."""
         out: Dict[str, int] = {}
@@ -350,26 +312,3 @@ class _Missing:
 
 
 _MISSING = _Missing()
-
-
-def merge_graphs(graphs: Sequence[ConsentGraph]) -> ConsentGraph:
-    """Union a sequence of graphs into a fresh one.
-
-    Because nodes and edges dedupe on their full identity, the merge is
-    associative and commutative up to digest -- merging shard-built
-    subgraphs in any grouping yields the same canonical graph as one
-    serial build over the concatenated sources (the shard-merge
-    associativity property test).
-    """
-    merged = ConsentGraph()
-    for graph in graphs:
-        for ntype, key, props in graph._canonical_nodes():
-            merged.add_node(ntype, key, **props)
-        for etype, src, dst, props in graph._canonical_edges():
-            merged.add_edge(
-                etype,
-                merged.add_node(src[0], src[1]),
-                merged.add_node(dst[0], dst[1]),
-                **props,
-            )
-    return merged

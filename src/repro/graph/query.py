@@ -1,52 +1,47 @@
-"""Paper analyses re-expressed as consent-graph queries.
+"""Paper analyses as projections of the consent graph.
 
-Each query here shadows an existing :mod:`repro.core` derivation and is
-pinned **bit-identical** to it by ``tests/test_graph_parity.py``:
+Each analysis query reshapes the graph into the input of the one
+:mod:`repro.core` function that defines the analysis, then calls it:
 
-==============================  =======================================
-graph query                     core reference
-==============================  =======================================
-:func:`adoption_series`         ``AdoptionSeries.from_columnar``
-:func:`vantage_table`           ``VantageTable.from_stream_rows``
-:func:`observed_curve`          ``observed_marketshare``
-:func:`fig5_curve`              ``marketshare_by_toplist_size``
-:func:`gvl_churn`               ``GvlAnalysis`` (Figures 7/8)
-:func:`country_fig5`            per-country Figure 5 (new; checked
-                                against worldgen ground truth)
-==============================  =======================================
+=========================  ==================================  ==================================
+graph query                projection                          core function
+=========================  ==================================  ==================================
+:func:`adoption_series`    :func:`domain_day_rows`             ``AdoptionSeries.from_day_rows``
+:func:`vantage_table`      :func:`capture_rows`                ``VantageTable.from_stream_rows``
+:func:`observed_curve`     the adoption series and             ``observed_marketshare``
+                           :func:`toplist_ranks`
+:func:`fig5_curve`         :func:`toplist_order`               ``stratified_marketshare``
+:func:`country_fig5`       bucket-ordered ``RANK`` edges       ``stratified_marketshare``, exact
+:func:`gvl_churn`          :func:`gvl_history`                 ``GvlAnalysis`` (Figures 7/8)
+=========================  ==================================  ==================================
 
-The bit-identity trick: the graph's canonical form is insertion-order
-free, but the reference analyses are order-*sensitive* (per-day CMP
-votes tie-break by capture order; payloads serialize dicts in
-first-appearance order). Queries therefore never read graph insertion
-order -- they re-derive the reference order from edge *properties*:
-capture order from the ``CAPTURED`` ``seq`` numbers, toplist order from
-``RANK`` positions, version order from ``gvl_version`` numbers. Per-key
-arithmetic is integer counting (or replays the reference's exact seeded
-sampling sequence), so the floats match to the last bit.
+The graph's canonical form is insertion-order free, but the core
+analyses are order-*sensitive* (per-day CMP votes tie-break by capture
+order; payloads serialize dicts in first-appearance order). Projections
+therefore never read graph insertion order -- they re-derive the order
+the core function expects from edge *properties*: capture order from the
+``CAPTURED`` ``seq`` numbers, toplist order from ``RANK`` positions,
+version order from ``gvl_version`` numbers. ``tests/test_graph_parity.py``
+pins each query's output to the core function run on the original
+source.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import random
-from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cmps.base import CMP_KEYS
-from repro.core.adoption import FADE_OUT_DAYS, AdoptionSeries, DomainTimeline
+from repro.core.adoption import AdoptionSeries
+from repro.core.gvl_analysis import GvlAnalysis
 from repro.core.marketshare import (
     MarketShareCurve,
-    _curve_from_buckets,
-    default_sizes,
+    observed_marketshare,
+    stratified_marketshare,
 )
-from repro.core.vantage import VantageAccumulator, VantageTable
+from repro.core.vantage import VantageTable
 from repro.graph.ingest import parse_purpose_csv
 from repro.graph.model import ConsentGraph, GraphError
-from repro.tcf.gvl import PurposeChange
-from repro.tcf.purposes import PURPOSE_IDS
-
-import bisect
+from repro.tcf.gvl import GlobalVendorList, Vendor
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +54,7 @@ def capture_rows(
 
     Returns ``(domain, date_ordinal, cmp_key, vantage_key)`` tuples
     sorted by the global sequence number each ``CAPTURED`` edge carries
-    -- exactly ``CaptureStore.iter_rows()`` order, independent of how
-    (or in how many shards) the graph was built.
+    -- exactly ``CaptureStore.iter_rows()`` order.
     """
     rows = [
         (
@@ -76,110 +70,69 @@ def capture_rows(
     return [(d, o, c, v) for _, d, o, c, v in rows]
 
 
-def adoption_series(
+def domain_day_rows(
     graph: ConsentGraph,
-    restrict_to: Optional[Sequence[str]] = None,
-    *,
-    interpolate: bool = True,
-    fade_out_days: int = FADE_OUT_DAYS,
-) -> AdoptionSeries:
-    """Figure 6 as a graph query (shadow of ``from_columnar``).
-
-    Adoption is a time-windowed filter over ``CAPTURED`` edges: group
-    them per domain in ``seq`` order (first-capture domain order, rows
-    in capture order -- the order the per-day 1/3 vote and its
-    ``Counter`` tie-breaking are defined over) and run the shared
-    interval estimator on each group.
-    """
-    wanted = set(restrict_to) if restrict_to is not None else None
+) -> Dict[str, List[Tuple[int, Optional[str]]]]:
+    """``domain -> [(date_ordinal, cmp_key), ...]`` in capture order,
+    domains in first-capture order -- the projection
+    ``CaptureStore.domain_day_rows()`` gives of the same rows."""
     per_domain: Dict[str, List[Tuple[int, Optional[str]]]] = {}
     for domain, ordinal, cmp_key, _vantage in capture_rows(graph):
-        bucket = per_domain.get(domain)
-        if bucket is None:
-            per_domain[domain] = [(ordinal, cmp_key)]
-        else:
-            bucket.append((ordinal, cmp_key))
-    timelines: Dict[str, DomainTimeline] = {}
-    for domain, rows in per_domain.items():
-        if wanted is not None and domain not in wanted:
-            continue
-        timelines[domain] = DomainTimeline.from_day_rows(
-            domain,
-            rows,
-            interpolate=interpolate,
-            fade_out_days=fade_out_days,
-        )
-    return AdoptionSeries(timelines=timelines)
+        per_domain.setdefault(domain, []).append((ordinal, cmp_key))
+    return per_domain
+
+
+def adoption_series(
+    graph: ConsentGraph, restrict_to: Optional[Sequence[str]] = None
+) -> AdoptionSeries:
+    """Figure 6 over the ``CAPTURED`` edges."""
+    return AdoptionSeries.from_day_rows(domain_day_rows(graph), restrict_to)
 
 
 def vantage_table(graph: ConsentGraph) -> VantageTable:
-    """Table 1 as a graph query (shadow of ``from_stream_rows``).
-
-    Replays the ``CAPTURED`` edges in ``seq`` order into the shared
-    accumulator: per vantage, a domain counts once under its most
-    recent CMP-positive capture, configs and domains in
-    first-appearance order.
-    """
-    accumulator = VantageAccumulator()
-    for domain, _ordinal, cmp_key, vantage in capture_rows(graph):
-        accumulator.add(vantage, domain, cmp_key)
-    return accumulator.table()
+    """Table 1 over the ``CAPTURED`` edges, replayed in ``seq`` order."""
+    return VantageTable.from_stream_rows(
+        (vantage, domain, cmp_key)
+        for domain, _ordinal, cmp_key, vantage in capture_rows(graph)
+    )
 
 
 # ----------------------------------------------------------------------
 # Toplist / marketshare projections
 # ----------------------------------------------------------------------
-def toplist_ranks(
-    graph: ConsentGraph, ranking: str = "tranco"
-) -> Dict[str, int]:
-    """``domain -> 1-based rank`` from one ranking's ``RANK`` edges."""
-    node = graph.node_id("ranking", ranking)
+def _tranco_rank_edges(graph: ConsentGraph) -> List[Tuple[int, dict]]:
+    node = graph.node_id("ranking", "tranco")
     if node is None:
-        raise GraphError(f"ranking {ranking!r} not ingested")
+        raise GraphError("ranking 'tranco' not ingested")
+    return graph.adjacency(node, "RANK", direction="in")
+
+
+def toplist_ranks(graph: ConsentGraph) -> Dict[str, int]:
+    """``domain -> 1-based rank`` from the Tranco ``RANK`` edges."""
     return {
         graph.node_key(domain_node): props["rank"]
-        for domain_node, props in graph.adjacency(
-            node, "RANK", direction="in"
-        )
+        for domain_node, props in _tranco_rank_edges(graph)
     }
 
 
-def observed_curve(
-    graph: ConsentGraph,
-    date: dt.date,
-    sizes: Sequence[int],
-    *,
-    ranking: str = "tranco",
-    restrict_to: Optional[Sequence[str]] = None,
-) -> MarketShareCurve:
-    """Observed (capture-derived) marketshare as a graph query.
+def toplist_order(graph: ConsentGraph) -> List[int]:
+    """Domain node ids of the Tranco ranking in rank order (position 1
+    first)."""
+    order = sorted(
+        (props["rank"], domain_node)
+        for domain_node, props in _tranco_rank_edges(graph)
+    )
+    return [domain_node for _, domain_node in order]
 
-    Shadow of :func:`repro.core.marketshare.observed_marketshare`: a
-    domain counts for a CMP in prefix *n* when its interpolated
-    timeline (from the ``CAPTURED`` edges) classifies it with that CMP
-    on *date* and its ``RANK`` edge puts it at rank <= *n*. Bucket
-    counts are integers, so iteration order cannot leak into the curve.
-    """
-    sizes = sorted(set(int(s) for s in sizes))
-    if not sizes or sizes[0] < 1:
-        raise ValueError("toplist sizes must be positive")
-    series = adoption_series(graph, restrict_to)
-    timelines = series.timelines
-    per_bucket: Dict[str, List[int]] = {k: [0] * len(sizes) for k in CMP_KEYS}
-    max_size = sizes[-1]
-    ranks = toplist_ranks(graph, ranking)
-    for domain in sorted(ranks):
-        rank = ranks[domain]
-        if rank > max_size:
-            continue
-        timeline = timelines.get(domain)
-        if timeline is None:
-            continue
-        state = timeline.state_on(date)
-        buckets = per_bucket.get(state) if state is not None else None
-        if buckets is not None:
-            buckets[bisect.bisect_left(sizes, rank)] += 1
-    return _curve_from_buckets(date, sizes, per_bucket)
+
+def observed_curve(
+    graph: ConsentGraph, date: dt.date, sizes: Sequence[int]
+) -> MarketShareCurve:
+    """Observed (capture-derived) marketshare over the ``CAPTURED`` and
+    Tranco ``RANK`` edges."""
+    return observed_marketshare(
+        adoption_series(graph), toplist_ranks(graph), date, sizes
+    )
 
 
 def adopted_cmp_on(
@@ -200,22 +153,6 @@ def adopted_cmp_on(
     return None
 
 
-def toplist_order(
-    graph: ConsentGraph, ranking: str = "tranco"
-) -> List[int]:
-    """Domain node ids of one ranking in rank order (position 1 first)."""
-    node = graph.node_id("ranking", ranking)
-    if node is None:
-        raise GraphError(f"ranking {ranking!r} not ingested")
-    order = sorted(
-        (props["rank"], domain_node)
-        for domain_node, props in graph.adjacency(
-            node, "RANK", direction="in"
-        )
-    )
-    return [domain_node for _, domain_node in order]
-
-
 def fig5_curve(
     graph: ConsentGraph,
     date: dt.date,
@@ -225,50 +162,19 @@ def fig5_curve(
     samples_per_stratum: int = 2_000,
     seed: int = 5,
 ) -> MarketShareCurve:
-    """Figure 5 as a graph query (shadow of
-    :func:`repro.core.marketshare.marketshare_by_toplist_size`).
-
-    Walks the toplist in ``RANK`` order and reads each domain's CMP
-    state from its ``ADOPTED`` edges instead of asking the synthetic
-    world; deep strata replay the reference's exact seeded sampling
-    sequence (same ``random.Random(seed)``, same index stream over the
-    same stratum slices), so the estimated float counts agree bit for
-    bit, not just statistically.
-    """
+    """Figure 5 over the Tranco ``RANK`` order, each domain's CMP read
+    from its ``ADOPTED`` edges."""
     order = toplist_order(graph)
-    max_size = len(order)
-    if sizes is None:
-        sizes = default_sizes(max_size)
-    sizes = sorted(set(min(s, max_size) for s in sizes))
-    if sizes[0] < 1:
-        raise ValueError("toplist sizes must be positive")
-
-    rng = random.Random(seed)
     date_iso = date.isoformat()
-    cum: Counter = Counter()
-    counts: Dict[str, List[float]] = {k: [] for k in CMP_KEYS}
-    prev = 0
-    for size in sizes:
-        stratum = order[prev:size]
-        if size <= exact_limit or len(stratum) <= samples_per_stratum:
-            for domain_node in stratum:
-                cmp_key = adopted_cmp_on(graph, domain_node, date_iso)
-                if cmp_key is not None:
-                    cum[cmp_key] += 1
-        else:
-            sampled = rng.sample(range(len(stratum)), samples_per_stratum)
-            stratum_counts: Counter = Counter()
-            for idx in sampled:
-                cmp_key = adopted_cmp_on(graph, stratum[idx], date_iso)
-                if cmp_key is not None:
-                    stratum_counts[cmp_key] += 1
-            scale = len(stratum) / samples_per_stratum
-            for key, n in stratum_counts.items():
-                cum[key] += n * scale
-        for key in CMP_KEYS:
-            counts[key].append(float(cum[key]))
-        prev = size
-    return MarketShareCurve(date=date, sizes=list(sizes), counts=counts)
+    return stratified_marketshare(
+        len(order),
+        lambda position: adopted_cmp_on(graph, order[position], date_iso),
+        date,
+        sizes,
+        exact_limit=exact_limit,
+        samples_per_stratum=samples_per_stratum,
+        seed=seed,
+    )
 
 
 def observes_degree(graph: ConsentGraph) -> Dict[str, int]:
@@ -301,10 +207,9 @@ def country_fig5(
     A CrUX-shaped list only reveals rank *magnitudes*, so the curve is
     sampled at each bucket boundary: prefix = every domain whose bucket
     is <= the boundary, size = that prefix's cardinality, CMP state
-    from the ``ADOPTED`` edges. Counts are exact integers (country
-    lists are small); per-CMP series share the reference curve
-    encoding, so cross-country comparisons read like the paper's
-    Figures A.4-A.6.
+    from the ``ADOPTED`` edges, every prefix counted exactly (country
+    lists are small). Cross-country comparisons then read like the
+    paper's Figures A.4-A.6.
     """
     node = graph.node_id("ranking", f"crux:{country}")
     if node is None:
@@ -315,134 +220,63 @@ def country_fig5(
     by_bucket: Dict[int, List[int]] = {}
     for domain_node, props in graph.adjacency(node, "RANK", direction="in"):
         by_bucket.setdefault(props["bucket"], []).append(domain_node)
-    date_iso = date.isoformat()
-    cum: Counter = Counter()
+    nodes: List[int] = []
     sizes: List[int] = []
-    counts: Dict[str, List[float]] = {k: [] for k in CMP_KEYS}
-    total = 0
     for bucket in sorted(by_bucket):
-        nodes = by_bucket[bucket]
-        total += len(nodes)
-        for domain_node in nodes:
-            cmp_key = adopted_cmp_on(graph, domain_node, date_iso)
-            if cmp_key is not None:
-                cum[cmp_key] += 1
-        sizes.append(total)
-        for key in CMP_KEYS:
-            counts[key].append(float(cum[key]))
-    return MarketShareCurve(date=date, sizes=sizes, counts=counts)
+        nodes.extend(by_bucket[bucket])
+        sizes.append(len(nodes))
+    date_iso = date.isoformat()
+    return stratified_marketshare(
+        len(nodes),
+        lambda position: adopted_cmp_on(graph, nodes[position], date_iso),
+        date,
+        sizes,
+        exact_limit=len(nodes),
+    )
 
 
 # ----------------------------------------------------------------------
-# GVL churn (Figures 7/8)
+# GVL history (Figures 7/8)
 # ----------------------------------------------------------------------
-def gvl_versions(
-    graph: ConsentGraph,
-) -> List[Tuple[int, str, Dict[int, Tuple[frozenset, frozenset]]]]:
-    """Per GVL version: ``(version, date, {vendor id: (consent, li)})``.
-
-    Versions come back in version order (the ``v%05d`` natural keys sort
-    numerically); membership and declarations are decoded from each
+def gvl_history(graph: ConsentGraph) -> List[GlobalVendorList]:
+    """The ingested GVL versions, in version order, rebuilt from each
     version's ``MEMBER_OF`` edges.
+
+    The graph holds each vendor's per-version consent/LI declarations,
+    not its name, policy URL or features, so those come back empty. A
+    vendor whose declarations do not change between versions is one
+    shared :class:`~repro.tcf.gvl.Vendor`, as in a generated history.
     """
-    out = []
+    vendors: Dict[Tuple[int, str, str], Vendor] = {}
+    versions = []
     for node in graph.nodes_of_type("gvl_version"):
-        props = graph.props(node)
-        members: Dict[int, Tuple[frozenset, frozenset]] = {}
+        members = []
         for vendor_node, eprops in graph.adjacency(
             node, "MEMBER_OF", direction="in"
         ):
-            members[graph.props(vendor_node)["vendor_id"]] = (
-                parse_purpose_csv(eprops["consent"]),
-                parse_purpose_csv(eprops["li"]),
+            key = (vendor_node, eprops["consent"], eprops["li"])
+            vendor = vendors.get(key)
+            if vendor is None:
+                vendor = vendors[key] = Vendor(
+                    id=graph.props(vendor_node)["vendor_id"],
+                    name="",
+                    policy_url="",
+                    purpose_ids=parse_purpose_csv(eprops["consent"]),
+                    leg_int_purpose_ids=parse_purpose_csv(eprops["li"]),
+                )
+            members.append(vendor)
+        props = graph.props(node)
+        versions.append(
+            GlobalVendorList(
+                version=props["version"],
+                last_updated=dt.date.fromisoformat(props["last_updated"]),
+                vendors=tuple(members),
             )
-        out.append((props["version"], props["last_updated"], members))
-    return out
-
-
-def _basis_of(
-    pid: int, consent: frozenset, li: frozenset
-) -> Optional[str]:
-    if pid in consent:
-        return "consent"
-    if pid in li:
-        return "legitimate-interest"
-    return None
-
-
-def gvl_churn(
-    graph: ConsentGraph, purpose_ids: Tuple[int, ...] = PURPOSE_IDS
-) -> dict:
-    """Vendor churn as ``MEMBER_OF`` edge diffs (shadow of
-    :class:`~repro.core.gvl_analysis.GvlAnalysis`).
-
-    Diffs consecutive versions' membership edge sets: joins/leaves from
-    the vendor-id symmetric difference, purpose-change events from the
-    per-edge declaration CSVs, classified through the same
-    :class:`~repro.tcf.gvl.PurposeChange` taxonomy. The payload holds
-    Figure 7 (vendor/purpose counts over time) and Figure 8 (events by
-    kind, net LI->consent); all lists are sorted, so the bytes are
-    canonical.
-    """
-    versions = gvl_versions(graph)
-    if len(versions) < 2:
-        raise GraphError("need at least two ingested GVL versions")
-    vendor_counts = [[date, len(members)] for _, date, members in versions]
-    purpose_series: Dict[str, Dict[int, List[List[object]]]] = {
-        basis: {pid: [] for pid in purpose_ids}
-        for basis in ("consent", "legitimate-interest", "any")
-    }
-    for _version, date, members in versions:
-        hist = {
-            basis: {pid: 0 for pid in purpose_ids}
-            for basis in purpose_series
-        }
-        for vid in sorted(members):
-            consent, li = members[vid]
-            for pid in sorted(consent):
-                hist["consent"][pid] += 1
-                hist["any"][pid] += 1
-            for pid in sorted(li):
-                hist["legitimate-interest"][pid] += 1
-                hist["any"][pid] += 1
-        for basis in ("consent", "legitimate-interest", "any"):
-            for pid in purpose_ids:
-                purpose_series[basis][pid].append([date, hist[basis][pid]])
-
-    membership: List[List[object]] = []
-    change_series: List[List[object]] = []
-    events: Counter = Counter()
-    for (_v0, _d0, old), (_v1, d1, new) in zip(versions, versions[1:]):
-        joined = len([vid for vid in sorted(new) if vid not in old])
-        left = len([vid for vid in sorted(old) if vid not in new])
-        membership.append([d1, joined, left])
-        step: Counter = Counter()
-        for vid in sorted(old):
-            if vid not in new:
-                continue
-            old_consent, old_li = old[vid]
-            new_consent, new_li = new[vid]
-            for pid in purpose_ids:
-                before = _basis_of(pid, old_consent, old_li)
-                after = _basis_of(pid, new_consent, new_li)
-                if before != after:
-                    kind = PurposeChange(vid, pid, before, after).kind
-                    step[kind] += 1
-                    events[kind] += 1
-        change_series.append(
-            [d1, [[kind, step[kind]] for kind in sorted(step)]]
         )
+    return versions
 
-    return {
-        "vendor_counts": vendor_counts,
-        "purpose_series": {
-            basis: [[pid, series[pid]] for pid in purpose_ids]
-            for basis, series in sorted(purpose_series.items())
-        },
-        "membership": membership,
-        "change_series": change_series,
-        "events": [[kind, events[kind]] for kind in sorted(events)],
-        "net_li_to_consent": (
-            events["li-to-consent"] - events["consent-to-li"]
-        ),
-    }
+
+def gvl_churn(graph: ConsentGraph) -> GvlAnalysis:
+    """Figures 7/8 (vendor counts, purpose series, membership and
+    purpose-change churn) over the graph's GVL history."""
+    return GvlAnalysis(gvl_history(graph))

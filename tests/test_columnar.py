@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adoption import AdoptionSeries
+from repro.core.adoption import AdoptionSeries, DomainTimeline
 from repro.crawler.browser import CrawlProfile, crawl_url
 from repro.crawler.capture import Observation, Vantage
 from repro.crawler.columnar import (
@@ -373,9 +373,20 @@ class TestColumnarAdoption:
         platform = NetographPlatform(world, stream, PlatformConfig(seed=5))
         return platform.run(dt.date(2020, 4, 1), dt.date(2020, 4, 10))
 
+    @staticmethod
+    def _via_observations(store, restrict=None):
+        wanted = None if restrict is None else set(restrict)
+        return AdoptionSeries(
+            timelines={
+                domain: DomainTimeline.from_observations(domain, observations)
+                for domain, observations in store.by_domain().items()
+                if wanted is None or domain in wanted
+            }
+        )
+
     def test_from_columnar_matches_from_store(self):
         store = self._store()
-        via_objects = AdoptionSeries.from_store(store.by_domain(), None)
+        via_objects = self._via_observations(store)
         via_columns = AdoptionSeries.from_columnar(store, None)
         assert list(via_columns.timelines) == list(via_objects.timelines)
         assert via_columns.timelines == via_objects.timelines
@@ -384,7 +395,7 @@ class TestColumnarAdoption:
     def test_from_columnar_restricted(self):
         store = self._store()
         restrict = list(store.by_domain())[::4]
-        via_objects = AdoptionSeries.from_store(store.by_domain(), restrict)
+        via_objects = self._via_observations(store, restrict)
         via_columns = AdoptionSeries.from_columnar(store, restrict)
         assert via_columns.to_payload() == via_objects.to_payload()
 

@@ -27,6 +27,14 @@ def timeline(*observations):
     return DomainTimeline.from_observations("example.com", observations)
 
 
+def day_rows(by_domain):
+    """``domain -> (date_ordinal, cmp_key)`` rows of observation lists."""
+    return {
+        domain: [(o.date.toordinal(), o.cmp_key) for o in observations]
+        for domain, observations in by_domain.items()
+    }
+
+
 class TestInterpolation:
     def test_equal_boundaries_interpolated(self):
         # The paper's example: Quantcast a month ago and today -> assume
@@ -182,7 +190,7 @@ class TestAdoptionSeries:
             ],
             "c.com": [obs("2020-01-01", None, "c.com")],
         }
-        return AdoptionSeries.from_store(by_domain)
+        return AdoptionSeries.from_day_rows(day_rows(by_domain))
 
     def test_counts_on(self):
         series = self.make_series()
@@ -199,7 +207,9 @@ class TestAdoptionSeries:
             "a.com": [obs("2020-01-01", "quantcast", "a.com")],
             "b.com": [obs("2020-01-01", "onetrust", "b.com")],
         }
-        series = AdoptionSeries.from_store(by_domain, restrict_to=["a.com"])
+        series = AdoptionSeries.from_day_rows(
+            day_rows(by_domain), restrict_to=["a.com"]
+        )
         assert set(series.timelines) == {"a.com"}
 
     def test_series_over_dates(self):

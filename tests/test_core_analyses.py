@@ -19,6 +19,7 @@ from repro.core.relatedwork import (
 )
 from repro.core.switching import SwitchingFlows
 from repro.core.timing import OptOutStudy, TimingStudy
+from repro.core.vantage import VantageTable
 from repro.crawler.capture import EU_CLOUD, Observation
 from repro.users.behavior import DialogConfig
 from repro.users.experiment import run_quantcast_experiment
@@ -162,6 +163,21 @@ class TestVantageTable:
     def test_format_table_renders(self, table):
         text = table.format_table()
         assert "OneTrust" in text and "Coverage" in text
+
+    def test_config_without_captures_keeps_its_column(self, study):
+        crawl = study.run_toplist_crawl(
+            MAY, configs=("eu-cloud", "us-cloud"), size=60
+        )
+        crawl.captures = {
+            "eu-cloud": crawl.captures["eu-cloud"],
+            "idle": {},
+            "us-cloud": crawl.captures["us-cloud"],
+        }
+        table = VantageTable.from_crawl(crawl)
+        assert list(table.counts) == ["eu-cloud", "idle", "us-cloud"]
+        assert table.counts["idle"] == Counter()
+        assert table.cmp_domains["idle"] == frozenset()
+        assert table.total("eu-cloud") > 0
 
 
 class TestGvlAnalysisUnit:

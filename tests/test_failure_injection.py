@@ -65,7 +65,7 @@ class TestDeadWorld:
     def test_series_over_failed_captures(self, dead_world):
         platform = NetographPlatform(dead_world)
         store = platform.run(dt.date(2020, 4, 1), dt.date(2020, 4, 3))
-        series = AdoptionSeries.from_store(store.by_domain())
+        series = AdoptionSeries.from_columnar(store)
         assert series.total_on(MAY) == 0
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the typed property graph (`repro.graph.model`)."""
 
-import json
-
 import pytest
 
 from repro.graph.model import (
@@ -9,7 +7,6 @@ from repro.graph.model import (
     NODE_TYPES,
     ConsentGraph,
     GraphError,
-    merge_graphs,
 )
 
 
@@ -119,18 +116,6 @@ def test_digest_insertion_order_independent():
     assert g1.digest() != g2.digest()
 
 
-def test_payload_round_trip():
-    g = small_graph()
-    payload = g.to_payload()
-    # Canonical: serializing the payload twice gives identical bytes.
-    assert json.dumps(payload) == json.dumps(
-        ConsentGraph.from_payload(payload).to_payload()
-    )
-    rebuilt = ConsentGraph.from_payload(payload)
-    assert rebuilt.digest() == g.digest()
-    assert rebuilt.stats() == g.stats()
-
-
 def test_stats_counts_per_type():
     g = small_graph()
     assert g.stats() == {
@@ -139,24 +124,6 @@ def test_stats_counts_per_type():
         "edges:CAPTURED": 2,
         "edges:OBSERVES": 2,
     }
-
-
-def test_merge_graphs_unions_facts():
-    g1 = ConsentGraph()
-    a = g1.add_node("domain", "a.com", color="blue")
-    g1.add_edge("OBSERVES", a, g1.add_node("cmp", "quantcast"))
-    g2 = ConsentGraph()
-    b = g2.add_node("domain", "b.com")
-    g2.add_edge("OBSERVES", b, g2.add_node("cmp", "quantcast"))
-    merged = merge_graphs([g1, g2])
-    assert merged.stats() == {
-        "nodes:cmp": 1,
-        "nodes:domain": 2,
-        "edges:OBSERVES": 2,
-    }
-    # Self-merge is the identity (dedup on full identity).
-    assert merge_graphs([g1, g1]).digest() == g1.digest()
-    assert merge_graphs([]).digest() == ConsentGraph().digest()
 
 
 def test_declared_schema_stays_sorted():

@@ -1,10 +1,11 @@
-"""Differential parity: graph queries vs the `core/` references.
+"""Differential parity: graph queries vs the `core/` functions.
 
-Every query in :mod:`repro.graph.query` that shadows an existing
-analysis must produce **byte-identical** payloads to the original
-derivation -- over the default study fixtures, over a faulted/retried
-run, and on the serial and process executor backends. Parity is always
-asserted on canonical JSON bytes, never on floats with tolerance.
+Every query in :mod:`repro.graph.query` projects the graph onto the
+input of one `core/` function and calls it; run on the original source,
+that function must produce **byte-identical** payloads -- over the
+default study fixtures, over a faulted/retried run, and on the serial
+and process executor backends. Parity is always asserted on canonical
+JSON bytes, never on floats with tolerance.
 """
 
 import dataclasses
@@ -14,7 +15,6 @@ import json
 import pytest
 
 from repro.core.adoption import AdoptionSeries
-from repro.core.gvl_analysis import GvlAnalysis
 from repro.core.marketshare import (
     default_sizes,
     marketshare_by_toplist_size,
@@ -33,12 +33,12 @@ from repro.graph import (
     fig5_curve,
     graph_countries,
     gvl_churn,
+    gvl_history as graph_gvl_history,
     observed_curve,
     observes_degree,
     toplist_ranks,
     vantage_table,
 )
-from repro.tcf.purposes import PURPOSE_IDS
 from repro.toplist.providers import per_country_toplists
 
 MAY_2020 = dt.date(2020, 5, 15)
@@ -60,33 +60,20 @@ def canon(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def reference_gvl_churn(versions) -> dict:
-    """The `core/` GVL derivation, re-encoded in the graph payload shape."""
-    ana = GvlAnalysis(versions)
-    return {
-        "vendor_counts": [
-            [d.isoformat(), n] for d, n in ana.vendor_count_series()
-        ],
-        "purpose_series": {
-            basis: [
-                [pid, [[d.isoformat(), n] for d, n in series[pid]]]
-                for pid in PURPOSE_IDS
-            ]
-            for basis, series in sorted(
-                (b, ana.purpose_series(b))
-                for b in ("any", "consent", "legitimate-interest")
-            )
-        },
-        "membership": [
-            [d.isoformat(), j, l] for d, j, l in ana.membership_series()
-        ],
-        "change_series": [
-            [d.isoformat(), [[k, c[k]] for k in sorted(c)]]
-            for d, c in ana.change_series()
-        ],
-        "events": [[k, n] for k, n in sorted(ana.change_events().items())],
-        "net_li_to_consent": ana.net_li_to_consent(),
-    }
+def gvl_facts(versions):
+    """What the graph ingests of a GVL history: per version, its number,
+    date and each vendor's consent/LI declarations."""
+    return [
+        (
+            version.version,
+            version.last_updated,
+            sorted(
+                (vendor.id, vendor.purpose_ids, vendor.leg_int_purpose_ids)
+                for vendor in version.vendors
+            ),
+        )
+        for version in sorted(versions, key=lambda v: v.version)
+    ]
 
 
 def store_rows_for_vantage(store):
@@ -168,9 +155,8 @@ class TestDefaultStudyParity:
         assert canon(got.to_payload()) == canon(ref.to_payload())
 
     def test_gvl_churn_bit_identical(self, graph, gvl_history):
-        assert canon(gvl_churn(graph)) == canon(
-            reference_gvl_churn(gvl_history)
-        )
+        assert gvl_facts(graph_gvl_history(graph)) == gvl_facts(gvl_history)
+        assert gvl_facts(gvl_churn(graph).versions) == gvl_facts(gvl_history)
 
     def test_observes_degree_matches_store(self, graph, social_store):
         seen = {}
@@ -222,29 +208,6 @@ class TestPerCountryFig5:
 
         with pytest.raises(GraphError, match="XX"):
             country_fig5(graph, "XX", MAY_2020)
-
-
-class TestStudyGraphCache:
-    def test_warm_rebuild_is_bit_identical(self, tmp_path, gvl_history):
-        config = StudyConfig(
-            seed=5,
-            n_domains=1_000,
-            toplist_size=100,
-            events_per_day=40,
-            study_start=dt.date(2020, 3, 1),
-            study_end=dt.date(2020, 3, 15),
-            cache_dir=str(tmp_path),
-        )
-        cold = Study(config)
-        graph = cold.build_graph(
-            cold.run_social_crawl(), gvl_versions=gvl_history
-        )
-        warm = Study(config)
-        rebuilt = warm.build_graph(
-            warm.run_social_crawl(), gvl_versions=gvl_history
-        )
-        assert rebuilt.digest() == graph.digest()
-        assert canon(rebuilt.to_payload()) == canon(graph.to_payload())
 
 
 class TestFaultedAndBackendParity:

@@ -6,9 +6,9 @@ Three contracts every ingestor must honor (ingest.py docstring):
   digest unchanged;
 * **order independence** -- any permutation of ingestors produces the
   identical graph;
-* **shard-merge associativity** -- graphs built per capture shard (with
-  ``seq_base`` offsets) merge, in any grouping, to the same graph as
-  one serial build over the concatenated store.
+* **shard-merge associativity** -- capture shards merged as stores (in
+  shard order, the executor's path) and then ingested give the same
+  graph as one serial build over the concatenated rows.
 """
 
 import datetime as dt
@@ -22,13 +22,13 @@ from repro.cmps.base import CMP_KEYS
 from repro.crawler.columnar import CaptureStore
 from repro.graph import (
     ConsentGraph,
+    country_fig5,
     ingest_captures,
     ingest_country_rankings,
     ingest_gvl,
     ingest_toplist,
     ingest_vantages,
     ingest_world_adoption,
-    merge_graphs,
 )
 from repro.toplist.providers import RANK_BUCKETS, CountryToplist
 
@@ -241,27 +241,53 @@ def test_shard_merge_associativity(rows, data):
     serial = ConsentGraph()
     ingest_captures(serial, store_from(rows))
 
-    # Per-shard graphs, each offset by the rows before it.
-    shard_graphs = []
-    base = 0
-    for shard in shards:
-        g = ConsentGraph()
-        ingest_captures(g, store_from(shard), seq_base=base)
-        base += len(shard)
-        shard_graphs.append(g)
-
-    # Any merge grouping reproduces the serial build exactly.
-    assert merge_graphs(shard_graphs).digest() == serial.digest()
-    left = merge_graphs([merge_graphs(shard_graphs[:2]), shard_graphs[2]])
-    right = merge_graphs([shard_graphs[0], merge_graphs(shard_graphs[1:])])
-    assert left.digest() == serial.digest()
-    assert right.digest() == serial.digest()
-
     # Merging the *stores* first (the executor's path: concatenation in
-    # shard order) then ingesting serially is the same graph again.
+    # shard order) then ingesting serially is the same graph.
     merged_store = store_from(shards[0])
     for shard in shards[1:]:
         merged_store.merge(store_from(shard))
     from_merged = ConsentGraph()
     ingest_captures(from_merged, merged_store)
     assert from_merged.digest() == serial.digest()
+
+
+# ----------------------------------------------------------------------
+# Ingest cost and edge cases
+# ----------------------------------------------------------------------
+def test_gvl_adds_each_declares_edge_once():
+    # Vendor 1 repeats its declarations in every version, then moves
+    # purpose 2 to legitimate interest: 5 distinct DECLARES edges.
+    steady = (
+        StubVendor(1, frozenset({1, 2}), frozenset({3})),
+        StubVendor(2, frozenset({1}), frozenset()),
+    )
+    history = tuple(
+        StubVersion(v, dt.date(2019, 1, 1) + dt.timedelta(days=14 * v), steady)
+        for v in range(1, 5)
+    ) + (
+        StubVersion(
+            5,
+            dt.date(2019, 4, 1),
+            (StubVendor(1, frozenset({1}), frozenset({2, 3})),),
+        ),
+    )
+    graph = ConsentGraph()
+    calls = []
+    add_edge = graph.add_edge
+
+    def counting_add_edge(etype, src, dst, **props):
+        calls.append(etype)
+        return add_edge(etype, src, dst, **props)
+
+    graph.add_edge = counting_add_edge
+    ingest_gvl(graph, history)
+    assert len(graph.edges_of_type("DECLARES")) == 5
+    assert calls.count("DECLARES") == 5
+
+
+def test_country_fig5_over_an_empty_ranking_is_empty():
+    graph = ConsentGraph()
+    ingest_country_rankings(graph, {"DE": CountryToplist("DE", entries=())})
+    curve = country_fig5(graph, "DE", dt.date(2020, 5, 15))
+    assert curve.sizes == []
+    assert curve.counts == {key: [] for key in CMP_KEYS}

@@ -12,6 +12,33 @@ from repro.core.timeline import (
 from repro.datasets import PRIVACY_LAW_EVENTS, Event
 
 
+class TestStudyConfigValidation:
+    @pytest.mark.parametrize(
+        "knobs, field",
+        [
+            ({"parallelism": 0}, "parallelism"),
+            ({"parallelism": -2}, "parallelism"),
+            ({"memory_budget": 0}, "memory_budget"),
+            ({"memory_budget": -1}, "memory_budget"),
+            ({"backend": "fork"}, "backend"),
+            ({"checkpoint_every_days": -1}, "checkpoint_every_days"),
+        ],
+    )
+    def test_bad_execution_knob_fails_loudly(self, knobs, field):
+        with pytest.raises(ValueError, match=field):
+            StudyConfig(**knobs)
+
+    def test_edge_values_accepted(self):
+        config = StudyConfig(
+            parallelism=1,
+            memory_budget=1,
+            backend="process",
+            checkpoint_every_days=0,
+        )
+        assert config.memory_budget == 1
+        assert StudyConfig(memory_budget=None).memory_budget is None
+
+
 class TestStudyFacade:
     def test_toplist_domains_cached(self, study):
         assert study.toplist_domains is study.toplist_domains

@@ -295,3 +295,23 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])
+
+    def test_zero_workers_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--workers", "0", "gvl"])
+        assert excinfo.value.code == 2
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+
+    def test_gvl_and_graph_gvl_churn_print_the_same_lines(self, capsys):
+        assert cli_main(["--domains", "1000", "gvl"]) == 0
+        direct = capsys.readouterr().out.splitlines()
+        rc = cli_main(
+            ["--domains", "1000", "--toplist", "100", "study",
+             "--days", "2", "--events-per-day", "40",
+             "graph-query", "gvl-churn"]
+        )
+        assert rc == 0
+        via_graph = capsys.readouterr().out.splitlines()
+        assert any("vendors" in line for line in direct)
+        assert any(line.startswith("  li-to-consent") for line in direct)
+        assert via_graph[-len(direct):] == direct
