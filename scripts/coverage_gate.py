@@ -1,13 +1,16 @@
 """Coverage gate: the gated subsystems must stay statement-covered.
 
-Two gates, one contract each:
+Three gates, one contract each:
 
 * ``repro.graph`` -- the whole package, >= 90% (the ISSUE-9 gate: new
   subsystems can't land untested);
 * scale-out -- the spilling capture store and the bounded-LRU
   primitive (``repro.crawler.spill``, ``repro.web.lru``), >= 90%
   (the ISSUE-10 gate: the memory-bounding layer is load-bearing for
-  bit-identity, so its branches stay exercised).
+  bit-identity, so its branches stay exercised);
+* the toplist crawl (``repro.crawler.toplist_crawl``), >= 90%: Table 1
+  comes from its compact rows and the customization audit from the
+  captures it renders, so both paths stay pinned by its oracle tests.
 
 Two measurement paths:
 
@@ -80,6 +83,16 @@ GATES: Tuple[Gate, ...] = (
             "tests/test_scale.py",
             "tests/test_cache.py",
             "tests/test_worldgen.py",
+        ),
+    ),
+    Gate(
+        name="repro.crawler.toplist_crawl",
+        files=(SRC_ROOT / "repro" / "crawler" / "toplist_crawl.py",),
+        floor=90.0,
+        tests=(
+            "tests/test_toplist_crawl.py",
+            "tests/test_chaos_invariants.py",
+            "tests/test_cache.py",
         ),
     ),
 )

@@ -110,9 +110,11 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.executor",
         "repro.crawler.platform",
         "repro.crawler.queue",
+        "repro.crawler.seeds",
         "repro.crawler.spill",
         "repro.detect.engine",
         "repro.web.lru",
+        "repro.web.serving",
         "repro.web.worldgen",
     ],
     "toplist-probes": [
@@ -127,7 +129,12 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
     ],
     "vantage": [
         "repro.core.vantage",
+        "repro.crawler.platform",
         "repro.crawler.toplist_crawl",
+        "repro.detect.engine",
+        "repro.net.probe",
+        "repro.web.serving",
+        "repro.web.worldgen",
     ],
     "marketshare": [
         "repro.core.marketshare",

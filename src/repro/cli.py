@@ -54,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="crawl-phase worker count, >= 1 (1 = serial)",
+        help="worker count for the social crawl, >= 1 (1 = serial); "
+        "the toplist crawl always runs serially",
     )
     parser.add_argument(
         "--backend",

@@ -61,7 +61,8 @@ class StudyConfig:
     events_per_day: int = 400
     study_start: dt.date = dt.date(2018, 3, 1)
     study_end: dt.date = dt.date(2020, 9, 30)
-    #: Crawl-phase worker count (>= 1); 1 keeps the plain serial loops.
+    #: Social-crawl worker count (>= 1); 1 keeps the plain serial
+    #: loop. The toplist crawl always runs serially.
     parallelism: int = 1
     #: Worker-pool backend for ``parallelism > 1``: "thread" | "process".
     backend: str = "thread"
@@ -142,7 +143,8 @@ class Study:
     # ------------------------------------------------------------------
     @cached_property
     def executor(self) -> Optional[CrawlExecutor]:
-        """The crawl executor implied by the parallelism knobs, if any."""
+        """The social-crawl executor implied by the parallelism knobs,
+        if any."""
         if self.config.parallelism <= 1:
             return None
         return CrawlExecutor(
@@ -289,7 +291,6 @@ class Study:
             domains,
             when,
             configs,
-            executor=self.executor,
             cache=self.cache,
             probe_fingerprint=probe_fingerprint,
         )
@@ -394,9 +395,10 @@ class Study:
         (all six configurations) entirely."""
         fingerprint = None
         if self.cache is not None:
+            top = size if size is not None else self.config.toplist_size
             fingerprint = self.fingerprint(
                 "vantage",
-                key=(when.isoformat(), f"top{size or self.config.toplist_size}"),
+                key=(when.isoformat(), f"top{top}"),
                 configs=",".join(CONFIG_NAMES),
             )
             payload = self.cache.load_payload(fingerprint)

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cmps.base import CMP_KEYS, cmp_by_key
 from repro.crawler.toplist_crawl import ToplistCrawlResult
-from repro.detect.engine import detect_cmp
 
 
 @dataclass
@@ -35,16 +34,13 @@ class VantageTable:
     @classmethod
     def from_crawl(cls, result: ToplistCrawlResult) -> "VantageTable":
         """Table 1 from a toplist crawl: per configuration, in crawl
-        order, captures count by final domain (so redirect targets are
-        counted once) under the :class:`VantageAccumulator` rule."""
-        accumulator = VantageAccumulator(result.captures)
-        for config_name, captures in result.captures.items():
-            for capture in captures.values():
-                accumulator.add(
-                    config_name,
-                    capture.final_domain,
-                    detect_cmp(capture).cmp_key,
-                )
+        order, final captures count by final domain (so redirect
+        targets are counted once) under the :class:`VantageAccumulator`
+        rule."""
+        accumulator = VantageAccumulator(result.rows)
+        for config_name, rows in result.rows.items():
+            for row in rows.values():
+                accumulator.add(config_name, row.final_domain, row.cmp_key)
         return accumulator.table()
 
     @classmethod

@@ -14,7 +14,9 @@ Reproduces the measurement infrastructure of Section 3.2:
 * :mod:`repro.crawler.platform` -- orchestration: vantage assignment
   (50% EU / 50% US cloud), crawling, and the capture store;
 * :mod:`repro.crawler.toplist_crawl` -- the toplist protocol: six
-  crawl configurations plus retries (Section 3.2).
+  crawl configurations plus retries (Section 3.2), crawled through the
+  platform's row step into compact per-domain rows; full captures
+  (DOM dialog, screenshots) are rendered on demand.
 """
 
 from repro.crawler.browser import CrawlProfile, crawl_url

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.crawler.capture import Capture, ScreenshotInfo, Vantage
-from repro.faults.schedule import Fault, FaultSchedule
+from repro.faults.schedule import FaultSchedule
 from repro.net.http import follow_redirects
 from repro.net.psl import default_psl
 from repro.net.url import URL
@@ -84,8 +84,8 @@ def crawl_url(
             _schedule_domain(url), str(vantage), attempt
         )
         if fault is not None:
-            return _faulted_capture(
-                url, when, vantage, profile, capture_id, fault
+            return faulted_capture(
+                url, when, vantage, profile, fault.kind, capture_id
             )
     settings = VisitSettings(
         date=when.date(),
@@ -131,41 +131,43 @@ def _schedule_domain(url: URL) -> str:
     return reg if reg is not None else url.host
 
 
-def _faulted_capture(
+#: Document status a faulted capture records, by fault kind; kinds
+#: absent here received no HTTP response at all (status ``None``).
+FAULT_STATUS: Dict[str, int] = {"antibot-challenge": 403}
+
+
+def faulted_capture(
     url: URL,
     when: dt.datetime,
     vantage: Vantage,
     profile: CrawlProfile,
-    capture_id: int,
-    fault: Fault,
+    kind: str,
+    capture_id: int = 0,
 ) -> Capture:
-    """The capture an injected fault produces instead of a page render.
+    """The capture an injected fault of *kind* produces instead of a
+    page render.
 
     Every kind fails conservatively: no transactions beyond an anti-bot
     interstitial, no cookies, no CMP-bearing page text -- a faulted
     capture can only ever *under*count CMP presence.
     """
-    status: Optional[int] = None
     timed_out = False
     page_text = ""
     blocked = False
-    if fault.kind == "slow-response":
+    if kind == "slow-response":
         # The response outlasted even the extended page timeout: the
         # crawl is cut off before any transaction completes.
         timed_out = True
-    elif fault.kind == "antibot-challenge":
-        status = 403
+    elif kind == "antibot-challenge":
         page_text = "Checking your browser before accessing the site."
         blocked = True
-    # "dns-error" and "connection-reset" leave status None: no HTTP
-    # response was received at all.
     return Capture(
         capture_id=capture_id,
         seed_url=url,
         final_url=url,
         captured_at=when,
         vantage=vantage,
-        status=status,
+        status=FAULT_STATUS.get(kind),
         transactions=(),
         cookies=(),
         storage_records=(),
@@ -175,5 +177,5 @@ def _faulted_capture(
         dom_dialog=None,
         dialog_shown=False,
         blocked_by_antibot=blocked,
-        fault=fault.kind,
+        fault=kind,
     )

@@ -99,9 +99,9 @@ class ShardStats:
     """Counters for one executed shard."""
 
     shard_id: int
-    #: Work items (events / probed domains) assigned to the shard.
+    #: Accepted share events assigned to the shard.
     tasks: int
-    #: Browser crawls performed (includes per-config and retry crawls).
+    #: Crawls the shard stored (one per event).
     crawls: int
     failures: int
     #: Wall-clock seconds spent inside the shard function.
@@ -320,8 +320,9 @@ ResumeFn = Callable[[T, WorkerCrash], T]
 class CrawlExecutor:
     """Runs shard functions on the configured worker pool.
 
-    The executor is generic over the shard payload: the social platform
-    submits day-range shards, the toplist crawler domain-range shards.
+    The executor is generic over the shard payload; the social platform
+    submits day-range shards
+    (:class:`~repro.crawler.platform.SocialShardSpec`).
     Shard functions must be module-level callables and payloads/results
     picklable so the ``process`` backend can ship them.
 

@@ -23,13 +23,16 @@ event, whatever runs it: :func:`crawl_batch` takes a day's batch,
 derives the vantage and queue-delay draws and the visit key of every
 event at once with uint64 numpy replicas of the keyed fold
 (:func:`_fold64_arr`, :func:`_draw_arr`; bit-identical to
-:mod:`repro.det`), renders each visit's compact skeleton
-(:func:`~repro.web.serving.visit_compact`), detects the batch over its
-host masks and appends it to the columnar store in one call. Only rows
-the fault schedule touches leave the vectorized flow: they run a per-row
-retry loop (:func:`~repro.faults.run_with_retries`) around the same
-precomputed visit, so a recovered crawl is bit-identical to its
-fault-free self.
+:mod:`repro.det`), renders each visit's compact skeleton in the row
+step :func:`visit_rows` (:func:`~repro.web.serving.visit_compact`),
+detects the batch over its host masks and appends it to the columnar
+store in one call. Only rows the fault schedule touches leave the
+straight path: they run a per-row retry loop
+(:func:`~repro.faults.run_with_retries`) around the same precomputed
+visit, so a recovered crawl is bit-identical to its fault-free self.
+The toplist crawl (:mod:`repro.crawler.toplist_crawl`) runs its rows
+through the same step, with its own vantage, dates, retry keys and
+fault-attempt counters.
 
 The serial loop (and with it :meth:`NetographPlatform.ingest_day` and
 the streaming engine) calls the kernel once per day. Every executor
@@ -58,7 +61,9 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -68,13 +73,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> storage -> platform)
     from repro.cache import ArtifactCache, Fingerprint
 
-from repro.crawler.browser import DEFAULT_PROFILE, CrawlProfile
+from repro.crawler.browser import DEFAULT_PROFILE, FAULT_STATUS, CrawlProfile
 from repro.crawler.capture import Vantage
-from repro.crawler.columnar import (
-    VANTAGE_IDS,
-    VANTAGE_STRS,
-    CaptureStore,
-)
+from repro.crawler.columnar import VANTAGE_IDS, CaptureStore
 from repro.crawler.executor import (
     CrawlExecutor,
     ExecutorStats,
@@ -101,7 +102,8 @@ from repro.faults import (
 )
 from repro.net import publish_cache_gauges
 from repro.net.psl import default_psl
-from repro.obs import Observability, resolve_obs
+from repro.net.url import URL
+from repro.obs import Counter, Observability, resolve_obs
 from repro.obs.memory import publish_memory_gauges
 from repro.web.serving import CompactVisit, visit_compact, visit_key_prefix
 from repro.web.worldgen import CacheLimits, World, publish_world_cache_gauges
@@ -111,15 +113,21 @@ __all__ = [
     "NetographPlatform",
     "PlatformConfig",
     "PlatformStats",
+    "RowVisits",
     "SocialShardSpec",
     "SocialShardResult",
     "crawl_batch",
     "crawl_social_shard",
+    "meter_crawls",
+    "meter_faults",
     "resume_social_shard",
+    "visit_rows",
 ]
 
 _EU_CLOUD_ID = VANTAGE_IDS[Vantage("EU", "cloud")]
 _US_CLOUD_ID = VANTAGE_IDS[Vantage("US", "cloud")]
+#: Region name by region id (0 = EU, 1 = US, as in the visit key).
+_REGION_NAMES = np.array(["EU", "US"], dtype=object)
 
 #: A crawl-phase store: resident, or spilling past a row budget.
 Store = Union[CaptureStore, SpillingCaptureStore]
@@ -232,6 +240,113 @@ def _fault_kind(result: Union[CompactVisit, Fault]) -> Optional[str]:
 # ----------------------------------------------------------------------
 # The crawl kernel
 # ----------------------------------------------------------------------
+class RowVisits(NamedTuple):
+    """What :func:`visit_rows` records per row, one list entry each."""
+
+    #: Registrable domain of the final address-bar URL (the seed URL's,
+    #: for a row that ended on an injected fault).
+    domains: List[str]
+    #: Fingerprint host mask of the requests kept under the cutoff.
+    masks: List[int]
+    #: Number of requests kept under the cutoff.
+    n_reqs: List[int]
+    #: Final document status (``None``: no response received).
+    statuses: List[Optional[int]]
+    #: Kind of the injected fault the row ended on, if any.
+    faults: List[Optional[str]]
+
+
+def visit_rows(
+    world: World,
+    urls: Sequence[URL],
+    dates: Sequence[dt.date],
+    regions: Sequence[str],
+    address_space: str,
+    keys: Sequence[Optional[int]],
+    cutoff: float,
+    faults: Optional[FaultSchedule],
+    retry: Optional[RetryPolicy],
+    retry_key: Callable[[int], str],
+    clock: Optional[Clock] = None,
+    tally: Optional[FaultTally] = None,
+    attempts: Optional[List[int]] = None,
+) -> RowVisits:
+    """Visit each row's URL on its date from its region: the row step
+    both crawlers share.
+
+    Row *i* renders its compact skeleton
+    (:func:`~repro.web.serving.visit_compact`, under visit key
+    ``keys[i]``, derived when ``None``). Rows the fault schedule faults
+    on their first attempt are retried under *retry* with backoff
+    through *clock*, keyed on ``retry_key(i)``; the date stays fixed
+    across retries (backoff is operational delay, not crawl-visible
+    time), so a recovered row is bit-identical to its fault-free self.
+    A row whose retries run out is recorded the way
+    :func:`repro.crawler.browser.crawl_url` records a faulted capture:
+    the seed URL's registrable domain, no requests, no CMP.
+
+    The schedule keys each attempt on ``(seed domain, region-space
+    vantage, attempt number)``. Row *i* starts at attempt
+    ``attempts[i]`` (0 when *attempts* is ``None``) and, on return,
+    ``attempts[i]`` is where its next crawl starts, so a crawl repeated
+    on a later date keeps burning the same fault budget.
+    """
+    domains: List[str] = []
+    masks: List[int] = []
+    n_reqs: List[int] = []
+    statuses: List[Optional[int]] = []
+    kinds: List[Optional[str]] = [None] * len(urls)
+    for url, date, region, key in zip(urls, dates, regions, keys):
+        if faults is not None:
+            i = len(domains)  # this row's index
+            seed_domain = _final_domain(url.host)
+            vantage = f"{region}-{address_space}"
+            first = attempts[i] if attempts is not None else 0
+            last = first
+            if faults.fault_for(seed_domain, vantage, first) is None:
+                visit = visit_compact(
+                    world, url, date, region, address_space, cutoff, key
+                )
+            else:
+                def attempt_fn(n: int) -> Union[CompactVisit, Fault]:
+                    nonlocal last
+                    last = first + n
+                    return faults.fault_for(
+                        seed_domain, vantage, last
+                    ) or visit_compact(
+                        world, url, date, region, address_space, cutoff,
+                        key,
+                    )
+
+                visit = run_with_retries(
+                    attempt_fn,
+                    key=retry_key(i),
+                    policy=retry,
+                    clock=clock,
+                    tally=tally,
+                    faulted=_fault_kind,
+                )
+            if attempts is not None:
+                attempts[i] = last + 1
+            if isinstance(visit, Fault):
+                domains.append(seed_domain)
+                masks.append(0)
+                n_reqs.append(0)
+                statuses.append(FAULT_STATUS.get(visit.kind))
+                kinds[i] = visit.kind
+                continue
+        else:
+            visit = visit_compact(
+                world, url, date, region, address_space, cutoff, key
+            )
+        kept = visit.kept_hosts
+        domains.append(_final_domain(visit.final_host))
+        masks.append(hosts_mask(kept))
+        n_reqs.append(len(kept))
+        statuses.append(visit.status)
+    return RowVisits(domains, masks, n_reqs, statuses, kinds)
+
+
 def crawl_batch(
     world: World,
     config: PlatformConfig,
@@ -249,14 +364,10 @@ def crawl_batch(
     capture date, vantage)``, so a row never depends on which batch it
     rode in. Two accepted events can never collide on the event key:
     the queue's 48h URL cooldown rejects a second submission of the
-    same URL at the same instant.
-
-    Rows the fault schedule faults on their first attempt are retried
-    under ``config.retry`` with backoff through *clock*; the capture
-    date stays fixed across retries (backoff is operational delay, not
-    crawl-visible time). A row whose retries run out is stored the way
-    :func:`repro.crawler.browser.crawl_url` records a faulted capture:
-    the seed URL's registrable domain, no requests, no CMP.
+    same URL at the same instant. The rows run through
+    :func:`visit_rows` from the EU or US cloud, with injected faults
+    retried under ``config.retry`` and backoff jitter keyed on
+    ``"<url>@<share time>"``.
 
     Returns ``(ok, failed, exhausted)``: successful crawls, organic
     failures of the synthetic web, and crawls that ended on an injected
@@ -280,57 +391,63 @@ def crawl_batch(
         visit_key_prefix(world.config.seed),
         h64s, cap_ords.astype(np.uint64), (~eu).astype(np.uint64), 0,
     )
-    days = (dt.date.fromordinal(batch.ordinal),
-            dt.date.fromordinal(batch.ordinal + 1))
-    rolled_l = rolled.tolist()
-    eu_l = eu.tolist()
-    vk_l = vkeys.tolist()
+    days = np.array(
+        [dt.date.fromordinal(batch.ordinal),
+         dt.date.fromordinal(batch.ordinal + 1)],
+        dtype=object,
+    )
     ord_l = cap_ords.tolist()
     vid_l = np.where(eu, _EU_CLOUD_ID, _US_CLOUD_ID).tolist()
-    cutoff = config.profile.cutoff
-    faults = config.faults
-    domains: List[str] = []
-    masks: List[int] = []
-    n_reqs: List[int] = []
-    ok = exhausted = 0
-    for i, url in enumerate(urls):
-        date, key = days[rolled_l[i]], vk_l[i]
-        region = "EU" if eu_l[i] else "US"
-        vantage = VANTAGE_STRS[vid_l[i]]
-        visit: Union[CompactVisit, Fault]
-        seed_domain = _final_domain(url.host) if faults is not None else ""
-        if faults is not None and faults.fault_for(
-            seed_domain, vantage, 0
-        ) is not None:
-            # The per-row fallback around the same precomputed visit;
-            # backoff jitter is keyed on "<url>@<share time>".
-            visit = run_with_retries(
-                lambda attempt: faults.fault_for(seed_domain, vantage, attempt)
-                or visit_compact(world, url, date, region, "cloud", cutoff, key),
-                key=f"{url}@{batch.at(i).isoformat()}",
-                policy=config.retry,
-                clock=clock,
-                tally=tally,
-                faulted=_fault_kind,
-            )
-            if isinstance(visit, Fault):
-                exhausted += 1
-                domains.append(seed_domain)
-                masks.append(0)
-                n_reqs.append(0)
-                continue
-        else:
-            visit = visit_compact(world, url, date, region, "cloud", cutoff, key)
-        kept = visit.kept_hosts
-        domains.append(_final_domain(visit.final_host))
-        masks.append(hosts_mask(kept))
-        n_reqs.append(len(kept))
-        status = visit.status
-        if status is not None and 200 <= status < 400:
-            ok += 1
-    cmp_keys = engine.detect_batch(masks, ord_l)
-    store.append_batch(domains, ord_l, cmp_keys, vid_l, n_reqs)
+    rows = visit_rows(
+        world,
+        urls,
+        days[rolled.astype(np.intp)].tolist(),
+        _REGION_NAMES[(~eu).astype(np.intp)].tolist(),
+        "cloud",
+        vkeys.tolist(),
+        config.profile.cutoff,
+        config.faults,
+        config.retry,
+        lambda i: f"{urls[i]}@{batch.at(i).isoformat()}",
+        clock,
+        tally,
+    )
+    cmp_keys = engine.detect_batch(rows.masks, ord_l)
+    store.append_batch(rows.domains, ord_l, cmp_keys, vid_l, rows.n_reqs)
+    ok = sum(1 for s in rows.statuses if s is not None and 200 <= s < 400)
+    exhausted = n - rows.faults.count(None)
     return ok, n - ok - exhausted, exhausted
+
+
+def meter_crawls(
+    counter: Counter, ok: int, failed: int, exhausted: int, **labels: str
+) -> None:
+    """Crawl outcomes by label. ``retries_exhausted`` is kept apart
+    from organic failures so the Section 3.4 accounting still sums
+    (ok + failed + retries_exhausted == crawls)."""
+    if ok:
+        counter.inc(ok, outcome="ok", **labels)
+    if failed:
+        counter.inc(failed, outcome="failed", **labels)
+    if exhausted:
+        counter.inc(exhausted, outcome="retries_exhausted", **labels)
+
+
+def meter_faults(obs: Observability, tally: FaultTally) -> None:
+    """Publish a run's fault/retry tally to the metrics registry."""
+    metrics = obs.metrics
+    faults = metrics.counter(
+        "crawl_faults_total", "faults injected into crawls, by kind"
+    )
+    retries = metrics.counter(
+        "crawl_retries_total", "crawl retry attempts by outcome"
+    )
+    for kind, count in sorted(tally.by_kind.items()):
+        faults.inc(count, kind=kind)
+    if tally.recovered:
+        retries.inc(tally.recovered, outcome="recovered")
+    if tally.exhausted:
+        retries.inc(tally.exhausted, outcome="exhausted")
 
 
 # ----------------------------------------------------------------------
@@ -511,12 +628,6 @@ class NetographPlatform:
         )
         self._h_shard_seconds = metrics.histogram(
             "executor_shard_seconds", "per-shard crawl wall-clock"
-        )
-        self._m_faults = metrics.counter(
-            "crawl_faults_total", "faults injected into crawls, by kind"
-        )
-        self._m_retries = metrics.counter(
-            "crawl_retries_total", "crawl retry attempts by outcome"
         )
         #: Per-shard stores of the most recent sharded run; consumed by
         #: the cache-populate path so warm entries keep shard granularity.
@@ -708,7 +819,7 @@ class NetographPlatform:
                     "platform.crawl", crawl_seconds, mode="serial"
                 )
             self.stats.faults.merge(run_tally)
-            self._meter_faults(run_tally)
+            meter_faults(self.obs, run_tally)
             publish_cache_gauges(self.obs)
             publish_world_cache_gauges(self.obs, self.world)
             publish_memory_gauges(self.obs)
@@ -737,18 +848,7 @@ class NetographPlatform:
         )
         self.stats.crawls += len(batch)
         self.stats.failures += failed + exhausted
-        self._meter_crawls(ok, failed, exhausted)
-
-    def _meter_crawls(self, ok: int, failed: int, exhausted: int) -> None:
-        """Crawl outcomes by label. ``retries_exhausted`` is kept apart
-        from organic failures so the Section 3.4 accounting still sums
-        (ok + failed + retries_exhausted == crawls)."""
-        if ok:
-            self._m_crawls.inc(ok, outcome="ok")
-        if failed:
-            self._m_crawls.inc(failed, outcome="failed")
-        if exhausted:
-            self._m_crawls.inc(exhausted, outcome="retries_exhausted")
+        meter_crawls(self._m_crawls, ok, failed, exhausted)
 
     # ------------------------------------------------------------------
     def _shard_payloads(
@@ -856,20 +956,12 @@ class NetographPlatform:
         )
         self.stats.executor = exec_stats
 
-    def _meter_faults(self, tally: FaultTally) -> None:
-        """Publish a run's fault/retry tally to the metrics registry."""
-        for kind, count in sorted(tally.by_kind.items()):
-            self._m_faults.inc(count, kind=kind)
-        if tally.recovered:
-            self._m_retries.inc(tally.recovered, outcome="recovered")
-        if tally.exhausted:
-            self._m_retries.inc(tally.exhausted, outcome="exhausted")
-
     def _absorb_shard_metrics(self, result: SocialShardResult) -> None:
         """Fold a shard's detection/crawl accounting into this process's
         stats and metrics (detection itself ran inside the worker)."""
         exhausted = result.faults.exhausted
-        self._meter_crawls(
+        meter_crawls(
+            self._m_crawls,
             result.store.n_captures - result.failures,
             result.failures - exhausted,
             exhausted,

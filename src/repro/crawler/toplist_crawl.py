@@ -16,38 +16,41 @@ dedicated setup:
 3. unsuccessful captures are retried three times over the span of a
    week.
 
-All toplist crawls additionally store the DOM tree and a full-page
-screenshot, which the customization analysis (I3) consumes.
+The crawl runs through the social crawl's row step
+(:func:`~repro.crawler.platform.visit_rows`): per configuration, up to
+four date rounds of compact visits (same-date retries of injected
+faults included), then one batch detection. The result keeps one
+compact row per configuration and domain -- the final domain and CMP
+Table 1 counts. The toplist crawls also store the DOM tree and a
+full-page screenshot, which the customization analysis (I3) consumes;
+:meth:`ToplistCrawlResult.captures_for` renders those full captures on
+demand, bit-identical to the crawl that produced each row.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
-import pickle
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-from repro.crawler.browser import CrawlProfile, crawl_url
-from repro.crawler.capture import Capture, Vantage
-from repro.crawler.executor import (
-    CrawlExecutor,
-    ExecutorStats,
-    ShardStats,
-    WorldRef,
-    partition,
-    resolve_world,
-    world_ref_for_backend,
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
 )
+
+from repro.crawler.browser import CrawlProfile, crawl_url, faulted_capture
+from repro.crawler.capture import Capture, Vantage
+from repro.crawler.platform import meter_crawls, meter_faults, visit_rows
+from repro.detect.engine import DetectionEngine
 from repro.faults import (
     Clock,
     FaultSchedule,
     FaultTally,
     RetryPolicy,
     VirtualClock,
-    WorkerCrash,
-    run_with_retries,
 )
 from repro.net import publish_cache_gauges
 from repro.net.probe import (
@@ -106,6 +109,28 @@ _CONFIG_BY_NAME: Dict[str, Tuple[Vantage, CrawlProfile]] = {
     name: (vantage, profile) for name, vantage, profile in CRAWL_CONFIGS
 }
 
+#: Toplist crawls run at noon of each crawl date.
+_NOON = dt.time(hour=12)
+
+
+class ToplistRow(NamedTuple):
+    """One domain's final capture under one configuration, compacted."""
+
+    #: Registrable domain of the final address-bar URL.
+    final_domain: str
+    #: The CMP the network fingerprints detect, or ``None``.
+    cmp_key: Optional[str]
+    #: Final document status (``None``: no response received).
+    status: Optional[int]
+    #: Kind of the injected fault the final crawl ended on, if any.
+    fault: Optional[str]
+    #: Date of the final crawl (at noon).
+    date: dt.date
+
+    @property
+    def succeeded(self) -> bool:
+        return self.status is not None and 200 <= self.status < 400
+
 
 @dataclass
 class ToplistCrawlResult:
@@ -113,10 +138,11 @@ class ToplistCrawlResult:
 
     #: Probe outcome per toplist domain.
     probes: List[ProbeResult]
-    #: Config name -> domain -> final capture (after retries).
-    captures: Dict[str, Dict[str, Capture]] = field(default_factory=dict)
-    #: Fan-out details when the crawl ran on a parallel executor.
-    executor_stats: Optional[ExecutorStats] = None
+    #: The world crawled; :meth:`captures_for` renders against it.
+    world: World = field(compare=False, repr=False)
+    #: Config name -> domain -> final row (after retries), domains in
+    #: toplist order.
+    rows: Dict[str, Dict[str, ToplistRow]] = field(default_factory=dict)
     #: Fault/retry accounting of the run (empty outside chaos).
     faults: FaultTally = field(default_factory=FaultTally)
 
@@ -125,123 +151,26 @@ class ToplistCrawlResult:
         return tuple(p.domain for p in self.probes if p.reachable)
 
     def captures_for(self, config_name: str) -> Dict[str, Capture]:
-        if config_name not in self.captures:
+        """Config *config_name*'s final captures, domain -> capture in
+        toplist order, each rendered from its row: the page crawl of
+        the row's date, or the faulted capture the row ended on."""
+        if config_name not in self.rows:
             raise KeyError(
-                f"unknown config {config_name!r}; ran: {sorted(self.captures)}"
+                f"unknown config {config_name!r}; ran: {sorted(self.rows)}"
             )
-        return self.captures[config_name]
-
-
-@dataclass(frozen=True)
-class ToplistShardTask:
-    """One domain-range shard of the toplist protocol."""
-
-    shard_id: int
-    world_ref: WorldRef
-    #: Probes with a resolved seed URL, in toplist order.
-    probes: Tuple[ProbeResult, ...]
-    config_names: Tuple[str, ...]
-    when: dt.date
-    retries: int
-    faults: Optional[FaultSchedule] = None
-    retry_policy: Optional[RetryPolicy] = None
-    #: Resume bookkeeping (set by :func:`resume_toplist_shard`): skip
-    #: flattened ``(config, probe)`` work items below ``start_index``
-    #: and seed state from ``checkpoint``.
-    start_index: int = 0
-    shard_attempt: int = 0
-    checkpoint: Optional["ToplistShardResult"] = None
-
-
-@dataclass(frozen=True)
-class ToplistShardResult:
-    shard_id: int
-    #: Config name -> domain -> final capture, domains in shard order.
-    captures: Dict[str, Dict[str, Capture]]
-    crawls: int
-    failures: int
-    faults: FaultTally = field(default_factory=FaultTally)
-
-
-def crawl_toplist_shard(task: ToplistShardTask) -> ToplistShardResult:
-    """Run all requested configs over one probe slice (inside a worker).
-
-    Work items are the flattened ``config x probe`` pairs, visited
-    config-major so merged dict insertion order matches the serial path.
-    A chaos schedule may kill the worker at a scheduled item index: the
-    shard raises :class:`WorkerCrash` carrying its partial result, and
-    the executor re-submits a task resumed from that checkpoint.
-    """
-    crawler = ToplistCrawler(
-        resolve_world(task.world_ref),
-        task.retries,
-        faults=task.faults,
-        retry=task.retry_policy,
-    )
-    captures: Dict[str, Dict[str, Capture]] = {}
-    tally = FaultTally()
-    crawls = failures = 0
-    if task.checkpoint is not None:
-        checkpoint = task.checkpoint
-        captures = {
-            name: dict(per) for name, per in checkpoint.captures.items()
-        }
-        crawls = checkpoint.crawls
-        failures = checkpoint.failures
-        tally.merge(checkpoint.faults)
-    n_items = len(task.config_names) * len(task.probes)
-    crash_at = (
-        task.faults.crash_point(task.shard_id, n_items, task.shard_attempt)
-        if task.faults is not None
-        else None
-    )
-    clock = VirtualClock()
-    index = -1
-    for name in task.config_names:
-        vantage, profile = _CONFIG_BY_NAME[name]
-        per_domain = captures.setdefault(name, {})
-        for probe in task.probes:
-            index += 1
-            if index < task.start_index:
-                continue
-            if crash_at is not None and index == crash_at:
-                raise WorkerCrash(
-                    task.shard_id,
-                    done=index,
-                    checkpoint=ToplistShardResult(
-                        shard_id=task.shard_id,
-                        captures=captures,
-                        crawls=crawls,
-                        failures=failures,
-                        faults=tally,
-                    ),
-                )
-            capture = crawler._crawl_with_retries(
-                probe, task.when, vantage, profile, tally=tally, clock=clock
+        vantage, profile = _CONFIG_BY_NAME[config_name]
+        seed_urls = {p.domain: p.seed_url for p in self.probes}
+        captures: Dict[str, Capture] = {}
+        for domain, row in self.rows[config_name].items():
+            url = seed_urls[domain]
+            when = dt.datetime.combine(row.date, _NOON)
+            captures[domain] = (
+                crawl_url(self.world, url, when=when, vantage=vantage,
+                          profile=profile)
+                if row.fault is None
+                else faulted_capture(url, when, vantage, profile, row.fault)
             )
-            per_domain[probe.domain] = capture
-            crawls += 1
-            if not capture.succeeded:
-                failures += 1
-    return ToplistShardResult(
-        shard_id=task.shard_id,
-        captures=captures,
-        crawls=crawls,
-        failures=failures,
-        faults=tally,
-    )
-
-
-def resume_toplist_shard(
-    task: ToplistShardTask, crash: WorkerCrash
-) -> ToplistShardTask:
-    """The task that continues *task* past *crash* (executor callback)."""
-    return dataclasses.replace(
-        task,
-        start_index=crash.done,
-        shard_attempt=task.shard_attempt + 1,
-        checkpoint=crash.checkpoint,
-    )
+        return captures
 
 
 class ToplistCrawler:
@@ -276,31 +205,16 @@ class ToplistCrawler:
         self._m_probes = metrics.counter(
             "toplist_probes_total", "toplist domains by probe outcome"
         )
-        self._h_shard_seconds = metrics.histogram(
-            "executor_shard_seconds", "per-shard crawl wall-clock"
-        )
-        self._m_faults = metrics.counter(
-            "crawl_faults_total", "faults injected into crawls, by kind"
-        )
-        self._m_retries = metrics.counter(
-            "crawl_retries_total", "crawl retry attempts by outcome"
-        )
 
     def run(
         self,
         domains: Sequence[str],
         when: dt.date,
         configs: Sequence[str] = CONFIG_NAMES,
-        executor: Optional[CrawlExecutor] = None,
         cache: Optional["ArtifactCache"] = None,
         probe_fingerprint: Optional["Fingerprint"] = None,
     ) -> ToplistCrawlResult:
         """Crawl *domains* around date *when* under the given configs.
-
-        With a parallel *executor* the reachable probes are partitioned
-        into contiguous domain ranges and each range runs every config on
-        a worker; crawls are deterministic per ``(world, url, date,
-        config)``, so the result is identical to the serial path.
 
         With a *cache* and *probe_fingerprint*, the seed-URL resolution
         phase is served from the artifact cache when a fresh entry
@@ -311,21 +225,17 @@ class ToplistCrawler:
         """
         with self.obs.span(
             "toplist.run", domains=len(domains), configs=len(configs)
-        ) as run_span:
+        ):
             with self.obs.span("toplist.probe") as probe_span:
                 probes = self._resolve_probes(
                     domains, cache, probe_fingerprint
                 )
-            result = ToplistCrawlResult(probes=probes)
-            wanted = {
-                name: _CONFIG_BY_NAME[name]
-                for name in _CONFIG_BY_NAME
-                if name in configs
-            }
+            result = ToplistCrawlResult(probes=probes, world=self.world)
+            wanted = [name for name in CONFIG_NAMES if name in configs]
             missing = set(configs) - set(wanted)
             if missing:
                 raise KeyError(f"unknown crawl configs: {sorted(missing)}")
-            crawlable = tuple(p for p in probes if p.seed_url is not None)
+            crawlable = [p for p in probes if p.seed_url is not None]
             if self.obs.enabled:
                 reachable = sum(1 for p in probes if p.reachable)
                 probe_span.set(
@@ -338,33 +248,84 @@ class ToplistCrawler:
                     self._m_probes.inc(
                         len(probes) - reachable, outcome="unreachable"
                     )
-            if executor is not None and executor.config.parallel and crawlable:
-                self._run_sharded(executor, crawlable, wanted, when, result)
-                self._meter_faults(result.faults)
-                publish_cache_gauges(self.obs)
-                run_span.set(crawls=result.executor_stats.crawls)
-                return result
-            for name, (vantage, profile) in wanted.items():
+            # Detection is metered by the social crawl only.
+            engine = DetectionEngine()
+            for name in wanted:
                 with self.obs.span("toplist.config", config=name) as cfg_span:
-                    per_domain: Dict[str, Capture] = {}
-                    for probe in crawlable:
-                        capture = self._crawl_with_retries(
-                            probe,
-                            when,
-                            vantage,
-                            profile,
-                            tally=result.faults,
-                            clock=self.clock,
-                        )
-                        per_domain[probe.domain] = capture
-                    cfg_span.set(
-                        domains=len(per_domain),
-                        failures=self._count_config(name, per_domain),
+                    rows = self._crawl_config(
+                        name, crawlable, when, engine, result.faults
                     )
-                result.captures[name] = per_domain
-            self._meter_faults(result.faults)
+                    failed = sum(
+                        1 for row in rows.values() if not row.succeeded
+                    )
+                    exhausted = sum(
+                        1 for row in rows.values() if row.fault is not None
+                    )
+                    meter_crawls(
+                        self._m_crawls, len(rows) - failed,
+                        failed - exhausted, exhausted, config=name,
+                    )
+                    cfg_span.set(domains=len(rows), failures=failed)
+                result.rows[name] = rows
+            meter_faults(self.obs, result.faults)
             publish_cache_gauges(self.obs)
         return result
+
+    def _crawl_config(
+        self,
+        name: str,
+        crawlable: List[ProbeResult],
+        when: dt.date,
+        engine: DetectionEngine,
+        tally: FaultTally,
+    ) -> Dict[str, ToplistRow]:
+        """One configuration's final rows over the crawlable probes.
+
+        Unsuccessful crawls are retried over the span of a week: round
+        *r* crawls every row still unsuccessful on ``when + 2r`` days
+        (the date re-rolls temporary unavailability), with injected
+        faults retried within the date first. A row's fault attempts
+        count on across its rounds, so a transient fault that burnt one
+        date's retry budget stays burnt on the next.
+        """
+        vantage, profile = _CONFIG_BY_NAME[name]
+        urls = [probe.seed_url for probe in crawlable]
+        n = len(urls)
+        attempts = [0] * n
+        masks = [0] * n
+        # Row index -> its latest crawl (the CMP is detected last).
+        latest: Dict[int, ToplistRow] = {}
+        pending = list(range(n))
+        for round_no in range(self.retries + 1):
+            if not pending:
+                break
+            date = when + dt.timedelta(days=2 * round_no)
+            stamp = dt.datetime.combine(date, _NOON).isoformat()
+            batch = [urls[i] for i in pending]
+            tries = [attempts[i] for i in pending]
+            k = len(batch)
+            visits = visit_rows(
+                self.world, batch, [date] * k, [vantage.region] * k,
+                vantage.address_space, [None] * k, profile.cutoff,
+                self.faults, self.retry, lambda j: f"{batch[j]}@{stamp}",
+                self.clock, tally, tries,
+            )
+            for j, i in enumerate(pending):
+                attempts[i] = tries[j]
+                masks[i] = visits.masks[j]
+                latest[i] = ToplistRow(
+                    visits.domains[j], None, visits.statuses[j],
+                    visits.faults[j], date,
+                )
+            pending = [i for i in pending if not latest[i].succeeded]
+        rows = [latest[i] for i in range(n)]
+        cmp_keys = engine.detect_batch(
+            masks, [row.date.toordinal() for row in rows]
+        )
+        return {
+            probe.domain: row._replace(cmp_key=cmp_key)
+            for probe, row, cmp_key in zip(crawlable, rows, cmp_keys)
+        }
 
     def _resolve_probes(
         self,
@@ -386,194 +347,3 @@ class ToplistCrawler:
                 fingerprint, [probe_to_record(p) for p in probes]
             )
         return probes
-
-    def _count_config(
-        self, name: str, per_domain: Dict[str, Capture]
-    ) -> int:
-        """Meter one config's final captures; returns the failure count."""
-        if not self.obs.enabled:
-            return 0
-        failed = sum(1 for c in per_domain.values() if not c.succeeded)
-        # A final capture that both failed and carries a fault kind lost
-        # its whole retry budget to injected faults; keep it countable
-        # separately so ok + failed + retries_exhausted == domains.
-        exhausted = sum(
-            1
-            for c in per_domain.values()
-            if not c.succeeded and c.fault is not None
-        )
-        if len(per_domain) - failed:
-            self._m_crawls.inc(
-                len(per_domain) - failed, config=name, outcome="ok"
-            )
-        if failed - exhausted:
-            self._m_crawls.inc(
-                failed - exhausted, config=name, outcome="failed"
-            )
-        if exhausted:
-            self._m_crawls.inc(
-                exhausted, config=name, outcome="retries_exhausted"
-            )
-        return failed
-
-    def _meter_faults(self, tally: FaultTally) -> None:
-        """Publish a run's fault/retry tally to the metrics registry."""
-        for kind, count in sorted(tally.by_kind.items()):
-            self._m_faults.inc(count, kind=kind)
-        if tally.recovered:
-            self._m_retries.inc(tally.recovered, outcome="recovered")
-        if tally.exhausted:
-            self._m_retries.inc(tally.exhausted, outcome="exhausted")
-
-    def _run_sharded(
-        self,
-        executor: CrawlExecutor,
-        crawlable: Tuple[ProbeResult, ...],
-        wanted: Dict[str, Tuple[Vantage, CrawlProfile]],
-        when: dt.date,
-        result: ToplistCrawlResult,
-    ) -> None:
-        with self.obs.span(
-            "executor.derive_shards",
-            backend=executor.config.backend,
-            workers=executor.config.workers,
-        ) as derive_span:
-            n_shards = executor.config.n_shards(len(crawlable))
-            chunks = partition(crawlable, n_shards)
-            world_ref = world_ref_for_backend(
-                self.world, executor.config.backend
-            )
-            config_names = tuple(wanted)
-            tasks = [
-                ToplistShardTask(
-                    shard_id=i,
-                    world_ref=world_ref,
-                    probes=tuple(chunk),
-                    config_names=config_names,
-                    when=when,
-                    retries=self.retries,
-                    faults=self.faults,
-                    retry_policy=self.retry,
-                )
-                for i, chunk in enumerate(chunks)
-            ]
-            derive_span.set(tasks=len(crawlable), shards=len(tasks))
-        with self.obs.span(
-            "executor.crawl", backend=executor.config.backend
-        ) as crawl_span:
-            shard_results, seconds, wall, resumes = executor.map_shards(
-                crawl_toplist_shard, tasks, resume=resume_toplist_shard
-            )
-            crawl_span.set(shards=len(tasks))
-            if self.obs.enabled:
-                for task, shard_result, secs in zip(
-                    tasks, shard_results, seconds
-                ):
-                    self.obs.tracer.record_span(
-                        "executor.shard",
-                        secs,
-                        shard=task.shard_id,
-                        tasks=len(task.probes),
-                        crawls=shard_result.crawls,
-                        failures=shard_result.failures,
-                    )
-                    self._h_shard_seconds.observe(secs, pipeline="toplist")
-        # Payload accounting mirrors the social platform: only the
-        # process backend serializes shard payloads.
-        if executor.config.backend == "process":
-            payload_sizes = [
-                len(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
-                for t in tasks
-            ]
-        else:
-            payload_sizes = [0] * len(tasks)
-        # Merge-duration stat only, not crawl-visible state.
-        merge_start = time.perf_counter()  # repro-lint: disable=DET002
-        stats = ExecutorStats(
-            backend=executor.config.backend,
-            workers=executor.config.workers,
-            wall_seconds=wall,
-        )
-        with self.obs.span("executor.merge", shards=len(tasks)):
-            # Config-major merge in shard order reproduces the serial
-            # insertion order of every ``captures[name]`` dict.
-            for name in config_names:
-                merged: Dict[str, Capture] = {}
-                for shard_result in shard_results:
-                    merged.update(shard_result.captures[name])
-                result.captures[name] = merged
-                self._count_config(name, merged)
-            for task, shard_result, secs, n_resumes, n_bytes in zip(
-                tasks, shard_results, seconds, resumes, payload_sizes
-            ):
-                result.faults.merge(shard_result.faults)
-                stats.shards.append(
-                    ShardStats(
-                        shard_id=task.shard_id,
-                        tasks=len(task.probes),
-                        crawls=shard_result.crawls,
-                        failures=shard_result.failures,
-                        seconds=secs,
-                        resumes=n_resumes,
-                        payload_bytes=n_bytes,
-                    )
-                )
-        stats.merge_seconds = (
-            time.perf_counter()  # repro-lint: disable=DET002
-            - merge_start
-        )
-        result.executor_stats = stats
-
-    def _crawl_with_retries(
-        self,
-        probe: ProbeResult,
-        when: dt.date,
-        vantage: Vantage,
-        profile: CrawlProfile,
-        tally: Optional[FaultTally] = None,
-        clock: Optional[Clock] = None,
-    ) -> Capture:
-        assert probe.seed_url is not None
-        url = probe.seed_url
-        capture: Optional[Capture] = None
-        # The fault-schedule attempt counter spans both retry loops, so a
-        # transient fault burning the same-date budget stays burnt when
-        # the crawl moves on to a later date.
-        fault_attempts = [0]
-        # Unsuccessful captures are retried over the span of a week; the
-        # date offset re-rolls temporary unavailability. Injected faults
-        # are retried *within* each date first: backoff runs through the
-        # clock, never the crawl timestamp, so a recovered crawl is
-        # bit-identical to its fault-free counterpart.
-        for attempt in range(self.retries + 1):
-            ts = dt.datetime.combine(
-                when + dt.timedelta(days=2 * attempt), dt.time(hour=12)
-            )
-
-            def attempt_fn(_retry_no: int, ts: dt.datetime = ts) -> Capture:
-                n = fault_attempts[0]
-                fault_attempts[0] += 1
-                return crawl_url(
-                    self.world,
-                    url,
-                    when=ts,
-                    vantage=vantage,
-                    profile=profile,
-                    faults=self.faults,
-                    attempt=n,
-                )
-
-            if self.faults is None:
-                capture = attempt_fn(0)
-            else:
-                capture = run_with_retries(
-                    attempt_fn,
-                    key=f"{url}@{ts.isoformat()}",
-                    policy=self.retry,
-                    clock=clock,
-                    tally=tally,
-                )
-            if capture.succeeded:
-                return capture
-        assert capture is not None
-        return capture

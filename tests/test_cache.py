@@ -264,6 +264,18 @@ class TestWarmStudy:
                 assert study.cache.hits() >= 4
         assert exports[0] == exports[1]
 
+    def test_empty_toplist_table_keeps_its_own_entry(self, tmp_path):
+        """A ``size=0`` Table 1 must not be served for the default size."""
+        when = dt.date(2020, 3, 10)
+        cold = Study(small_config(tmp_path, cache_dir=None))
+        expected = cold.vantage_table(when).to_payload()
+        study = Study(small_config(tmp_path))
+        empty = study.vantage_table(when, size=0)
+        assert [empty.total(name) for name in empty.counts] == [0] * 6
+        table = study.vantage_table(when)
+        assert table.to_payload() == expected
+        assert any(table.total(name) for name in table.counts)
+
     def test_parallel_entry_serves_serial_run(self, tmp_path):
         parallel = Study(small_config(tmp_path, parallelism=3))
         p_store = parallel.run_social_crawl()

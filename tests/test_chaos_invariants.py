@@ -61,12 +61,14 @@ TRANSIENT = FaultSchedule(
 #: Probe-budget-safe variant: every spec clears after a single attempt,
 #: so the three-try probe protocol always recovers the identical seed
 #: URL (a longer transient could burn the whole probe budget and
-#: conservatively lose the domain).
+#: conservatively lose the domain). The toplist crawl runs in-process,
+#: so no worker crashes.
 TOPLIST_TRANSIENT = dataclasses.replace(
     TRANSIENT,
     specs=tuple(
         dataclasses.replace(spec, attempts=1) for spec in TRANSIENT.specs
     ),
+    crash=None,
 )
 
 PERMANENT = FaultSchedule(
@@ -220,23 +222,28 @@ class TestToplistChaos:
         return [world.site(rank).domain for rank in range(1, 41)]
 
     def _run(self, world, **kwargs):
-        executor = kwargs.pop("executor", None)
         crawler = ToplistCrawler(world, **kwargs)
-        return crawler.run(
-            self._domains(world), MAY, configs=self.CONFIGS,
-            executor=executor,
-        )
+        return crawler.run(self._domains(world), MAY, configs=self.CONFIGS)
 
     @pytest.fixture(scope="module")
     def toplist_baseline(self, world):
         return self._run(world)
+
+    def _assert_same_crawl(self, result, baseline):
+        """Equal rows and equal rendered captures, in toplist order."""
+        assert result.rows == baseline.rows
+        for name in self.CONFIGS:
+            captures = result.captures_for(name)
+            reference = baseline.captures_for(name)
+            assert captures == reference
+            assert list(captures) == list(reference)
 
     def test_empty_schedule_is_bit_identical(self, world, toplist_baseline):
         result = self._run(
             world, faults=FaultSchedule(seed=99), retry=FAST_TEST_POLICY
         )
         assert result.probes == toplist_baseline.probes
-        assert result.captures == toplist_baseline.captures
+        self._assert_same_crawl(result, toplist_baseline)
 
     @staticmethod
     def _resolutions(probes):
@@ -248,29 +255,15 @@ class TestToplistChaos:
     def test_transient_recovery_is_bit_identical(
         self, world, toplist_baseline
     ):
-        schedule = dataclasses.replace(TOPLIST_TRANSIENT, crash=None)
         result = self._run(
-            world, faults=schedule, retry=FAST_TEST_POLICY
+            world, faults=TOPLIST_TRANSIENT, retry=FAST_TEST_POLICY
         )
         assert result.faults.injected > 0
         assert result.faults.exhausted == 0
         assert self._resolutions(result.probes) == self._resolutions(
             toplist_baseline.probes
         )
-        assert result.captures == toplist_baseline.captures
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_sharded_crash_recovery(self, world, toplist_baseline, backend):
-        result = self._run(
-            world,
-            faults=TOPLIST_TRANSIENT,
-            retry=FAST_TEST_POLICY,
-            executor=CrawlExecutor(
-                ExecutorConfig(workers=3, backend=backend)
-            ),
-        )
-        assert result.captures == toplist_baseline.captures
-        assert result.executor_stats.resumes > 0
+        self._assert_same_crawl(result, toplist_baseline)
 
     def test_permanent_faults_lose_domains_conservatively(
         self, world, toplist_baseline
@@ -280,18 +273,26 @@ class TestToplistChaos:
                                                        jitter=0.0)
         )
         for name in self.CONFIGS:
+            rows = result.rows[name]
+            ref_rows = toplist_baseline.rows[name]
             captured = result.captures_for(name)
             ref = toplist_baseline.captures_for(name)
             # Probe faults may shrink the domain set, never grow it.
             assert set(captured) <= set(ref)
+            assert list(rows) == list(captured)
             for domain, capture in captured.items():
                 if capture.succeeded:
                     # A surviving success is the organic capture.
                     assert capture == ref[domain]
+                    assert rows[domain] == ref_rows[domain]
                 else:
                     assert capture.fault is not None or not ref[
                         domain
                     ].succeeded
+                    # A lost row never invents a CMP.
+                    assert rows[domain].cmp_key in (
+                        None, ref_rows[domain].cmp_key,
+                    )
 
 
 class TestCheckpointStorage:

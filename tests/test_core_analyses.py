@@ -168,10 +168,10 @@ class TestVantageTable:
         crawl = study.run_toplist_crawl(
             MAY, configs=("eu-cloud", "us-cloud"), size=60
         )
-        crawl.captures = {
-            "eu-cloud": crawl.captures["eu-cloud"],
+        crawl.rows = {
+            "eu-cloud": crawl.rows["eu-cloud"],
             "idle": {},
-            "us-cloud": crawl.captures["us-cloud"],
+            "us-cloud": crawl.rows["us-cloud"],
         }
         table = VantageTable.from_crawl(crawl)
         assert list(table.counts) == ["eu-cloud", "idle", "us-cloud"]

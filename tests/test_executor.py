@@ -25,11 +25,9 @@ from repro.crawler.platform import (
 )
 from repro.crawler.capture import EU_CLOUD, US_CLOUD, Observation
 from repro.crawler.seeds import SocialShareStream, StreamConfig
-from repro.crawler.toplist_crawl import ToplistCrawler
 
 START = dt.date(2020, 4, 1)
 END = dt.date(2020, 4, 7)
-MAY = dt.date(2020, 5, 15)
 
 
 def _fresh_platform(study):
@@ -131,39 +129,6 @@ class TestDeterminism:
         long = _fresh_platform(study).run(START, dt.date(2020, 4, 4))
         n = len(short.observations)
         assert _keys(short) == _keys(long)[:n]
-
-
-class TestToplistExecutor:
-    @pytest.fixture(scope="class")
-    def domains(self, study):
-        return study.tranco.top(60)
-
-    def test_parallel_matches_serial(self, study, domains):
-        configs = ("us-cloud", "eu-univ-default")
-        serial = ToplistCrawler(study.world).run(domains, MAY, configs)
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="thread"))
-        parallel = ToplistCrawler(study.world).run(
-            domains, MAY, configs, executor=executor
-        )
-        assert serial.probes == parallel.probes
-        assert serial.captures == parallel.captures
-        # Insertion order (toplist order) is preserved by the merge.
-        for name in configs:
-            assert list(serial.captures[name]) == list(parallel.captures[name])
-        stats = parallel.executor_stats
-        assert stats is not None
-        assert stats.crawls >= sum(
-            len(caps) for caps in parallel.captures.values()
-        )
-
-    def test_process_backend_matches_serial(self, study, domains):
-        configs = ("eu-cloud",)
-        serial = ToplistCrawler(study.world).run(domains[:20], MAY, configs)
-        executor = CrawlExecutor(ExecutorConfig(workers=2, backend="process"))
-        parallel = ToplistCrawler(study.world).run(
-            domains[:20], MAY, configs, executor=executor
-        )
-        assert serial.captures == parallel.captures
 
 
 class TestCaptureStoreMerge:

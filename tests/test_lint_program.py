@@ -578,7 +578,6 @@ class TestProgramResolution:
         )
         workers = {worker for worker, _ in program.worker_entries()}
         assert "repro.crawler.platform.crawl_social_shard" in workers
-        assert "repro.crawler.toplist_crawl.crawl_toplist_shard" in workers
 
     def test_method_resolution_through_instance_attr(self, tmp_path):
         root = write_tree(

@@ -287,35 +287,24 @@ class TestInstrumentedPlatform:
 
 
 class TestInstrumentedToplist:
-    def test_serial_and_sharded_toplist_metrics(self, study):
+    def test_toplist_metrics(self, study):
         domains = study.tranco.top(40)
-        serial_obs = Observability()
-        serial = ToplistCrawler(study.world, obs=serial_obs).run(domains, MAY)
-        counter = serial_obs.metrics.get("toplist_crawls_total")
-        for name, captures in serial.captures.items():
+        obs = Observability()
+        result = ToplistCrawler(study.world, obs=obs).run(domains, MAY)
+        counter = obs.metrics.get("toplist_crawls_total")
+        for name in result.rows:
+            captures = result.captures_for(name)
             failed = sum(1 for c in captures.values() if not c.succeeded)
             assert counter.value(config=name, outcome="failed") == failed
             assert (
                 counter.value(config=name, outcome="ok")
                 == len(captures) - failed
             )
-        span_names = [r["name"] for r in serial_obs.tracer.export_records()]
+        span_names = [r["name"] for r in obs.tracer.export_records()]
         assert "toplist.run" in span_names and "toplist.probe" in span_names
-
-        sharded_obs = Observability()
-        executor = CrawlExecutor(ExecutorConfig(workers=3, backend="thread"))
-        sharded = ToplistCrawler(study.world, obs=sharded_obs).run(
-            domains, MAY, executor=executor
-        )
-        assert sharded.captures == serial.captures
-        assert (
-            sharded_obs.metrics.get("toplist_crawls_total").records()
-            == counter.records()
-        )
-        sharded_names = [
-            r["name"] for r in sharded_obs.tracer.export_records()
-        ]
-        assert "executor.shard" in sharded_names
+        assert span_names.count("toplist.config") == len(result.rows)
+        # Detection is metered by the social crawl only.
+        assert obs.metrics.get("detect_captures_total") is None
 
 
 class TestCliObservability:
