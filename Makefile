@@ -27,8 +27,8 @@ cache-guard:
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q -m chaos
 
-## Statement-coverage gates: repro.graph, the spill + LRU layer and
-## repro.crawler.toplist_crawl must each stay >= 90% covered.
+## Statement-coverage gates: repro.graph, the spill + storage + LRU
+## layer and repro.crawler.toplist_crawl must each stay >= 90% covered.
 ## Uses pytest-cov when installed (also enforces the repo-wide
 ## baseline); falls back to a stdlib settrace tracer otherwise.
 coverage:

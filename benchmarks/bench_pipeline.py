@@ -35,7 +35,7 @@ def test_pipeline_throughput_and_stats(benchmark, bench_study):
     platform, store = benchmark.pedantic(run_month, rounds=1, iterations=1)
 
     skip_rate = platform.queue.stats.skip_rate
-    consistency = daily_share_consistency(store.by_domain())
+    consistency = daily_share_consistency(store.domain_day_rows())
     rows = [
         f"captures: {store.n_captures:,}   "
         f"unique domains: {store.unique_domains:,}   "

@@ -117,10 +117,7 @@ def test_throughput_parallel_crawl(benchmark, bench_study, workers, backend):
 
     store = benchmark.pedantic(crawl_window, rounds=2, iterations=1)
     assert store.n_captures > 1_000
-    keys = [
-        (o.domain, o.date, o.cmp_key, o.vantage.region)
-        for o in store.observations
-    ]
+    keys = list(store.iter_rows())
     baseline = _parallel_observations.setdefault("keys", keys)
     assert keys == baseline  # any worker count => identical observations
 

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from repro.core.pipeline import Study, StudyConfig
-from repro.crawler.storage import save_store
+from repro.crawler.storage import write_export
 from repro.obs import Observability
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_cache.json"
@@ -41,7 +41,7 @@ def run_pipeline(cache_dir: str, out_dir: Path, label: str):
     seconds = time.perf_counter() - start
 
     store_path = out_dir / f"store-{label}.jsonl"
-    save_store(store, store_path)
+    write_export(store, store_path)
     exports = store_path.read_bytes() + json.dumps(
         [series.to_payload(), table.to_payload(), curve.to_payload()],
         sort_keys=True,
@@ -50,7 +50,7 @@ def run_pipeline(cache_dir: str, out_dir: Path, label: str):
         "seconds": seconds,
         "exports": exports,
         "crawls": study.last_crawl_stats.crawls,
-        "observations": len(store.observations),
+        "observations": store.n_rows,
         "hits": obs.metrics.counter("cache_hits_total").total,
         "misses": obs.metrics.counter("cache_misses_total").total,
     }

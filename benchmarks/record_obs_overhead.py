@@ -43,10 +43,7 @@ def run_window(world, obs):
     start = time.perf_counter()
     store = platform.run(*WINDOW)
     seconds = time.perf_counter() - start
-    keys = [
-        (o.domain, o.date.isoformat(), o.cmp_key, o.vantage.region)
-        for o in store.observations
-    ]
+    keys = list(store.iter_rows())
     return seconds, keys
 
 

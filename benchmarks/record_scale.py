@@ -8,6 +8,12 @@ capture store active (``StudyConfig.memory_budget``), and records
 grow ~12x while peak RSS stays roughly flat, because the store spills
 full segments to disk and the world caches are bounded LRUs.
 
+Each run then reads the whole store back the way a study does and
+records the peak RSS after each read: ``store_digest`` (which streams
+the spilled segments one at a time) and ``Study.adoption_series``
+(restricted to the toplist, so it holds the toplist domains' rows by
+design).
+
 Peak RSS is read through :class:`repro.obs.memory.RusageReader`, i.e.
 the kernel's process-lifetime high-water mark. Because ``ru_maxrss``
 is monotone within a process, each study runs in its own subprocess
@@ -16,8 +22,9 @@ is monotone within a process, each study runs in its own subprocess
 ``--check`` mode (wired into ``make bench-scale`` and the perf CI job)
 re-runs the large study and fails when
 
-* its peak RSS exceeds the budget-derived cap (``BASE_RSS_MB`` plus
-  ``ROW_BUDGET`` rows at ``ROW_COST_BYTES`` each, with slack), or
+* its peak RSS after the crawl, or after ``store_digest``, exceeds the
+  budget-derived cap (``BASE_RSS_MB`` plus ``ROW_BUDGET`` rows at
+  ``ROW_COST_BYTES`` each, with slack), or
 * its peak RSS regresses more than ``RSS_SLACK_FRACTION`` over the
   committed ``BENCH_scale.json``, or
 * a tiny spill-vs-in-memory digest comparison stops being
@@ -52,7 +59,7 @@ SMALL_DAYS = 30
 LARGE_DAYS = 365
 
 #: Spill budget: the active in-memory segment never exceeds this many
-#: rows; full segments go to ``shard-NNNN.jsonl`` on disk.
+#: rows; full segments go to segment files on disk.
 ROW_BUDGET = 100_000
 
 #: RSS cap for the CI guard, derived from the budget: a fixed base for
@@ -97,9 +104,10 @@ def run_one(spec: Dict) -> Dict:
     over every study the parent has run so far.
     """
     from repro.core.pipeline import Study
-    from repro.crawler.spill import SpillingCaptureStore
+    from repro.crawler.storage import store_digest
     from repro.obs.memory import RusageReader
 
+    reader = RusageReader()
     config = _study_config(spec["days"], spec.get("budget"))
     study = Study(config)
     t0 = time.perf_counter()
@@ -112,17 +120,26 @@ def run_one(spec: Dict) -> Dict:
         if cmp_key is not None:
             with_cmp += 1
     wall = time.perf_counter() - t0
-    peak_mb = RusageReader().peak_rss_bytes() / (1024 * 1024)
-    result = {
+    peak_mb = reader.peak_rss_bytes() / (1024 * 1024)
+    t0 = time.perf_counter()
+    store_digest(store)
+    digest_wall = time.perf_counter() - t0
+    digest_peak_mb = reader.peak_rss_bytes() / (1024 * 1024)
+    t0 = time.perf_counter()
+    study.adoption_series(store)
+    adoption_wall = time.perf_counter() - t0
+    adoption_peak_mb = reader.peak_rss_bytes() / (1024 * 1024)
+    return {
         "crawls": crawls,
         "rows_with_cmp": with_cmp,
         "segments": getattr(store, "n_segments", 0),
         "peak_rss_mb": round(peak_mb, 1),
         "wall_seconds": round(wall, 2),
+        "digest_peak_rss_mb": round(digest_peak_mb, 1),
+        "digest_seconds": round(digest_wall, 2),
+        "adoption_peak_rss_mb": round(adoption_peak_mb, 1),
+        "adoption_seconds": round(adoption_wall, 2),
     }
-    if isinstance(store, SpillingCaptureStore):
-        store.cleanup()
-    return result
 
 
 def run_in_subprocess(spec: Dict) -> Dict:
@@ -193,13 +210,19 @@ def check_floor() -> int:
         f"large study: {fresh['crawls']} crawls, "
         f"{fresh['peak_rss_mb']:.1f} MB peak RSS "
         f"(cap {cap:.1f} MB, committed {committed:.1f} MB, "
-        f"ceiling {ceiling:.1f} MB), {fresh['wall_seconds']:.1f}s"
+        f"ceiling {ceiling:.1f} MB), {fresh['wall_seconds']:.1f}s; "
+        f"after store_digest {fresh['digest_peak_rss_mb']:.1f} MB "
+        f"({fresh['digest_seconds']:.1f}s); after adoption_series "
+        f"{fresh['adoption_peak_rss_mb']:.1f} MB (not gated)"
     )
-    if fresh["peak_rss_mb"] > cap:
-        problems.append(
-            f"peak RSS {fresh['peak_rss_mb']:.1f} MB exceeds "
-            f"budget-derived cap {cap:.1f} MB"
-        )
+    for stage, key in (
+        ("crawl", "peak_rss_mb"), ("store_digest", "digest_peak_rss_mb")
+    ):
+        if fresh[key] > cap:
+            problems.append(
+                f"peak RSS after {stage} {fresh[key]:.1f} MB exceeds "
+                f"budget-derived cap {cap:.1f} MB"
+            )
     if fresh["peak_rss_mb"] > ceiling:
         problems.append(
             f"peak RSS {fresh['peak_rss_mb']:.1f} MB regresses >"
@@ -235,7 +258,10 @@ def record() -> int:
             f"{name}: {result['crawls']} crawls in "
             f"{result['wall_seconds']:.1f}s, peak RSS "
             f"{result['peak_rss_mb']:.1f} MB "
-            f"({result['segments']} spilled segments)"
+            f"({result['segments']} spilled segments); after "
+            f"store_digest {result['digest_peak_rss_mb']:.1f} MB "
+            f"({result['digest_seconds']:.1f}s), after adoption_series "
+            f"{result['adoption_peak_rss_mb']:.1f} MB"
         )
     crawl_ratio = runs["large"]["crawls"] / runs["small"]["crawls"]
     rss_ratio = runs["large"]["peak_rss_mb"] / runs["small"]["peak_rss_mb"]

@@ -100,10 +100,7 @@ def time_platform_window(world, workers, backend):
     start = time.perf_counter()
     store = platform.run(*WINDOW, executor=executor)
     seconds = time.perf_counter() - start
-    keys = [
-        (o.domain, o.date.isoformat(), o.cmp_key, o.vantage.region)
-        for o in store.observations
-    ]
+    keys = list(store.iter_rows())
     row = {
         "workers": workers,
         "backend": backend,

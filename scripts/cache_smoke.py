@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from repro.core.pipeline import Study, StudyConfig
-from repro.crawler.storage import save_store
+from repro.crawler.storage import write_export
 from repro.obs import Observability
 
 WINDOW = (dt.date(2020, 3, 1), dt.date(2020, 4, 15))
@@ -51,7 +51,7 @@ def run_study(cache_dir: str, out_dir: Path, label: str):
     seconds = time.perf_counter() - start  # repro-lint: disable=DET002
 
     store_path = out_dir / f"store-{label}.jsonl"
-    save_store(store, store_path)
+    write_export(store, store_path)
     exports = store_path.read_bytes() + json.dumps(
         [series.to_payload(), table.to_payload(), curve.to_payload()],
         sort_keys=True,

@@ -4,10 +4,11 @@ Three gates, one contract each:
 
 * ``repro.graph`` -- the whole package, >= 90% (the ISSUE-9 gate: new
   subsystems can't land untested);
-* scale-out -- the spilling capture store and the bounded-LRU
-  primitive (``repro.crawler.spill``, ``repro.web.lru``), >= 90%
-  (the ISSUE-10 gate: the memory-bounding layer is load-bearing for
-  bit-identity, so its branches stay exercised);
+* scale-out -- the spilling capture store, the segment format it
+  spills to and the bounded-LRU primitive (``repro.crawler.spill``,
+  ``repro.crawler.storage``, ``repro.web.lru``), >= 90% (the
+  memory-bounding layer is load-bearing for bit-identity, and every
+  corrupt-file branch of the format must stay exercised);
 * the toplist crawl (``repro.crawler.toplist_crawl``), >= 90%: Table 1
   comes from its compact rows and the customization audit from the
   captures it renders, so both paths stay pinned by its oracle tests.
@@ -73,9 +74,10 @@ GATES: Tuple[Gate, ...] = (
         ),
     ),
     Gate(
-        name="scale-out (spill + lru)",
+        name="scale-out (spill + storage + lru)",
         files=(
             SRC_ROOT / "repro" / "crawler" / "spill.py",
+            SRC_ROOT / "repro" / "crawler" / "storage.py",
             SRC_ROOT / "repro" / "web" / "lru.py",
         ),
         floor=90.0,
@@ -83,6 +85,9 @@ GATES: Tuple[Gate, ...] = (
             "tests/test_scale.py",
             "tests/test_cache.py",
             "tests/test_worldgen.py",
+            "tests/test_segments.py",
+            "tests/test_storage_cli.py",
+            "tests/test_chaos_invariants.py",
         ),
     ),
     Gate(

@@ -29,10 +29,7 @@ def run(world, executor=None):
     start = time.perf_counter()  # repro-lint: disable=DET002
     store = platform.run(*WINDOW, executor=executor)
     seconds = time.perf_counter() - start  # repro-lint: disable=DET002
-    keys = [
-        (o.domain, o.date, o.cmp_key, o.vantage.region)
-        for o in store.observations
-    ]
+    keys = list(store.iter_rows())
     return keys, platform.stats, seconds
 
 

@@ -27,7 +27,7 @@ from repro.core.marketshare import observed_marketshare
 from repro.core.pipeline import Study, StudyConfig
 from repro.core.vantage import VantageTable
 from repro.crawler.columnar import VANTAGE_STRS
-from repro.crawler.storage import save_store
+from repro.crawler.storage import write_export
 
 START = dt.date(2020, 3, 1)
 MID = dt.date(2020, 3, 21)
@@ -48,7 +48,7 @@ def _config(cache_dir=None) -> StudyConfig:
 
 def _engine_exports(engine, out_dir: Path, label: str) -> bytes:
     store_path = out_dir / f"store-{label}.jsonl"
-    save_store(engine.store, store_path)
+    write_export(engine.store, store_path)
     payloads = [
         engine.adoption_series().to_payload(),
         engine.vantage_table().to_payload(),
@@ -62,7 +62,7 @@ def _engine_exports(engine, out_dir: Path, label: str) -> bytes:
 def _batch_exports(study: Study, out_dir: Path, ranks, sizes) -> bytes:
     store = study.run_social_crawl(START, END)
     store_path = out_dir / "store-batch.jsonl"
-    save_store(store, store_path)
+    write_export(store, store_path)
     series = study.adoption_series(store)
     table = VantageTable.from_stream_rows(
         (VANTAGE_STRS[vid], domain, cmp_key)

@@ -5,8 +5,8 @@ module makes repeat runs of the reproduction *warm starts* instead of
 full recomputations. Two artifact classes are cached:
 
 * **Crawl-phase stores** -- the social platform's capture store,
-  persisted in the ``shard-NNNN.jsonl`` checkpoint format of
-  :mod:`repro.crawler.storage` (header + JSON Lines, crash-safe);
+  persisted as one or more segment files of :mod:`repro.crawler.storage`
+  (a JSON header, then the raw id columns; crash-safe);
 * **Derived analyses** -- :class:`~repro.core.adoption.AdoptionSeries`,
   :class:`~repro.core.vantage.VantageTable`,
   :class:`~repro.core.marketshare.MarketShareCurve` and toplist probe
@@ -58,7 +58,7 @@ from repro.crawler.storage import (
     StorageError,
     load_store,
     save_store,
-    shard_checkpoint_path,
+    segment_path,
 )
 from repro.ioutil import PathLike, atomic_write
 from repro.obs import Observability, resolve_obs
@@ -81,7 +81,10 @@ CODE_VERSIONS: Dict[str, int] = {
     # v2: the columnar crawl path re-derived the visit/event randomness
     # (keyed counter streams + structural visit plans); every
     # crawl-derived artifact changed value, so all stages bump together.
-    "social-crawl": 2,
+    # social-crawl v3: store entries are binary segments, no longer
+    # JSON Lines; older entries are evicted by fingerprint instead of
+    # being parsed.
+    "social-crawl": 3,
     "toplist-probes": 2,
     "adoption": 2,
     "vantage": 2,
@@ -112,6 +115,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.queue",
         "repro.crawler.seeds",
         "repro.crawler.spill",
+        "repro.crawler.storage",
         "repro.detect.engine",
         "repro.web.lru",
         "repro.web.serving",
@@ -255,7 +259,7 @@ class ArtifactCache:
     Layout (one directory per slot)::
 
         <root>/<slot>/entry.json        # manifest; written last
-        <root>/<slot>/shard-0000.jsonl  # store artifacts (1..N shards)
+        <root>/<slot>/segment-0000.seg  # store artifacts (1..N shards)
         <root>/<slot>/artifact.json     # JSON artifacts
 
     Lookups are traced as ``cache.lookup`` spans and counted by the
@@ -275,7 +279,7 @@ class ArtifactCache:
         }
 
     # ------------------------------------------------------------------
-    # Store artifacts (crawl phase, shard-NNNN.jsonl checkpoint format)
+    # Store artifacts (crawl phase, one segment file per shard)
     # ------------------------------------------------------------------
     def load_capture_store(
         self, fingerprint: Fingerprint
@@ -303,7 +307,7 @@ class ArtifactCache:
             try:
                 for shard_id in range(n_shards):
                     shard = load_store(
-                        shard_checkpoint_path(entry_dir, shard_id),
+                        segment_path(entry_dir, shard_id),
                         context=f"cache {fingerprint.slot()}",
                     )
                     merged.merge(shard)
@@ -330,12 +334,12 @@ class ArtifactCache:
         readable entry pointing at incomplete shards.
 
         A :class:`~repro.crawler.spill.SpillingCaptureStore` expands
-        into one shard file per spilled segment (copied verbatim -- the
-        spill format *is* the shard checkpoint format) plus one for the
-        active tail, so populating the cache never folds the store back
-        into memory. Loads merge shards in id order either way, which
-        reproduces the insertion order exactly; whether the populating
-        run spilled is invisible to a warm hit.
+        into one shard file per spilled segment (copied verbatim -- a
+        spill segment and a cache shard are the same file format) plus
+        one for the active tail, so populating the cache never folds
+        the store back into memory. Loads merge shards in id order
+        either way, which reproduces the insertion order exactly;
+        whether the populating run spilled is invisible to a warm hit.
         """
         if isinstance(stores, (CaptureStore, SpillingCaptureStore)):
             stores = [stores]
@@ -343,18 +347,16 @@ class ArtifactCache:
         shard_id = 0
         for store in stores:
             if isinstance(store, SpillingCaptureStore):
-                for segment_path in store.segment_paths():
+                for spilled in store.segment_paths():
                     shutil.copyfile(
-                        segment_path,
-                        shard_checkpoint_path(entry_dir, shard_id),
+                        spilled, segment_path(entry_dir, shard_id)
                     )
                     shard_id += 1
                 save_store(
-                    store.active_store(),
-                    shard_checkpoint_path(entry_dir, shard_id),
+                    store.active_store(), segment_path(entry_dir, shard_id)
                 )
             else:
-                save_store(store, shard_checkpoint_path(entry_dir, shard_id))
+                save_store(store, segment_path(entry_dir, shard_id))
             shard_id += 1
         self._commit(fingerprint, entry_dir, "store", shards=shard_id)
         return entry_dir
@@ -450,7 +452,7 @@ class ArtifactCache:
         if manifest.get("digest") != fingerprint.digest():
             # Stale entry: same slot, different parameters/code. Evict
             # by fingerprint mismatch (never by mtime) and recompute.
-            self._evict(fingerprint)
+            _clear_slot(self.root / fingerprint.slot())
             self._meters["cache_invalidations_total"].inc(
                 stage=fingerprint.stage
             )
@@ -461,11 +463,10 @@ class ArtifactCache:
         return manifest
 
     def _fresh_entry_dir(self, fingerprint: Fingerprint) -> Path:
-        """The slot directory, cleared of any committed previous entry."""
+        """The slot directory, emptied of every file a previous entry
+        (committed or not) left behind."""
         entry_dir = self.root / fingerprint.slot()
-        manifest = entry_dir / "entry.json"
-        if manifest.exists():
-            manifest.unlink()
+        _clear_slot(entry_dir)
         entry_dir.mkdir(parents=True, exist_ok=True)
         return entry_dir
 
@@ -490,17 +491,6 @@ class ArtifactCache:
             handle.write(json.dumps(manifest, sort_keys=True, indent=1))
             handle.write("\n")
 
-    def _evict(self, fingerprint: Fingerprint) -> None:
-        """Remove a stale entry (manifest first, so a crash mid-evict
-        leaves an uncommitted -- therefore invisible -- directory)."""
-        entry_dir = self.root / fingerprint.slot()
-        manifest = entry_dir / "entry.json"
-        if manifest.exists():
-            manifest.unlink()
-        for path in sorted(entry_dir.glob("*")):
-            if path.is_file():
-                path.unlink()
-
     # ------------------------------------------------------------------
     def _hit(self, fingerprint: Fingerprint) -> None:
         self._meters["cache_hits_total"].inc(stage=fingerprint.stage)
@@ -514,6 +504,17 @@ class ArtifactCache:
     def hits(self) -> float:
         """Total hits so far (0 under the null obs backend)."""
         return self._meters["cache_hits_total"].total
+
+
+def _clear_slot(entry_dir: Path) -> None:
+    """Delete every file in a slot directory, the manifest first, so a
+    crash midway leaves an uncommitted -- therefore invisible -- slot."""
+    manifest = entry_dir / "entry.json"
+    if manifest.exists():
+        manifest.unlink()
+    for path in sorted(entry_dir.glob("*")):
+        if path.is_file():
+            path.unlink()
 
 
 def resolve_cache(

@@ -272,13 +272,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_crawl(study: Study, args) -> int:
-    from repro.crawler.storage import save_store
+    import dataclasses
+
+    from repro.crawler.storage import write_export
 
     end = args.start + dt.timedelta(days=args.days)
     print(f"crawling {args.start} .. {end} "
           f"({args.events_per_day} URL shares/day)...")
+    study = Study(
+        dataclasses.replace(study.config, events_per_day=args.events_per_day),
+        obs=study.obs,
+    )
     store = study.run_social_crawl(args.start, end)
-    n = save_store(store, args.out)
+    n = write_export(store, args.out)
     print(f"{n:,} observations ({store.unique_domains:,} domains) "
           f"written to {args.out}")
     stats = study.last_crawl_stats
@@ -330,9 +336,9 @@ def _cmd_figure5(study: Study, args) -> int:
 
 def _cmd_figure6(study: Study, args) -> int:
     from repro.core.adoption import AdoptionSeries
-    from repro.crawler.storage import load_store
+    from repro.crawler.storage import read_export
 
-    series = AdoptionSeries.from_columnar(load_store(args.infile))
+    series = AdoptionSeries.from_columnar(read_export(args.infile))
     _print_monthly_counts(series, study.monthly_dates())
     return 0
 

@@ -294,11 +294,11 @@ class AdoptionSeries:
         interpolate: bool = True,
         fade_out_days: int = FADE_OUT_DAYS,
     ) -> "AdoptionSeries":
-        """:meth:`from_day_rows` over a columnar ``CaptureStore``'s
-        :meth:`~repro.crawler.columnar.CaptureStore.domain_day_rows`."""
+        """:meth:`from_day_rows` over a capture store's
+        :meth:`~repro.crawler.columnar.CaptureStore.domain_day_rows`,
+        which drops domains outside *restrict_to* inside its scan."""
         return cls.from_day_rows(
-            store.domain_day_rows(),
-            restrict_to,
+            store.domain_day_rows(restrict_to),
             interpolate=interpolate,
             fade_out_days=fade_out_days,
         )
@@ -428,20 +428,21 @@ class AdoptionAccumulator:
 
 
 def daily_share_consistency(
-    by_domain: Mapping[str, Sequence[Observation]]
+    per_domain_rows: Mapping[str, Sequence[Tuple[int, Optional[str]]]]
 ) -> float:
     """Fraction of domains whose daily share of CMP captures is
     consistently below 5% or above 95% (the paper reports 99.8% --
     Section 3.5, "Subsites"). Computed on raw per-day capture mixes,
-    before any interpolation."""
+    before any interpolation, from per-domain ``(date_ordinal,
+    cmp_key)`` rows (:meth:`CaptureStore.domain_day_rows`)."""
     consistent = 0
     total = 0
-    for observations in by_domain.values():
-        if not observations:
+    for rows in per_domain_rows.values():
+        if not rows:
             continue
-        per_day: Dict[dt.date, List[Optional[str]]] = defaultdict(list)
-        for obs in observations:
-            per_day[obs.date].append(obs.cmp_key)
+        per_day: Dict[int, List[Optional[str]]] = defaultdict(list)
+        for ordinal, cmp_key in rows:
+            per_day[ordinal].append(cmp_key)
         total += 1
         ok = True
         for states in per_day.values():

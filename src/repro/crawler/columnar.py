@@ -1,18 +1,21 @@
 """Columnar (struct-of-arrays) capture storage.
 
-The platform's hot path used to append one ``Observation`` dataclass --
-four object fields, a ``Vantage``, a ``datetime.date`` -- per crawl, and
-shard workers pickled lists of them back to the parent. At paper scale
-(161M crawls) that is O(objects) everywhere. This module stores the same
-data as parallel integer columns plus small interning tables:
+The paper's platform keeps no page contents, only what the longitudinal
+analyses consume (Section 3.2). A :class:`CaptureStore` holds exactly
+that, one row per crawl, as four parallel integer columns plus two
+small interning tables:
 
-* **domains** are interned in first-appearance order (the id table *is*
-  the ``by_domain`` key order of the old store);
+* **domains** are interned in first-appearance order;
 * **vantages** come from a fixed six-entry table (2 regions x 3 address
   spaces), so a vantage is one byte;
 * **CMP keys** are interned with id 0 reserved for "no CMP";
 * **dates** are stored as proleptic-Gregorian ordinals
   (``datetime.date.toordinal``).
+
+This is the store's only representation: the segment files of
+:mod:`repro.crawler.storage` hold the same tables and the same columns
+verbatim, and readers get rows back as ``(domain, date_ordinal,
+cmp_key, vantage_id)`` tuples, never as objects.
 
 Segments merge by concatenation: :meth:`CaptureStore.merge` extends each
 column with the other store's column, remapping interned ids through a
@@ -20,21 +23,17 @@ per-merge translation table. Row order is preserved exactly -- merging
 shard stores in shard order reproduces the serial insertion order, which
 is the argument that keeps sharded runs bit-identical to serial ones
 (docs/ARCHITECTURE.md, "Columnar capture store").
-
-Row objects (:class:`~repro.crawler.capture.Observation`) are
-materialized lazily and cached; the analysis layers keep their
-object-based API while the crawl loop only ever touches arrays.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import sys
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.crawler.capture import Capture, Observation, Vantage
+from repro.crawler.capture import Vantage
 
 #: The fixed vantage id table: ``id = region_id * 3 + space_id``.
 VANTAGE_TABLE: Tuple[Vantage, ...] = tuple(
@@ -46,21 +45,67 @@ VANTAGE_IDS: Dict[Vantage, int] = {v: i for i, v in enumerate(VANTAGE_TABLE)}
 #: ``str(vantage)`` per id (fault schedules key on the string form).
 VANTAGE_STRS: Tuple[str, ...] = tuple(str(v) for v in VANTAGE_TABLE)
 
+#: A decoded row: ``(domain, date_ordinal, cmp_key, vantage_id)``.
+Row = Tuple[str, int, Optional[str], int]
+#: Per-domain ``(date_ordinal, cmp_key)`` pairs, the adoption input.
+DayRows = Dict[str, List[Tuple[int, Optional[str]]]]
+Columns = Tuple[array, array, array, array]
+
 
 def vantage_id(region: str, address_space: str) -> int:
     """The table id of ``Vantage(region, address_space)``."""
     return VANTAGE_IDS[Vantage(region=region, address_space=address_space)]
 
 
+def le_bytes(column: array) -> bytes:
+    """*column*'s items as little-endian bytes (digest and segment
+    encoding, so both are architecture-stable)."""
+    if sys.byteorder != "little":  # pragma: no cover - x86/arm are LE
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+def remapped(column: array, id_map: List[int]) -> array:
+    """*column* with every id translated through *id_map* (the column
+    itself when the map is the identity)."""
+    if id_map == list(range(len(id_map))):
+        return column
+    return array(column.typecode, map(id_map.__getitem__, column))
+
+
+def digest_stream(
+    domains: Sequence[str],
+    cmp_keys: Sequence[Optional[str]],
+    columns: Iterable[Iterable[array]],
+) -> Iterator[bytes]:
+    """The byte stream :func:`repro.crawler.storage.store_digest` hashes
+    after its identity header: the tables, then each whole column, given
+    as consecutive pieces (a spilled store hashes one segment at a time).
+
+    The tables are first-appearance ordered under both serial appends
+    and :meth:`CaptureStore.merge` (which walks the other store's
+    first-appearance ordered table), so ``(tables, id columns)`` is a
+    *canonical* encoding: equal streams iff equal rows.
+    """
+    yield b"\n"
+    yield json.dumps(list(domains)).encode("utf-8")
+    yield b"\n"
+    yield json.dumps(list(cmp_keys)).encode("utf-8")
+    for pieces in columns:
+        yield b"\n"
+        for piece in pieces:
+            yield le_bytes(piece)
+
+
 class CaptureStore:
     """The platform's queryable capture database, stored columnarly.
 
-    The public query API (``observations``, ``by_domain``,
-    ``unique_domains``, ``observations_for``, ``domains_with_cmp``) is
-    unchanged from the row-based store; the object views are lazy,
-    cached, and invalidated by writes. Dicts handed out by
-    :meth:`by_domain` are snapshots -- later writes build a fresh dict
-    instead of mutating one a caller may still hold.
+    Writes append whole batches (:meth:`append_batch`) or concatenate
+    another store (:meth:`merge`); reads hand out decoded row tuples
+    (:meth:`iter_rows`, :meth:`rows_since`) or the per-domain adoption
+    input (:meth:`domain_day_rows`). Every read builds fresh containers,
+    so later writes never mutate something a caller holds.
     """
 
     def __init__(self) -> None:
@@ -71,14 +116,11 @@ class CaptureStore:
         self._domain_ids: Dict[str, int] = {}
         self._cmp_keys: List[Optional[str]] = [None]
         self._cmp_ids: Dict[Optional[str], int] = {None: 0}
-        # Observation columns.
+        # Row columns.
         self._col_domain = array("i")
         self._col_date = array("i")  # date ordinals
         self._col_cmp = array("b")
         self._col_vantage = array("b")
-        # Lazy object views.
-        self._obs_cache: Optional[List[Observation]] = None
-        self._snapshot: Optional[Dict[str, List[Observation]]] = None
 
     # ------------------------------------------------------------------
     # Interning
@@ -99,30 +141,19 @@ class CaptureStore:
             self._cmp_keys.append(cmp_key)
         return i
 
-    def _invalidate(self) -> None:
-        self._obs_cache = None
-        self._snapshot = None
+    def intern_tables(
+        self, domains: Iterable[str], cmp_keys: Iterable[Optional[str]]
+    ) -> Tuple[List[int], List[int]]:
+        """Intern another store's tables into this one, in their order;
+        returns the domain and CMP id translation lists."""
+        return (
+            [self._domain_id(d) for d in domains],
+            [self._cmp_id(k) for k in cmp_keys],
+        )
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def append_row(
-        self,
-        domain: str,
-        date_ordinal: int,
-        cmp_key: Optional[str],
-        vantage_id: int,
-        n_requests: int,
-    ) -> None:
-        """The columnar hot-path write: one crawl, no objects."""
-        self._col_domain.append(self._domain_id(domain))
-        self._col_date.append(date_ordinal)
-        self._col_cmp.append(self._cmp_id(cmp_key))
-        self._col_vantage.append(vantage_id)
-        self.total_requests += n_requests
-        self.n_captures += 1
-        self._invalidate()
-
     def append_batch(
         self,
         domains: Sequence[str],
@@ -131,11 +162,10 @@ class CaptureStore:
         vantage_ids: Sequence[int],
         n_requests: Sequence[int],
     ) -> None:
-        """:meth:`append_row` for a whole day batch.
+        """Append one row per crawl, in argument order.
 
-        Row order is the argument order, identical to calling
-        ``append_row`` per element; the columns are extended with one
-        C-level call each and the object caches are invalidated once.
+        The columns are extended with one C-level call each; each crawl
+        counts as one capture and adds its requests to the total.
         """
         domain_id = self._domain_id
         cmp_id = self._cmp_id
@@ -145,24 +175,6 @@ class CaptureStore:
         self._col_vantage.extend(vantage_ids)
         self.total_requests += sum(n_requests)
         self.n_captures += len(domains)
-        self._invalidate()
-
-    def add(self, capture: Capture, cmp_key: Optional[str]) -> Observation:
-        """Append one full capture, compacted to its observation."""
-        obs = capture.to_observation(cmp_key)
-        self.add_observation(obs)
-        self.total_requests += capture.n_requests
-        self.n_captures += 1
-        return obs
-
-    def add_observation(self, obs: Observation) -> Observation:
-        """Append a pre-compacted observation."""
-        self._col_domain.append(self._domain_id(obs.domain))
-        self._col_date.append(obs.date.toordinal())
-        self._col_cmp.append(self._cmp_id(obs.cmp_key))
-        self._col_vantage.append(VANTAGE_IDS[obs.vantage])
-        self._invalidate()
-        return obs
 
     def merge(self, other: "CaptureStore") -> None:
         """Fold *other* (e.g. a shard segment) into this store.
@@ -173,102 +185,66 @@ class CaptureStore:
         segments in shard order therefore reproduces the serial
         insertion order exactly.
         """
-        dom_map = [self._domain_id(d) for d in other._domains]
-        if dom_map == list(range(len(dom_map))):
-            # Identity remap (e.g. merging into an empty store):
-            # straight memcpy-style extend.
-            self._col_domain.extend(other._col_domain)
-        else:
-            self._col_domain.extend(dom_map[i] for i in other._col_domain)
-        cmp_map = [self._cmp_id(k) for k in other._cmp_keys]
-        if cmp_map == list(range(len(cmp_map))):
-            self._col_cmp.extend(other._col_cmp)
-        else:
-            self._col_cmp.extend(cmp_map[i] for i in other._col_cmp)
+        dom_map, cmp_map = self.intern_tables(other._domains, other._cmp_keys)
+        self._col_domain.extend(remapped(other._col_domain, dom_map))
         self._col_date.extend(other._col_date)
+        self._col_cmp.extend(remapped(other._col_cmp, cmp_map))
         self._col_vantage.extend(other._col_vantage)
         self.total_requests += other.total_requests
         self.n_captures += other.n_captures
-        self._invalidate()
-
-    def digest_parts(self) -> Iterable[bytes]:
-        """Canonical byte chunks fully determining the persisted rows.
-
-        The interning tables are first-appearance ordered under both
-        serial appends and :meth:`merge` (the translation table walks
-        the segment's table, which is itself first-appearance ordered),
-        so ``(tables, id columns)`` is a *canonical* encoding: two
-        stores yield equal chunks iff their serialized observation rows
-        are identical. :func:`repro.crawler.storage.store_digest` hashes
-        these instead of re-serializing every row. Integer columns are
-        normalized to little-endian so digests are architecture-stable.
-        """
-        yield json.dumps(self._domains).encode("utf-8")
-        yield json.dumps(self._cmp_keys).encode("utf-8")
-        for col in (
-            self._col_domain, self._col_date, self._col_cmp,
-            self._col_vantage,
-        ):
-            if sys.byteorder != "little":  # pragma: no cover - x86/arm LE
-                col = array(col.typecode, col)
-                col.byteswap()
-            yield col.tobytes()
 
     # ------------------------------------------------------------------
-    # Object views (lazy, cached)
+    # Raw access (persistence and digests)
+    # ------------------------------------------------------------------
+    def tables(self) -> Tuple[List[str], List[Optional[str]]]:
+        """The domain and CMP interning tables (do not mutate)."""
+        return self._domains, self._cmp_keys
+
+    def columns(self) -> Columns:
+        """The live domain, date, CMP and vantage id columns (the segment
+        loader fills a fresh store's columns in place)."""
+        return (
+            self._col_domain, self._col_date, self._col_cmp,
+            self._col_vantage,
+        )
+
+    def digest_parts(self) -> Iterator[bytes]:
+        """:func:`digest_stream` of this store's tables and columns."""
+        return digest_stream(
+            self._domains,
+            self._cmp_keys,
+            ([column] for column in self.columns()),
+        )
+
+    # ------------------------------------------------------------------
+    # Reads
     # ------------------------------------------------------------------
     @property
     def n_rows(self) -> int:
         return len(self._col_domain)
 
     @property
-    def observations(self) -> List[Observation]:
-        """All observations in insertion order (materialized lazily)."""
-        if self._obs_cache is None:
-            dates: Dict[int, dt.date] = {}
-            domains = self._domains
-            cmps = self._cmp_keys
-            from_ordinal = dt.date.fromordinal
-            out: List[Observation] = []
-            for d, o, c, v in zip(
-                self._col_domain, self._col_date, self._col_cmp,
-                self._col_vantage,
-            ):
-                date = dates.get(o)
-                if date is None:
-                    date = dates[o] = from_ordinal(o)
-                out.append(
-                    Observation(domains[d], date, cmps[c], VANTAGE_TABLE[v])
-                )
-            self._obs_cache = out
-        return self._obs_cache
+    def unique_domains(self) -> int:
+        return len(self._domains)
 
-    def iter_rows(
-        self,
-    ) -> Iterable[Tuple[str, int, Optional[str], int]]:
-        """Raw rows as ``(domain, date_ordinal, cmp_key, vantage_id)``
-        without materializing Observation objects (serialization path)."""
+    def iter_rows(self) -> Iterator[Row]:
+        """Every row as ``(domain, date_ordinal, cmp_key, vantage_id)``,
+        in insertion order."""
         domains = self._domains
         cmps = self._cmp_keys
         return (
             (domains[d], o, cmps[c], v)
-            for d, o, c, v in zip(
-                self._col_domain, self._col_date, self._col_cmp,
-                self._col_vantage,
-            )
+            for d, o, c, v in zip(*self.columns())
         )
 
-    def rows_since(
-        self, cursor: int
-    ) -> List[Tuple[str, int, Optional[str], int]]:
+    def rows_since(self, cursor: int) -> List[Row]:
         """Decoded rows appended at index >= *cursor*, in insertion order.
 
         The streaming engine's ingestion tail: after each per-day crawl
         it drains ``rows_since(previous n_rows)`` into its incremental
         accumulators and advances the cursor, so each row is decoded
-        exactly once over the life of a follow run. Rows come back as
-        ``(domain, date_ordinal, cmp_key, vantage_id)`` --
-        :meth:`iter_rows` restricted to the suffix.
+        exactly once over the life of a follow run -- :meth:`iter_rows`
+        restricted to the suffix.
         """
         if cursor < 0:
             raise ValueError("cursor must be >= 0")
@@ -277,81 +253,37 @@ class CaptureStore:
         return [
             (domains[d], o, cmps[c], v)
             for d, o, c, v in zip(
-                self._col_domain[cursor:],
-                self._col_date[cursor:],
-                self._col_cmp[cursor:],
-                self._col_vantage[cursor:],
+                *(column[cursor:] for column in self.columns())
             )
         ]
 
-    def domain_day_rows(self) -> Dict[str, List[Tuple[int, Optional[str]]]]:
+    def domain_day_rows(
+        self, restrict_to: Optional[Iterable[str]] = None
+    ) -> DayRows:
         """Per-domain ``(date_ordinal, cmp_key)`` pairs, no objects.
 
-        The adoption estimator's whole input: grouping runs on interned
-        domain ids, so each row costs one dict probe and one tuple
-        instead of an ``Observation``. Domains appear in first-capture
-        order (the same order :meth:`by_domain` yields) and each
-        domain's rows keep insertion order, which is what makes
-        :meth:`repro.core.adoption.AdoptionSeries.from_columnar`
-        bit-identical to the object path: the per-day state vote and
-        its ``Counter`` tie-breaking see captures in the same sequence.
+        The adoption estimator's whole input. Domains appear in
+        first-capture order and each domain's rows keep insertion order,
+        so :meth:`repro.core.adoption.AdoptionSeries.from_columnar` sees
+        captures in the same sequence under every write path (the
+        per-day state vote and its ``Counter`` tie-breaking depend on
+        it). With *restrict_to*, rows of other domains are skipped
+        inside the scan.
         """
-        by_id: Dict[int, List[Tuple[int, Optional[str]]]] = {}
         cmps = self._cmp_keys
-        for d, o, c in zip(
+        rows: Iterator[Tuple[int, int, int]] = zip(
             self._col_domain, self._col_date, self._col_cmp
-        ):
-            row = (o, cmps[c])
+        )
+        if restrict_to is not None:
+            ids = self._domain_ids
+            wanted = {ids[d] for d in restrict_to if d in ids}
+            rows = compress(rows, map(wanted.__contains__, self._col_domain))
+        by_id: Dict[int, List[Tuple[int, Optional[str]]]] = {}
+        for d, o, c in rows:
             bucket = by_id.get(d)
             if bucket is None:
-                by_id[d] = [row]
+                by_id[d] = [(o, cmps[c])]
             else:
-                bucket.append(row)
+                bucket.append((o, cmps[c]))
         domains = self._domains
         return {domains[d]: rows for d, rows in by_id.items()}
-
-    # ------------------------------------------------------------------
-    # Query API (the stand-in for Netograph's custom API)
-    # ------------------------------------------------------------------
-    def by_domain(self) -> Dict[str, List[Observation]]:
-        """Observations grouped by domain, sorted by date (cached)."""
-        if self._snapshot is None:
-            buckets: Dict[str, List[Observation]] = {}
-            for obs in self.observations:
-                bucket = buckets.get(obs.domain)
-                if bucket is None:
-                    buckets[obs.domain] = [obs]
-                else:
-                    bucket.append(obs)
-            for bucket in buckets.values():
-                bucket.sort(key=lambda o: o.date)
-            self._snapshot = buckets
-        return self._snapshot
-
-    @property
-    def unique_domains(self) -> int:
-        return len(self._domains)
-
-    def observations_for(self, domain: str) -> List[Observation]:
-        return self.by_domain().get(domain, [])
-
-    def domains_with_cmp(self) -> Tuple[str, ...]:
-        with_cmp = set()
-        for d, c in zip(self._col_domain, self._col_cmp):
-            if c:
-                with_cmp.add(d)
-        return tuple(
-            domain
-            for i, domain in enumerate(self._domains)
-            if i in with_cmp
-        )
-
-    # ------------------------------------------------------------------
-    # Pickling (shard results travel between processes)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # Cached object views are derived data; never ship them.
-        state["_obs_cache"] = None
-        state["_snapshot"] = None
-        return state

@@ -669,19 +669,19 @@ class NetographPlatform:
             return store
         self._last_shard_stores = None
         fresh = self._run_cold(start, end, None, on_day, executor)
-        cache.save_capture_store(fingerprint, self._last_shard_stores or fresh)
+        shard_stores, self._last_shard_stores = self._last_shard_stores, None
+        cache.save_capture_store(fingerprint, shard_stores or fresh)
         if store is None:
             return fresh
-        if isinstance(fresh, SpillingCaptureStore) and not isinstance(
-            store, SpillingCaptureStore
-        ):
-            # A plain store can only concatenate in-memory columns;
-            # fold the spilled run back together first (O(rows), but
-            # this path means the caller asked for a resident
-            # continuation store anyway).
-            store.merge(fresh.fold_in())
-        else:
-            store.merge(fresh)
+        # A plain continuation store concatenates in-memory columns, so
+        # a spilled run is merged into it one segment at a time.
+        parts = (
+            fresh.iter_segment_stores()
+            if isinstance(fresh, SpillingCaptureStore)
+            else (fresh,)
+        )
+        for part in parts:
+            store.merge(part)
         return store
 
     def ingest_day(self, day: dt.date, store: Store) -> Store:

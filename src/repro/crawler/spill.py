@@ -1,49 +1,51 @@
 """Bounded-memory capture storage via on-disk spill segments.
 
-At paper scale (161M crawls) even the columnar
-:class:`~repro.crawler.columnar.CaptureStore` grows linearly with the
-study: ~10 bytes/row plus interning tables. This module caps the
-*resident* portion: a :class:`SpillingCaptureStore` keeps one active
-in-memory segment and, whenever it reaches the row budget, persists it
-as an on-disk segment in the existing ``shard-NNNN.jsonl`` checkpoint
-format (:mod:`repro.crawler.storage`) and starts a fresh one. Peak RSS
-is then bounded by the spill budget plus one day's batch, not by the
-study size.
+A :class:`SpillingCaptureStore` keeps one active in-memory
+:class:`~repro.crawler.columnar.CaptureStore` and, whenever it reaches
+the row budget, writes it as a segment file
+(:func:`repro.crawler.storage.save_store`) and starts a fresh one, so
+peak RSS is set by the budget, not by the study size. The budget is an
+*execution* knob (:class:`SpillSettings`, ``StudyConfig.memory_budget``)
+that is never fingerprinted: spilling cannot change results.
 
-Spilling is **bit-invisible**. Segments concatenated in spill order
-reproduce the exact insertion order, and the columnar merge invariant
-(interning tables stay first-appearance ordered through
-:meth:`CaptureStore.merge`) guarantees that folding the segments back
-together yields a store whose :meth:`~CaptureStore.digest_parts` chunks
-are byte-identical to a store that never spilled. ``tests/test_scale.py``
-pins digest equality against the in-memory path.
+Spilling is **bit-invisible**: segments concatenated in spill order
+reproduce the insertion order, and the segments' interning tables,
+interned in order, are exactly the tables of a store that never spilled
+(the columnar merge invariant). Every whole-store read therefore
+streams the segments one at a time instead of folding them back into
+memory; ``store_digest`` and ``unique_domains`` first intern the
+segment headers' tables (O(domains)), then hash each column one segment
+at a time through that segment's id translation.
 
-The budget is an *execution* knob, like ``parallelism`` or
-``cache_dir``: it is threaded through :class:`SpillSettings` /
-``StudyConfig.memory_budget`` and is never part of any cache
-fingerprint -- changing it cannot change results, only memory and time.
-
-Full-store reads (``observations``, ``by_domain``, ``digest_parts``,
-``domain_day_rows``) delegate to :meth:`SpillingCaptureStore.fold_in`,
-which reloads every segment and is therefore O(rows) in memory for the
-duration of the call -- the price of asking for the whole store at
-once. Streaming consumers (:meth:`iter_rows`, :meth:`rows_since`) load
-one segment at a time and stay within the budget.
+Segment files live in ``SpillSettings.directory`` when one is
+configured (its owner cleans it up), or else in a private temporary
+directory created at the first spill and removed when the owning store
+is dropped. Pickling hands that ownership to the unpickled copy, which
+is how a shard store travels from a worker process to the parent.
 """
 
 from __future__ import annotations
 
+import shutil
 import tempfile
+import weakref
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from repro.crawler.capture import Capture, Observation
-from repro.crawler.columnar import CaptureStore
+from repro.crawler.columnar import (
+    CaptureStore,
+    DayRows,
+    Row,
+    digest_stream,
+    remapped,
+)
 from repro.crawler.storage import (
     load_store,
+    read_header,
     save_store,
-    shard_checkpoint_path,
+    segment_path,
 )
 
 __all__ = ["SpillSettings", "SpillingCaptureStore"]
@@ -61,7 +63,7 @@ class SpillSettings:
     #: Rows the active in-memory segment may hold before it spills.
     row_budget: int
     #: Where segment files land; ``None`` allocates a private temporary
-    #: directory per store.
+    #: directory per store at its first spill.
     directory: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -82,23 +84,24 @@ class _Segment:
 class SpillingCaptureStore:
     """A :class:`CaptureStore` facade with bounded resident rows.
 
-    Drop-in for the write path and the streaming read path of the plain
-    store.
+    Drop-in for the plain store's writes (``append_batch``, ``merge``)
+    and reads (``iter_rows``, ``rows_since``, ``domain_day_rows``,
+    ``unique_domains``, ``digest_parts``).
     """
 
     def __init__(self, settings: SpillSettings):
         self.settings = settings
-        if settings.directory is not None:
-            self._directory = str(settings.directory)
-            Path(self._directory).mkdir(parents=True, exist_ok=True)
-        else:
-            self._directory = tempfile.mkdtemp(prefix="repro-spill-")
+        self._directory: Optional[str] = (
+            None if settings.directory is None else str(settings.directory)
+        )
+        #: Removes the private directory once this store is dropped;
+        #: ``None`` for a configured directory or before the first spill.
+        self._finalizer: Optional[weakref.finalize] = None
         self._segments: List[_Segment] = []
         self._active = CaptureStore()
         self._spilled_rows = 0
         self._spilled_captures = 0
         self._spilled_requests = 0
-        self._fold_cache: Optional[CaptureStore] = None
 
     # ------------------------------------------------------------------
     # Counters (read-only views over segments + active)
@@ -131,23 +134,9 @@ class SpillingCaptureStore:
     # ------------------------------------------------------------------
     # Writes (delegate to the active segment, then maybe spill)
     # ------------------------------------------------------------------
-    def append_row(self, *args, **kwargs) -> None:
-        self._active.append_row(*args, **kwargs)
-        self._dirty()
-
     def append_batch(self, *args, **kwargs) -> None:
         self._active.append_batch(*args, **kwargs)
-        self._dirty()
-
-    def add(self, capture: Capture, cmp_key: Optional[str]) -> Observation:
-        obs = self._active.add(capture, cmp_key)
-        self._dirty()
-        return obs
-
-    def add_observation(self, obs: Observation) -> Observation:
-        self._active.add_observation(obs)
-        self._dirty()
-        return obs
+        self._maybe_spill()
 
     def merge(self, other) -> None:
         """Fold *other* (plain or spilling) in after this store's rows.
@@ -158,27 +147,18 @@ class SpillingCaptureStore:
         post-merge spill check runs.
         """
         if isinstance(other, SpillingCaptureStore):
-            for segment in other._segments:
-                self._active.merge(
-                    load_store(segment.path, context="spill segment")
-                )
-                self._dirty()
-            self._active.merge(other._active)
+            for store in other.iter_segment_stores():
+                self._active.merge(store)
+                self._maybe_spill()
         else:
             self._active.merge(other)
-        self._dirty()
+            self._maybe_spill()
 
-    def _dirty(self) -> None:
-        self._fold_cache = None
-        if self._active.n_rows >= self.settings.row_budget:
-            self._spill()
-
-    def _spill(self) -> None:
+    def _maybe_spill(self) -> None:
         active = self._active
-        if active.n_rows == 0:
+        if active.n_rows < self.settings.row_budget:
             return
-        path = shard_checkpoint_path(self._directory, len(self._segments))
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = segment_path(self._segment_directory(), len(self._segments))
         save_store(active, path)
         self._segments.append(
             _Segment(
@@ -193,8 +173,21 @@ class SpillingCaptureStore:
         self._spilled_requests += active.total_requests
         self._active = CaptureStore()
 
+    def _segment_directory(self) -> str:
+        if self._directory is None:
+            self._directory = tempfile.mkdtemp(prefix="repro-spill-")
+            self._own_directory()
+        else:
+            Path(self._directory).mkdir(parents=True, exist_ok=True)
+        return self._directory
+
+    def _own_directory(self) -> None:
+        self._finalizer = weakref.finalize(
+            self, shutil.rmtree, self._directory, True
+        )
+
     # ------------------------------------------------------------------
-    # Streaming reads (one segment resident at a time)
+    # Reads (one segment resident at a time)
     # ------------------------------------------------------------------
     def iter_segment_stores(self) -> Iterator[CaptureStore]:
         """Every segment (spilled, then active) as a store, in order."""
@@ -202,13 +195,11 @@ class SpillingCaptureStore:
             yield load_store(segment.path, context="spill segment")
         yield self._active
 
-    def iter_rows(self) -> Iterator[Tuple[str, int, Optional[str], int]]:
+    def iter_rows(self) -> Iterator[Row]:
         for store in self.iter_segment_stores():
             yield from store.iter_rows()
 
-    def rows_since(
-        self, cursor: int
-    ) -> List[Tuple[str, int, Optional[str], int]]:
+    def rows_since(self, cursor: int) -> List[Row]:
         """Rows at global index >= *cursor*, across segment boundaries.
 
         The streaming engine's drain: a spill may land mid-day, so the
@@ -217,7 +208,7 @@ class SpillingCaptureStore:
         """
         if cursor < 0:
             raise ValueError("cursor must be >= 0")
-        out: List[Tuple[str, int, Optional[str], int]] = []
+        out: List[Row] = []
         offset = 0
         for segment in self._segments:
             end = offset + segment.n_rows
@@ -228,71 +219,85 @@ class SpillingCaptureStore:
         out.extend(self._active.rows_since(max(0, cursor - offset)))
         return out
 
-    # ------------------------------------------------------------------
-    # Whole-store views (fold every segment back together; O(rows))
-    # ------------------------------------------------------------------
-    def fold_in(self) -> CaptureStore:
-        """The equivalent in-memory store: segments merged by
-        concatenation in spill order, then the active tail.
+    def domain_day_rows(self, restrict_to=None) -> DayRows:
+        """:meth:`CaptureStore.domain_day_rows` of the whole store.
 
-        Cached until the next write. Bit-identical to a store that
-        never spilled, by the columnar merge-order invariant.
+        Each segment's groups are appended to the running groups, so
+        domains keep first-capture order and rows keep insertion order.
         """
-        if self._fold_cache is None:
-            merged = CaptureStore()
-            for store in self.iter_segment_stores():
-                merged.merge(store)
-            self._fold_cache = merged
-        return self._fold_cache
-
-    def digest_parts(self) -> Iterable[bytes]:
-        return self.fold_in().digest_parts()
-
-    @property
-    def observations(self) -> List[Observation]:
-        return self.fold_in().observations
+        wanted = None if restrict_to is None else set(restrict_to)
+        out: DayRows = {}
+        for store in self.iter_segment_stores():
+            for domain, rows in store.domain_day_rows(wanted).items():
+                bucket = out.get(domain)
+                if bucket is None:
+                    out[domain] = rows
+                else:
+                    bucket.extend(rows)
+        return out
 
     @property
     def unique_domains(self) -> int:
-        return self.fold_in().unique_domains
+        return self._merged_tables()[0].unique_domains
 
-    def by_domain(self):
-        return self.fold_in().by_domain()
+    def digest_parts(self) -> Iterator[bytes]:
+        """The digest stream of the folded store, without folding it:
+        the merged tables first, then each whole column assembled one
+        segment at a time."""
+        merged, id_maps = self._merged_tables()
 
-    def observations_for(self, domain: str) -> List[Observation]:
-        return self.fold_in().observations_for(domain)
+        def pieces(index: int) -> Iterator[array]:
+            # Domain (0) and CMP (2) ids go through each segment's id
+            # maps; dates (1) and vantages (3) are global already.
+            for store, maps in zip(self.iter_segment_stores(), id_maps):
+                column = store.columns()[index]
+                yield column if index % 2 else remapped(
+                    column, maps[index // 2]
+                )
 
-    def domains_with_cmp(self) -> Tuple[str, ...]:
-        return self.fold_in().domains_with_cmp()
+        return digest_stream(*merged.tables(), map(pieces, range(4)))
 
-    def domain_day_rows(self):
-        return self.fold_in().domain_day_rows()
+    def _merged_tables(
+        self,
+    ) -> Tuple[CaptureStore, List[Tuple[List[int], List[int]]]]:
+        """An empty store holding the tables a fold would have, interned
+        from the segment headers, plus each segment's domain and CMP id
+        maps into them."""
+        merged = CaptureStore()
+        id_maps = [
+            merged.intern_tables(header["domains"], header["cmp_keys"])
+            for header in (
+                read_header(segment.path, context="spill segment")
+                for segment in self._segments
+            )
+        ]
+        id_maps.append(merged.intern_tables(*self._active.tables()))
+        return merged, id_maps
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def cleanup(self) -> None:
-        """Delete the spilled segment files (and the owned directory).
-
-        Not called automatically: shard-result stores cross process
-        boundaries as segment paths, so the files must outlive the
-        store object that wrote them until the parent has merged or
-        persisted them.
-        """
+        """Delete the spilled segment files now, and the private
+        directory with them (a configured one stays with its owner)."""
         for segment in self._segments:
-            try:
-                Path(segment.path).unlink()
-            except OSError:
-                pass
-        try:
-            Path(self._directory).rmdir()
-        except OSError:
-            pass  # shared/non-empty directory: leave it
+            Path(segment.path).unlink(missing_ok=True)
+        if self._finalizer is not None:
+            self._finalizer()
 
-    # ------------------------------------------------------------------
-    # Pickling (shard results travel between processes as paths)
-    # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
+        """Pickle without the finalizer; the private directory's
+        ownership moves to the copy that unpickles this state."""
         state = self.__dict__.copy()
-        state["_fold_cache"] = None  # derived data; never ship it
+        finalizer = state.pop("_finalizer")
+        state["_owns_directory"] = (
+            finalizer is not None and finalizer.detach() is not None
+        )
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        owns_directory = state.pop("_owns_directory")
+        self.__dict__.update(state)
+        self._finalizer = None
+        if owns_directory:
+            self._own_directory()

@@ -21,10 +21,13 @@ PathLike = Union[str, Path]
 
 
 @contextmanager
-def atomic_write(path: PathLike, encoding: str = "utf-8") -> Iterator[IO[str]]:
-    """Open a text handle that atomically replaces *path* on success.
+def atomic_write(
+    path: PathLike, mode: str = "w", encoding: str = "utf-8"
+) -> Iterator[IO]:
+    """Open a handle that atomically replaces *path* on success.
 
-    The handle writes to a temporary file in the same directory (same
+    *mode* is ``"w"`` (text, *encoding*) or ``"wb"`` (bytes). The handle
+    writes to a temporary file in the same directory (same
     filesystem, so the final ``os.replace`` is atomic). On a clean exit
     the data is flushed, fsynced and renamed over *path*; on any
     exception the temporary file is removed and *path* is untouched.
@@ -33,7 +36,7 @@ def atomic_write(path: PathLike, encoding: str = "utf-8") -> Iterator[IO[str]]:
     fd, tmp_name = tempfile.mkstemp(
         dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp"
     )
-    handle = os.fdopen(fd, "w", encoding=encoding)
+    handle = os.fdopen(fd, mode, encoding=None if "b" in mode else encoding)
     try:
         yield handle
         handle.flush()

@@ -23,8 +23,10 @@ from repro.cache import (
     resolve_cache,
 )
 from repro.core.pipeline import Study, StudyConfig
-from repro.crawler.storage import save_store, store_digest
+from repro.crawler.spill import SpillSettings, SpillingCaptureStore
+from repro.crawler.storage import store_digest, write_export
 from repro.obs import Observability
+from tests.store_oracle import rows, store_from_rows
 
 WINDOW = (dt.date(2020, 3, 1), dt.date(2020, 3, 21))
 
@@ -213,16 +215,38 @@ class TestStoreEntries:
     def test_truncated_shard_is_miss(self, tmp_path, social_store):
         cache = ArtifactCache(tmp_path)
         cache.save_capture_store(self.fp(), social_store)
-        shard = tmp_path / self.fp().slot() / "shard-0000.jsonl"
-        data = shard.read_text(encoding="utf-8")
-        shard.write_text(data[: len(data) // 2], encoding="utf-8")
+        shard = tmp_path / self.fp().slot() / "segment-0000.seg"
+        data = shard.read_bytes()
+        shard.write_bytes(data[: len(data) // 2])
         assert cache.load_capture_store(self.fp()) is None
 
     def test_missing_shard_is_miss(self, tmp_path, social_store):
         cache = ArtifactCache(tmp_path)
         cache.save_capture_store(self.fp(), [social_store, social_store])
-        (tmp_path / self.fp().slot() / "shard-0001.jsonl").unlink()
+        (tmp_path / self.fp().slot() / "segment-0001.seg").unlink()
         assert cache.load_capture_store(self.fp()) is None
+
+    def test_repopulated_slot_keeps_no_stale_shards(
+        self, tmp_path, social_store
+    ):
+        cache = ArtifactCache(tmp_path)
+        spilled = SpillingCaptureStore(SpillSettings(row_budget=50))
+        for start in range(0, 203, 50):
+            store_from_rows(
+                rows(social_store)[start:min(start + 50, 203)], store=spilled
+            )
+        cache.save_capture_store(self.fp(), spilled)
+        slot = tmp_path / self.fp().slot()
+        assert len(list(slot.glob("segment-*.seg"))) == 5
+        shard = slot / "segment-0001.seg"
+        shard.write_bytes(shard.read_bytes()[:-1])
+        assert cache.load_capture_store(self.fp()) is None
+        cache.save_capture_store(self.fp(), social_store)
+        assert sorted(p.name for p in slot.iterdir()) == [
+            "entry.json", "segment-0000.seg",
+        ]
+        loaded = cache.load_capture_store(self.fp())
+        assert store_digest(loaded) == store_digest(social_store)
 
     def test_artifact_kind_mismatch_is_miss(self, tmp_path):
         """A JSON entry must not satisfy a store lookup (or vice versa)."""
@@ -246,7 +270,7 @@ class TestWarmStudy:
             table = study.vantage_table(when)
             curve = study.marketshare_curve(when)
             out = tmp_path / f"store-{run}.jsonl"
-            save_store(store, out)
+            write_export(store, out)
             exports.append(
                 (
                     out.read_bytes(),
@@ -284,7 +308,7 @@ class TestWarmStudy:
             for d in (tmp_path / "cache").iterdir()
             if d.name.startswith("social-crawl")
         )
-        shards = list(entry.glob("shard-*.jsonl"))
+        shards = list(entry.glob("segment-*.seg"))
         assert len(shards) > 1  # per-shard granularity preserved
         serial = Study(small_config(tmp_path))
         s_store = serial.run_social_crawl()
@@ -306,7 +330,7 @@ class TestWarmStudy:
         assert study.cache is None
         store = study.run_social_crawl()
         assert study.last_crawl_stats.crawls > 0
-        assert store.observations
+        assert store.n_rows
 
     def test_adoption_content_addressed_on_store(self, tmp_path):
         """A different input store must not be served the cached series."""

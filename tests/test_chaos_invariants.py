@@ -23,10 +23,9 @@ from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.storage import (
     StorageError,
-    load_shard_checkpoint,
-    resume_from_checkpoints,
-    save_shard_checkpoint,
-    shard_checkpoint_path,
+    load_store,
+    save_store,
+    segment_path,
     store_digest,
 )
 from repro.crawler.toplist_crawl import ToplistCrawler
@@ -39,6 +38,7 @@ from repro.faults import (
 )
 from repro.faults.retry import FAST_TEST_POLICY
 from repro.obs import Observability
+from tests.store_oracle import rows
 
 pytestmark = pytest.mark.chaos
 
@@ -105,7 +105,7 @@ class TestNoScheduleNoChange:
             world, faults=FaultSchedule(seed=99), retry=FAST_TEST_POLICY
         )
         ref_platform, ref_store = baseline
-        assert store.observations == ref_store.observations
+        assert rows(store) == rows(ref_store)
         assert store_digest(store) == store_digest(ref_store)
         assert store.n_captures == ref_store.n_captures
         assert platform.stats.failures == ref_platform.stats.failures
@@ -116,7 +116,7 @@ class TestNoScheduleNoChange:
         _, store = run_platform(
             world, faults=FaultSchedule(seed=99), executor=executor
         )
-        assert store.observations == baseline[1].observations
+        assert rows(store) == rows(baseline[1])
         assert store_digest(store) == store_digest(baseline[1])
 
 
@@ -132,7 +132,7 @@ class TestTransientFaultsAreFree:
         assert tally.recovered > 0
         assert tally.exhausted == 0  # budget covers every spec
         # ... and yet: the exact same dataset.
-        assert store.observations == ref_store.observations
+        assert rows(store) == rows(ref_store)
         assert store_digest(store) == store_digest(ref_store)
         assert store.total_requests == ref_store.total_requests
         assert platform.stats.failures == ref_platform.stats.failures
@@ -147,7 +147,7 @@ class TestTransientFaultsAreFree:
                 ExecutorConfig(workers=3, backend=backend)
             ),
         )
-        assert store.observations == baseline[1].observations
+        assert rows(store) == rows(baseline[1])
         assert store_digest(store) == store_digest(baseline[1])
         assert store.total_requests == baseline[1].total_requests
         # The crash schedule really killed workers mid-shard; the
@@ -191,9 +191,10 @@ class TestPermanentFaultsAreConservative:
         assert tally.skip_reasons() == {"retries_exhausted": tally.exhausted}
         # CMP presence only shrinks -- a fault can hide a dialog, never
         # fabricate one.
-        assert set(store.domains_with_cmp()) <= set(
-            ref_store.domains_with_cmp()
-        )
+        def with_cmp(some_store):
+            return {d for d, _o, cmp_key, _v in rows(some_store) if cmp_key}
+
+        assert with_cmp(store) <= with_cmp(ref_store)
 
     def test_exhaustion_surfaces_in_the_metrics(self, world):
         obs = Observability()
@@ -296,7 +297,7 @@ class TestToplistChaos:
 
 
 class TestCheckpointStorage:
-    """Satellite fix: resume errors must name both shard and file."""
+    """A corrupt segment's error names both the unit and the file."""
 
     def _store(self, world):
         _, store = run_platform(world)
@@ -304,41 +305,31 @@ class TestCheckpointStorage:
 
     def test_checkpoint_round_trip(self, world, tmp_path):
         store = self._store(world)
-        path = save_shard_checkpoint(store, tmp_path, shard_id=3)
-        assert path == shard_checkpoint_path(tmp_path, 3)
-        loaded = load_shard_checkpoint(tmp_path, 3)
-        assert loaded.observations == store.observations
+        path = segment_path(tmp_path, 3)
+        save_store(store, path)
+        loaded = load_store(path, context="shard 3")
+        assert rows(loaded) == rows(store)
         assert loaded.n_captures == store.n_captures
-
-    def test_resume_loads_all_shards_sorted(self, world, tmp_path):
-        store = self._store(world)
-        for shard_id in (2, 0, 1):
-            save_shard_checkpoint(store, tmp_path, shard_id)
-        stores = resume_from_checkpoints(tmp_path)
-        assert list(stores) == [0, 1, 2]
+        assert store_digest(loaded) == store_digest(store)
 
     def test_corrupt_checkpoint_names_shard_and_file(self, world, tmp_path):
         store = self._store(world)
-        path = save_shard_checkpoint(store, tmp_path, shard_id=7)
-        corrupted = path.read_text().replace('"domain"', '"dom', 1)
-        path.write_text(corrupted)
+        path = segment_path(tmp_path, 7)
+        save_store(store, path)
+        corrupted = path.read_bytes().replace(b'"domains"', b'"dom', 1)
+        path.write_bytes(corrupted)
         with pytest.raises(StorageError) as excinfo:
-            load_shard_checkpoint(tmp_path, 7)
+            load_store(path, context="shard 7")
         message = str(excinfo.value)
         assert "shard 7" in message
-        assert "shard-0007.jsonl" in message
+        assert "segment-0007.seg" in message
 
     def test_truncated_checkpoint_names_shard_and_file(
         self, world, tmp_path
     ):
         store = self._store(world)
-        path = save_shard_checkpoint(store, tmp_path, shard_id=4)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-5]) + "\n")
-        with pytest.raises(StorageError, match=r"shard 4: .*shard-0004"):
-            resume_from_checkpoints(tmp_path)
-
-    def test_stray_file_is_rejected_by_name(self, tmp_path):
-        (tmp_path / "shard-abc.jsonl").write_text("{}\n")
-        with pytest.raises(StorageError, match="not a shard checkpoint"):
-            resume_from_checkpoints(tmp_path)
+        path = segment_path(tmp_path, 4)
+        save_store(store, path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(StorageError, match=r"shard 4: .*segment-0004"):
+            load_store(path, context="shard 4")

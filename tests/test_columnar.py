@@ -50,6 +50,8 @@ from repro.faults.retry import FAST_TEST_POLICY
 from repro.net.url import URL
 from repro.web.worldgen import World, WorldConfig
 from tests.share_oracle import oracle_day_events
+from tests.store_oracle import rows as store_rows
+from tests.store_oracle import store_from_rows
 
 np = pytest.importorskip("numpy")
 
@@ -77,9 +79,10 @@ _rows = st.lists(
 
 
 def _store_from_rows(rows):
+    """One single-row ``append_batch`` call per row."""
     store = CaptureStore()
-    for domain, ordinal, cmp_key, vid, n_req in rows:
-        store.append_row(domain, ordinal, cmp_key, vid, n_req)
+    for *row, n_req in rows:
+        store_from_rows([row], requests=n_req, store=store)
     return store
 
 
@@ -99,8 +102,8 @@ class TestRoundTrip:
             [r[3] for r in rows],
             [r[4] for r in rows],
         )
-        assert list(batched.iter_rows()) == list(serial.iter_rows())
-        assert batched.observations == serial.observations
+        assert store_rows(batched) == store_rows(serial)
+        assert store_rows(batched) == [tuple(r[:4]) for r in rows]
         assert batched.n_captures == serial.n_captures
         assert batched.total_requests == serial.total_requests
         assert store_digest(batched) == store_digest(serial)
@@ -129,13 +132,11 @@ class TestMerge:
         for segment in segments:
             merged.merge(segment)
 
-        assert list(merged.iter_rows()) == list(serial.iter_rows())
-        assert merged.observations == serial.observations
+        assert store_rows(merged) == store_rows(serial)
         # Interning tables are first-appearance ordered either way --
         # the canonical-encoding argument behind digest_parts.
-        assert merged._domains == serial._domains
-        assert merged._cmp_keys == serial._cmp_keys
-        assert list(merged.by_domain()) == list(serial.by_domain())
+        assert merged.tables() == serial.tables()
+        assert list(merged.domain_day_rows()) == list(serial.domain_day_rows())
         assert merged.n_captures == serial.n_captures
         assert merged.total_requests == serial.total_requests
         assert store_digest(merged) == store_digest(serial)
@@ -145,12 +146,10 @@ class TestMerge:
     def test_digest_parts_canonical(self, rows):
         """Equal rows <-> equal digests, even via different write paths."""
         serial = _store_from_rows(rows)
-        via_obs = CaptureStore()
-        for obs in serial.observations:
-            via_obs.add_observation(obs)
-        via_obs.n_captures = serial.n_captures
-        via_obs.total_requests = serial.total_requests
-        assert store_digest(via_obs) == store_digest(serial)
+        via_rows = store_from_rows(
+            store_rows(serial), requests=[r[4] for r in rows]
+        )
+        assert store_digest(via_rows) == store_digest(serial)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +321,8 @@ class TestKernelOracle:
             world, stream, config, *ORACLE_WINDOW
         )
         assert [
-            (o.domain, o.date, o.cmp_key, o.vantage) for o in store.observations
+            (domain, dt.date.fromordinal(ordinal), cmp_key, VANTAGE_TABLE[vid])
+            for domain, ordinal, cmp_key, vid in store.iter_rows()
         ] == rows
         assert store.total_requests == requests
         assert platform.stats.failures == failures
@@ -374,12 +374,29 @@ class TestColumnarAdoption:
         return platform.run(dt.date(2020, 4, 1), dt.date(2020, 4, 10))
 
     @staticmethod
-    def _via_observations(store, restrict=None):
+    def _by_domain(store):
+        """Rows as ``Observation`` objects grouped by domain in
+        first-capture order, each group sorted by date (the object
+        reference for the columnar grouping)."""
+        groups = {}
+        for domain, ordinal, cmp_key, vid in store.iter_rows():
+            groups.setdefault(domain, []).append(
+                Observation(
+                    domain, dt.date.fromordinal(ordinal), cmp_key,
+                    VANTAGE_TABLE[vid],
+                )
+            )
+        for group in groups.values():
+            group.sort(key=lambda o: o.date)
+        return groups
+
+    @classmethod
+    def _via_observations(cls, store, restrict=None):
         wanted = None if restrict is None else set(restrict)
         return AdoptionSeries(
             timelines={
                 domain: DomainTimeline.from_observations(domain, observations)
-                for domain, observations in store.by_domain().items()
+                for domain, observations in cls._by_domain(store).items()
                 if wanted is None or domain in wanted
             }
         )
@@ -394,15 +411,16 @@ class TestColumnarAdoption:
 
     def test_from_columnar_restricted(self):
         store = self._store()
-        restrict = list(store.by_domain())[::4]
+        restrict = list(self._by_domain(store))[::4] + ["never.example"]
         via_objects = self._via_observations(store, restrict)
         via_columns = AdoptionSeries.from_columnar(store, restrict)
         assert via_columns.to_payload() == via_objects.to_payload()
+        assert list(store.domain_day_rows(restrict)) == restrict[:-1]
 
     def test_domain_day_rows_matches_by_domain(self):
         store = self._store()
         rows = store.domain_day_rows()
-        by_domain = store.by_domain()
+        by_domain = self._by_domain(store)
         assert list(rows) == list(by_domain)
         for domain, observations in by_domain.items():
             # Same multiset per domain; by_domain is date-sorted while
@@ -424,9 +442,11 @@ class TestVantageTable:
             assert vantage_id(vantage.region, vantage.address_space) == vid
 
     def test_observation_vantages_interned(self):
-        store = CaptureStore()
-        for vantage in VANTAGE_TABLE:
-            store.add_observation(
-                Observation("a.com", dt.date(2020, 1, 1), None, vantage)
-            )
-        assert [o.vantage for o in store.observations] == list(VANTAGE_TABLE)
+        ordinal = dt.date(2020, 1, 1).toordinal()
+        store = store_from_rows(
+            ("a.com", ordinal, None, VANTAGE_IDS[vantage])
+            for vantage in VANTAGE_TABLE
+        )
+        assert [
+            VANTAGE_TABLE[vid] for _d, _o, _c, vid in store.iter_rows()
+        ] == list(VANTAGE_TABLE)

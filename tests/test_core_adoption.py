@@ -222,24 +222,21 @@ class TestAdoptionSeries:
 
 
 class TestConsistencyStat:
+    DAY = dt.date(2020, 1, 1).toordinal()
+
     def test_consistent_domains(self):
-        by_domain = {
-            "a.com": [
-                obs("2020-01-01", "quantcast", "a.com"),
-                obs("2020-01-01", "quantcast", "a.com"),
-            ],
-            "b.com": [obs("2020-01-01", None, "b.com")],
+        per_domain = {
+            "a.com": [(self.DAY, "quantcast"), (self.DAY, "quantcast")],
+            "b.com": [(self.DAY, None)],
         }
-        assert daily_share_consistency(by_domain) == 1.0
+        assert daily_share_consistency(per_domain) == 1.0
 
     def test_mixed_domain_detected(self):
-        by_domain = {
-            "a.com": [
-                obs("2020-01-01", "quantcast", "a.com"),
-                obs("2020-01-01", None, "a.com"),
-            ],
-        }
-        assert daily_share_consistency(by_domain) == 0.0
+        per_domain = {"a.com": [(self.DAY, "quantcast"), (self.DAY, None)]}
+        assert daily_share_consistency(per_domain) == 0.0
+
+    def test_empty_domains_skipped(self):
+        assert daily_share_consistency({"a.com": []}) == 1.0
 
 
 class TestMonthStarts:

@@ -23,8 +23,11 @@ from repro.crawler.platform import (
     NetographPlatform,
     PlatformConfig,
 )
-from repro.crawler.capture import EU_CLOUD, US_CLOUD, Observation
+from repro.core.adoption import DomainTimeline
+from repro.crawler.columnar import VANTAGE_IDS
+from repro.crawler.capture import EU_CLOUD, US_CLOUD
 from repro.crawler.seeds import SocialShareStream, StreamConfig
+from tests.store_oracle import rows, store_from_rows
 
 START = dt.date(2020, 4, 1)
 END = dt.date(2020, 4, 7)
@@ -47,11 +50,12 @@ def _run(study, executor=None):
 
 
 def _keys(store):
-    """Fully comparable projection of the observation sequence."""
-    return [
-        (o.domain, o.date, o.cmp_key, o.vantage.region, o.vantage.address_space)
-        for o in store.observations
-    ]
+    """Fully comparable projection of the row sequence."""
+    return rows(store)
+
+
+def _with_cmp(store):
+    return sorted({d for d, _o, cmp_key, _v in rows(store) if cmp_key})
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +76,7 @@ class TestDeterminism:
         assert store.n_captures == serial_store.n_captures
         assert store.total_requests == serial_store.total_requests
         assert store.unique_domains == serial_store.unique_domains
-        assert sorted(store.domains_with_cmp()) == sorted(
-            serial_store.domains_with_cmp()
-        )
+        assert _with_cmp(store) == _with_cmp(serial_store)
         assert platform.stats.events == serial_platform.stats.events
         assert platform.stats.crawls == serial_platform.stats.crawls
         assert platform.stats.failures == serial_platform.stats.failures
@@ -127,69 +129,80 @@ class TestDeterminism:
         to the shared days."""
         short = _fresh_platform(study).run(START, dt.date(2020, 4, 2))
         long = _fresh_platform(study).run(START, dt.date(2020, 4, 4))
-        n = len(short.observations)
+        n = short.n_rows
         assert _keys(short) == _keys(long)[:n]
 
 
 class TestCaptureStoreMerge:
-    def _obs(self, domain, day, cmp_key=None, vantage=EU_CLOUD):
-        return Observation(
-            domain=domain, date=dt.date(2020, 4, day),
-            cmp_key=cmp_key, vantage=vantage,
+    @staticmethod
+    def _row(domain, day, cmp_key=None, vantage=EU_CLOUD):
+        return (
+            domain, dt.date(2020, 4, day).toordinal(), cmp_key,
+            VANTAGE_IDS[vantage],
         )
 
+    @staticmethod
+    def _days(store, domain):
+        return [
+            dt.date.fromordinal(ordinal).day
+            for ordinal, _cmp in store.domain_day_rows()[domain]
+        ]
+
     def test_merge_combines_counts_and_buckets(self):
-        a, b = CaptureStore(), CaptureStore()
-        a.add_observation(self._obs("x.com", 1))
-        a.add_observation(self._obs("y.com", 2, "onetrust"))
-        b.add_observation(self._obs("x.com", 3))
-        b.add_observation(self._obs("z.com", 1, "quantcast", US_CLOUD))
-        a.total_requests, b.total_requests = 10, 7
-        a.n_captures, b.n_captures = 2, 2
+        a = store_from_rows(
+            [self._row("x.com", 1), self._row("y.com", 2, "onetrust")],
+            requests=5,
+        )
+        b = store_from_rows(
+            [self._row("x.com", 3),
+             self._row("z.com", 1, "quantcast", US_CLOUD)],
+            requests=[3, 4],
+        )
         a.merge(b)
         assert a.n_captures == 4
         assert a.total_requests == 17
-        assert len(a.observations) == 4
+        assert a.n_rows == 4
         assert a.unique_domains == 3
-        assert [o.date.day for o in a.by_domain()["x.com"]] == [1, 3]
-        assert sorted(a.domains_with_cmp()) == ["y.com", "z.com"]
+        assert self._days(a, "x.com") == [1, 3]
+        assert _with_cmp(a) == ["y.com", "z.com"]
+        assert rows(a)[-1] == self._row("z.com", 1, "quantcast", US_CLOUD)
 
     def test_merge_resorts_out_of_order_dates(self):
-        a, b = CaptureStore(), CaptureStore()
-        a.add_observation(self._obs("x.com", 5))
-        b.add_observation(self._obs("x.com", 2))
-        b.add_observation(self._obs("x.com", 9))
+        a = store_from_rows([self._row("x.com", 5)])
+        b = store_from_rows([self._row("x.com", 2), self._row("x.com", 9)])
         a.merge(b)
-        assert [o.date.day for o in a.by_domain()["x.com"]] == [2, 5, 9]
+        # Rows keep insertion order; the adoption timeline re-sorts them.
+        assert self._days(a, "x.com") == [5, 2, 9]
+        timeline = DomainTimeline.from_day_rows(
+            "x.com", a.domain_day_rows()["x.com"], interpolate=False,
+            fade_out_days=0,
+        )
+        assert [iv.start.day for iv in timeline.intervals] == [2, 5, 9]
 
     def test_in_order_appends_keep_insertion_order(self):
         store = CaptureStore()
         for day in (1, 2, 3):
-            store.add_observation(self._obs("x.com", day))
-        assert [o.date.day for o in store.by_domain()["x.com"]] == [1, 2, 3]
+            store_from_rows([self._row("x.com", day)], store=store)
+        assert self._days(store, "x.com") == [1, 2, 3]
 
     def test_snapshots_are_immutable(self):
-        store = CaptureStore()
-        store.add_observation(self._obs("x.com", 1))
-        first = store.by_domain()
-        store.add_observation(self._obs("x.com", 2))
-        store.add_observation(self._obs("y.com", 1))
-        second = store.by_domain()
+        store = store_from_rows([self._row("x.com", 1)])
+        first = store.domain_day_rows()
+        store_from_rows(
+            [self._row("x.com", 2), self._row("y.com", 1)], store=store
+        )
+        second = store.domain_day_rows()
         assert first is not second
         assert len(first["x.com"]) == 1
         assert "y.com" not in first
         assert len(second["x.com"]) == 2
-        # Unchanged between queries -> the same snapshot is reused.
-        assert store.by_domain() is second
 
     def test_merge_respects_snapshot_immutability(self):
-        a, b = CaptureStore(), CaptureStore()
-        a.add_observation(self._obs("x.com", 1))
-        snapshot = a.by_domain()
-        b.add_observation(self._obs("x.com", 2))
-        a.merge(b)
+        a = store_from_rows([self._row("x.com", 1)])
+        snapshot = a.domain_day_rows()
+        a.merge(store_from_rows([self._row("x.com", 2)]))
         assert len(snapshot["x.com"]) == 1
-        assert len(a.by_domain()["x.com"]) == 2
+        assert len(a.domain_day_rows()["x.com"]) == 2
 
 
 class TestShardDerivation:

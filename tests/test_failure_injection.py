@@ -60,7 +60,7 @@ class TestDeadWorld:
         assert platform.stats.crawls > 0
         assert platform.stats.failure_rate == 1.0
         # Nothing is detected; nothing crashes.
-        assert store.domains_with_cmp() == ()
+        assert all(cmp_key is None for _d, _o, cmp_key, _v in store.iter_rows())
 
     def test_series_over_failed_captures(self, dead_world):
         platform = NetographPlatform(dead_world)

@@ -31,6 +31,7 @@ from repro.graph import (
     ingest_world_adoption,
 )
 from repro.toplist.providers import RANK_BUCKETS, CountryToplist
+from tests.store_oracle import store_from_rows
 
 # ----------------------------------------------------------------------
 # Tiny stand-ins for the worldgen / tranco / GVL sources (the ingestors
@@ -160,10 +161,7 @@ country_toplists = st.dictionaries(
 
 
 def store_from(rows) -> CaptureStore:
-    store = CaptureStore()
-    for domain, ordinal, cmp_key, vantage in rows:
-        store.append_row(domain, ordinal, cmp_key, vantage, 1)
-    return store
+    return store_from_rows(rows)
 
 
 def ingestor_closures(rows, world, n_ranked, toplists, versions):

@@ -6,7 +6,7 @@ import datetime as dt
 import pytest
 
 from repro.cli import main as cli_main
-from repro.crawler.platform import CaptureStore, NetographPlatform
+from repro.crawler.platform import NetographPlatform
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 
 
@@ -49,27 +49,7 @@ class TestPlatformCallbacks:
 
 class TestStoreQueries:
     def test_observations_for_unknown_domain(self, social_store):
-        assert social_store.observations_for("nope.example") == []
-
-    def test_by_domain_cache_invalidation(self, study):
-        from repro.crawler.browser import crawl_url
-        from repro.crawler.capture import EU_UNIVERSITY
-        from repro.net.url import URL
-
-        store = CaptureStore()
-        site = study.world.site(3)
-        cap = crawl_url(
-            study.world,
-            URL.parse(f"https://www.{site.domain}/"),
-            when=dt.datetime(2020, 5, 15, 12),
-            vantage=EU_UNIVERSITY,
-        )
-        store.add(cap, None)
-        first = store.by_domain()
-        store.add(cap, "onetrust")
-        second = store.by_domain()
-        assert len(second[cap.final_domain]) == 2
-        assert first is not second
+        assert social_store.domain_day_rows(["nope.example"]) == {}
 
 
 class TestCliSubcommands:

@@ -24,6 +24,7 @@ from repro.obs import (
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.obs.trace import NullTracer, Tracer
 from tests.prometheus import parse_prometheus
+from tests.store_oracle import rows
 
 WINDOW = (dt.date(2020, 4, 1), dt.date(2020, 4, 8))
 MAY = dt.date(2020, 5, 15)
@@ -205,10 +206,10 @@ class TestInstrumentedPlatform:
     def test_results_bit_identical_with_obs_on_and_off(self, world):
         _, plain = run_platform(world, obs=None)
         _, observed = run_platform(world, obs=Observability())
-        assert observed.observations == plain.observations
+        assert rows(observed) == rows(plain)
         assert observed.n_captures == plain.n_captures
         assert observed.total_requests == plain.total_requests
-        assert observed.by_domain() == plain.by_domain()
+        assert observed.domain_day_rows() == plain.domain_day_rows()
 
     def test_metrics_agree_with_platform_stats(self, world):
         obs = Observability()
@@ -228,7 +229,7 @@ class TestInstrumentedPlatform:
         assert (
             m.get("detect_captures_total").total == platform.engine.captures_seen
         )
-        cmp_hits = sum(1 for o in store.observations if o.cmp_key)
+        cmp_hits = sum(1 for _d, _o, cmp_key, _v in rows(store) if cmp_key)
         assert m.get("detect_matches_total").total == cmp_hits
 
     def test_parallel_run_equals_serial_and_counts_match(self, world):
@@ -239,7 +240,7 @@ class TestInstrumentedPlatform:
         _, parallel_store = run_platform(
             world, obs=parallel_obs, executor=executor
         )
-        assert parallel_store.observations == serial_store.observations
+        assert rows(parallel_store) == rows(serial_store)
         # The main accounting metrics agree between execution modes.
         for name in (
             "platform_crawls_total",

@@ -11,7 +11,9 @@ footprint is set by the row budget, not the row count.
 
 import dataclasses
 import datetime as dt
+import gc
 import itertools
+import pathlib
 import tracemalloc
 
 import pytest
@@ -39,6 +41,7 @@ from repro.web.worldgen import (
     World,
     WorldConfig,
 )
+from tests.store_oracle import rows, store_from_rows
 
 WINDOW = (dt.date(2020, 3, 1), dt.date(2020, 3, 8))
 
@@ -280,13 +283,18 @@ class TestSpillBitIdentity:
         n_rows = 40_000
 
         def feed(store):
-            for i in range(n_rows):
-                store.append_row(
-                    f"domain-{i % 20_000}.example",
-                    730_000 + (i % 90),
-                    ("onetrust", "quantcast", None)[i % 3],
-                    i % 4,
-                    1,
+            for start in range(0, n_rows, 500):
+                store_from_rows(
+                    (
+                        (
+                            f"domain-{i % 20_000}.example",
+                            730_000 + (i % 90),
+                            ("onetrust", "quantcast", None)[i % 3],
+                            i % 4,
+                        )
+                        for i in range(start, start + 500)
+                    ),
+                    store=store,
                 )
 
         tracemalloc.start()
@@ -316,42 +324,16 @@ class TestSpillStoreAPI:
 
     def _fill(self, store, n=10):
         for i in range(n):
-            store.append_row(
-                f"site-{i % 4}.example", 737_000 + i, "onetrust" if i % 2 else None, 0, 2
+            store_from_rows(
+                [(f"site-{i % 4}.example", 737_000 + i,
+                  "onetrust" if i % 2 else None, i % 6)],
+                requests=2,
+                store=store,
             )
 
     def test_row_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SpillSettings(row_budget=0)
-
-    def test_add_paths_spill_like_append(self, tmp_path):
-        import repro.crawler.capture as cap
-        from repro.net.url import URL
-
-        store = SpillingCaptureStore(
-            SpillSettings(row_budget=2, directory=str(tmp_path))
-        )
-        when = dt.datetime(2020, 3, 1, 12, 0, 0)
-        for i in range(3):
-            url = URL(scheme="https", host=f"s{i}.example", path="/")
-            store.add(
-                cap.Capture(
-                    capture_id=i,
-                    seed_url=url,
-                    final_url=url,
-                    captured_at=when,
-                    vantage=cap.EU_CLOUD,
-                    status=200,
-                ),
-                "onetrust",
-            )
-        store.add_observation(
-            cap.Observation("s9.example", when.date(), None)
-        )
-        assert store.n_rows == 4
-        assert store.n_captures == 3  # add_observation records no capture
-        assert store.n_segments >= 1
-        assert store.total_requests == store.fold_in().total_requests
 
     def test_merge_accepts_plain_and_spilling(self, tmp_path):
         reference = CaptureStore()
@@ -387,37 +369,36 @@ class TestSpillStoreAPI:
         with pytest.raises(ValueError):
             spilling.rows_since(-1)
 
-    def test_whole_store_views_delegate_to_fold(self, tmp_path):
+    def test_whole_store_reads_match_plain(self, tmp_path):
         plain = CaptureStore()
         self._fill(plain, 12)
         spilling = SpillingCaptureStore(
             SpillSettings(row_budget=4, directory=str(tmp_path))
         )
         self._fill(spilling, 12)
+        assert spilling.n_segments == 3
         assert spilling.unique_domains == plain.unique_domains
-        assert spilling.by_domain() == plain.by_domain()
-        assert spilling.observations_for("site-1.example") == (
-            plain.observations_for("site-1.example")
-        )
-        assert spilling.domains_with_cmp() == plain.domains_with_cmp()
         assert spilling.domain_day_rows() == plain.domain_day_rows()
-        assert spilling.observations == plain.observations
+        assert rows(spilling) == rows(plain)
+        assert spilling.total_requests == plain.total_requests == 24
 
-    def test_pickle_round_trip_drops_fold_cache(self, tmp_path):
+    def test_pickle_round_trip_moves_directory_ownership(self):
         import pickle
 
-        spilling = SpillingCaptureStore(
-            SpillSettings(row_budget=4, directory=str(tmp_path))
-        )
+        spilling = SpillingCaptureStore(SpillSettings(row_budget=4))
         self._fill(spilling, 12)
-        digest = store_digest(spilling)  # populates the fold cache
+        directory = pathlib.Path(spilling.segment_paths()[0]).parent
+        digest = store_digest(spilling)
         clone = pickle.loads(pickle.dumps(spilling))
-        assert clone._fold_cache is None
+        del spilling
+        gc.collect()
+        assert directory.is_dir()  # the clone owns it now
         assert store_digest(clone) == digest
+        del clone
+        gc.collect()
+        assert not directory.exists()
 
     def test_cleanup_tolerates_missing_files_and_shared_dirs(self, tmp_path):
-        import pathlib
-
         spilling = SpillingCaptureStore(
             SpillSettings(row_budget=2, directory=str(tmp_path))
         )

@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
+from repro.crawler.columnar import VANTAGE_TABLE
 from repro.crawler.platform import NetographPlatform
 from repro.crawler.seeds import SocialShareStream, StreamConfig
+from tests.store_oracle import rows
 
 DAY = dt.date(2020, 4, 1)
 
@@ -103,23 +105,24 @@ class TestPlatform:
         assert 0.15 < rate < 0.65
 
     def test_observations_sorted_by_domain(self, social_store):
-        by_domain = social_store.by_domain()
-        for domain, observations in list(by_domain.items())[:50]:
-            dates = [o.date for o in observations]
+        # The crawl appends day by day, so each domain's rows arrive in
+        # date order.
+        by_domain = social_store.domain_day_rows()
+        for domain, rows in list(by_domain.items())[:50]:
+            dates = [ordinal for ordinal, _cmp in rows]
             assert dates == sorted(dates)
-            assert all(o.domain == domain for o in observations)
+        assert sum(map(len, by_domain.values())) == social_store.n_rows
 
     def test_vantage_mix_roughly_half_eu(self, social_store):
-        regions = Counter(o.vantage.region for o in social_store.observations)
+        vantages = [VANTAGE_TABLE[v] for _d, _o, _c, v in rows(social_store)]
+        regions = Counter(v.region for v in vantages)
         total = sum(regions.values())
         assert 0.42 < regions["EU"] / total < 0.58
-        assert all(
-            o.vantage.address_space == "cloud"
-            for o in social_store.observations[:200]
-        )
+        assert all(v.address_space == "cloud" for v in vantages[:200])
 
     def test_cmp_domains_detected(self, social_store):
-        assert len(social_store.domains_with_cmp()) > 10
+        with_cmp = {d for d, _o, cmp_key, _v in rows(social_store) if cmp_key}
+        assert len(with_cmp) > 10
 
     def test_store_continues_across_runs(self, study):
         platform = NetographPlatform(study.world)
@@ -132,7 +135,7 @@ class TestPlatform:
         platform = NetographPlatform(study.world)
         store = platform.run(dt.date(2020, 4, 1), dt.date(2020, 4, 2))
         assert (
-            len(store.observations)
+            len(rows(store))
             == store.n_captures
             == platform.stats.crawls
             > 0

@@ -1,6 +1,7 @@
-"""Observation persistence and the command-line interface."""
+"""Capture-store persistence: segment files, the JSONL export, the CLI."""
 
 import datetime as dt
+import hashlib
 import io
 import json
 import re
@@ -11,151 +12,170 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crawler.capture import EU_CLOUD, Observation, Vantage
-from repro.crawler.platform import CaptureStore
+from repro.crawler.columnar import VANTAGE_TABLE
 from repro.crawler.storage import (
+    EXPORT_VERSION,
+    ROW_BYTES,
+    SEGMENT_VERSION,
     STORE_FORMAT,
-    STORE_VERSION,
     StorageError,
-    dump_observations,
-    dumps_observations,
-    load_observations,
     load_store,
-    loads_observations,
+    read_export,
     save_store,
-    store_header,
+    store_digest,
+    write_export,
 )
 from repro.cli import main as cli_main
+from tests.store_oracle import rows, store_from_rows
 
 
-def make_obs(n=5):
+def make_rows(n=5):
     return [
-        Observation(
-            domain=f"site{i}.com",
-            date=dt.date(2020, 1, 1) + dt.timedelta(days=i),
-            cmp_key="quantcast" if i % 2 else None,
-            vantage=Vantage("US" if i % 3 else "EU", "cloud"),
+        (
+            f"site{i}.com",
+            (dt.date(2020, 1, 1) + dt.timedelta(days=i)).toordinal(),
+            "quantcast" if i % 2 else None,
+            i % len(VANTAGE_TABLE),
         )
         for i in range(n)
     ]
 
 
+def export_text(store):
+    buffer = io.StringIO()
+    write_export(store, buffer)
+    return buffer.getvalue()
+
+
+HEADER = json.dumps(
+    {"format": STORE_FORMAT, "version": EXPORT_VERSION, "n_captures": 1,
+     "total_requests": 0, "n_observations": 1}
+) + "\n"
+
+
 class TestStorage:
     def test_roundtrip_string(self):
-        original = make_obs()
-        text = dumps_observations(original)
-        back = list(loads_observations(text))
-        assert back == original
+        original = store_from_rows(make_rows())
+        back = read_export(io.StringIO(export_text(original)))
+        assert rows(back) == rows(original)
+        assert store_digest(back) == store_digest(original)
 
     def test_roundtrip_file(self, tmp_path):
-        original = make_obs(20)
-        path = tmp_path / "obs.jsonl"
-        count = dump_observations(original, path)
-        assert count == 20
-        assert list(load_observations(path)) == original
+        original = store_from_rows(make_rows(20), requests=3)
+        path = tmp_path / "store.seg"
+        assert save_store(original, path) == 20
+        assert path.stat().st_size > 20 * ROW_BYTES
+        back = load_store(path)
+        assert rows(back) == rows(original)
+        assert store_digest(back) == store_digest(original)
 
     def test_store_roundtrip(self, study, tmp_path):
         store = study.run_social_crawl(
             dt.date(2020, 4, 1), dt.date(2020, 4, 8)
         )
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store.seg"
         n = save_store(store, path)
-        assert n == store.n_captures
+        assert n == store.n_rows
         back = load_store(path)
         assert back.n_captures == store.n_captures
-        assert back.by_domain().keys() == store.by_domain().keys()
+        assert back.domain_day_rows() == store.domain_day_rows()
+        assert list(back.domain_day_rows()) == list(store.domain_day_rows())
 
     def test_blank_lines_skipped(self):
-        text = dumps_observations(make_obs(2)) + "\n\n"
-        assert len(list(loads_observations(text))) == 2
+        text = export_text(store_from_rows(make_rows(2))) + "\n\n"
+        assert read_export(io.StringIO(text)).n_rows == 2
 
     def test_invalid_json_raises(self):
         with pytest.raises(StorageError, match="line 1"):
-            list(loads_observations("not-json\n"))
+            read_export(io.StringIO("not-json\n"))
 
     def test_missing_field_raises(self):
         with pytest.raises(StorageError, match="malformed"):
-            list(loads_observations('{"domain": "a.com"}\n'))
+            read_export(io.StringIO(HEADER + '{"domain": "a.com"}\n'))
 
     def test_vantage_preserved(self):
-        original = make_obs(6)
-        back = list(loads_observations(dumps_observations(original)))
-        assert [o.vantage for o in back] == [o.vantage for o in original]
+        original = store_from_rows(make_rows(12))
+        back = read_export(io.StringIO(export_text(original)))
+        assert [r[3] for r in rows(back)] == [r[3] for r in make_rows(12)]
+        assert {r[3] for r in rows(back)} == set(range(len(VANTAGE_TABLE)))
 
 
-def synthetic_store(observations, extra_failed_captures=0, total_requests=0):
-    """A store whose counters may exceed its observation count (the
-    shape produced when failed-capture accounting diverges)."""
-    store = CaptureStore()
-    for obs in observations:
-        store.add_observation(obs)
-        store.n_captures += 1
+def synthetic_store(row_list, extra_failed_captures=0, total_requests=0):
+    """A store whose counters may exceed its row count (the shape
+    produced when failed-capture accounting diverges)."""
+    store = store_from_rows(row_list, requests=0)
     store.n_captures += extra_failed_captures
     store.total_requests = total_requests
     return store
 
 
+class _ExplodingStore:
+    """Export source whose row stream dies after *n_ok* rows."""
+
+    n_captures = n_rows = 8
+    total_requests = 0
+
+    def __init__(self, n_ok):
+        self.n_ok = n_ok
+
+    def iter_rows(self):
+        yield from store_from_rows(make_rows(self.n_ok)).iter_rows()
+        raise RuntimeError("simulated crash")
+
+
 class TestCrashSafety:
     def test_dump_failure_leaves_original_intact(self, tmp_path):
         path = tmp_path / "obs.jsonl"
-        dump_observations(make_obs(3), path)
+        write_export(store_from_rows(make_rows(3)), path)
         original = path.read_text()
-
-        def killed_mid_write():
-            yield from make_obs(2)
-            raise RuntimeError("simulated crash")
-
         with pytest.raises(RuntimeError, match="simulated crash"):
-            dump_observations(killed_mid_write(), path)
+            write_export(_ExplodingStore(2), path)
         assert path.read_text() == original
         assert list(tmp_path.iterdir()) == [path]  # no temp leftovers
 
     def test_dump_failure_creates_no_file(self, tmp_path):
         path = tmp_path / "never.jsonl"
-
-        def doomed():
-            raise RuntimeError("boom")
-            yield  # pragma: no cover
-
         with pytest.raises(RuntimeError):
-            dump_observations(doomed(), path)
+            write_export(_ExplodingStore(0), path)
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
 
     def test_save_store_failure_leaves_original_intact(
         self, tmp_path, monkeypatch
     ):
-        path = tmp_path / "store.jsonl"
-        store = synthetic_store(make_obs(4))
-        save_store(store, path)
-        original = path.read_text()
+        path = tmp_path / "store.seg"
+        save_store(synthetic_store(make_rows(4)), path)
+        original = path.read_bytes()
 
         import repro.crawler.storage as storage_mod
 
         calls = {"n": 0}
-        real = storage_mod.observation_to_record
+        real = storage_mod.le_bytes
 
-        def explode_midway(obs):
+        def explode_midway(column):
             calls["n"] += 1
             if calls["n"] > 2:
                 raise RuntimeError("simulated kill -9")
-            return real(obs)
+            return real(column)
 
-        monkeypatch.setattr(
-            storage_mod, "observation_to_record", explode_midway
-        )
+        monkeypatch.setattr(storage_mod, "le_bytes", explode_midway)
         with pytest.raises(RuntimeError):
-            save_store(synthetic_store(make_obs(8)), path)
-        assert path.read_text() == original
+            save_store(synthetic_store(make_rows(8)), path)
+        assert path.read_bytes() == original
         assert list(tmp_path.iterdir()) == [path]
 
     def test_externally_truncated_store_rejected(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        save_store(synthetic_store(make_obs(6)), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")  # drop two records
-        with pytest.raises(StorageError, match="truncated store"):
+        path = tmp_path / "store.seg"
+        save_store(synthetic_store(make_rows(6)), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(StorageError, match="header promises 6 rows"):
             load_store(path)
+        export = tmp_path / "store.jsonl"
+        write_export(synthetic_store(make_rows(6)), export)
+        lines = export.read_text().splitlines()
+        export.write_text("\n".join(lines[:-2]) + "\n")  # drop two records
+        with pytest.raises(StorageError, match="truncated store"):
+            read_export(export)
 
 
 class TestStoreHeader:
@@ -163,24 +183,33 @@ class TestStoreHeader:
         self, tmp_path
     ):
         path = tmp_path / "store.jsonl"
-        original = make_obs(4)
-        save_store(synthetic_store(original), path)
+        original = synthetic_store(make_rows(4))
+        write_export(original, path)
         first = json.loads(path.read_text().splitlines()[0])
-        assert first["format"] == STORE_FORMAT
-        assert first["version"] == STORE_VERSION
-        assert list(load_observations(path)) == original
+        assert first == {
+            "format": STORE_FORMAT, "version": EXPORT_VERSION,
+            "n_captures": 4, "total_requests": 0, "n_observations": 4,
+        }
+        assert rows(read_export(path)) == make_rows(4)
+        segment = tmp_path / "store.seg"
+        save_store(original, segment)
+        header = json.loads(segment.read_bytes().split(b"\n", 1)[0])
+        assert header["version"] == SEGMENT_VERSION
+        assert header["n_rows"] == 4
 
     def test_roundtrip_preserves_failed_capture_accounting(self, tmp_path):
         original = synthetic_store(
-            make_obs(5), extra_failed_captures=3, total_requests=41
+            make_rows(5), extra_failed_captures=3, total_requests=41
         )
-        path = tmp_path / "store.jsonl"
-        assert save_store(original, path) == 5
-        back = load_store(path)
-        assert back.n_captures == original.n_captures == 8
-        assert back.total_requests == 41
-        assert back.observations == original.observations
-        assert back.by_domain() == original.by_domain()
+        for path, save, load in (
+            (tmp_path / "store.seg", save_store, load_store),
+            (tmp_path / "store.jsonl", write_export, read_export),
+        ):
+            assert save(original, path) == 5
+            back = load(path)
+            assert back.n_captures == original.n_captures == 8
+            assert back.total_requests == 41
+            assert rows(back) == rows(original)
 
     def test_live_crawl_roundtrip_exact(self, study, tmp_path):
         store = study.run_social_crawl(
@@ -188,80 +217,145 @@ class TestStoreHeader:
         )
         stats = study.last_crawl_stats
         assert stats.failures > 0  # the window must exercise failures
-        path = tmp_path / "store.jsonl"
-        save_store(store, path)
-        back = load_store(path)
-        assert back.n_captures == store.n_captures
-        assert back.total_requests == store.total_requests
-        assert back.observations == store.observations
+        for path, save, load in (
+            (tmp_path / "store.seg", save_store, load_store),
+            (tmp_path / "store.jsonl", write_export, read_export),
+        ):
+            save(store, path)
+            back = load(path)
+            assert back.n_captures == store.n_captures
+            assert back.total_requests == store.total_requests
+            assert rows(back) == rows(store)
+            assert store_digest(back) == store_digest(store)
 
-    def test_headerless_legacy_file_still_loads(self, tmp_path):
-        original = make_obs(7)
+    def test_headerless_export_rejected(self, tmp_path):
         path = tmp_path / "legacy.jsonl"
-        path.write_text(dumps_observations(original))
-        store = load_store(path)
-        assert store.observations == original
-        assert store.n_captures == 7  # legacy: one capture per observation
-        assert store.total_requests == 0
+        text = export_text(store_from_rows(make_rows(7)))
+        path.write_text(text.split("\n", 1)[1])
+        with pytest.raises(StorageError, match="not an export header"):
+            read_export(path)
 
     def test_future_version_rejected(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        header = {"format": STORE_FORMAT, "version": STORE_VERSION + 1}
+        path = tmp_path / "store.seg"
+        header = {"format": STORE_FORMAT, "version": SEGMENT_VERSION + 1}
         path.write_text(json.dumps(header) + "\n")
-        with pytest.raises(StorageError, match="unsupported store format"):
+        with pytest.raises(StorageError, match="unsupported segment version"):
             load_store(path)
+        export = tmp_path / "store.jsonl"
+        export.write_text(json.dumps({**header, "version": 9}) + "\n")
+        with pytest.raises(StorageError, match="unsupported export version"):
+            read_export(export)
 
     @settings(max_examples=25, deadline=None)
     @given(
-        n_obs=st.integers(min_value=0, max_value=25),
+        n_rows=st.integers(min_value=0, max_value=25),
         extra_failed=st.integers(min_value=0, max_value=10),
         requests=st.integers(min_value=0, max_value=5_000),
     )
-    def test_roundtrip_property(self, n_obs, extra_failed, requests):
+    def test_roundtrip_property(self, n_rows, extra_failed, requests):
         store = synthetic_store(
-            make_obs(n_obs),
+            make_rows(n_rows),
             extra_failed_captures=extra_failed,
             total_requests=requests,
         )
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "store.jsonl"
+            path = Path(tmp) / "store.seg"
             save_store(store, path)
             back = load_store(path)
-        assert back.observations == store.observations
-        assert back.n_captures == store.n_captures == n_obs + extra_failed
+        assert rows(back) == rows(store)
+        assert back.n_captures == store.n_captures == n_rows + extra_failed
         assert back.total_requests == requests
+        assert store_digest(back) == store_digest(store)
 
 
 class TestErrorLabeling:
     def test_invalid_json_error_names_file(self, tmp_path):
         path = tmp_path / "broken.jsonl"
-        path.write_text(dumps_observations(make_obs(1)) + "not-json\n")
+        path.write_text(export_text(store_from_rows(make_rows(1))) + "not-json\n")
         with pytest.raises(StorageError) as excinfo:
-            list(load_observations(path))
+            read_export(path)
         message = str(excinfo.value)
-        assert "broken.jsonl" in message and "line 2" in message
+        assert "broken.jsonl" in message and "line 3" in message
 
     def test_malformed_record_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "partial.jsonl"
-        good = dumps_observations(make_obs(2))
+        good = export_text(store_from_rows(make_rows(2)))
         path.write_text(good + '{"domain": "only-a-domain.com"}\n')
         with pytest.raises(
             StorageError,
-            match=re.escape("partial.jsonl") + r".*line 3.*malformed",
+            match=re.escape("partial.jsonl") + r".*line 4.*malformed",
         ):
-            list(load_observations(path))
+            read_export(path)
 
     def test_in_memory_sources_labeled_as_stream(self):
         with pytest.raises(StorageError, match="<stream>.*line 1"):
-            list(loads_observations("not-json\n"))
+            read_export(io.StringIO("not-json\n"))
 
     def test_load_store_errors_name_file(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        save_store(synthetic_store(make_obs(2)), path)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write("garbage\n")
-        with pytest.raises(StorageError, match="store.jsonl"):
+        path = tmp_path / "store.seg"
+        save_store(synthetic_store(make_rows(2)), path)
+        with path.open("ab") as handle:
+            handle.write(b"garbage\n")
+        with pytest.raises(StorageError, match="store.seg"):
             load_store(path)
+
+
+#: sha256 of ``repro --domains 1000 crawl --days 5 --start 2020-04-01
+#: --events-per-day 400 --out FILE`` as the JSON Lines writer of the
+#: previous storage format produced it (every execution mode).
+EXPORT_SHA256 = (
+    "cd2875193a89249bbcb39546891e0d784b4b6587f804e18d438379bd458c64f0"
+)
+#: ``figure6 --in`` of that export, as printed by that build.
+FIGURE6_LINES = [
+    "2020-04-01     18  {'quantcast': 7, 'onetrust': 6, 'cookiebot': 3, "
+    "'trustarc': 2}",
+    "2020-05-01     58  {'quantcast': 16, 'onetrust': 27, 'cookiebot': 8, "
+    "'trustarc': 7}",
+]
+
+
+class TestExportCompatibility:
+    """The export's bytes did not move with the storage format."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--memory-budget", "120"],
+            ["--workers", "2", "--backend", "process"],
+            ["--workers", "2", "--backend", "process",
+             "--memory-budget", "120"],
+        ],
+        ids=["serial", "budget", "process", "process-budget"],
+    )
+    def test_crawl_out_matches_previous_writer(self, tmp_path, capsys, flags):
+        path = tmp_path / "out.jsonl"
+        rc = cli_main(
+            ["--domains", "1000", *flags, "crawl", "--days", "5",
+             "--start", "2020-04-01", "--events-per-day", "400",
+             "--out", str(path)]
+        )
+        assert rc == 0
+        assert "1,352 observations" in capsys.readouterr().out
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256
+        rc = cli_main(["--domains", "1000", "figure6", "--in", str(path)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == FIGURE6_LINES
+
+    def test_events_per_day_reaches_the_crawl(self, tmp_path, capsys):
+        counts = []
+        for rate in ("100", "400"):
+            path = tmp_path / f"out-{rate}.jsonl"
+            rc = cli_main(
+                ["--domains", "1000", "crawl", "--days", "5",
+                 "--start", "2020-04-01", "--events-per-day", rate,
+                 "--out", str(path)]
+            )
+            assert rc == 0
+            counts.append(read_export(path).n_rows)
+        assert counts[1] == 1_352
+        assert counts[0] < counts[1] / 2
 
 
 class TestCli:

@@ -8,17 +8,19 @@ save/restore cycle at the engine level.
 
 import datetime as dt
 import json
+import shutil
 import tempfile
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adoption import AdoptionAccumulator, AdoptionSeries, DomainTimeline
 from repro.core.marketshare import MarketShareAccumulator
 from repro.core.vantage import VantageAccumulator, VantageTable
-from repro.crawler.columnar import CaptureStore
 from repro.stream.state import LiveAdoptionState
+from tests.store_oracle import store_from_rows
 
 DOMAINS = [f"d{i}.example" for i in range(8)]
 CMPS = [None, "onetrust", "quantcast", "cookiebot"]
@@ -50,9 +52,9 @@ def test_adoption_accumulator_matches_batch_at_any_cut(rows, cuts):
         acc.add(domain, BASE + off, cmp_key)
         if i + 1 == mid:
             acc.series()  # snapshot mid-feed; must not perturb later ones
-    store = CaptureStore()
-    for domain, off, cmp_key in rows[:end]:
-        store.append_row(domain, BASE + off, cmp_key, 0, 1)
+    store = store_from_rows(
+        (domain, BASE + off, cmp_key, 0) for domain, off, cmp_key in rows[:end]
+    )
     batch = AdoptionSeries.from_columnar(store)
     assert _payload_bytes(acc.series().to_payload()) == _payload_bytes(
         batch.to_payload()
@@ -159,37 +161,33 @@ def test_marketshare_accumulator_tracks_live_state(rows, watermark):
 # ----------------------------------------------------------------------
 # Engine-level: random checkpoint/resume cuts stay byte-identical
 # ----------------------------------------------------------------------
-_CTX: dict = {}
+@pytest.fixture(scope="module")
+def engine_ctx():
+    """Shared world/cache for the engine-level property. One cache dir
+    serves every example (checkpoints are keyed by watermark, so
+    re-writing one is a deterministic overwrite); it is removed when
+    the module's tests are done."""
+    import dataclasses
 
+    from repro.core.pipeline import Study, StudyConfig
 
-def _ctx():
-    """Shared world/cache for the engine-level property (built lazily so
-    collection stays cheap). One persistent cache dir serves every
-    example: checkpoints are keyed by watermark, so re-writing one is a
-    deterministic overwrite."""
-    if not _CTX:
-        import dataclasses
-
-        from repro.core.pipeline import Study, StudyConfig
-
-        tmp = tempfile.mkdtemp(prefix="stream-prop-")
-        cfg = StudyConfig(
-            seed=23,
-            n_domains=800,
-            toplist_size=200,
-            events_per_day=60,
-            study_start=dt.date(2020, 3, 1),
-            study_end=dt.date(2020, 3, 11),
-        )
-        _CTX.update(
-            Study=Study,
-            replace=dataclasses.replace,
-            cfg=dataclasses.replace(cfg, cache_dir=tmp),
-            batch_study=Study(cfg),
-            batch_refs={},
-            checkpoints={},
-        )
-    return _CTX
+    tmp = tempfile.mkdtemp(prefix="stream-prop-")
+    cfg = StudyConfig(
+        seed=23,
+        n_domains=800,
+        toplist_size=200,
+        events_per_day=60,
+        study_start=dt.date(2020, 3, 1),
+        study_end=dt.date(2020, 3, 11),
+    )
+    yield dict(
+        Study=Study,
+        cfg=dataclasses.replace(cfg, cache_dir=tmp),
+        batch_study=Study(cfg),
+        batch_refs={},
+        checkpoints={},
+    )
+    shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _batch_reference(ctx, end):
@@ -206,13 +204,13 @@ def _batch_reference(ctx, end):
 
 @settings(max_examples=6, deadline=None)
 @given(cut=st.integers(min_value=1, max_value=8), extra=st.integers(1, 4))
-def test_engine_checkpoint_resume_byte_identity(cut, extra):
+def test_engine_checkpoint_resume_byte_identity(engine_ctx, cut, extra):
     """Checkpoint at a random day, resume in a fresh engine, run to a
     random later day: store digest and adoption payload match a batch
     run over the same window."""
     from repro.crawler.storage import store_digest
 
-    ctx = _ctx()
+    ctx = engine_ctx
     start = ctx["cfg"].study_start
     checkpoint_day = start + dt.timedelta(days=cut)
     end = min(
