@@ -3,7 +3,7 @@
 Not a paper figure -- these measure the library's own throughput so
 regressions in the simulation substrate are visible: world generation,
 page rendering, CMP detection, consent-string codec, PSL lookups, and
-the sharded crawl executor (serial vs. worker pool on one workload).
+the sharded crawl executor (serial vs. process pool on one workload).
 
 ``benchmarks/record_throughput.py`` runs the same workloads standalone
 and records the ``BENCH_throughput.json`` baseline tracked in the repo.
@@ -16,7 +16,6 @@ import pytest
 
 from repro.crawler.browser import crawl_url
 from repro.crawler.capture import EU_UNIVERSITY
-from repro.crawler.executor import CrawlExecutor, ExecutorConfig
 from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.detect.engine import detect_cmp
@@ -91,29 +90,21 @@ def _platform_for(world):
 _parallel_observations = {}
 
 
-@pytest.mark.parametrize(
-    "workers,backend",
-    [(1, "serial"), (2, "process"), (4, "process"), (4, "thread")],
-)
-def test_throughput_parallel_crawl(benchmark, bench_study, workers, backend):
-    """Crawl-phase throughput, serial vs. sharded worker pools.
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_throughput_parallel_crawl(benchmark, bench_study, workers):
+    """Crawl-phase throughput, serial vs. sharded process pools.
 
     Every configuration runs the identical two-week social window; the
     cross-check below asserts the executor's determinism contract on the
-    benchmarked stores themselves. Speedup over the ``(1, "serial")``
+    benchmarked stores themselves. Speedup over the one-worker (serial)
     row is bounded by the machine's core count -- on a single-core runner
     the parallel rows only measure fan-out overhead.
     """
     world = bench_study.world
-    executor = (
-        CrawlExecutor(ExecutorConfig(workers=workers, backend=backend))
-        if workers > 1
-        else None
-    )
 
     def crawl_window():
         platform = _platform_for(world)
-        return platform.run(*PARALLEL_WINDOW, executor=executor)
+        return platform.run(*PARALLEL_WINDOW, workers=workers)
 
     store = benchmark.pedantic(crawl_window, rounds=2, iterations=1)
     assert store.n_captures > 1_000

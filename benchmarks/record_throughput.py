@@ -10,7 +10,7 @@ to PR. Run from the repository root:
 Two guard rails keep the record honest:
 
 * **Single-core runners.** Parallel speedup numbers measured with
-  ``os.cpu_count() == 1`` are meaningless -- every backend time-slices
+  ``os.cpu_count() == 1`` are meaningless -- every worker time-slices
   one core, so "speedup" only measures fan-out overhead. On such a
   machine the script warns loudly, stamps ``single_core_warning`` into
   the record, and omits ``speedup_vs_serial`` from the parallel rows
@@ -21,8 +21,8 @@ Two guard rails keep the record honest:
   baseline. ``make bench-throughput`` wires this as the non-matrix CI
   perf gate; it never writes the JSON.
 
-The parallel rows exercise the sharded executor on the same two-week
-social window as the serial row and verify the determinism contract
+The parallel rows exercise the sharded executor's process pool on the
+same two-week social window as the serial row and verify the determinism contract
 (identical observation sequences) while timing the fan-out. Each row
 records the per-shard busy/payload breakdown plus the merge time, so a
 regression is attributable to compute, pickling, or collection.
@@ -39,7 +39,6 @@ from pathlib import Path
 
 from repro.crawler.browser import crawl_url
 from repro.crawler.capture import EU_UNIVERSITY
-from repro.crawler.executor import CrawlExecutor, ExecutorConfig
 from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.detect.engine import detect_cmp
@@ -90,20 +89,15 @@ def time_crawl_and_detect(world, n_urls=300):
     }
 
 
-def time_platform_window(world, workers, backend):
-    executor = (
-        CrawlExecutor(ExecutorConfig(workers=workers, backend=backend))
-        if workers > 1
-        else None
-    )
+def time_platform_window(world, workers):
     platform = _platform(world)
     start = time.perf_counter()
-    store = platform.run(*WINDOW, executor=executor)
+    store = platform.run(*WINDOW, workers=workers)
     seconds = time.perf_counter() - start
     keys = list(store.iter_rows())
     row = {
         "workers": workers,
-        "backend": backend,
+        "backend": "serial" if workers == 1 else "process",
         "seconds": round(seconds, 3),
         "crawls": store.n_captures,
         "crawls_per_second": round(store.n_captures / seconds, 1),
@@ -142,7 +136,7 @@ def time_serial_best(world, reps=SERIAL_REPS):
     """Best-of-*reps* serial window timing (noise-shielded)."""
     best_row, best_keys = None, None
     for _ in range(reps):
-        row, keys = time_platform_window(world, 1, "serial")
+        row, keys = time_platform_window(world, 1)
         if best_row is None or row["seconds"] < best_row["seconds"]:
             best_row, best_keys = row, keys
     best_row["timing_reps"] = reps
@@ -235,17 +229,17 @@ def main(argv=None):
     rows = [serial_row]
     print(f"  1xserial   {serial_row['seconds']:7.3f}s  "
           f"{serial_row['crawls_per_second']:8.1f} crawls/s")
-    for workers, backend in ((2, "process"), (4, "process"), (4, "thread")):
-        row, keys = time_platform_window(world, workers, backend)
+    for workers in (2, 4):
+        row, keys = time_platform_window(world, workers)
         assert keys == baseline_keys, (
-            f"determinism violated: {workers}x{backend} diverged"
+            f"determinism violated: {workers}xprocess diverged"
         )
         if not single_core:
             row["speedup_vs_serial"] = round(
                 serial_seconds / row["seconds"], 2
             )
         rows.append(row)
-        print(f"  {workers}x{backend:<8} {row['seconds']:7.3f}s  "
+        print(f"  {workers}xprocess  {row['seconds']:7.3f}s  "
               f"{row['crawls_per_second']:8.1f} crawls/s")
 
     record = {

@@ -21,9 +21,9 @@ scale knobs, the world seed, the fault-schedule digest, the CMP registry
 version, and a per-stage code-version constant (:data:`CODE_VERSIONS`,
 bumped whenever a stage's logic changes).  Deliberately **excluded** are
 the execution knobs that the determinism contract guarantees cannot
-change results: ``parallelism``, ``backend`` and the cache location
-itself -- an entry written by a 16-worker process run serves a serial
-rerun bit-identically.
+change results: ``parallelism`` and the cache location itself -- an
+entry written by a 16-worker process run serves a serial rerun
+bit-identically.
 
 Invalidation is purely fingerprint-based: an entry whose stored
 fingerprint digest disagrees with the requested one is evicted and

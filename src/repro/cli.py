@@ -54,14 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker count for the social crawl, >= 1 (1 = serial); "
-        "the toplist crawl always runs serially",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker-pool backend used when --workers > 1",
+        help="worker processes for the social crawl, >= 1 (1 = serial); "
+        "the toplist crawl and study --follow always run serially",
     )
     parser.add_argument(
         "--cache-dir",
@@ -235,7 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             n_domains=args.domains,
             toplist_size=min(args.toplist, args.domains),
             parallelism=args.workers,
-            backend=args.backend,
             cache_dir=None if args.no_cache else args.cache_dir,
             memory_budget=args.memory_budget,
         )
@@ -255,7 +248,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "burden": _cmd_burden,
         "study": _cmd_study,
     }[args.command]
-    rc = handler(study, args)
+    try:
+        rc = handler(study, args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     if obs is not None:
         obs.write(metrics_out=args.metrics_out, trace_out=args.trace_out)
         for path, what in (
@@ -399,23 +395,23 @@ def _cmd_study(study: Study, args) -> int:
         ),
         obs=study.obs,
     )
-    if args.resume:
-        from repro.cache import CacheError
+    from repro.cache import CacheError
 
-        try:
-            engine = study.streaming_engine(resume=True)
-        except CacheError as exc:
-            print(f"cannot resume: {exc}")
-            print(
-                "checkpoints are keyed by the full study config "
-                "(the synthetic world depends on the window): resume "
-                "with the same --seed/--domains/--toplist/--days/"
-                "--events-per-day the checkpoint was written with"
-            )
-            return 1
+    try:
+        engine = study.streaming_engine(resume=args.resume)
+    except CacheError as exc:
+        print(f"cannot resume: {exc}")
+        print(
+            "checkpoints are keyed by the full study config "
+            "(the synthetic world depends on the window): resume "
+            "with the same --seed/--domains/--toplist/--days/"
+            "--events-per-day the checkpoint was written with"
+        )
+        return 1
+    except ValueError as exc:  # an execution knob the engine cannot honour
+        raise argparse.ArgumentError(None, str(exc)) from exc
+    if args.resume:
         print(f"resumed from checkpoint at watermark {engine.watermark}")
-    else:
-        engine = study.streaming_engine()
     print(f"following {args.start} .. {end} "
           f"({args.events_per_day} URL shares/day)...")
     while engine.next_day < end:

@@ -204,8 +204,8 @@ _REGISTRY: Optional[Dict[str, CmpModel]] = None
 def _registry() -> Dict[str, CmpModel]:
     global _REGISTRY
     if _REGISTRY is None:
-        # Benign race: _build_registry() is deterministic, so workers
-        # racing here store equal dicts and the rebind is atomic.
+        # A process-local memo: _build_registry() is deterministic, so
+        # every worker process builds an equal registry.
         _REGISTRY = _build_registry()  # repro-lint: disable=RACE001
     return _REGISTRY
 

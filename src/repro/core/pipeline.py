@@ -26,14 +26,12 @@ from repro.core.adoption import AdoptionSeries, month_starts
 from repro.core.marketshare import MarketShareCurve, marketshare_by_toplist_size
 from repro.core.switching import SwitchingFlows
 from repro.core.vantage import VantageTable
-from repro.crawler.executor import BACKENDS, CrawlExecutor, ExecutorConfig
 from repro.crawler.platform import (
     CaptureStore,
     NetographPlatform,
     PlatformConfig,
 )
 from repro.crawler.seeds import SocialShareStream, StreamConfig
-from repro.crawler.spill import SpillSettings
 from repro.crawler.storage import store_digest
 from repro.crawler.toplist_crawl import (
     CONFIG_NAMES,
@@ -62,10 +60,12 @@ class StudyConfig:
     study_start: dt.date = dt.date(2018, 3, 1)
     study_end: dt.date = dt.date(2020, 9, 30)
     #: Social-crawl worker count (>= 1); 1 keeps the plain serial
-    #: loop. The toplist crawl always runs serially.
+    #: loop, more run shards on a process pool. The toplist crawl and
+    #: the streaming engine always run serially.
     parallelism: int = 1
-    #: Worker-pool backend for ``parallelism > 1``: "thread" | "process".
-    backend: str = "thread"
+    #: The worker pool behind ``parallelism > 1``; ``"process"`` is the
+    #: only one.
+    backend: str = "process"
     #: Chaos schedule injected into every crawl phase; ``None`` keeps
     #: runs bit-identical to a build without :mod:`repro.faults`.
     faults: Optional[FaultSchedule] = None
@@ -73,7 +73,7 @@ class StudyConfig:
     retry: Optional[RetryPolicy] = None
     #: Artifact-cache directory (:mod:`repro.cache`); ``None`` disables
     #: caching. Not part of any fingerprint -- moving the cache, like
-    #: changing ``parallelism``/``backend``, cannot change results.
+    #: changing ``parallelism``, cannot change results.
     cache_dir: Optional[str] = None
     #: Streaming-engine checkpoint cadence in ingested days (``study
     #: --follow``); 0 checkpoints only on request. An execution knob
@@ -95,9 +95,10 @@ class StudyConfig:
             raise ValueError(
                 f"parallelism must be >= 1, got {self.parallelism}"
             )
-        if self.backend not in BACKENDS:
+        if self.backend != "process":
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+                f"unknown backend {self.backend!r}; the only backend is "
+                "'process'"
             )
         if self.memory_budget is not None and self.memory_budget < 1:
             raise ValueError(
@@ -141,19 +142,6 @@ class Study:
         )
 
     # ------------------------------------------------------------------
-    @cached_property
-    def executor(self) -> Optional[CrawlExecutor]:
-        """The social-crawl executor implied by the parallelism knobs,
-        if any."""
-        if self.config.parallelism <= 1:
-            return None
-        return CrawlExecutor(
-            ExecutorConfig(
-                workers=self.config.parallelism,
-                backend=self.config.backend,
-            )
-        )
-
     @cached_property
     def tranco(self) -> TrancoList:
         return build_tranco(self.world)
@@ -215,11 +203,7 @@ class Study:
                 seed=self.config.seed + 2,
                 faults=self.config.faults,
                 retry=self.config.retry,
-                spill=(
-                    SpillSettings(row_budget=self.config.memory_budget)
-                    if self.config.memory_budget is not None
-                    else None
-                ),
+                memory_budget=self.config.memory_budget,
             ),
             obs=self.obs,
         )
@@ -235,7 +219,7 @@ class Study:
         return platform.run(
             start,
             end,
-            executor=self.executor,
+            workers=self.config.parallelism,
             cache=self.cache,
             fingerprint=fingerprint,
         )
@@ -251,10 +235,17 @@ class Study:
         0..N (see :mod:`repro.stream`). ``resume=True`` restores the
         newest checkpoint from the study cache instead of starting cold.
         ``checkpoint_every_days`` from the config is the default cadence;
-        *kwargs* forward to :class:`StreamingStudyEngine`.
+        *kwargs* forward to :class:`StreamingStudyEngine`. The engine
+        ingests serially, so a ``parallelism`` above 1 is rejected
+        rather than silently ignored.
         """
         from repro.stream import StreamingStudyEngine
 
+        if self.config.parallelism > 1:
+            raise ValueError(
+                "the streaming engine ingests one day at a time on one "
+                f"worker; parallelism must be 1, got {self.config.parallelism}"
+            )
         kwargs.setdefault(
             "checkpoint_every", self.config.checkpoint_every_days
         )

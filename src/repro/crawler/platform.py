@@ -12,9 +12,9 @@ capture queue serially (the 1h/48h cooldown rules are inherently
 sequential, but cheap -- dictionary lookups only). The *crawl phase*
 visits every accepted URL; it is embarrassingly parallel because each
 crawl's randomness is derived from per-event keys, never from shared
-sequential state. Passing a :class:`~repro.crawler.executor.CrawlExecutor`
-fans the crawl phase out over day-range shards; the default is the plain
-serial loop.
+sequential state. One worker (the default) crawls each day inline; more
+workers fan the crawl phase out over day-range shards on a process pool
+(:func:`repro.crawler.executor.map_shards`).
 
 Each day is generated once, as a columnar
 :class:`~repro.crawler.seeds.ShareBatch`; the dedup phase feeds the
@@ -35,9 +35,9 @@ through the same step, with its own vantage, dates, retry keys and
 fault-attempt counters.
 
 The serial loop (and with it :meth:`NetographPlatform.ingest_day` and
-the streaming engine) calls the kernel once per day. Every executor
-backend ships the same payload, a :class:`SocialShardSpec` recipe of
-the accepted events' raw draw rows per day; the worker
+the streaming engine) calls the kernel once per day. A sharded run
+ships each worker a :class:`SocialShardSpec` recipe of the accepted
+events' raw draw rows per day; the worker
 (:func:`crawl_social_shard`) draws each of its days once, builds URLs
 for its own rows only and calls the kernel on them, cutting the batch
 at the schedule's crash point and at the resume index. The row reference
@@ -54,7 +54,6 @@ import itertools
 import pickle
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -73,21 +72,21 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> storage -> platform)
     from repro.cache import ArtifactCache, Fingerprint
 
+from repro.crawler import executor
 from repro.crawler.browser import DEFAULT_PROFILE, FAULT_STATUS, CrawlProfile
 from repro.crawler.capture import Vantage
 from repro.crawler.columnar import VANTAGE_IDS, CaptureStore
 from repro.crawler.executor import (
-    CrawlExecutor,
+    SHARDS_PER_WORKER,
     ExecutorStats,
     ShardStats,
-    WorldRef,
     partition_grouped,
     resolve_world,
     world_ref_for_backend,
 )
 from repro.crawler.queue import CaptureQueue
 from repro.crawler.seeds import ShareBatch, SocialShareStream, StreamConfig
-from repro.crawler.spill import SpillSettings, SpillingCaptureStore
+from repro.crawler.spill import SpillingCaptureStore
 from repro.det import key64
 from repro.detect.engine import DetectionEngine, hosts_mask
 from repro.faults import (
@@ -106,7 +105,7 @@ from repro.net.url import URL
 from repro.obs import Counter, Observability, resolve_obs
 from repro.obs.memory import publish_memory_gauges
 from repro.web.serving import CompactVisit, visit_compact, visit_key_prefix
-from repro.web.worldgen import CacheLimits, World, publish_world_cache_gauges
+from repro.web.worldgen import World, WorldConfig, publish_world_cache_gauges
 
 __all__ = [
     "CaptureStore",  # re-export: the store moved to repro.crawler.columnar
@@ -147,16 +146,11 @@ class PlatformConfig:
     #: Backoff policy for retrying injected transient faults; ``None``
     #: records the faulted capture without retrying.
     retry: Optional[RetryPolicy] = None
-    #: Spill budget for crawl-phase stores (:mod:`repro.crawler.spill`);
-    #: ``None`` keeps every row resident. An execution knob like
-    #: ``parallelism`` -- never fingerprinted, cannot change results.
-    #: A sharded run whose fault schedule crashes workers rejects it
-    #: (a resumed shard would reuse its checkpoint's segment directory).
-    spill: Optional[SpillSettings] = None
-    #: World memo-cache bounds applied inside shard workers; ``None``
-    #: keeps each worker world's construction-time defaults. Eviction
-    #: is bit-invisible (sites regenerate from ``(seed, rank)``).
-    world_cache_limits: Optional[CacheLimits] = None
+    #: Row budget of every crawl-phase store, shard stores included
+    #: (:mod:`repro.crawler.spill`); ``None`` keeps every row resident.
+    #: An execution knob like the worker count -- never fingerprinted,
+    #: cannot change results.
+    memory_budget: Optional[int] = None
 
 
 @dataclass
@@ -228,13 +222,21 @@ def _final_domain(host: str) -> str:
     domain = _DOMAIN_MEMO.get(host)
     if domain is None:
         reg = default_psl().registrable_domain(host)
-        # Benign race: the PSL mapping is pure, equal values race in.
+        # A process-local memo: the PSL mapping is pure, so every
+        # worker process stores an equal value.
         domain = _DOMAIN_MEMO[host] = reg if reg is not None else host  # repro-lint: disable=RACE001
     return domain
 
 
 def _fault_kind(result: Union[CompactVisit, Fault]) -> Optional[str]:
     return result.kind if isinstance(result, Fault) else None
+
+
+def _new_store(config: PlatformConfig) -> Store:
+    """An empty crawl-phase store under *config*'s memory budget."""
+    if config.memory_budget is None:
+        return CaptureStore()
+    return SpillingCaptureStore(config.memory_budget)
 
 
 # ----------------------------------------------------------------------
@@ -451,11 +453,11 @@ def meter_faults(obs: Observability, tally: FaultTally) -> None:
 
 
 # ----------------------------------------------------------------------
-# Shard payloads (module-level so the process backend can pickle them)
+# Shard payloads (module-level so worker processes can unpickle them)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SocialShardSpec:
-    """One shard as a *recipe*: the payload of every executor backend.
+    """One shard as a *recipe*: what a worker process receives.
 
     The seed stream is deterministic per day, so a shard is fully
     described by the stream config plus, per day, the raw draw rows of
@@ -466,7 +468,7 @@ class SocialShardSpec:
     """
 
     shard_id: int
-    world_ref: WorldRef
+    world_config: WorldConfig
     config: PlatformConfig
     stream_config: StreamConfig
     #: ``(day_ordinal, accepted events' raw draw rows)`` runs, in
@@ -491,28 +493,17 @@ class SocialShardSpec:
             yield stream.events_for_day(dt.date.fromordinal(ordinal), rows)
 
 
-def _shard_spill_settings(
-    config: PlatformConfig, task: SocialShardSpec
-) -> SpillSettings:
-    """Per-shard spill settings: shards sharing a configured directory
-    get disjoint subdirectories so their segment files never collide."""
-    spill = config.spill
-    assert spill is not None
-    if spill.directory is None:
-        return spill
-    return dataclasses.replace(
-        spill,
-        directory=str(Path(spill.directory) / f"shard-{task.shard_id:04d}"),
-    )
-
-
 @dataclass(frozen=True)
 class SocialShardResult:
     shard_id: int
     store: Store
     failures: int
+    #: The shard's detection accounting (:class:`DetectionEngine`
+    #: counters), replayed into the parent's engine and metrics.
     captures_seen: int
     overcounted: int
+    matches: Dict[str, int]
+    excluded: Dict[str, int]
     faults: FaultTally = field(default_factory=FaultTally)
 
 
@@ -526,28 +517,22 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
     every crawl is keyed independently, so the resumed run's final
     result is bit-identical to an uninterrupted one.
     """
-    world = resolve_world(task.world_ref)
+    world = resolve_world(task.world_config)
     config = task.config
-    if config.world_cache_limits is not None:
-        # Bit-invisible (evicted memos regenerate identically); under
-        # the thread backend every shard re-applies the same limits to
-        # the shared world, which is idempotent.
-        world.set_cache_limits(config.world_cache_limits)
     engine = DetectionEngine()
-    store: Store = (
-        SpillingCaptureStore(_shard_spill_settings(config, task))
-        if config.spill is not None
-        else CaptureStore()
-    )
+    store = _new_store(config)
     tally = FaultTally()
     failures = 0
-    base_seen = base_overcounted = 0
     if task.checkpoint is not None:
         checkpoint = task.checkpoint
         store.merge(checkpoint.store)
         failures = checkpoint.failures
-        base_seen = checkpoint.captures_seen
-        base_overcounted = checkpoint.overcounted
+        engine.absorb(
+            checkpoint.captures_seen,
+            checkpoint.overcounted,
+            checkpoint.matches,
+            checkpoint.excluded,
+        )
         tally.merge(checkpoint.faults)
     clock = VirtualClock()
     schedule = config.faults
@@ -562,8 +547,10 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
             shard_id=task.shard_id,
             store=store,
             failures=failures,
-            captures_seen=base_seen + engine.captures_seen,
-            overcounted=base_overcounted + engine.overcounted,
+            captures_seen=engine.captures_seen,
+            overcounted=engine.overcounted,
+            matches=engine.matches,
+            excluded=engine.excluded,
             faults=tally,
         )
 
@@ -639,18 +626,17 @@ class NetographPlatform:
         start: dt.date,
         end: dt.date,
         store: Optional[CaptureStore] = None,
-        on_day: Optional[Callable[[dt.date], None]] = None,
-        executor: Optional[CrawlExecutor] = None,
+        workers: int = 1,
         cache: Optional["ArtifactCache"] = None,
         fingerprint: Optional["Fingerprint"] = None,
     ) -> Store:
         """Run the platform over ``[start, end)`` and return the store.
 
         Passing an existing *store* continues a previous run (the real
-        platform ran continuously for 2.5 years). With an *executor*
-        whose config is parallel, the crawl phase is sharded by
-        share-event days and fanned out over the worker pool; the result
-        is identical to the serial path for the same seed.
+        platform ran continuously for 2.5 years). With more than one
+        worker, the crawl phase is sharded by share-event days and fanned
+        out over a pool of *workers* processes; the result is identical
+        to the serial path for the same seed.
 
         With a *cache* and *fingerprint*, the run consults the artifact
         cache first: a hit restores the persisted capture store --
@@ -659,8 +645,10 @@ class NetographPlatform:
         phases entirely; a miss computes cold and populates the entry
         (per-shard when the run was sharded).
         """
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if cache is None or fingerprint is None:
-            return self._run_cold(start, end, store, on_day, executor)
+            return self._run_cold(start, end, store, workers)
         cached = cache.load_capture_store(fingerprint)
         if cached is not None:
             if store is None:
@@ -668,7 +656,7 @@ class NetographPlatform:
             store.merge(cached)
             return store
         self._last_shard_stores = None
-        fresh = self._run_cold(start, end, None, on_day, executor)
+        fresh = self._run_cold(start, end, None, workers)
         shard_stores, self._last_shard_stores = self._last_shard_stores, None
         cache.save_capture_store(fingerprint, shard_stores or fresh)
         if store is None:
@@ -735,31 +723,12 @@ class NetographPlatform:
         start: dt.date,
         end: dt.date,
         store: Optional[Store] = None,
-        on_day: Optional[Callable[[dt.date], None]] = None,
-        executor: Optional[CrawlExecutor] = None,
+        workers: int = 1,
     ) -> Store:
         """The uncached dedup + crawl pipeline behind :meth:`run`."""
-        config = self.config
-        parallel = executor is not None and executor.config.parallel
-        crash = config.faults.crash if config.faults is not None else None
-        if parallel and config.spill is not None and crash is not None:
-            raise ValueError(
-                f"memory_budget (spill row_budget={config.spill.row_budget}) "
-                f"cannot be combined with the fault schedule's crash spec "
-                f"{crash!r} on a sharded run: a resumed shard would reuse "
-                "its checkpoint's segment directory"
-            )
-        if config.world_cache_limits is not None:
-            # Shard workers re-apply this to their resolved worlds; the
-            # serial path crawls against self.world directly, so bound
-            # it here. Bit-invisible either way.
-            self.world.set_cache_limits(config.world_cache_limits)
+        parallel = workers > 1
         if store is None:
-            store = (
-                SpillingCaptureStore(config.spill)
-                if config.spill is not None
-                else CaptureStore()
-            )
+            store = _new_store(self.config)
         timing = self.obs.enabled
         with self.obs.span(
             "platform.run",
@@ -808,12 +777,9 @@ class NetographPlatform:
                 self.queue.prune(
                     dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1)
                 )
-                if on_day is not None:
-                    on_day(day)
                 day += dt.timedelta(days=1)
             if accepted:
-                assert executor is not None
-                self._run_sharded(executor, accepted, store, run_tally)
+                self._run_sharded(workers, accepted, store, run_tally)
             elif timing and not parallel:
                 self.obs.tracer.record_span(
                     "platform.crawl", crawl_seconds, mode="serial"
@@ -852,21 +818,21 @@ class NetographPlatform:
 
     # ------------------------------------------------------------------
     def _shard_payloads(
-        self, executor: CrawlExecutor, accepted: List[Tuple[int, int]]
+        self, workers: int, accepted: List[Tuple[int, int]]
     ) -> List[SocialShardSpec]:
         """Partition the acceptance sequence into shard specs.
 
-        Every backend ships the same recipe: the worker resolves the
-        world (shared for threads, regenerated once per process) and
-        re-derives the accepted events from their per-day draw rows.
+        A worker resolves the world from the spec's config (inherited
+        from this process when forked) and re-derives the accepted
+        events from their per-day draw rows.
         """
-        n_shards = executor.config.n_shards(len(accepted))
+        n_shards = min(len(accepted), workers * SHARDS_PER_WORKER)
         chunks = partition_grouped(accepted, n_shards, key=lambda item: item[0])
-        world_ref = world_ref_for_backend(self.world, executor.config.backend)
+        world_config = world_ref_for_backend(self.world)
         return [
             SocialShardSpec(
                 shard_id=i,
-                world_ref=world_ref,
+                world_config=world_config,
                 config=self.config,
                 stream_config=self.stream.config,
                 runs=tuple(
@@ -881,23 +847,19 @@ class NetographPlatform:
 
     def _run_sharded(
         self,
-        executor: CrawlExecutor,
+        workers: int,
         accepted: List[Tuple[int, int]],
         store: Store,
         run_tally: FaultTally,
     ) -> None:
         with self.obs.span(
-            "executor.derive_shards",
-            backend=executor.config.backend,
-            workers=executor.config.workers,
+            "executor.derive_shards", workers=workers
         ) as derive_span:
-            tasks = self._shard_payloads(executor, accepted)
+            tasks = self._shard_payloads(workers, accepted)
             derive_span.set(tasks=len(accepted), shards=len(tasks))
-        with self.obs.span(
-            "executor.crawl", backend=executor.config.backend
-        ) as crawl_span:
+        with self.obs.span("executor.crawl", workers=workers) as crawl_span:
             results, seconds, wall, resumes = executor.map_shards(
-                crawl_social_shard, tasks, resume=resume_social_shard
+                crawl_social_shard, tasks, workers, resume=resume_social_shard
             )
             crawl_span.set(shards=len(tasks))
             self._last_shard_stores = [result.store for result in results]
@@ -913,23 +875,16 @@ class NetographPlatform:
                     )
                     self._h_shard_seconds.observe(secs, pipeline="social")
 
-        # Payload accounting: only the process backend serializes shard
-        # payloads; measuring the spec pickles is cheap (a few ints per
-        # crawl) and keeps worker-transfer regressions attributable.
-        if executor.config.backend == "process":
-            payload_sizes = [
-                len(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
-                for t in tasks
-            ]
-        else:
-            payload_sizes = [0] * len(tasks)
+        # Payload accounting: measuring the spec pickles is cheap (a few
+        # ints per crawl) and keeps worker-transfer regressions
+        # attributable.
+        payload_sizes = [
+            len(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
+            for t in tasks
+        ]
         # Merge-duration stat only, not crawl-visible state.
         merge_start = time.perf_counter()  # repro-lint: disable=DET002
-        exec_stats = ExecutorStats(
-            backend=executor.config.backend,
-            workers=executor.config.workers,
-            wall_seconds=wall,
-        )
+        exec_stats = ExecutorStats(workers=workers, wall_seconds=wall)
         with self.obs.span("executor.merge", shards=len(tasks)):
             for task, result, secs, n_resumes, n_bytes in zip(
                 tasks, results, seconds, resumes, payload_sizes
@@ -966,11 +921,9 @@ class NetographPlatform:
             result.failures - exhausted,
             exhausted,
         )
-        matches: Dict[str, int] = {}
-        if self.obs.enabled:
-            for _domain, _ordinal, cmp_key, _vid in result.store.iter_rows():
-                if cmp_key is not None:
-                    matches[cmp_key] = matches.get(cmp_key, 0) + 1
         self.engine.absorb(
-            result.captures_seen, result.overcounted, matches
+            result.captures_seen,
+            result.overcounted,
+            result.matches,
+            result.excluded,
         )

@@ -5,8 +5,8 @@ A :class:`SpillingCaptureStore` keeps one active in-memory
 the row budget, writes it as a segment file
 (:func:`repro.crawler.storage.save_store`) and starts a fresh one, so
 peak RSS is set by the budget, not by the study size. The budget is an
-*execution* knob (:class:`SpillSettings`, ``StudyConfig.memory_budget``)
-that is never fingerprinted: spilling cannot change results.
+*execution* knob (``StudyConfig.memory_budget``) that is never
+fingerprinted: spilling cannot change results.
 
 Spilling is **bit-invisible**: segments concatenated in spill order
 reproduce the insertion order, and the segments' interning tables,
@@ -17,11 +17,12 @@ memory; ``store_digest`` and ``unique_domains`` first intern the
 segment headers' tables (O(domains)), then hash each column one segment
 at a time through that segment's id translation.
 
-Segment files live in ``SpillSettings.directory`` when one is
-configured (its owner cleans it up), or else in a private temporary
-directory created at the first spill and removed when the owning store
-is dropped. Pickling hands that ownership to the unpickled copy, which
-is how a shard store travels from a worker process to the parent.
+Every store spills into a private ``repro-spill-*`` directory, created
+at its first spill by :func:`tempfile.mkdtemp` (so under ``TMPDIR``) and
+removed when the owning store is dropped. Pickling hands that ownership
+to the unpickled copy, which is how a shard store -- or a crashed
+shard's checkpoint -- travels between a worker process and the parent;
+no two stores ever share a directory.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import tempfile
 import weakref
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from repro.crawler.columnar import (
@@ -48,27 +48,7 @@ from repro.crawler.storage import (
     segment_path,
 )
 
-__all__ = ["SpillSettings", "SpillingCaptureStore"]
-
-
-@dataclass(frozen=True)
-class SpillSettings:
-    """Execution-level memory bounds for a crawl-phase store.
-
-    Never fingerprinted: a budgeted run and an unbounded run of the
-    same study produce byte-identical stores, so cache entries are
-    shared freely between them.
-    """
-
-    #: Rows the active in-memory segment may hold before it spills.
-    row_budget: int
-    #: Where segment files land; ``None`` allocates a private temporary
-    #: directory per store at its first spill.
-    directory: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.row_budget < 1:
-            raise ValueError("row_budget must be >= 1")
+__all__ = ["SpillingCaptureStore"]
 
 
 @dataclass(frozen=True)
@@ -86,16 +66,19 @@ class SpillingCaptureStore:
 
     Drop-in for the plain store's writes (``append_batch``, ``merge``)
     and reads (``iter_rows``, ``rows_since``, ``domain_day_rows``,
-    ``unique_domains``, ``digest_parts``).
+    ``unique_domains``, ``digest_parts``). *row_budget* is the number of
+    rows the active in-memory segment may hold before it spills.
     """
 
-    def __init__(self, settings: SpillSettings):
-        self.settings = settings
-        self._directory: Optional[str] = (
-            None if settings.directory is None else str(settings.directory)
-        )
+    def __init__(self, row_budget: int):
+        if row_budget < 1:
+            raise ValueError(f"row_budget must be >= 1, got {row_budget}")
+        self.row_budget = row_budget
+        #: The private segment directory, created at the first spill.
+        self._directory: Optional[str] = None
         #: Removes the private directory once this store is dropped;
-        #: ``None`` for a configured directory or before the first spill.
+        #: ``None`` before the first spill, detached (a no-op) once a
+        #: pickled copy owns the directory.
         self._finalizer: Optional[weakref.finalize] = None
         self._segments: List[_Segment] = []
         self._active = CaptureStore()
@@ -156,7 +139,7 @@ class SpillingCaptureStore:
 
     def _maybe_spill(self) -> None:
         active = self._active
-        if active.n_rows < self.settings.row_budget:
+        if active.n_rows < self.row_budget:
             return
         path = segment_path(self._segment_directory(), len(self._segments))
         save_store(active, path)
@@ -177,8 +160,6 @@ class SpillingCaptureStore:
         if self._directory is None:
             self._directory = tempfile.mkdtemp(prefix="repro-spill-")
             self._own_directory()
-        else:
-            Path(self._directory).mkdir(parents=True, exist_ok=True)
         return self._directory
 
     def _own_directory(self) -> None:
@@ -278,10 +259,8 @@ class SpillingCaptureStore:
     # Lifecycle
     # ------------------------------------------------------------------
     def cleanup(self) -> None:
-        """Delete the spilled segment files now, and the private
-        directory with them (a configured one stays with its owner)."""
-        for segment in self._segments:
-            Path(segment.path).unlink(missing_ok=True)
+        """Delete the private directory and its segment files now,
+        instead of when the store is dropped."""
         if self._finalizer is not None:
             self._finalizer()
 

@@ -4,7 +4,7 @@ Every crawl-phase decision in this system is keyed, never sequential:
 the vantage assignment, the queue delay, and each page render derive
 all their randomness from a stable key such as ``(seed, url, share
 time)``, so outcomes are independent of execution order -- the property
-that makes serial, thread and process runs bit-identical.
+that makes serial and sharded process runs bit-identical.
 
 The original implementation built a fresh ``random.Random`` per key,
 which costs ~10us in seeding alone (the Mersenne Twister state is 2500

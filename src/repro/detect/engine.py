@@ -67,8 +67,8 @@ def host_mask(host: str) -> int:
         for i, fp in enumerate(FINGERPRINTS):
             if fp.matches_host(host):
                 mask |= 1 << i
-        # Benign race: the mask is a pure function of the host, so
-        # thread workers racing here store equal values.
+        # A process-local memo: the mask is a pure function of the
+        # host, so every worker process stores an equal value.
         _HOST_MASKS[host] = mask  # repro-lint: disable=RACE001
     return mask
 
@@ -116,6 +116,10 @@ class DetectionEngine:
         self.apply_outlier_exclusion = apply_outlier_exclusion
         self.captures_seen = 0
         self.overcounted = 0
+        #: Detected captures by CMP, in first-detection order.
+        self.matches: Dict[str, int] = {}
+        #: Matches dropped by manual corrections, by CMP.
+        self.excluded: Dict[str, int] = {}
         metrics = resolve_obs(obs).metrics
         self._m_captures = metrics.counter(
             "detect_captures_total", "captures run through CMP detection"
@@ -135,15 +139,12 @@ class DetectionEngine:
         result = detect_cmp(
             capture, apply_outlier_exclusion=self.apply_outlier_exclusion
         )
-        self.captures_seen += 1
-        self._m_captures.inc()
-        if result.cmp_key is not None:
-            self._m_matches.inc(cmp=result.cmp_key)
-        for excluded in result.excluded:
-            self._m_excluded.inc(cmp=excluded)
-        if result.overcounted:
-            self.overcounted += 1
-            self._m_overcounted.inc()
+        self.absorb(
+            1,
+            int(result.overcounted),
+            {result.cmp_key: 1} if result.cmp_key is not None else {},
+            dict.fromkeys(result.excluded, 1),
+        )
         return result
 
     def detect_batch(
@@ -169,33 +170,28 @@ class DetectionEngine:
                 if count[mask] > 1:
                     overcounted += 1
             append(key)
-        n = len(keys)
-        self.captures_seen += n
-        self.overcounted += overcounted
-        if n:
-            self._m_captures.inc(n)
-        for key, hits in matches.items():
-            self._m_matches.inc(hits, cmp=key)
-        if excluded:
-            self._m_excluded.inc(excluded, cmp="quantcast")
-        if overcounted:
-            self._m_overcounted.inc(overcounted)
+        self.absorb(
+            len(keys),
+            overcounted,
+            matches,
+            {"quantcast": excluded} if excluded else {},
+        )
         return keys
 
     def absorb(
         self,
         captures_seen: int,
         overcounted: int,
-        matches: Optional[Dict[str, int]] = None,
+        matches: Dict[str, int],
+        excluded: Dict[str, int],
     ) -> None:
-        """Fold counts from a shard-local engine into this one.
+        """Count detections into this engine and its metrics.
 
-        Shard workers run their own engine without observability; the
-        parent replays the aggregate counts here so process-level
-        metrics stay complete. Per-CMP match counts are reconstructed
-        from the merged observations by the caller; exclusion events are
-        not persisted in shard results and are only metered where
-        detection runs in-process.
+        :meth:`detect_batch` counts each batch through here. Shard
+        workers run their own engine without observability; the parent
+        replays each shard's counters (``captures_seen``,
+        ``overcounted``, ``matches``, ``excluded``) here, so process-level
+        metrics match a serial run's.
         """
         self.captures_seen += captures_seen
         self.overcounted += overcounted
@@ -203,8 +199,12 @@ class DetectionEngine:
             self._m_captures.inc(captures_seen)
         if overcounted:
             self._m_overcounted.inc(overcounted)
-        for cmp_key, count in (matches or {}).items():
+        for cmp_key, count in matches.items():
+            self.matches[cmp_key] = self.matches.get(cmp_key, 0) + count
             self._m_matches.inc(count, cmp=cmp_key)
+        for cmp_key, count in excluded.items():
+            self.excluded[cmp_key] = self.excluded.get(cmp_key, 0) + count
+            self._m_excluded.inc(count, cmp=cmp_key)
 
     @property
     def overcount_rate(self) -> float:

@@ -78,8 +78,8 @@ class WorkerCrash(Exception):
     Raised by shard functions at the schedule's crash point and caught
     by the executor, which builds a resumed payload from ``checkpoint``
     and re-submits the shard. Constructed exclusively from its three
-    positional arguments so it survives pickling across the process
-    backend's boundary.
+    positional arguments so it survives pickling across the worker
+    process boundary.
     """
 
     def __init__(self, shard_id: int, done: int, checkpoint: Any = None):

@@ -2,7 +2,7 @@
 
 The reproduction rests on a determinism contract: crawl outcomes are
 order-independent (per-event RNGs keyed on ``(seed, url, share_time)``)
-and bit-identical across re-runs, backends and cache hits, with or
+and bit-identical across re-runs, worker counts and cache hits, with or
 without observability. That contract is easy to break silently -- one
 ``random.random()``, one ``datetime.now()`` two helpers deep, one
 worker writing a module global -- and regression tests only catch the

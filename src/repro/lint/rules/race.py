@@ -1,14 +1,15 @@
 """Shard-worker shared-state write detection (RACE001 / RACE002).
 
-``ShardExecutor.map_shards`` runs the worker function under three
-interchangeable backends. Under the thread backend every worker shares
-the interpreter, so a worker that writes a module global or a class
-attribute races its siblings -- and because the serial and process
-backends don't share that state, the three backends can silently
-diverge, breaking the bit-identity guarantee. Today only the
-cross-backend regression tests would catch such a write, and only
-probabilistically; statically it escapes every per-file rule because
-the write looks like ordinary code.
+``executor.map_shards`` runs the worker function in a pool of worker
+processes, while a one-worker run executes the same code inline in the
+parent. A worker that writes a module global or a class attribute
+therefore changes only its own process's copy: the parent and the
+sibling workers never see the write, yet the serial path does -- so
+results can silently depend on the worker count, breaking the
+bit-identity guarantee. Only the serial-vs-parallel regression tests
+would catch such a write, and only on the paths they exercise;
+statically it escapes every per-file rule because the write looks like
+ordinary code.
 
 Phase 2 finds every ``map_shards`` call site, resolves its worker
 argument to a function, computes the set of functions reachable from
@@ -23,10 +24,10 @@ those workers over the project call graph, and flags:
 Writes to ``self`` instance state are deliberately out of scope: which
 instances cross the worker boundary is not statically knowable, and
 the shard protocol already requires workers to receive their own task
-objects. A worker-side write that is genuinely safe (e.g. an
-idempotent memo where racing writers store equal values) is sanctioned
-with a same-line ``# repro-lint: disable=RACE001`` and a justifying
-comment.
+objects. A worker-side write that is genuinely safe (e.g. a
+process-local memo of a pure function, where every process stores an
+equal value) is sanctioned with a same-line
+``# repro-lint: disable=RACE001`` and a justifying comment.
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ def _race_findings(
             spawner = spawners.get(chain[0], "")
             spawned = f" (spawned by {spawner})" if spawner else ""
             message = (
-                f"worker-reachable {write.via} to {classified[1]}; the "
-                f"thread backend shares this state across shards. Chain "
-                f"from worker entry{spawned}: {' -> '.join(chain)}"
+                f"worker-reachable {write.via} to {classified[1]}; in a "
+                f"worker process the write never reaches the parent or "
+                f"the sibling shards. Chain from worker "
+                f"entry{spawned}: {' -> '.join(chain)}"
             )
             yield (index.path, write.line, write.col, message)
 
@@ -146,26 +148,26 @@ def _race_findings(
 class WorkerGlobalWriteRule(WholeProgramRule):
     """Shard workers must not write module-level state.
 
-    Module globals are shared by every thread-backend worker and
-    invisible to process-backend workers after fork/spawn, so a write
-    from worker-reachable code either races (threads) or silently
-    diverges across backends (processes vs serial). Workers communicate
-    results exclusively through their return values; anything else
-    breaks the backend-equivalence guarantee the executor tests pin.
-    Idempotent memoization where racing writers store equal values may
-    be sanctioned with an inline ``# repro-lint: disable=RACE001`` and
-    a comment explaining why the race is benign.
+    Every worker process has its own copy of each module global, while
+    a one-worker run writes the parent's, so a write from
+    worker-reachable code makes a parallel run silently diverge from
+    the serial one. Workers communicate results exclusively through
+    their return values; anything else breaks the serial-equivalence
+    guarantee the executor tests pin. A process-local memo of a pure
+    function, where every process stores an equal value, may be
+    sanctioned with an inline ``# repro-lint: disable=RACE001`` and a
+    comment explaining why the write is safe.
     """
 
     id = "RACE001"
     summary = (
-        "worker-reachable function writes a module global (shared "
-        "under the thread backend)"
+        "worker-reachable function writes a module global (lost in a "
+        "worker process)"
     )
     example = (
         "_SEEN = {}\n"
         "def crawl_shard(task):      # shipped to map_shards\n"
-        "    _SEEN[task.day] = 1     # races across thread workers"
+        "    _SEEN[task.day] = 1     # never reaches the parent"
     )
 
     def check_program(
@@ -179,16 +181,16 @@ class WorkerClassAttributeWriteRule(WholeProgramRule):
     """Shard workers must not write class attributes.
 
     A class attribute is one interpreter-wide slot: ``cls.counter += 1``
-    or ``self.__class__.cache = ...`` from worker-reachable code is a
-    shared write under the thread backend exactly like a module global,
+    or ``self.__class__.cache = ...`` from worker-reachable code lands
+    in the worker process's copy only, exactly like a module global,
     just harder to spot. Keep per-shard state on the task or the
     worker's own instances.
     """
 
     id = "RACE002"
     summary = (
-        "worker-reachable function writes a class attribute (shared "
-        "under the thread backend)"
+        "worker-reachable function writes a class attribute (lost in a "
+        "worker process)"
     )
     example = (
         "class Engine:\n"

@@ -94,8 +94,8 @@ def _taint_findings(
 class CrossModuleValueTaintRule(WholeProgramRule):
     """Entry points must not transitively reach wall-clock/RNG/hash.
 
-    The reproduction promises bit-identical results across backends and
-    re-runs; any unseeded RNG draw, wall-clock read, or salted ``hash()``
+    The reproduction promises bit-identical results across worker
+    counts and re-runs; any unseeded RNG draw, wall-clock read, or salted ``hash()``
     on a path from ``NetographPlatform.run``, ``ToplistCrawler.run``,
     the streaming engine, or a ``Study`` derivation can leak into a
     result. Per-file DET rules only see the source's own file; this

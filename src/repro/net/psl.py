@@ -63,7 +63,7 @@ class PublicSuffixList:
     # ------------------------------------------------------------------
     # Pickling: the lru_cache wrappers close over bound methods and are
     # not picklable, which used to make any object graph holding a PSL
-    # (e.g. payloads shipped to the process executor backend) fail to
+    # (e.g. payloads shipped to shard worker processes) fail to
     # serialize. The caches are dropped on pickle and rebuilt cold on
     # unpickle -- memoized state is per-process by design.
     def __getstate__(self) -> dict:

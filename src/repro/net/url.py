@@ -254,9 +254,9 @@ def _parse_url(raw: str) -> URL:
 def parse_cache_info():
     """Hit/miss/size statistics of the ``URL.parse`` memoization cache.
 
-    Note the cache is per-process: workers of the ``process`` executor
-    backend each warm their own (module state never pickles across), so
-    a sharded run reports the parent process's cache only.
+    Note the cache is per-process: shard worker processes each warm
+    their own (module state never pickles across), so a sharded run
+    reports the parent process's cache only.
     """
     return _parse_url.cache_info()
 

@@ -45,7 +45,7 @@ from repro.core.vantage import VantageAccumulator, VantageTable
 from repro.crawler.columnar import VANTAGE_STRS, CaptureStore
 from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
-from repro.crawler.spill import SpillSettings, SpillingCaptureStore
+from repro.crawler.spill import SpillingCaptureStore
 from repro.stream.state import LiveAdoptionState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (cycle guard)
@@ -100,9 +100,7 @@ class StreamingStudyEngine:
         #: follows stay flat-RSS). Bit-invisible either way.
         if cfg.memory_budget:
             self.store: "CaptureStore | SpillingCaptureStore" = (
-                SpillingCaptureStore(
-                    SpillSettings(row_budget=cfg.memory_budget)
-                )
+                SpillingCaptureStore(cfg.memory_budget)
             )
         else:
             self.store = CaptureStore()
@@ -337,9 +335,7 @@ class StreamingStudyEngine:
             # The cache hands back one merged resident store (transient
             # O(rows)); re-spill it so the resumed follow run is bounded
             # again from here on.
-            spilling = SpillingCaptureStore(
-                SpillSettings(row_budget=study.config.memory_budget)
-            )
+            spilling = SpillingCaptureStore(study.config.memory_budget)
             spilling.merge(store)
             engine.store = spilling
         else:

@@ -12,10 +12,11 @@ hit/miss/eviction counters the observability layer snapshots into the
 Eviction order is pure access order (no wall clock, no randomness):
 ``dict``/``OrderedDict`` iteration order is an explicit language
 guarantee, so a bounded cache evolves identically across runs and
-platforms. Under the thread backend racing workers may interleave
-updates; each mutating step is defensive (a concurrently evicted key
-never raises), and because values are pure regenerable memos the race
-is benign -- results stay byte-identical, only counters may undercount.
+platforms. Each cache is process-local: shard workers are processes,
+so a worker's evictions never touch the parent's caches. Mutating steps
+are still defensive (a key evicted between a read and its touch never
+raises); values are pure regenerable memos, so an interleaved caller
+could only make counters undercount, never change a result.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class BoundedLRU:
         while len(self._data) > maxsize:
             try:
                 evicted_key, evicted_value = self._data.popitem(last=False)
-            except KeyError:  # racing thread emptied the cache
+            except KeyError:  # an interleaved caller emptied the cache
                 break
             self.evictions += 1
             if self.on_evict is not None:
@@ -133,21 +134,6 @@ class BoundedLRU:
             return
         try:
             self._data.move_to_end(key)
-        except KeyError:  # racing thread evicted it between read and touch
+        except KeyError:  # evicted between the read and this touch
             pass
 
-    def resize(self, maxsize: Optional[int]) -> None:
-        """Change the bound, trimming oldest entries if now over it."""
-        if maxsize is not None and maxsize < 1:
-            raise ValueError("maxsize must be None or >= 1")
-        self.maxsize = maxsize
-        if maxsize is None:
-            return
-        while len(self._data) > maxsize:
-            try:
-                evicted_key, evicted_value = self._data.popitem(last=False)
-            except KeyError:
-                break
-            self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(evicted_key, evicted_value)

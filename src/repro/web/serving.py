@@ -392,7 +392,8 @@ def visit_key_prefix(world_seed: int) -> int:
     """The cached ``key64(seed, 17)`` fold prefix of :func:`visit_key`."""
     prefix = _VK_PREFIX.get(world_seed)
     if prefix is None:
-        # Benign race: key64 is pure, racing workers store equal values.
+        # A process-local memo: key64 is pure, so every worker process
+        # stores an equal value.
         prefix = _VK_PREFIX[world_seed] = key64(world_seed, 17)  # repro-lint: disable=RACE001
     return prefix
 

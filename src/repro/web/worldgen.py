@@ -198,21 +198,6 @@ class World:
         # rank re-derives from the domain suffix on the next lookup.
         self._domain_to_rank.pop(site.domain, None)
 
-    def set_cache_limits(self, limits: CacheLimits) -> None:
-        """Re-bound the memo caches in place (trimming oldest entries).
-
-        Bit-invisible by construction -- see :class:`CacheLimits`. Used
-        to apply execution-level bounds to worker-resolved worlds
-        without the limits ever entering :class:`WorldConfig` (which is
-        a cache-fingerprint input and the worker world-cache key).
-        """
-        self.cache_limits = limits
-        self._cache.resize(limits.sites)
-        self._host_site_cache.resize(limits.hosts)
-        self._host_negative_cache.resize(limits.negative_hosts)
-        self._visit_plan_cache.resize(limits.visit_plans)
-        self._share_url_cache.resize(limits.share_urls)
-
     def cache_info(self) -> Dict[str, BoundedLRU]:
         """The memo caches by gauge label, for ``world_cache_*``."""
         return {
@@ -515,8 +500,8 @@ def publish_world_cache_gauges(obs, world: World) -> None:
     (sites, host resolutions, visit plans, shared URLs) -- the numbers
     that decide whether a bounded run stays memoized or thrashes.
     Called at the end of every platform run; a no-op under the null obs
-    backend. The caches are per-process, so sharded ``process`` runs
-    report the parent's caches only.
+    backend. The caches are per-process, so sharded runs report the
+    parent's caches only.
     """
     if not obs.enabled:
         return

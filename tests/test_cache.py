@@ -23,7 +23,7 @@ from repro.cache import (
     resolve_cache,
 )
 from repro.core.pipeline import Study, StudyConfig
-from repro.crawler.spill import SpillSettings, SpillingCaptureStore
+from repro.crawler.spill import SpillingCaptureStore
 from repro.crawler.storage import store_digest, write_export
 from repro.obs import Observability
 from tests.store_oracle import rows, store_from_rows
@@ -230,7 +230,7 @@ class TestStoreEntries:
         self, tmp_path, social_store
     ):
         cache = ArtifactCache(tmp_path)
-        spilled = SpillingCaptureStore(SpillSettings(row_budget=50))
+        spilled = SpillingCaptureStore(50)
         for start in range(0, 203, 50):
             store_from_rows(
                 rows(social_store)[start:min(start + 50, 203)], store=spilled

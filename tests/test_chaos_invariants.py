@@ -18,7 +18,7 @@ import datetime as dt
 
 import pytest
 
-from repro.crawler.executor import CrawlExecutor, ExecutorConfig
+from repro.crawler import executor
 from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.storage import (
@@ -77,7 +77,7 @@ PERMANENT = FaultSchedule(
 )
 
 
-def run_platform(world, faults=None, retry=None, executor=None, obs=None):
+def run_platform(world, faults=None, retry=None, workers=1, obs=None):
     platform = NetographPlatform(
         world,
         stream=SocialShareStream(
@@ -86,8 +86,13 @@ def run_platform(world, faults=None, retry=None, executor=None, obs=None):
         config=PlatformConfig(seed=2, faults=faults, retry=retry),
         obs=obs,
     )
-    store = platform.run(*WINDOW, executor=executor)
+    store = platform.run(*WINDOW, workers=workers)
     return platform, store
+
+
+def doomed(payload):
+    """A shard function whose worker dies on every attempt."""
+    raise WorkerCrash(0, done=0)
 
 
 @pytest.fixture(scope="module")
@@ -112,10 +117,7 @@ class TestNoScheduleNoChange:
         assert platform.stats.faults.injected == 0
 
     def test_empty_schedule_sharded_matches_too(self, world, baseline):
-        executor = CrawlExecutor(ExecutorConfig(workers=3, backend="thread"))
-        _, store = run_platform(
-            world, faults=FaultSchedule(seed=99), executor=executor
-        )
+        _, store = run_platform(world, faults=FaultSchedule(seed=99), workers=3)
         assert rows(store) == rows(baseline[1])
         assert store_digest(store) == store_digest(baseline[1])
 
@@ -137,15 +139,10 @@ class TestTransientFaultsAreFree:
         assert store.total_requests == ref_store.total_requests
         assert platform.stats.failures == ref_platform.stats.failures
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_sharded_recovery_with_crashes(self, world, baseline, backend):
+    @pytest.mark.parametrize("workers", [3], ids=["process"])
+    def test_sharded_recovery_with_crashes(self, world, baseline, workers):
         platform, store = run_platform(
-            world,
-            faults=TRANSIENT,
-            retry=FAST_TEST_POLICY,
-            executor=CrawlExecutor(
-                ExecutorConfig(workers=3, backend=backend)
-            ),
+            world, faults=TRANSIENT, retry=FAST_TEST_POLICY, workers=workers
         )
         assert rows(store) == rows(baseline[1])
         assert store_digest(store) == store_digest(baseline[1])
@@ -156,22 +153,14 @@ class TestTransientFaultsAreFree:
         assert platform.stats.faults.injected > 0
 
     def test_repeated_crashes_eventually_give_up(self):
-        executor = CrawlExecutor(ExecutorConfig())
-
-        def doomed(payload):
-            raise WorkerCrash(0, done=0)
-
         with pytest.raises(RuntimeError, match="giving up after 8 resumes"):
-            executor.map_shards(doomed, [object()], resume=lambda p, c: p)
+            executor.map_shards(
+                doomed, [0], workers=2, resume=lambda p, c: p
+            )
 
     def test_crash_without_resume_builder_propagates(self):
-        executor = CrawlExecutor(ExecutorConfig())
-
-        def doomed(payload):
-            raise WorkerCrash(0, done=0)
-
         with pytest.raises(WorkerCrash):
-            executor.map_shards(doomed, [object()])
+            executor.map_shards(doomed, [0], workers=2)
 
 
 class TestPermanentFaultsAreConservative:

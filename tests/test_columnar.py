@@ -32,8 +32,8 @@ from repro.crawler.columnar import (
     CaptureStore,
     vantage_id,
 )
+from repro.crawler import executor as executor_module
 from repro.crawler import platform as platform_module
-from repro.crawler.executor import CrawlExecutor, ExecutorConfig
 from repro.crawler.platform import (
     NetographPlatform,
     PlatformConfig,
@@ -344,19 +344,28 @@ class TestRetryKey:
             keys.append(key)
             return run_with_retries(attempt_fn, key=key, **kwargs)
 
+        specs = []
+        map_shards = executor_module.map_shards
+
+        def recording_map_shards(fn, payloads, *args, **kwargs):
+            specs.extend(payloads)
+            return map_shards(fn, payloads, *args, **kwargs)
+
         monkeypatch.setattr(platform_module, "run_with_retries", recording)
+        monkeypatch.setattr(executor_module, "map_shards", recording_map_shards)
         world = World(WorldConfig(seed=11, n_domains=400))
         stream = SocialShareStream(world, StreamConfig(seed=3, events_per_day=80))
         config = PlatformConfig(seed=5, faults=RETRY_ALL, retry=FAST_TEST_POLICY)
-        executor = (
-            CrawlExecutor(ExecutorConfig(workers=workers, backend="thread"))
-            if workers > 1
-            else None
-        )
         NetographPlatform(world, stream, config).run(
-            *ORACLE_WINDOW, executor=executor
+            *ORACLE_WINDOW, workers=workers
         )
-        # Thread shards interleave their calls; compare as multisets.
+        # Worker processes record into their own memory, and a sharded
+        # parent crawls nothing itself: replay the shard specs the
+        # platform derived in this process to see their keys.
+        assert not (keys and specs)
+        for spec in specs:
+            platform_module.crawl_social_shard(spec)
+        assert bool(specs) == (workers > 1)
         assert sorted(keys) == sorted(
             f"{event.url}@{event.at.isoformat()}"
             for event in accepted_events(stream, *ORACLE_WINDOW)

@@ -1,8 +1,8 @@
 """The sharded crawl executor and its determinism contract.
 
 The load-bearing guarantee: for a fixed seed, the platform produces the
-*identical* observation sequence no matter the worker count, backend, or
-shard layout. This is what makes the parallel substrate trustworthy for
+*identical* observation sequence no matter the worker count or shard
+layout. This is what makes the parallel substrate trustworthy for
 longitudinal analyses -- a re-run on different hardware can never shift a
 figure.
 """
@@ -13,8 +13,7 @@ import pytest
 
 from repro.core.pipeline import Study, StudyConfig
 from repro.crawler.executor import (
-    CrawlExecutor,
-    ExecutorConfig,
+    SHARDS_PER_WORKER,
     partition,
     partition_grouped,
 )
@@ -43,9 +42,9 @@ def _fresh_platform(study):
     )
 
 
-def _run(study, executor=None):
+def _run(study, workers=1):
     platform = _fresh_platform(study)
-    store = platform.run(START, END, executor=executor)
+    store = platform.run(START, END, workers=workers)
     return platform, store
 
 
@@ -64,13 +63,12 @@ def serial_run(study):
 
 
 class TestDeterminism:
-    """Serial == threads == processes, observation for observation."""
+    """Serial == processes, observation for observation."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_matches_serial(self, study, serial_run, backend):
+    @pytest.mark.parametrize("workers", [4], ids=["process"])
+    def test_parallel_matches_serial(self, study, serial_run, workers):
         serial_platform, serial_store = serial_run
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend=backend))
-        platform, store = _run(study, executor=executor)
+        platform, store = _run(study, workers=workers)
 
         assert _keys(store) == _keys(serial_store)
         assert store.n_captures == serial_store.n_captures
@@ -85,37 +83,27 @@ class TestDeterminism:
             == serial_platform.queue.stats.skip_rate
         )
 
-    def test_serial_backend_config_stays_serial(self, study, serial_run):
-        _, serial_store = serial_run
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="serial"))
-        platform, store = _run(study, executor=executor)
-        assert _keys(store) == _keys(serial_store)
-        # No fan-out happened, so no executor stats are recorded.
-        assert platform.stats.executor is None
-
     def test_executor_stats_populated(self, study, serial_run):
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="thread"))
-        platform, store = _run(study, executor=executor)
+        platform, store = _run(study, workers=4)
         stats = platform.stats.executor
         assert stats is not None
-        assert stats.backend == "thread"
         assert stats.workers == 4
-        assert 1 <= stats.n_shards <= 4 * executor.config.shards_per_worker
+        assert 1 <= stats.n_shards <= 4 * SHARDS_PER_WORKER
         assert stats.crawls == platform.stats.crawls == store.n_captures
         assert stats.failures == platform.stats.failures
         assert sum(s.tasks for s in stats.shards) == store.n_captures
         assert stats.wall_seconds > 0
         assert stats.merge_seconds >= 0
         assert all(s.seconds >= 0 for s in stats.shards)
+        # Every shard's spec was pickled to reach its worker process.
+        assert all(s.payload_bytes > 0 for s in stats.shards)
 
     def test_store_continuation_across_parallel_runs(self, study):
-        executor = CrawlExecutor(ExecutorConfig(workers=2, backend="thread"))
         platform = _fresh_platform(study)
-        store = platform.run(START, dt.date(2020, 4, 3), executor=executor)
+        store = platform.run(START, dt.date(2020, 4, 3), workers=2)
         n_first = store.n_captures
         platform.run(
-            dt.date(2020, 4, 3), dt.date(2020, 4, 5),
-            store=store, executor=executor,
+            dt.date(2020, 4, 3), dt.date(2020, 4, 5), store=store, workers=2
         )
         assert store.n_captures > n_first
 
@@ -232,38 +220,12 @@ class TestShardDerivation:
         assert [item for chunk in chunks for item in chunk] == items
 
 
-class TestExecutorConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(workers=0)
-        with pytest.raises(ValueError):
-            ExecutorConfig(backend="quantum")
-        with pytest.raises(ValueError):
-            ExecutorConfig(shards_per_worker=0)
-
-    def test_parallel_property(self):
-        assert not ExecutorConfig(workers=1).parallel
-        assert not ExecutorConfig(workers=8, backend="serial").parallel
-        assert ExecutorConfig(workers=2, backend="thread").parallel
-        assert ExecutorConfig(workers=2, backend="process").parallel
-
-    def test_n_shards(self):
-        config = ExecutorConfig(workers=4, backend="thread",
-                                shards_per_worker=4)
-        assert config.n_shards(1000) == 16
-        assert config.n_shards(5) == 5
-        assert config.n_shards(0) == 1
-        assert ExecutorConfig(workers=1).n_shards(1000) == 1
-
-
 class TestStudyWiring:
     def test_parallel_study_matches_serial_study(self):
         base = dict(seed=7, n_domains=1_000, toplist_size=100,
                     events_per_day=80)
         serial = Study(StudyConfig(**base))
-        parallel = Study(
-            StudyConfig(**base, parallelism=3, backend="thread")
-        )
+        parallel = Study(StudyConfig(**base, parallelism=3))
         window = (dt.date(2020, 4, 1), dt.date(2020, 4, 5))
         s_store = serial.run_social_crawl(*window)
         p_store = parallel.run_social_crawl(*window)
@@ -271,11 +233,6 @@ class TestStudyWiring:
         assert parallel.last_crawl_stats.executor is not None
         assert serial.last_crawl_stats.executor is None
 
-    def test_executor_property(self):
-        assert Study(StudyConfig(n_domains=1_000)).executor is None
-        study = Study(
-            StudyConfig(n_domains=1_000, parallelism=2, backend="process")
-        )
-        assert study.executor is not None
-        assert study.executor.config.workers == 2
-        assert study.executor.config.backend == "process"
+    def test_platform_rejects_zero_workers(self, study):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            _fresh_platform(study).run(START, END, workers=0)

@@ -13,7 +13,6 @@ import pytest
 from repro.core.adoption import AdoptionSeries, DomainTimeline
 from repro.crawler.browser import crawl_url
 from repro.crawler.capture import EU_CLOUD, EU_UNIVERSITY, Observation
-from repro.crawler.executor import CrawlExecutor, ExecutorConfig
 from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.net.url import URL
@@ -37,12 +36,11 @@ class TestDeadWorld:
         return world
 
     @pytest.mark.parametrize(
-        "backend,workers",
-        [("serial", 1), ("thread", 3), ("process", 2)],
+        "workers", [1, 3, 2], ids=["serial-1", "process-3", "process-2"]
     )
-    def test_platform_survives(self, dead_world, backend, workers):
-        # Hostile conditions must not crash any executor backend; the
-        # process backend sees the patched world via the fork-inherited
+    def test_platform_survives(self, dead_world, workers):
+        # Hostile conditions must not crash serial or sharded runs;
+        # worker processes see the patched world via the fork-inherited
         # worker world cache.
         platform = NetographPlatform(
             dead_world,
@@ -51,11 +49,8 @@ class TestDeadWorld:
             ),
             config=PlatformConfig(seed=2),
         )
-        executor = CrawlExecutor(
-            ExecutorConfig(workers=workers, backend=backend)
-        )
         store = platform.run(
-            dt.date(2020, 4, 1), dt.date(2020, 4, 4), executor=executor
+            dt.date(2020, 4, 1), dt.date(2020, 4, 4), workers=workers
         )
         assert platform.stats.crawls > 0
         assert platform.stats.failure_rate == 1.0

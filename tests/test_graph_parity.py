@@ -3,8 +3,8 @@
 Every query in :mod:`repro.graph.query` projects the graph onto the
 input of one `core/` function and calls it; run on the original source,
 that function must produce **byte-identical** payloads -- over the
-default study fixtures, over a faulted/retried run, and on the serial
-and process executor backends. Parity is always asserted on canonical
+default study fixtures, over a faulted/retried run, and serially and
+on worker processes. Parity is always asserted on canonical
 JSON bytes, never on floats with tolerance.
 """
 
@@ -262,16 +262,14 @@ class TestFaultedAndBackendParity:
     def test_faulted_serial_parity(self, serial_run):
         self.assert_query_parity(*serial_run)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_faulted_parallel_backend_parity(self, serial_run, backend):
+    @pytest.mark.parametrize("parallelism", [2], ids=["process"])
+    def test_faulted_parallel_backend_parity(self, serial_run, parallelism):
         _, serial_store = serial_run
         study = Study(
-            dataclasses.replace(
-                self.faulted_config(), parallelism=2, backend=backend
-            )
+            dataclasses.replace(self.faulted_config(), parallelism=parallelism)
         )
         store = study.run_social_crawl()
-        # The determinism contract: backends produce the same store...
+        # The determinism contract: workers produce the serial store...
         assert store_digest(store) == store_digest(serial_store)
         # ...and therefore the same graph and the same query bytes.
         graph = self.assert_query_parity(study, store)

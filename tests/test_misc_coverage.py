@@ -1,12 +1,11 @@
-"""Targeted coverage for smaller surfaces: stream iteration, platform
-callbacks, CLI subcommands, store queries."""
+"""Targeted coverage for smaller surfaces: stream iteration, CLI
+subcommands, store queries."""
 
 import datetime as dt
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.crawler.platform import NetographPlatform
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 
 
@@ -29,22 +28,6 @@ class TestStreamIteration:
         batch = stream.events_for_day(dt.date(2020, 4, 1), rows=())
         assert len(batch) == 0
         assert list(batch) == []
-
-
-class TestPlatformCallbacks:
-    def test_on_day_called_per_day(self, study):
-        platform = NetographPlatform(study.world)
-        days = []
-        platform.run(
-            dt.date(2020, 4, 1),
-            dt.date(2020, 4, 4),
-            on_day=days.append,
-        )
-        assert days == [
-            dt.date(2020, 4, 1),
-            dt.date(2020, 4, 2),
-            dt.date(2020, 4, 3),
-        ]
 
 
 class TestStoreQueries:

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.crawler.executor import CrawlExecutor, ExecutorConfig
+from repro.crawler import spill
 from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.toplist_crawl import ToplistCrawler
@@ -27,17 +27,25 @@ from tests.prometheus import parse_prometheus
 from tests.store_oracle import rows
 
 WINDOW = (dt.date(2020, 4, 1), dt.date(2020, 4, 8))
+#: A week around the Quantcast exclusion window (2018-07-10/11,
+#: Section 3.5), so detection drops matches.
+QUANTCAST_WEEK = (dt.date(2018, 7, 8), dt.date(2018, 7, 15))
 MAY = dt.date(2020, 5, 15)
 
 
-def run_platform(world, obs=None, executor=None):
+def run_platform(
+    world, obs=None, workers=1, window=WINDOW, events_per_day=80,
+    memory_budget=None,
+):
     platform = NetographPlatform(
         world,
-        stream=SocialShareStream(world, StreamConfig(events_per_day=80)),
-        config=PlatformConfig(),
+        stream=SocialShareStream(
+            world, StreamConfig(events_per_day=events_per_day)
+        ),
+        config=PlatformConfig(memory_budget=memory_budget),
         obs=obs,
     )
-    store = platform.run(*WINDOW, executor=executor)
+    store = platform.run(*window, workers=workers)
     return platform, store
 
 
@@ -233,31 +241,61 @@ class TestInstrumentedPlatform:
         assert m.get("detect_matches_total").total == cmp_hits
 
     def test_parallel_run_equals_serial_and_counts_match(self, world):
+        kwargs = dict(window=QUANTCAST_WEEK, events_per_day=400)
         serial_obs = Observability()
-        _, serial_store = run_platform(world, obs=serial_obs)
+        _, serial_store = run_platform(world, obs=serial_obs, **kwargs)
         parallel_obs = Observability()
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="thread"))
         _, parallel_store = run_platform(
-            world, obs=parallel_obs, executor=executor
+            world, obs=parallel_obs, workers=4, **kwargs
         )
         assert rows(parallel_store) == rows(serial_store)
-        # The main accounting metrics agree between execution modes.
+        assert serial_obs.metrics.get("detect_excluded_total").value(
+            cmp="quantcast"
+        ) > 0
+        # The accounting metrics agree between execution modes.
         for name in (
             "platform_crawls_total",
             "platform_events_total",
             "queue_submissions_total",
             "detect_captures_total",
             "detect_matches_total",
+            "detect_excluded_total",
+            "detect_overcounted_total",
         ):
             assert (
                 parallel_obs.metrics.get(name).records()
                 == serial_obs.metrics.get(name).records()
             ), name
 
+    def test_sharded_merge_reads_each_spilled_segment_once(
+        self, world, monkeypatch
+    ):
+        """The parent reads each spilled shard segment once, to merge
+        it; metering a shard's detections reads none."""
+        loads = []
+        load_store = spill.load_store
+
+        def counting_load_store(path, *args, **kwargs):
+            loads.append(path)
+            return load_store(path, *args, **kwargs)
+
+        # Forked workers inherit the patch but count into their own copy
+        # of the list: only the parent's loads are counted here.
+        monkeypatch.setattr(spill, "load_store", counting_load_store)
+        platform, _ = run_platform(
+            world, obs=Observability(), workers=2, memory_budget=50
+        )
+        shard_segments = [
+            path
+            for store in platform._last_shard_stores
+            for path in store.segment_paths()
+        ]
+        assert shard_segments
+        assert sorted(loads) == sorted(shard_segments)
+
     def test_parallel_run_emits_executor_spans(self, world):
         obs = Observability()
-        executor = CrawlExecutor(ExecutorConfig(workers=4, backend="thread"))
-        platform, _ = run_platform(world, obs=obs, executor=executor)
+        platform, _ = run_platform(world, obs=obs, workers=4)
         records = obs.tracer.export_records()
         by_name = {}
         for r in records:

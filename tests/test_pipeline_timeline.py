@@ -22,6 +22,8 @@ class TestStudyConfigValidation:
             ({"memory_budget": -1}, "memory_budget"),
             ({"backend": "fork"}, "backend"),
             ({"checkpoint_every_days": -1}, "checkpoint_every_days"),
+            ({"backend": "thread"}, "backend"),
+            ({"backend": "serial"}, "backend"),
         ],
     )
     def test_bad_execution_knob_fails_loudly(self, knobs, field):

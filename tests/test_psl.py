@@ -109,7 +109,7 @@ class TestConstruction:
 
 
 class TestPickling:
-    """Memoized PSLs must survive the process executor backend.
+    """Memoized PSLs must survive the trip to a shard worker process.
 
     Regression: the per-instance ``lru_cache`` wrappers close over bound
     methods and are unpicklable, so any payload holding a warmed PSL

@@ -3,10 +3,11 @@
 The scale-out contract has two halves. Correctness: bounding the world
 memo caches, spilling full capture segments to disk, and regenerating
 shard events lazily are all *bit-invisible* -- every digest and every
-resolution is identical to the unbounded in-memory run, across all
-executor backends. Capacity: memory actually stays bounded -- the
-negative host cache cannot outgrow its cap, and the spilling store's
-footprint is set by the row budget, not the row count.
+resolution is identical to the unbounded in-memory run, serial or on
+worker processes, with or without worker crashes. Capacity: memory
+actually stays bounded -- the negative host cache cannot outgrow its
+cap, and the spilling store's footprint is set by the row budget, not
+the row count.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import datetime as dt
 import gc
 import itertools
 import pathlib
+import tempfile
 import tracemalloc
 
 import pytest
@@ -22,14 +24,13 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import Study, StudyConfig
 from repro.crawler.columnar import CaptureStore
-from repro.crawler.executor import world_ref_for_backend
 from repro.crawler.platform import (
     NetographPlatform,
     PlatformConfig,
     SocialShardSpec,
 )
 from repro.crawler.seeds import SocialShareStream, StreamConfig
-from repro.crawler.spill import SpillSettings, SpillingCaptureStore
+from repro.crawler.spill import SpillingCaptureStore
 from repro.crawler.storage import store_digest
 from repro.faults import CrashSpec, FaultSchedule, FaultSpec
 from repro.faults.retry import FAST_TEST_POLICY
@@ -103,15 +104,6 @@ class TestBoundedLRU:
         lru["b"] = 2
         assert evicted == [("a", 1)]
 
-    def test_resize_trims_oldest(self):
-        lru = BoundedLRU(maxsize=None)
-        for i in range(10):
-            lru[i] = i
-        lru.resize(3)
-        assert sorted(lru) == [7, 8, 9]
-        lru.resize(None)  # back to unbounded keeps survivors
-        assert len(lru) == 3
-
     def test_setdefault_matches_dict_semantics(self):
         lru = BoundedLRU(maxsize=4)
         assert lru.setdefault("a", 1) == 1
@@ -166,33 +158,33 @@ class TestBoundedWorldBitIdentity:
                 assert a.rank == b.rank
 
     def test_study_digest_identical_with_bounded_worker_worlds(self):
-        baseline = Study(small_config()).run_social_crawl()
         study = Study(small_config())
+        baseline = store_digest(study.run_social_crawl())
         limits = CacheLimits(
             sites=64, hosts=64, negative_hosts=16, visit_plans=64,
             share_urls=64,
         )
-        # Same platform wiring as Study.run_social_crawl, plus the
-        # world-cache bounds knob.
         config = study.config
-        platform = NetographPlatform(
-            study.world,
-            stream=SocialShareStream(
-                study.world,
-                StreamConfig(
-                    seed=config.seed + 1,
-                    events_per_day=config.events_per_day,
+        for workers in (1, 2):
+            # Same platform wiring as Study.run_social_crawl, over a
+            # bounded world; forked workers inherit it.
+            world = World(study.world.config, cache_limits=limits)
+            platform = NetographPlatform(
+                world,
+                stream=SocialShareStream(
+                    world,
+                    StreamConfig(
+                        seed=config.seed + 1,
+                        events_per_day=config.events_per_day,
+                    ),
                 ),
-            ),
-            config=PlatformConfig(
-                seed=config.seed + 2, world_cache_limits=limits
-            ),
-        )
-        bounded = platform.run(*WINDOW)
-        assert store_digest(bounded) == store_digest(baseline)
-        info = study.world.cache_info()
-        assert len(info["sites"]) <= 64
-        assert info["sites"].evictions > 0
+                config=PlatformConfig(seed=config.seed + 2),
+            )
+            bounded = platform.run(*WINDOW, workers=workers)
+            assert store_digest(bounded) == baseline
+            info = world.cache_info()
+            assert len(info["sites"]) <= 64
+            assert info["sites"].evictions > 0
 
 
 # ----------------------------------------------------------------------
@@ -200,21 +192,16 @@ class TestBoundedWorldBitIdentity:
 # ----------------------------------------------------------------------
 class TestSpillBitIdentity:
     @pytest.mark.parametrize(
-        "backend,parallelism",
-        [("serial", 1), ("thread", 3), ("process", 2)],
+        "parallelism", [1, 3, 2], ids=["serial-1", "process-3", "process-2"]
     )
-    def test_spill_digest_matches_plain(self, backend, parallelism):
-        plain = Study(
-            small_config(backend=backend, parallelism=parallelism)
-        ).run_social_crawl()
+    def test_spill_digest_matches_plain(self, parallelism):
+        plain = Study(small_config(parallelism=parallelism)).run_social_crawl()
         spilled = Study(
-            small_config(
-                backend=backend, parallelism=parallelism, memory_budget=40
-            )
+            small_config(parallelism=parallelism, memory_budget=40)
         ).run_social_crawl()
         try:
             assert isinstance(spilled, SpillingCaptureStore)
-            if backend == "serial":
+            if parallelism == 1:
                 assert spilled.n_segments > 0
             assert store_digest(spilled) == store_digest(plain)
         finally:
@@ -234,13 +221,12 @@ class TestSpillBitIdentity:
         finally:
             spilled.cleanup()
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_crash_free_sharded_spill_under_faults(self, backend):
+    @pytest.mark.parametrize("parallelism", [2], ids=["process"])
+    def test_crash_free_sharded_spill_under_faults(self, parallelism):
         chaos = dict(
             faults=dataclasses.replace(TRANSIENT, crash=None),
             retry=FAST_TEST_POLICY,
-            backend=backend,
-            parallelism=2,
+            parallelism=parallelism,
         )
         plain = Study(small_config(**chaos)).run_social_crawl()
         spilled = Study(
@@ -252,18 +238,39 @@ class TestSpillBitIdentity:
         finally:
             spilled.cleanup()
 
-    def test_sharded_spill_with_crash_spec_fails_loudly(self):
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_budget_holds_when_workers_crash(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """Crashed shards resume from checkpoints that carry spilled
+        segments, and the result is still the fault-free serial run."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        budget = 2
+        plain = Study(small_config()).run_social_crawl()
         study = Study(
             small_config(
                 faults=TRANSIENT,
                 retry=FAST_TEST_POLICY,
-                backend="thread",
-                parallelism=2,
-                memory_budget=40,
+                parallelism=workers,
+                memory_budget=budget,
             )
         )
-        with pytest.raises(ValueError, match=r"memory_budget.*CrashSpec"):
-            study.run_social_crawl()
+        spilled = study.run_social_crawl()
+        assert store_digest(spilled) == store_digest(plain)
+        shards = study.last_crawl_stats.executor.shards
+        assert sum(shard.resumes for shard in shards) > 0
+        # Some shard crashed past the budget the first time, so its
+        # checkpoint carried spilled segments into the resumed worker.
+        assert any(
+            (TRANSIENT.crash_point(shard.shard_id, shard.tasks, 0) or 0)
+            >= budget
+            for shard in shards
+            if shard.resumes
+        )
+        del spilled
+        gc.collect()
+        assert list(tmp_path.glob("repro-spill-*")) == []
 
     def test_spill_cold_warm_cache_round_trip(self, tmp_path):
         reference = Study(small_config()).run_social_crawl()
@@ -304,9 +311,7 @@ class TestSpillBitIdentity:
         tracemalloc.stop()
 
         tracemalloc.start()
-        spilling = SpillingCaptureStore(
-            SpillSettings(row_budget=2_000, directory=str(tmp_path))
-        )
+        spilling = SpillingCaptureStore(2_000)
         feed(spilling)
         spill_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -332,36 +337,28 @@ class TestSpillStoreAPI:
             )
 
     def test_row_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SpillSettings(row_budget=0)
+        with pytest.raises(ValueError, match="row_budget must be >= 1"):
+            SpillingCaptureStore(0)
 
-    def test_merge_accepts_plain_and_spilling(self, tmp_path):
+    def test_merge_accepts_plain_and_spilling(self):
         reference = CaptureStore()
         self._fill(reference, 20)
 
         donor_plain = CaptureStore()
         self._fill(donor_plain, 20)
-        donor_spill = SpillingCaptureStore(
-            SpillSettings(row_budget=3, directory=str(tmp_path / "donor"))
-        )
+        donor_spill = SpillingCaptureStore(3)
         self._fill(donor_spill, 20)
 
-        a = SpillingCaptureStore(
-            SpillSettings(row_budget=3, directory=str(tmp_path / "a"))
-        )
+        a = SpillingCaptureStore(3)
         a.merge(donor_plain)
-        b = SpillingCaptureStore(
-            SpillSettings(row_budget=3, directory=str(tmp_path / "b"))
-        )
+        b = SpillingCaptureStore(3)
         b.merge(donor_spill)
         assert store_digest(a) == store_digest(b) == store_digest(reference)
 
-    def test_streaming_reads_cross_segment_boundaries(self, tmp_path):
+    def test_streaming_reads_cross_segment_boundaries(self):
         plain = CaptureStore()
         self._fill(plain, 17)
-        spilling = SpillingCaptureStore(
-            SpillSettings(row_budget=5, directory=str(tmp_path))
-        )
+        spilling = SpillingCaptureStore(5)
         self._fill(spilling, 17)
         assert list(spilling.iter_rows()) == list(plain.iter_rows())
         for cursor in (0, 4, 5, 12, 17):
@@ -369,12 +366,10 @@ class TestSpillStoreAPI:
         with pytest.raises(ValueError):
             spilling.rows_since(-1)
 
-    def test_whole_store_reads_match_plain(self, tmp_path):
+    def test_whole_store_reads_match_plain(self):
         plain = CaptureStore()
         self._fill(plain, 12)
-        spilling = SpillingCaptureStore(
-            SpillSettings(row_budget=4, directory=str(tmp_path))
-        )
+        spilling = SpillingCaptureStore(4)
         self._fill(spilling, 12)
         assert spilling.n_segments == 3
         assert spilling.unique_domains == plain.unique_domains
@@ -385,7 +380,7 @@ class TestSpillStoreAPI:
     def test_pickle_round_trip_moves_directory_ownership(self):
         import pickle
 
-        spilling = SpillingCaptureStore(SpillSettings(row_budget=4))
+        spilling = SpillingCaptureStore(4)
         self._fill(spilling, 12)
         directory = pathlib.Path(spilling.segment_paths()[0]).parent
         digest = store_digest(spilling)
@@ -398,23 +393,25 @@ class TestSpillStoreAPI:
         gc.collect()
         assert not directory.exists()
 
-    def test_cleanup_tolerates_missing_files_and_shared_dirs(self, tmp_path):
-        spilling = SpillingCaptureStore(
-            SpillSettings(row_budget=2, directory=str(tmp_path))
-        )
+    def test_cleanup_tolerates_missing_files_and_shared_dirs(
+        self, tmp_path, monkeypatch
+    ):
+        # TMPDIR is the shared directory; the store owns only its
+        # private repro-spill-* directory inside it.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spilling = SpillingCaptureStore(2)
         self._fill(spilling, 6)
         paths = [pathlib.Path(p) for p in spilling.segment_paths()]
         assert paths and all(p.exists() for p in paths)
+        assert paths[0].parent.parent == tmp_path
         paths[0].unlink()  # already-gone segment must not raise
         (tmp_path / "unrelated.txt").write_text("keep")
         spilling.cleanup()
-        assert not any(p.exists() for p in paths)
+        assert not paths[0].parent.exists()
         assert (tmp_path / "unrelated.txt").exists()  # shared dir kept
 
-    def test_empty_store_never_spills(self, tmp_path):
-        spilling = SpillingCaptureStore(
-            SpillSettings(row_budget=1, directory=str(tmp_path))
-        )
+    def test_empty_store_never_spills(self):
+        spilling = SpillingCaptureStore(1)
         spilling.merge(CaptureStore())  # triggers the empty-spill check
         assert spilling.n_segments == 0
         assert spilling.n_rows == 0
@@ -426,8 +423,6 @@ class TestBoundedLRUSurface:
     def test_rejects_nonpositive_maxsize(self):
         with pytest.raises(ValueError):
             BoundedLRU(maxsize=0)
-        with pytest.raises(ValueError):
-            BoundedLRU(maxsize=4).resize(0)
 
     def test_contains_delete_pop_clear_views(self):
         lru = BoundedLRU(maxsize=4)
@@ -449,14 +444,11 @@ class TestBoundedLRUSurface:
         lru = BoundedLRU(maxsize=2)
         lru._touch("never-inserted")  # the racing-eviction code path
 
-    def test_resize_reports_evictions_through_callback(self):
+    def test_overflow_reports_evictions_through_callback(self):
         evicted = []
-        lru = BoundedLRU(
-            maxsize=None, on_evict=lambda k, v: evicted.append(k)
-        )
+        lru = BoundedLRU(maxsize=2, on_evict=lambda k, v: evicted.append(k))
         for i in range(5):
             lru[i] = i
-        lru.resize(2)
         assert evicted == [0, 1, 2]
         assert lru.evictions == 3
 
@@ -506,7 +498,7 @@ def materialize(spec, world):
 def _spec(world, stream, runs, shard_id=0):
     return SocialShardSpec(
         shard_id=shard_id,
-        world_ref=world_ref_for_backend(world, "serial"),
+        world_config=world.config,
         config=PlatformConfig(),
         stream_config=stream.config,
         runs=tuple(runs),

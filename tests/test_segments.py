@@ -29,7 +29,7 @@ import pytest
 from repro.cache import ArtifactCache, Fingerprint
 from repro.core.pipeline import Study, StudyConfig
 from repro.crawler.columnar import VANTAGE_TABLE
-from repro.crawler.spill import SpillSettings, SpillingCaptureStore
+from repro.crawler.spill import SpillingCaptureStore
 from repro.crawler.storage import (
     StorageError,
     load_store,
@@ -218,11 +218,9 @@ class TestSpilledReads:
             restricted.items()
         )
 
-    def test_digest_holds_about_one_segment(self, tmp_path):
+    def test_digest_holds_about_one_segment(self):
         n_segments, per_segment = 12, 20_000
-        spilled = SpillingCaptureStore(
-            SpillSettings(row_budget=per_segment, directory=str(tmp_path))
-        )
+        spilled = SpillingCaptureStore(per_segment)
         for segment in range(n_segments):
             store_from_rows(
                 (
@@ -265,18 +263,10 @@ def _spill_dirs(root: Path):
 
 
 class TestSpillDirectories:
-    @pytest.mark.parametrize(
-        "workers, backend", [(1, "serial"), (2, "process")]
-    )
-    def test_budgeted_crawl_leaves_nothing_behind(
-        self, private_tmp, workers, backend
-    ):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["1-serial", "2-process"])
+    def test_budgeted_crawl_leaves_nothing_behind(self, private_tmp, workers):
         budget = 8
-        study = Study(
-            small_config(
-                memory_budget=budget, parallelism=workers, backend=backend
-            )
-        )
+        study = Study(small_config(memory_budget=budget, parallelism=workers))
         store = study.run_social_crawl()
         assert store.n_segments > 0
         executor = study.last_crawl_stats.executor
@@ -292,14 +282,14 @@ class TestSpillDirectories:
         assert _spill_dirs(private_tmp) == []
 
     def test_never_spilling_store_creates_no_directory(self, private_tmp):
-        store = SpillingCaptureStore(SpillSettings(row_budget=100))
+        store = SpillingCaptureStore(100)
         store_from_rows([("a.com", 737_000, None, 0)] * 10, store=store)
         assert store.n_segments == 0
         store_digest(store)
         assert list(private_tmp.iterdir()) == []
 
     def test_cache_save_of_spilled_store_before_drop(self, private_tmp):
-        store = SpillingCaptureStore(SpillSettings(row_budget=4))
+        store = SpillingCaptureStore(4)
         expected = store_from_rows(
             [(f"s{i % 3}.com", 737_000 + i, None, i % 6) for i in range(18)]
         )

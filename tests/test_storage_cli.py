@@ -323,9 +323,8 @@ class TestExportCompatibility:
         [
             [],
             ["--memory-budget", "120"],
-            ["--workers", "2", "--backend", "process"],
-            ["--workers", "2", "--backend", "process",
-             "--memory-budget", "120"],
+            ["--workers", "2"],
+            ["--workers", "2", "--memory-budget", "120"],
         ],
         ids=["serial", "budget", "process", "process-budget"],
     )

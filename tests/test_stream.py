@@ -398,3 +398,54 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "caught up: 3 days" in out
+
+    def test_study_follow_rejects_workers(self, capsys):
+        """The engine ingests serially, so --workers 2 is a usage error
+        instead of a silently serial run."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "--domains", "600",
+                    "--toplist", "200",
+                    "--workers", "2",
+                    "study",
+                    "--follow",
+                    "--days", "3",
+                    "--events-per-day", "40",
+                ]
+            )
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "parallelism must be 1" in captured.err
+        assert "caught up" not in captured.out
+
+    def test_graph_query_honours_workers(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "trace.jsonl"
+        rc = main(
+            [
+                "--domains", "600",
+                "--toplist", "200",
+                "--workers", "2",
+                "--trace-out", str(trace),
+                "study",
+                "--days", "3",
+                "--events-per-day", "40",
+                "graph-query", "summary",
+            ]
+        )
+        assert rc == 0
+        names = {
+            json.loads(line)["name"]
+            for line in trace.read_text().splitlines()
+        }
+        assert "executor.crawl" in names
+
+
+def test_streaming_engine_rejects_parallelism():
+    study = Study(StudyConfig(n_domains=600, toplist_size=200, parallelism=2))
+    with pytest.raises(ValueError, match="parallelism must be 1, got 2"):
+        study.streaming_engine()
