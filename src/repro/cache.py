@@ -50,7 +50,7 @@ import json
 import re
 import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.crawler.columnar import CaptureStore
 from repro.crawler.spill import SpillingCaptureStore
@@ -259,7 +259,7 @@ class ArtifactCache:
     Layout (one directory per slot)::
 
         <root>/<slot>/entry.json        # manifest; written last
-        <root>/<slot>/segment-0000.seg  # store artifacts (1..N shards)
+        <root>/<slot>/segment-0000.seg  # store artifacts (1..N segments)
         <root>/<slot>/artifact.json     # JSON artifacts
 
     Lookups are traced as ``cache.lookup`` spans and counted by the
@@ -279,16 +279,19 @@ class ArtifactCache:
         }
 
     # ------------------------------------------------------------------
-    # Store artifacts (crawl phase, one segment file per shard)
+    # Store artifacts (crawl phase, one or more segment files)
     # ------------------------------------------------------------------
     def load_capture_store(
-        self, fingerprint: Fingerprint
-    ) -> Optional[CaptureStore]:
+        self, fingerprint: Fingerprint, row_budget: Optional[int] = None
+    ) -> Optional[Union[CaptureStore, SpillingCaptureStore]]:
         """The cached store for *fingerprint*, or ``None`` (cold compute).
 
-        Multi-shard entries are merged in shard-id order, which the
-        executor contract guarantees reproduces the serial insertion
-        order -- a hit is bit-identical to the run that populated it.
+        The entry's segments are merged in order, which reproduces the
+        insertion order -- a hit is bit-identical to the run that
+        populated it. With a *row_budget* they fill a
+        :class:`~repro.crawler.spill.SpillingCaptureStore` one segment
+        at a time, so a warm run stays under the budget a cold one
+        keeps.
         """
         with self.obs.span(
             "cache.lookup", stage=fingerprint.stage, artifact="store"
@@ -298,67 +301,64 @@ class ArtifactCache:
                 span.set(outcome="miss")
                 return None
             entry_dir = self.root / fingerprint.slot()
-            n_shards = manifest.get("shards")
-            if not isinstance(n_shards, int) or n_shards < 1:
+            n_segments = manifest.get("shards")
+            if not isinstance(n_segments, int) or n_segments < 1:
                 self._miss(fingerprint, "corrupt")
                 span.set(outcome="miss")
                 return None
-            merged = CaptureStore()
+            merged: Union[CaptureStore, SpillingCaptureStore] = (
+                CaptureStore()
+                if row_budget is None
+                else SpillingCaptureStore(row_budget)
+            )
             try:
-                for shard_id in range(n_shards):
-                    shard = load_store(
-                        segment_path(entry_dir, shard_id),
-                        context=f"cache {fingerprint.slot()}",
+                for index in range(n_segments):
+                    merged.merge(
+                        load_store(
+                            segment_path(entry_dir, index),
+                            context=f"cache {fingerprint.slot()}",
+                        )
                     )
-                    merged.merge(shard)
             except (StorageError, OSError):
-                # Truncated/corrupt shard file: fall back to a cold
+                # Truncated/corrupt segment file: fall back to a cold
                 # compute; the repopulate overwrites the bad entry.
                 self._miss(fingerprint, "corrupt")
                 span.set(outcome="miss")
                 return None
             self._hit(fingerprint)
-            span.set(outcome="hit", shards=n_shards)
+            span.set(outcome="hit", shards=n_segments)
             return merged
 
     def save_capture_store(
         self,
         fingerprint: Fingerprint,
-        stores,
+        store: Union[CaptureStore, SpillingCaptureStore],
     ) -> Path:
-        """Persist *stores* (one ``CaptureStore`` or a shard list) under
-        *fingerprint*; returns the entry directory.
+        """Persist *store* under *fingerprint*; returns the entry
+        directory.
 
-        Shard files are written first (each atomically); the manifest
+        Segment files are written first (each atomically); the manifest
         commits the entry last, so a crash mid-populate never leaves a
-        readable entry pointing at incomplete shards.
+        readable entry pointing at incomplete segments.
 
-        A :class:`~repro.crawler.spill.SpillingCaptureStore` expands
-        into one shard file per spilled segment (copied verbatim -- a
-        spill segment and a cache shard are the same file format) plus
-        one for the active tail, so populating the cache never folds
-        the store back into memory. Loads merge shards in id order
-        either way, which reproduces the insertion order exactly;
-        whether the populating run spilled is invisible to a warm hit.
+        A :class:`~repro.crawler.spill.SpillingCaptureStore` is written
+        as its spilled segments (copied verbatim -- a spill segment and
+        a cache segment are the same file format) plus its active tail,
+        so populating the cache never folds the store back into memory.
+        Loads merge segments in order either way, which reproduces the
+        insertion order exactly; whether the populating run spilled is
+        invisible to a warm hit.
         """
-        if isinstance(stores, (CaptureStore, SpillingCaptureStore)):
-            stores = [stores]
         entry_dir = self._fresh_entry_dir(fingerprint)
-        shard_id = 0
-        for store in stores:
-            if isinstance(store, SpillingCaptureStore):
-                for spilled in store.segment_paths():
-                    shutil.copyfile(
-                        spilled, segment_path(entry_dir, shard_id)
-                    )
-                    shard_id += 1
-                save_store(
-                    store.active_store(), segment_path(entry_dir, shard_id)
-                )
-            else:
-                save_store(store, segment_path(entry_dir, shard_id))
-            shard_id += 1
-        self._commit(fingerprint, entry_dir, "store", shards=shard_id)
+        n_segments = 0
+        tail = store
+        if isinstance(store, SpillingCaptureStore):
+            for spilled in store.segment_paths():
+                shutil.copyfile(spilled, segment_path(entry_dir, n_segments))
+                n_segments += 1
+            tail = store.active_store()
+        save_store(tail, segment_path(entry_dir, n_segments))
+        self._commit(fingerprint, entry_dir, "store", shards=n_segments + 1)
         return entry_dir
 
     # ------------------------------------------------------------------

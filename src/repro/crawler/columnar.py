@@ -20,9 +20,12 @@ cmp_key, vantage_id)`` tuples, never as objects.
 Segments merge by concatenation: :meth:`CaptureStore.merge` extends each
 column with the other store's column, remapping interned ids through a
 per-merge translation table. Row order is preserved exactly -- merging
-shard stores in shard order reproduces the serial insertion order, which
-is the argument that keeps sharded runs bit-identical to serial ones
-(docs/ARCHITECTURE.md, "Columnar capture store").
+a spilled store's segments in spill order reproduces its insertion
+order. Partitions of a parallel run interleave instead:
+:func:`merge_keyed` merges their stores by each row's serial feed
+position, interning in first-appearance order of the merged sequence,
+which is the argument that keeps partitioned runs bit-identical to
+serial ones (docs/ARCHITECTURE.md, "Columnar capture store").
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import sys
 from array import array
 from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.crawler.capture import Vantage
 
@@ -223,6 +228,11 @@ class CaptureStore:
     def n_rows(self) -> int:
         return len(self._col_domain)
 
+    def iter_segment_stores(self) -> Iterator["CaptureStore"]:
+        """The store as segments in row order: itself (a spilling store
+        yields each of its segments)."""
+        yield self
+
     @property
     def unique_domains(self) -> int:
         return len(self._domains)
@@ -287,3 +297,98 @@ class CaptureStore:
                 bucket.append((o, cmps[c]))
         domains = self._domains
         return {domains[d]: rows for d, rows in by_id.items()}
+
+
+# ----------------------------------------------------------------------
+# Keyed merge (partitioned runs)
+# ----------------------------------------------------------------------
+class _Run:
+    """One store of a keyed merge: the unconsumed rows of its current
+    segment, decoded to value columns, and their keys."""
+
+    def __init__(self, segments: Iterable[CaptureStore], keys: np.ndarray):
+        self._segments = iter(segments)
+        self._keys = keys
+        #: Key index of the next segment's first row.
+        self._next = 0
+        #: Requests of the segments decoded since the last :meth:`take`.
+        self.requests = 0
+        self.keys: Optional[np.ndarray] = None
+        self._columns: Tuple[np.ndarray, ...] = ()
+        self._load()
+
+    def _load(self) -> None:
+        """Decode the next non-empty segment (``keys`` is ``None`` once
+        every segment is consumed)."""
+        self.keys = None
+        for segment in self._segments:
+            self.requests += segment.total_requests
+            n = segment.n_rows
+            if not n:
+                continue
+            ids = [np.frombuffer(c, dtype=c.typecode) for c in segment.columns()]
+            domains, cmp_keys = segment.tables()
+            self._columns = (
+                np.asarray(domains, dtype=object)[ids[0]],
+                ids[1],
+                np.asarray(cmp_keys, dtype=object)[ids[2]],
+                ids[3],
+            )
+            self.keys = self._keys[self._next:self._next + n]
+            self._next += n
+            return
+
+    def take(self, cut: int) -> Tuple[np.ndarray, ...]:
+        """Pop the rows keyed at most *cut*: ``(keys, domains, date
+        ordinals, CMP keys, vantage ids)``."""
+        n = int(np.searchsorted(self.keys, cut, side="right"))
+        taken = (self.keys[:n],) + tuple(c[:n] for c in self._columns)
+        self.keys = self.keys[n:]
+        self._columns = tuple(c[n:] for c in self._columns)
+        if not len(self.keys):
+            self._load()
+        return taken
+
+
+def merge_keyed(
+    parts: Sequence[Tuple[Iterable[CaptureStore], np.ndarray]],
+    out,
+    batch_rows: Optional[int] = None,
+) -> None:
+    """Merge stores into *out* (plain or spilling) in ascending key
+    order.
+
+    Each part is a store, given as its segments in row order, and one
+    int64 key per row: ascending within a part, unique across parts.
+    One segment per part is decoded at a time. Every round emits the
+    rows keyed up to the smallest last key of the decoded segments, so
+    it uses up at least one segment; its rows reach *out* sorted, in
+    batches of at most *batch_rows*, each appended to a fresh store
+    (interning in first-appearance order) and merged in. *out*'s tables
+    therefore come out exactly as if every row had been appended in key
+    order. Request totals travel with the batch that decoded their
+    segment.
+    """
+    runs = [_Run(segments, np.asarray(keys)) for segments, keys in parts]
+    runs = [run for run in runs if run.keys is not None]
+    while runs:
+        cut = min(int(run.keys[-1]) for run in runs)
+        taken = [run.take(cut) for run in runs]
+        keys, domains, dates, cmp_keys, vantages = (
+            np.concatenate(column) for column in zip(*taken)
+        )
+        order = np.argsort(keys, kind="stable")
+        step = batch_rows or len(order)
+        for lo in range(0, len(order), step):
+            index = order[lo:lo + step]
+            piece = CaptureStore()
+            piece.append_batch(
+                domains[index].tolist(), dates[index].tolist(),
+                cmp_keys[index].tolist(), vantages[index].tolist(), (),
+            )
+            if lo + step >= len(order):
+                piece.total_requests = sum(run.requests for run in runs)
+                for run in runs:
+                    run.requests = 0
+            out.merge(piece)
+        runs = [run for run in runs if run.keys is not None]

@@ -1,35 +1,37 @@
-"""Sharded parallel crawl executor.
+"""Parallel crawl executor.
 
 The real platform performed 161M crawls over 2.5 years (Section 3.2) --
 a workload that only makes sense spread over many machines. This module
-is the reproduction's equivalent substrate: it partitions a crawl
-workload into independent *shards*, runs them on a process pool, and
-merges the per-shard results back into one queryable store.
+is the reproduction's equivalent substrate: it runs independent
+*shards* of a crawl on a process pool and hands their results back in
+order, resuming a shard whose worker crashed from its checkpoint.
 
 The key enabler is **order-independent determinism**. Every source of
 randomness in a crawl is derived from stable keys -- the page render from
 ``(world seed, url, date, visitor)``, the vantage/delay assignment from
 ``(platform seed, url, share time)`` -- so a crawl's outcome never
-depends on how many crawls ran before it. Serial and parallel runs of
-the same seed therefore produce *identical* observation sets, for any
-worker count or shard layout. ``tests/test_executor.py`` enforces this
-contract.
+depends on how many crawls ran before it, and the dedup rules key only
+on the URL and its domain. The social platform therefore shards by
+site: each worker owns one partition of the sites and runs it over the
+whole window (:mod:`repro.crawler.platform`), and serial and parallel
+runs of the same seed produce *identical* observation sets for any
+worker count. ``tests/test_executor.py`` enforces this contract.
 
 The worker count is the only parallelism knob. One worker crawls inline
 (the platform's serial loop, which never calls :func:`map_shards`); more
-workers run :data:`SHARDS_PER_WORKER` shards each on a
+workers each run one shard on a
 :class:`~concurrent.futures.ProcessPoolExecutor`. Shard specs carry the
 :class:`~repro.web.worldgen.WorldConfig`, never the world: a worker
 resolves it through a per-process world cache, which fork-started
-workers inherit warm from the parent (:func:`world_ref_for_backend`)
-and spawn-started ones fill by regenerating the world -- cheap, because
+workers inherit from the parent (:func:`world_ref_for_backend`) and
+spawn-started ones fill by regenerating the world -- cheap, because
 generation is lazy and per-site deterministic.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -43,19 +45,16 @@ R = TypeVar("R")
 #: A shard crashing more often than this is a bug, not chaos.
 MAX_RESUMES = 8
 
-#: Shards per worker; more than one lets the pool balance uneven shard
-#: costs.
-SHARDS_PER_WORKER = 4
-
 
 @dataclass(frozen=True)
 class ShardStats:
     """Counters for one executed shard."""
 
     shard_id: int
-    #: Accepted share events assigned to the shard.
+    #: Tasks assigned to the shard: for a social partition, the
+    #: candidate share events it owns (its crash point's task count).
     tasks: int
-    #: Crawls the shard stored (one per event).
+    #: Crawls the shard stored (one per accepted event).
     crawls: int
     failures: int
     #: Wall-clock seconds spent inside the shard function.
@@ -63,9 +62,9 @@ class ShardStats:
     #: Times the shard's worker crashed and was resumed from its
     #: checkpoint (0 outside chaos runs).
     resumes: int = 0
-    #: Pickled size of the shard's payload in bytes. Specs ship
-    #: ``(world config, draw rows)`` recipes, so this stays a few ints
-    #: per crawl -- the benchmarks report it per shard to keep
+    #: Pickled size of the shard's payload in bytes. Social specs ship
+    #: a world config, a window and the carried-over cooldowns, never
+    #: events -- the benchmarks report it per shard to keep
     #: serialization regressions attributable.
     payload_bytes: int = 0
 
@@ -78,7 +77,7 @@ class ExecutorStats:
     shards: List[ShardStats] = field(default_factory=list)
     #: Wall-clock of the whole fan-out (pool setup + shards + collection).
     wall_seconds: float = 0.0
-    #: Time spent merging per-shard stores into the caller's store.
+    #: Time spent merging the shards' results into the caller's.
     merge_seconds: float = 0.0
 
     @property
@@ -110,86 +109,12 @@ class ExecutorStats:
 
     def summary(self) -> str:
         return (
-            f"{self.n_shards} shards on {self.workers} worker process(es): "
+            f"{self.n_shards} partitions on {self.workers} worker "
+            "process(es): "
             f"{self.crawls} crawls ({self.failures} failed), "
             f"{self.wall_seconds:.2f}s wall, {self.busy_seconds:.2f}s busy, "
             f"{self.merge_seconds:.3f}s merge"
         )
-
-
-# ----------------------------------------------------------------------
-# Shard derivation
-# ----------------------------------------------------------------------
-def partition(items: Sequence[T], n_shards: int) -> List[List[T]]:
-    """Split *items* into at most *n_shards* contiguous, balanced runs.
-
-    Chunk sizes differ by at most one and order is preserved, so merging
-    shard results in shard order reproduces the serial iteration order.
-    """
-    n = len(items)
-    if n == 0:
-        return []
-    n_shards = max(1, min(n_shards, n))
-    base, extra = divmod(n, n_shards)
-    chunks: List[List[T]] = []
-    start = 0
-    for shard in range(n_shards):
-        size = base + (1 if shard < extra else 0)
-        chunks.append(list(items[start : start + size]))
-        start += size
-    return chunks
-
-
-def partition_grouped(
-    items: Sequence[T], n_shards: int, key: Callable[[T], object]
-) -> List[List[T]]:
-    """Partition *items* contiguously, preferring splits at *key* edges.
-
-    This is how the social pipeline derives shards from share-event days:
-    consecutive items with equal keys (events of the same day) stay in
-    the same shard whenever there are at least as many groups as shards.
-    With fewer groups than shards the split falls back to a plain even
-    partition -- valid because crawl outcomes are order-independent.
-    """
-    n = len(items)
-    if n == 0:
-        return []
-    if n_shards <= 1:
-        return [list(items)]
-
-    groups: List[List[T]] = []
-    last_key: object = object()
-    for item in items:
-        k = key(item)
-        if not groups or k != last_key:
-            groups.append([item])
-            last_key = k
-        else:
-            groups[-1].append(item)
-
-    if len(groups) < n_shards:
-        return partition(items, n_shards)
-
-    # Greedy contiguous packing towards equal item counts per shard.
-    shards: List[List[T]] = []
-    current: List[T] = []
-    placed = 0
-    for index, group in enumerate(groups):
-        groups_left = len(groups) - index - 1
-        current.extend(group)
-        threshold = (len(shards) + 1) * n / n_shards
-        must_keep_open = groups_left < (n_shards - len(shards) - 1)
-        if (
-            len(shards) < n_shards - 1
-            and not must_keep_open
-            and placed + len(current) >= threshold
-        ):
-            shards.append(current)
-            placed += len(current)
-            current = []
-    if current:
-        shards.append(current)
-    return shards
 
 
 # ----------------------------------------------------------------------
@@ -276,11 +201,11 @@ def map_shards(
     Shard functions may die mid-shard by raising
     :class:`~repro.faults.inject.WorkerCrash` (chaos schedules do this
     deterministically). With a *resume* builder the crashed slot is
-    re-submitted with a payload resumed from the crash's checkpoint --
-    completed work is never recomputed, and because every crawl is
-    order-independent the resumed shard's results are bit-identical to
-    an uninterrupted run. Without one a crash propagates like any other
-    worker error.
+    re-submitted, as soon as its crash arrives, with a payload resumed
+    from the crash's checkpoint -- completed work is never recomputed,
+    and because every crawl is order-independent the resumed shard's
+    results are bit-identical to an uninterrupted run. Without one a
+    crash propagates like any other worker error.
     """
     # Duration stats only, not crawl-visible state.
     start = time.perf_counter()  # repro-lint: disable=DET002
@@ -292,21 +217,23 @@ def map_shards(
     seconds = [0.0] * n
     resumes = [0] * n
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        futures = [pool.submit(_timed_call, fn, p) for p in slots]
-        pending = set(range(n))
-        while pending:
-            for i in sorted(pending):
-                outcome, secs = futures[i].result()
+        running = {
+            pool.submit(_timed_call, fn, p): i for i, p in enumerate(slots)
+        }
+        while running:
+            done, _pending = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                outcome, secs = future.result()
                 seconds[i] += secs
                 if isinstance(outcome, WorkerCrash):
                     slots[i] = _resumed(
                         slots[i], outcome, resume, resumes[i], max_resumes
                     )
                     resumes[i] += 1
-                    futures[i] = pool.submit(_timed_call, fn, slots[i])
+                    running[pool.submit(_timed_call, fn, slots[i])] = i
                 else:
                     results[i] = outcome
-                    pending.discard(i)
     wall = time.perf_counter() - start  # repro-lint: disable=DET002
     return results, seconds, wall, resumes
 

@@ -7,17 +7,20 @@ cloud provider -- 50% of crawls from each, assigned randomly
 (Section 3.2). Every capture is matched against the CMP fingerprints and
 stored.
 
-A run has two phases. The *dedup phase* walks the day stream through the
-capture queue serially (the 1h/48h cooldown rules are inherently
-sequential, but cheap -- dictionary lookups only). The *crawl phase*
-visits every accepted URL; it is embarrassingly parallel because each
-crawl's randomness is derived from per-event keys, never from shared
-sequential state. One worker (the default) crawls each day inline; more
-workers fan the crawl phase out over day-range shards on a process pool
-(:func:`repro.crawler.executor.map_shards`).
+Each day of a run is deduplicated by the capture queue (the 1h/48h
+cooldown rules of Section 3.4), then its accepted URLs are crawled. The
+cooldowns key only on the submitted URL and its registrable domain, and
+every crawl's randomness is derived from per-event keys, never from
+shared sequential state, so the work splits by site: with more than one
+worker, partition ``p`` of ``W`` owns the sites of rank ``r % W == p``
+(and partition 0 every short link, since they share the shortener
+domain), and each worker process generates, deduplicates and crawls its
+own partition over the whole window
+(:func:`repro.crawler.executor.map_shards`). One worker (the default)
+runs the whole stream inline as a single partition.
 
 Each day is generated once, as a columnar
-:class:`~repro.crawler.seeds.ShareBatch`; the dedup phase feeds the
+:class:`~repro.crawler.seeds.ShareBatch`; the dedup step feeds the
 queue from its int seconds column, and one kernel crawls every accepted
 event, whatever runs it: :func:`crawl_batch` takes a day's batch,
 derives the vantage and queue-delay draws and the visit key of every
@@ -35,12 +38,15 @@ through the same step, with its own vantage, dates, retry keys and
 fault-attempt counters.
 
 The serial loop (and with it :meth:`NetographPlatform.ingest_day` and
-the streaming engine) calls the kernel once per day. A sharded run
-ships each worker a :class:`SocialShardSpec` recipe of the accepted
-events' raw draw rows per day; the worker
-(:func:`crawl_social_shard`) draws each of its days once, builds URLs
-for its own rows only and calls the kernel on them, cutting the batch
-at the schedule's crash point and at the resume index. The row reference
+the streaming engine) feeds each whole day through :func:`accept` and
+the kernel. A partition worker (:func:`crawl_social_shard`) receives a
+:class:`SocialShardSpec` -- window, partition index, and the cooldowns
+its domains carry over -- and runs the same two steps on its own
+candidates of each day, cutting a day at the schedule's crash point and
+at the resume position. The parent only merges: it interleaves the
+partition stores by each row's feed position (share day, draw row),
+re-interning in first-appearance order, so the store, its digest and
+the queue state equal the serial run's. The row reference
 (:func:`~repro.crawler.browser.crawl_url` compacted with
 ``Capture.to_observation``) survives only as the test oracle in
 ``tests/test_columnar.py``.
@@ -50,7 +56,6 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-import itertools
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -58,7 +63,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -75,12 +79,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> storage -> 
 from repro.crawler import executor
 from repro.crawler.browser import DEFAULT_PROFILE, FAULT_STATUS, CrawlProfile
 from repro.crawler.capture import Vantage
-from repro.crawler.columnar import VANTAGE_IDS, CaptureStore
+from repro.crawler.columnar import VANTAGE_IDS, CaptureStore, merge_keyed
 from repro.crawler.executor import (
-    SHARDS_PER_WORKER,
     ExecutorStats,
     ShardStats,
-    partition_grouped,
     resolve_world,
     world_ref_for_backend,
 )
@@ -115,6 +117,7 @@ __all__ = [
     "RowVisits",
     "SocialShardSpec",
     "SocialShardResult",
+    "accept",
     "crawl_batch",
     "crawl_social_shard",
     "meter_crawls",
@@ -146,7 +149,7 @@ class PlatformConfig:
     #: Backoff policy for retrying injected transient faults; ``None``
     #: records the faulted capture without retrying.
     retry: Optional[RetryPolicy] = None
-    #: Row budget of every crawl-phase store, shard stores included
+    #: Row budget of every crawl-phase store, partition stores included
     #: (:mod:`repro.crawler.spill`); ``None`` keeps every row resident.
     #: An execution knob like the worker count -- never fingerprinted,
     #: cannot change results.
@@ -160,7 +163,7 @@ class PlatformStats:
     events: int = 0
     crawls: int = 0
     failures: int = 0
-    #: Fan-out details of the most recent sharded run, if any.
+    #: Fan-out details of the most recent partitioned run, if any.
     executor: Optional[ExecutorStats] = None
     #: Fault/retry accounting across all runs (empty outside chaos).
     faults: FaultTally = field(default_factory=FaultTally)
@@ -452,124 +455,150 @@ def meter_faults(obs: Observability, tally: FaultTally) -> None:
         retries.inc(tally.exhausted, outcome="exhausted")
 
 
+def accept(queue: CaptureQueue, batch: ShareBatch) -> ShareBatch:
+    """The events of *batch* that *queue*'s dedup rules accept, in
+    order (the dedup step of the serial loop and of every partition)."""
+    day_base = batch.ordinal * 86_400
+    submit_at = queue.submit_at
+    return batch.take(
+        [
+            i
+            for i, (url, second, feed) in enumerate(
+                zip(batch.urls, batch.seconds.tolist(), batch.keys.tolist())
+            )
+            if submit_at(url, day_base + second, feed)
+        ]
+    )
+
+
 # ----------------------------------------------------------------------
-# Shard payloads (module-level so worker processes can unpickle them)
+# Partitions (module-level so worker processes can unpickle them)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SocialShardSpec:
-    """One shard as a *recipe*: what a worker process receives.
+    """One partition of a parallel run: what a worker process receives.
 
-    The seed stream is deterministic per day, so a shard is fully
-    described by the stream config plus, per day, the raw draw rows of
-    the accepted events (:attr:`ShareBatch.rows`) -- a few ints per
-    crawl. The worker draws each day's random matrix once, selects its
-    rows with numpy and builds URLs for those rows only; a day split
-    across shards is never walked past another shard's events.
+    The seed stream is deterministic per day, so a partition is fully
+    described by the stream config, the window and its index: the
+    worker draws each day's uniform matrix and generates, dedups and
+    crawls only the candidate events its partition owns
+    (:meth:`SocialShareStream.events_for_day` with *parts*).
     """
 
+    #: The partition index, ``0 <= shard_id < parts``.
     shard_id: int
+    #: The partition count: the run's worker count.
+    parts: int
     world_config: WorldConfig
     config: PlatformConfig
     stream_config: StreamConfig
-    #: ``(day_ordinal, accepted events' raw draw rows)`` runs, in
-    #: acceptance order (rows ascend within a day).
-    runs: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    #: The window ``[start, end)`` as day ordinals.
+    start: int
+    end: int
+    #: The partition's capture queue (:meth:`CaptureQueue.split`):
+    #: cooldowns a continued run carries over for the domains it owns.
+    queue: CaptureQueue
     #: Resume bookkeeping, set by :func:`resume_social_shard` after a
-    #: worker crash: skip events below ``start_index`` and seed state
-    #: from ``checkpoint``.
-    start_index: int = 0
+    #: worker crash: continue from ``checkpoint``.
     shard_attempt: int = 0
     checkpoint: Optional["SocialShardResult"] = None
 
-    @property
-    def n_events(self) -> int:
-        """Number of crawls this shard describes."""
-        return sum(len(rows) for _ordinal, rows in self.runs)
 
-    def iter_day_chunks(self, world: World) -> Iterator[ShareBatch]:
-        """Each run's accepted events as one batch, a day at a time."""
-        stream = SocialShareStream(world, self.stream_config)
-        for ordinal, rows in self.runs:
-            yield stream.events_for_day(dt.date.fromordinal(ordinal), rows)
-
-
-@dataclass(frozen=True)
+@dataclass
 class SocialShardResult:
+    """What a partition produced; raised inside a :class:`WorkerCrash`,
+    the checkpoint its resumed worker continues from."""
+
     shard_id: int
     store: Store
-    failures: int
-    #: The shard's detection accounting (:class:`DetectionEngine`
-    #: counters), replayed into the parent's engine and metrics.
-    captures_seen: int
-    overcounted: int
-    matches: Dict[str, int]
-    excluded: Dict[str, int]
+    queue: CaptureQueue
+    #: Serial feed position of each store row (:attr:`ShareBatch.keys`),
+    #: one array per crawled day: the order the parent merges in.
+    keys: List[np.ndarray]
+    #: Candidate events the partition owns over the window, the task
+    #: count of the schedule's crash point.
+    tasks: int
+    #: Progress: the first day (ordinal) not finished yet, and the
+    #: candidates consumed so far (a crash's resume position).
+    day: int
+    position: int = 0
+    #: Share events seen (candidates on shared sites).
+    events: int = 0
+    failures: int = 0
+    #: The partition's detection engine, whose counters the parent
+    #: replays into its own engine and metrics.
+    engine: DetectionEngine = field(default_factory=DetectionEngine)
     faults: FaultTally = field(default_factory=FaultTally)
 
 
 def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
-    """Crawl one shard into a private store (runs inside a worker).
+    """Generate, dedup and crawl one partition (runs inside a worker).
 
-    A chaos schedule may kill the worker before a scheduled event index:
-    the shard raises :class:`WorkerCrash` carrying its partial result as
-    the checkpoint, and the executor re-submits a task resumed from it.
-    Batches are cut at the crash point and at the resume index, and
-    every crawl is keyed independently, so the resumed run's final
-    result is bit-identical to an uninterrupted one.
+    Each day, the worker keeps the candidate events it owns, builds
+    their sites and URLs, dedups them through its own queue and crawls
+    the accepted ones with :func:`crawl_batch`. A chaos schedule may
+    kill the worker before a scheduled candidate index: the partition
+    raises :class:`WorkerCrash` carrying its state as the checkpoint,
+    and the executor re-submits a task resumed from it. Days are cut at
+    the crash point and at the resume position, and every decision and
+    crawl depends only on the partition's own events, so the resumed
+    run's final result is bit-identical to an uninterrupted one.
     """
     world = resolve_world(task.world_config)
+    stream = SocialShareStream(world, task.stream_config)
     config = task.config
-    engine = DetectionEngine()
-    store = _new_store(config)
-    tally = FaultTally()
-    failures = 0
-    if task.checkpoint is not None:
-        checkpoint = task.checkpoint
-        store.merge(checkpoint.store)
-        failures = checkpoint.failures
-        engine.absorb(
-            checkpoint.captures_seen,
-            checkpoint.overcounted,
-            checkpoint.matches,
-            checkpoint.excluded,
+    part, parts = task.shard_id, task.parts
+    days = [dt.date.fromordinal(o) for o in range(task.start, task.end)]
+    counts = [len(stream.partition_rows(day, part, parts)) for day in days]
+    state = task.checkpoint
+    if state is None:
+        state = SocialShardResult(
+            shard_id=part,
+            store=_new_store(config),
+            queue=task.queue,
+            keys=[],
+            tasks=sum(counts),
+            day=task.start,
         )
-        tally.merge(checkpoint.faults)
     clock = VirtualClock()
     schedule = config.faults
     crash_at = (
-        schedule.crash_point(task.shard_id, task.n_events, task.shard_attempt)
+        schedule.crash_point(part, state.tasks, task.shard_attempt)
         if schedule is not None
         else None
     )
-
-    def result() -> SocialShardResult:
-        return SocialShardResult(
-            shard_id=task.shard_id,
-            store=store,
-            failures=failures,
-            captures_seen=engine.captures_seen,
-            overcounted=engine.overcounted,
-            matches=engine.matches,
-            excluded=engine.excluded,
-            faults=tally,
-        )
-
     lo = 0
-    for chunk in task.iter_day_chunks(world):
-        hi = lo + len(chunk)
-        begin = max(lo, task.start_index)
-        crashing = crash_at is not None and begin <= crash_at < hi
-        end = crash_at if crashing else hi
-        if begin < end:
-            _ok, failed, exhausted = crawl_batch(
-                world, config, chunk.take(range(begin - lo, end - lo)),
-                store, engine, clock, tally,
+    for day, count in zip(days, counts):
+        hi = lo + count
+        if day.toordinal() >= state.day:
+            begin = max(lo, state.position)
+            crashing = crash_at is not None and begin <= crash_at < hi
+            stop = crash_at if crashing else hi
+            batch = stream.events_for_day(day, part, parts)
+            if begin > lo or stop < hi:
+                rows = stream.partition_rows(day, part, parts)
+                within = batch.rows >= rows[begin - lo]
+                if stop < hi:
+                    within &= batch.rows < rows[stop - lo]
+                batch = batch.take(np.flatnonzero(within))
+            state.events += len(batch)
+            accepted = accept(state.queue, batch)
+            state.keys.append(accepted.keys)
+            if len(accepted):
+                _ok, failed, exhausted = crawl_batch(
+                    world, config, accepted, state.store, state.engine,
+                    clock, state.faults,
+                )
+                state.failures += failed + exhausted
+            state.position = stop
+            if crashing:
+                raise WorkerCrash(part, done=stop, checkpoint=state)
+            state.queue.prune(
+                dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1)
             )
-            failures += failed + exhausted
-        if crashing:
-            raise WorkerCrash(task.shard_id, done=end, checkpoint=result())
+            state.day = day.toordinal() + 1
         lo = hi
-    return result()
+    return state
 
 
 def resume_social_shard(
@@ -578,7 +607,6 @@ def resume_social_shard(
     """The task that continues *task* past *crash* (executor callback)."""
     return dataclasses.replace(
         task,
-        start_index=crash.done,
         shard_attempt=task.shard_attempt + 1,
         checkpoint=crash.checkpoint,
     )
@@ -616,9 +644,6 @@ class NetographPlatform:
         self._h_shard_seconds = metrics.histogram(
             "executor_shard_seconds", "per-shard crawl wall-clock"
         )
-        #: Per-shard stores of the most recent sharded run; consumed by
-        #: the cache-populate path so warm entries keep shard granularity.
-        self._last_shard_stores: Optional[List[Store]] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -634,41 +659,33 @@ class NetographPlatform:
 
         Passing an existing *store* continues a previous run (the real
         platform ran continuously for 2.5 years). With more than one
-        worker, the crawl phase is sharded by share-event days and fanned
-        out over a pool of *workers* processes; the result is identical
-        to the serial path for the same seed.
+        worker, the sites are partitioned over a pool of *workers*
+        processes, each generating, deduplicating and crawling its own
+        partition over the whole window; the result is identical to the
+        serial path for the same seed.
 
         With a *cache* and *fingerprint*, the run consults the artifact
         cache first: a hit restores the persisted capture store --
         bit-identical to a cold run, by the exact-round-trip guarantee
-        of :mod:`repro.crawler.storage` -- and skips the dedup and crawl
-        phases entirely; a miss computes cold and populates the entry
-        (per-shard when the run was sharded).
+        of :mod:`repro.crawler.storage`, and under the same memory
+        budget -- and skips the dedup and crawl phases entirely; a miss
+        computes cold and populates the entry.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if cache is None or fingerprint is None:
             return self._run_cold(start, end, store, workers)
-        cached = cache.load_capture_store(fingerprint)
-        if cached is not None:
-            if store is None:
-                return cached
-            store.merge(cached)
-            return store
-        self._last_shard_stores = None
-        fresh = self._run_cold(start, end, None, workers)
-        shard_stores, self._last_shard_stores = self._last_shard_stores, None
-        cache.save_capture_store(fingerprint, shard_stores or fresh)
-        if store is None:
-            return fresh
-        # A plain continuation store concatenates in-memory columns, so
-        # a spilled run is merged into it one segment at a time.
-        parts = (
-            fresh.iter_segment_stores()
-            if isinstance(fresh, SpillingCaptureStore)
-            else (fresh,)
+        result = cache.load_capture_store(
+            fingerprint, self.config.memory_budget
         )
-        for part in parts:
+        if result is None:
+            result = self._run_cold(start, end, None, workers)
+            cache.save_capture_store(fingerprint, result)
+        if store is None:
+            return result
+        # A plain continuation store concatenates in-memory columns, so
+        # a spilled result is merged into it one segment at a time.
+        for part in result.iter_segment_stores():
             store.merge(part)
         return store
 
@@ -729,61 +746,17 @@ class NetographPlatform:
         parallel = workers > 1
         if store is None:
             store = _new_store(self.config)
-        timing = self.obs.enabled
         with self.obs.span(
             "platform.run",
             start=start.isoformat(),
             end=end.isoformat(),
             parallel=parallel,
         ) as run_span:
-            #: ``(day_ordinal, raw draw row)`` of every accepted event in
-            #: acceptance order -- what shard specs are cut from.
-            accepted: List[Tuple[int, int]] = []
-            crawl_seconds = 0.0
             run_tally = FaultTally()
-            day = start
-            while day < end:
-                ordinal = day.toordinal()
-                events = self.stream.events_for_day(day)
-                self.stats.events += len(events)
-                self._m_events.inc(len(events))
-                submit_at = self.queue.submit_at
-                day_base = ordinal * 86_400
-                picked = [
-                    i
-                    for i, (url, second) in enumerate(
-                        zip(events.urls, events.seconds.tolist())
-                    )
-                    if submit_at(url, day_base + second)
-                ]
-                self._capture_id += len(picked)
-                if parallel:
-                    accepted.extend(
-                        (ordinal, row) for row in events.rows[picked].tolist()
-                    )
-                elif picked:
-                    # Span-duration timing only; never crawl-visible.
-                    batch_start = (
-                        time.perf_counter()  # repro-lint: disable=DET002
-                        if timing
-                        else 0.0
-                    )
-                    self._crawl_day(store, events.take(picked), run_tally)
-                    if timing:
-                        crawl_seconds += (
-                            time.perf_counter()  # repro-lint: disable=DET002
-                            - batch_start
-                        )
-                self.queue.prune(
-                    dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1)
-                )
-                day += dt.timedelta(days=1)
-            if accepted:
-                self._run_sharded(workers, accepted, store, run_tally)
-            elif timing and not parallel:
-                self.obs.tracer.record_span(
-                    "platform.crawl", crawl_seconds, mode="serial"
-                )
+            if not parallel:
+                self._run_serial(start, end, store, run_tally)
+            elif start < end:
+                self._run_partitioned(start, end, workers, store, run_tally)
             self.stats.faults.merge(run_tally)
             meter_faults(self.obs, run_tally)
             publish_cache_gauges(self.obs)
@@ -803,81 +776,106 @@ class NetographPlatform:
                 )
         return store
 
-    # ------------------------------------------------------------------
-    def _crawl_day(
-        self, store: Store, batch: ShareBatch, tally: FaultTally
+    def _run_serial(
+        self, start: dt.date, end: dt.date, store: Store, tally: FaultTally
     ) -> None:
-        """Serial crawl of one day's accepted events."""
-        ok, failed, exhausted = crawl_batch(
-            self.world, self.config, batch, store, self.engine,
-            self.clock, tally,
-        )
-        self.stats.crawls += len(batch)
-        self.stats.failures += failed + exhausted
-        meter_crawls(self._m_crawls, ok, failed, exhausted)
+        """One partition, inline: each day's whole batch is deduped
+        through the platform's queue and crawled."""
+        timing = self.obs.enabled
+        crawl_seconds = 0.0
+        day = start
+        while day < end:
+            events = self.stream.events_for_day(day)
+            self.stats.events += len(events)
+            self._m_events.inc(len(events))
+            accepted = accept(self.queue, events)
+            self._capture_id += len(accepted)
+            if len(accepted):
+                # Span-duration timing only; never crawl-visible.
+                batch_start = (
+                    time.perf_counter()  # repro-lint: disable=DET002
+                    if timing
+                    else 0.0
+                )
+                ok, failed, exhausted = crawl_batch(
+                    self.world, self.config, accepted, store, self.engine,
+                    self.clock, tally,
+                )
+                self.stats.crawls += len(accepted)
+                self.stats.failures += failed + exhausted
+                meter_crawls(self._m_crawls, ok, failed, exhausted)
+                if timing:
+                    crawl_seconds += (
+                        time.perf_counter()  # repro-lint: disable=DET002
+                        - batch_start
+                    )
+            self.queue.prune(
+                dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1)
+            )
+            day += dt.timedelta(days=1)
+        if timing:
+            self.obs.tracer.record_span(
+                "platform.crawl", crawl_seconds, mode="serial"
+            )
 
     # ------------------------------------------------------------------
-    def _shard_payloads(
-        self, workers: int, accepted: List[Tuple[int, int]]
-    ) -> List[SocialShardSpec]:
-        """Partition the acceptance sequence into shard specs.
-
-        A worker resolves the world from the spec's config (inherited
-        from this process when forked) and re-derives the accepted
-        events from their per-day draw rows.
-        """
-        n_shards = min(len(accepted), workers * SHARDS_PER_WORKER)
-        chunks = partition_grouped(accepted, n_shards, key=lambda item: item[0])
-        world_config = world_ref_for_backend(self.world)
-        return [
-            SocialShardSpec(
-                shard_id=i,
-                world_config=world_config,
-                config=self.config,
-                stream_config=self.stream.config,
-                runs=tuple(
-                    (ordinal, tuple(row for _ordinal, row in run))
-                    for ordinal, run in itertools.groupby(
-                        chunk, key=lambda item: item[0]
-                    )
-                ),
-            )
-            for i, chunk in enumerate(chunks)
-        ]
-
-    def _run_sharded(
+    def _run_partitioned(
         self,
+        start: dt.date,
+        end: dt.date,
         workers: int,
-        accepted: List[Tuple[int, int]],
         store: Store,
         run_tally: FaultTally,
     ) -> None:
+        """Fan the window out over *workers* partitions, then merge.
+
+        The parent generates and crawls nothing: it deals the queue's
+        cooldowns to the partitions, and afterwards merges their stores
+        in serial order (:func:`merge_keyed`) under this run's budget,
+        folds their queues back into its own and absorbs their counts.
+        """
         with self.obs.span(
             "executor.derive_shards", workers=workers
         ) as derive_span:
-            tasks = self._shard_payloads(workers, accepted)
-            derive_span.set(tasks=len(accepted), shards=len(tasks))
+            world_config = world_ref_for_backend(self.world)
+            queues = self.queue.split(
+                lambda domain: self.stream.partition_of(domain, workers),
+                workers,
+            )
+            tasks = [
+                SocialShardSpec(
+                    shard_id=part,
+                    parts=workers,
+                    world_config=world_config,
+                    config=self.config,
+                    stream_config=self.stream.config,
+                    start=start.toordinal(),
+                    end=end.toordinal(),
+                    queue=queue,
+                )
+                for part, queue in enumerate(queues)
+            ]
+            derive_span.set(shards=len(tasks))
         with self.obs.span("executor.crawl", workers=workers) as crawl_span:
             results, seconds, wall, resumes = executor.map_shards(
                 crawl_social_shard, tasks, workers, resume=resume_social_shard
             )
             crawl_span.set(shards=len(tasks))
-            self._last_shard_stores = [result.store for result in results]
             if self.obs.enabled:
-                for task, result, secs in zip(tasks, results, seconds):
+                for result, secs in zip(results, seconds):
                     self.obs.tracer.record_span(
                         "executor.shard",
                         secs,
-                        shard=task.shard_id,
-                        tasks=task.n_events,
+                        shard=result.shard_id,
+                        tasks=result.tasks,
                         crawls=result.store.n_captures,
                         failures=result.failures,
                     )
                     self._h_shard_seconds.observe(secs, pipeline="social")
 
-        # Payload accounting: measuring the spec pickles is cheap (a few
-        # ints per crawl) and keeps worker-transfer regressions
-        # attributable.
+        # Payload accounting: measuring the spec pickles is cheap (a
+        # window, a partition index and the carried-over cooldowns) and
+        # keeps worker-transfer regressions attributable.
         payload_sizes = [
             len(pickle.dumps(t, protocol=pickle.HIGHEST_PROTOCOL))
             for t in tasks
@@ -886,18 +884,24 @@ class NetographPlatform:
         merge_start = time.perf_counter()  # repro-lint: disable=DET002
         exec_stats = ExecutorStats(workers=workers, wall_seconds=wall)
         with self.obs.span("executor.merge", shards=len(tasks)):
-            for task, result, secs, n_resumes, n_bytes in zip(
-                tasks, results, seconds, resumes, payload_sizes
+            merge_keyed(
+                [
+                    (result.store.iter_segment_stores(),
+                     np.concatenate(result.keys))
+                    for result in results
+                ],
+                store,
+                self.config.memory_budget,
+            )
+            self.queue.fold([result.queue for result in results])
+            for result, secs, n_resumes, n_bytes in zip(
+                results, seconds, resumes, payload_sizes
             ):
-                store.merge(result.store)
-                self.stats.crawls += result.store.n_captures
-                self.stats.failures += result.failures
-                run_tally.merge(result.faults)
-                self._absorb_shard_metrics(result)
+                self._absorb_partition(result, run_tally)
                 exec_stats.shards.append(
                     ShardStats(
-                        shard_id=task.shard_id,
-                        tasks=task.n_events,
+                        shard_id=result.shard_id,
+                        tasks=result.tasks,
                         crawls=result.store.n_captures,
                         failures=result.failures,
                         seconds=secs,
@@ -911,19 +915,30 @@ class NetographPlatform:
         )
         self.stats.executor = exec_stats
 
-    def _absorb_shard_metrics(self, result: SocialShardResult) -> None:
-        """Fold a shard's detection/crawl accounting into this process's
-        stats and metrics (detection itself ran inside the worker)."""
+    def _absorb_partition(
+        self, result: SocialShardResult, run_tally: FaultTally
+    ) -> None:
+        """Fold a partition's event, crawl, fault and detection counts
+        into this process's stats and metrics (the work itself ran
+        inside the worker)."""
+        crawls = result.store.n_captures
+        self.stats.events += result.events
+        self._m_events.inc(result.events)
+        self._capture_id += crawls
+        self.stats.crawls += crawls
+        self.stats.failures += result.failures
+        run_tally.merge(result.faults)
         exhausted = result.faults.exhausted
         meter_crawls(
             self._m_crawls,
-            result.store.n_captures - result.failures,
+            crawls - result.failures,
             result.failures - exhausted,
             exhausted,
         )
+        engine = result.engine
         self.engine.absorb(
-            result.captures_seen,
-            result.overcounted,
-            result.matches,
-            result.excluded,
+            engine.captures_seen,
+            engine.overcounted,
+            engine.matches,
+            engine.excluded,
         )

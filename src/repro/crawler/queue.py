@@ -7,8 +7,14 @@ last hour or the precise URL in the last 48 hours. This applies to about
 The queue tracks submission decisions so the skip rate can be reported
 and compared against the paper's 40%.
 
-Implementation notes (this is the one inherently serial phase of a run,
-so its per-submit cost is on the critical path):
+The rules key only on the submitted URL and its registrable domain, so
+a run can be split into partitions that own disjoint domains: each
+partition dedups through its own queue (:meth:`CaptureQueue.split`)
+and the partitions' final states fold back into the serial one
+(:meth:`CaptureQueue.fold`).
+
+Implementation notes (every submitted URL passes through one queue, so
+its per-submit cost is on the critical path):
 
 * Cooldown bookkeeping uses integer epoch-day seconds instead of
   ``datetime`` values -- one conversion per submit replaces a
@@ -24,7 +30,8 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, Optional
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.net.psl import default_psl
 from repro.net.url import URL
@@ -81,18 +88,23 @@ class CaptureQueue:
         self._pend_accepted = 0
         self._pend_skip_url = 0
         self._pend_skip_domain = 0
+        #: Partition queues only (:meth:`split`): the feed position of
+        #: each cooldown entry's latest acceptance in this run, which
+        #: :meth:`fold` orders the partitions' entries by.
+        self._feed: Optional[Dict[Union[URL, str], int]] = None
 
     def submit(self, url: URL, now: dt.datetime) -> bool:
         """Submit *url* at time *now*; returns True if it should be
         crawled, False if the dedup rules skip it."""
         return self.submit_at(url, _ts(now))
 
-    def submit_at(self, url: URL, ts: int) -> bool:
+    def submit_at(self, url: URL, ts: int, feed: int = 0) -> bool:
         """:meth:`submit` with *ts* already converted by the caller.
 
         The platform's day loop derives the integer timestamp once and
         shares it with the crawl-phase key derivation, skipping the
-        per-submit datetime field reads.
+        per-submit datetime field reads. *feed* is the submission's
+        serial feed position, recorded by partition queues only.
         """
         stats = self.stats
         stats.submitted += 1
@@ -104,11 +116,7 @@ class CaptureQueue:
             stats.skipped_url += 1
             self._pend_skip_url += 1
             return False
-        domain = self._domain_memo.get(url.host)
-        if domain is None:
-            reg = default_psl().registrable_domain(url.host)
-            domain = reg if reg is not None else url.host
-            self._domain_memo[url.host] = domain
+        domain = self._domain_memo.get(url.host) or self._domain_of(url.host)
         last_domain = self._last_domain_capture.get(domain)
         if last_domain is not None and ts - last_domain < _DOMAIN_COOLDOWN_S:
             stats.skipped_domain += 1
@@ -135,7 +143,15 @@ class CaptureQueue:
         if domain in domains:
             del domains[domain]
         domains[domain] = ts
+        if self._feed is not None:
+            self._feed[url] = self._feed[domain] = feed
         return True
+
+    def _domain_of(self, host: str) -> str:
+        """The registrable domain of *host* (memoized)."""
+        reg = default_psl().registrable_domain(host)
+        domain = self._domain_memo[host] = reg if reg is not None else host
+        return domain
 
     def prune(self, now: dt.datetime) -> None:
         """Drop expired cooldown entries to bound memory on long runs.
@@ -157,6 +173,8 @@ class CaptureQueue:
                 expired.append(key)
             for key in expired:
                 del tracked[key]
+                if self._feed is not None:
+                    self._feed.pop(key, None)
         self.flush_metrics()
 
     def flush_metrics(self) -> None:
@@ -172,6 +190,69 @@ class CaptureQueue:
                 self._pend_skip_domain, decision="skipped_domain"
             )
             self._pend_skip_domain = 0
+
+    # ------------------------------------------------------------------
+    # Partitioned runs (repro.crawler.platform)
+    # ------------------------------------------------------------------
+    def split(
+        self, owner: Callable[[str], int], parts: int
+    ) -> List["CaptureQueue"]:
+        """Fresh queues for the *parts* partitions of a run.
+
+        Partition ``owner(domain)`` receives this queue's cooldown
+        entries for registrable *domain* -- its URLs and the domain
+        itself -- in this queue's order, so a partition decides exactly
+        as this queue would for the domains it owns. The partition
+        queues start with zero stats and record feed positions.
+        """
+        queues = [CaptureQueue() for _ in range(parts)]
+        for queue in queues:
+            queue._feed = {}
+        memo = self._domain_memo
+        for url, ts in self._last_url_capture.items():
+            domain = memo.get(url.host) or self._domain_of(url.host)
+            queues[owner(domain)]._last_url_capture[url] = ts
+        for domain, ts in self._last_domain_capture.items():
+            queues[owner(domain)]._last_domain_capture[domain] = ts
+        return queues
+
+    def fold(self, parts: Sequence["CaptureQueue"]) -> None:
+        """Take over the final states of partition queues from
+        :meth:`split`, exactly as if this queue had decided their runs.
+
+        Serially, entries no submission touched keep their place ahead
+        of the run's acceptances, which follow in feed order: each
+        cooldown dict is rebuilt in that order. The partitions' stats
+        and decision counts are added to this queue's.
+        """
+        for name in ("_last_url_capture", "_last_domain_capture"):
+            untouched = set()
+            accepted = []
+            for part in parts:
+                feed = part._feed
+                for key, ts in getattr(part, name).items():
+                    position = feed.get(key)
+                    if position is None:
+                        untouched.add(key)
+                    else:
+                        accepted.append((position, key, ts))
+            accepted.sort(key=itemgetter(0))
+            rebuilt = {
+                key: ts for key, ts in getattr(self, name).items()
+                if key in untouched
+            }
+            rebuilt.update((key, ts) for _position, key, ts in accepted)
+            setattr(self, name, rebuilt)
+        stats = self.stats
+        for part in parts:
+            stats.submitted += part.stats.submitted
+            stats.accepted += part.stats.accepted
+            stats.skipped_domain += part.stats.skipped_domain
+            stats.skipped_url += part.stats.skipped_url
+            self._pend_accepted += part.stats.accepted
+            self._pend_skip_url += part.stats.skipped_url
+            self._pend_skip_domain += part.stats.skipped_domain
+        self.flush_metrics()
 
     # ------------------------------------------------------------------
     # Checkpoint serialization (repro.stream)

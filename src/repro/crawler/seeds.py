@@ -11,16 +11,23 @@ point at arbitrary subsites, not just landing pages.
 web: Zipf-skewed site selection, subsite paths, occasional shortener
 indirection, and a Twitter/Reddit platform mix. Event generation is
 deterministic per day, so analyses can re-derive any slice of the stream
-without storing it. A day comes out as one columnar :class:`ShareBatch`;
-its raw draw-row column lets a shard worker re-derive exactly the events
-it was handed and nothing else.
+without storing it. A day comes out as one columnar :class:`ShareBatch`.
+
+A day can also be generated one *partition* at a time: candidate events
+of site rank ``r`` belong to partition ``r % parts`` and every shortened
+link to partition 0, because all short links share the one shortener
+domain. The capture queue's dedup rules key only on the submitted URL
+and its registrable domain, and every shared site's registrable domain
+encodes its rank, so partitions never interact: a worker that owns a
+partition generates, dedups and crawls its own sites alone
+(:mod:`repro.crawler.platform`).
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +102,13 @@ class ShareBatch:
                 self.at(i), self.urls[i], "twitter" if twitter else "reddit"
             )
 
+    @property
+    def keys(self) -> np.ndarray:
+        """Each event's serial feed position, ``share day << 32 | draw
+        row`` (int64): ascending along a run, so partitions of a run
+        merge back into serial order by it."""
+        return (self.ordinal << 32) | self.rows.astype(np.int64)
+
     def take(self, positions: Sequence[int]) -> "ShareBatch":
         """The events at *positions*, in that order."""
         index = np.asarray(positions, dtype=np.intp)
@@ -126,8 +140,42 @@ class SocialShareStream:
         self._url_cache: dict = world._share_url_cache
 
     # ------------------------------------------------------------------
+    def _uniforms(self, ordinal: int) -> Tuple[np.random.Generator, np.ndarray]:
+        """Day *ordinal*'s generator, past its uniform matrix (one row
+        per candidate event, one column per decision), and the matrix."""
+        config = self.config
+        np_rng = np.random.default_rng(
+            (config.seed * 1_000_003 + ordinal) % (2**63)
+        )
+        return np_rng, np_rng.random((config.events_per_day, 5))
+
+    def _route(
+        self, u: np.ndarray, ranks: np.ndarray, part: int, parts: int
+    ) -> np.ndarray:
+        """Draw rows of the candidates partition *part* of *parts* owns."""
+        owner = np.where(u[:, 3] < self.config.shortener_prob, 0, ranks % parts)
+        return np.flatnonzero(owner == part)
+
+    def partition_rows(
+        self, day: dt.date, part: int = 0, parts: int = 1
+    ) -> np.ndarray:
+        """Ascending draw rows of *day*'s candidate events in partition
+        *part* of *parts*, kept or skipped. Numpy only: no site is
+        generated, so a worker can size its share of a window up front."""
+        _rng, u = self._uniforms(day.toordinal())
+        ranks = np.searchsorted(self._cdf, u[:, 0], side="left") + 1
+        return self._route(u, ranks, part, parts)
+
+    def partition_of(self, domain: str, parts: int) -> int:
+        """The partition whose events submit registrable *domain*: the
+        shortener's is 0, a site's is its rank (encoded in the domain)
+        mod *parts*."""
+        if domain == self.world.config.shortener_domain:
+            return 0
+        return self.world._rank_from_domain(domain) % parts
+
     def events_for_day(
-        self, day: dt.date, rows: Optional[Sequence[int]] = None
+        self, day: dt.date, part: int = 0, parts: int = 1
     ) -> ShareBatch:
         """One simulated day's share events, chronological.
 
@@ -139,27 +187,26 @@ class SocialShareStream:
         skipped, so the batch's ``rows`` column maps every kept event
         back to its draw row.
 
-        *rows* (ascending draw rows, e.g. a shard's accepted events)
-        routes only those candidates: the result equals the full batch
-        restricted to them, and no other row's URL is built.
+        With *parts* above 1 only the candidates of partition *part*
+        (:meth:`partition_rows`) are routed: the result equals the full
+        batch restricted to them, and no other candidate's site or URL
+        is built.
         """
         config = self.config
         ordinal = day.toordinal()
-        np_rng = np.random.default_rng(
-            (config.seed * 1_000_003 + ordinal) % (2**63)
-        )
-        n = config.events_per_day
-        u = np_rng.random((n, 5))
-        seconds = np.sort(np_rng.integers(0, 86_400, size=n))
+        np_rng, u = self._uniforms(ordinal)
+        seconds = np.sort(np_rng.integers(0, 86_400, size=len(u)))
         # Exponential deviates for the subsite choice, from column 2, over
         # the full day so a selected row's deviate is bit-identical.
         depth = -np.log1p(-u[:, 2])
-        if rows is None:
-            picked = np.arange(n)
-        else:
-            picked = np.asarray(rows, dtype=np.intp)
-            u, seconds, depth = u[picked], seconds[picked], depth[picked]
         ranks = np.searchsorted(self._cdf, u[:, 0], side="left") + 1
+        if parts == 1:
+            picked = np.arange(len(u))
+        else:
+            picked = self._route(u, ranks, part, parts)
+            u, seconds, depth, ranks = (
+                u[picked], seconds[picked], depth[picked], ranks[picked]
+            )
 
         landing_prob = config.landing_page_prob
         privacy_cut = landing_prob + 0.01 * (1.0 - landing_prob)

@@ -20,9 +20,9 @@ at a time through that segment's id translation.
 Every store spills into a private ``repro-spill-*`` directory, created
 at its first spill by :func:`tempfile.mkdtemp` (so under ``TMPDIR``) and
 removed when the owning store is dropped. Pickling hands that ownership
-to the unpickled copy, which is how a shard store -- or a crashed
-shard's checkpoint -- travels between a worker process and the parent;
-no two stores ever share a directory.
+to the unpickled copy, which is how a partition store -- or a crashed
+partition's checkpoint -- travels between a worker process and the
+parent; no two stores ever share a directory.
 """
 
 from __future__ import annotations
@@ -124,17 +124,13 @@ class SpillingCaptureStore:
     def merge(self, other) -> None:
         """Fold *other* (plain or spilling) in after this store's rows.
 
-        A spilling *other* is consumed one segment at a time, so the
-        transient footprint stays near one budget's worth of rows; a
-        plain *other* lands in the active segment whole before the
-        post-merge spill check runs.
+        *other* is consumed one segment at a time, so a spilling one
+        keeps the transient footprint near one budget's worth of rows;
+        a plain one is a single segment, landing in the active segment
+        whole before the spill check runs.
         """
-        if isinstance(other, SpillingCaptureStore):
-            for store in other.iter_segment_stores():
-                self._active.merge(store)
-                self._maybe_spill()
-        else:
-            self._active.merge(other)
+        for store in other.iter_segment_stores():
+            self._active.merge(store)
             self._maybe_spill()
 
     def _maybe_spill(self) -> None:

@@ -3,7 +3,7 @@
 The paper's platform stores no page contents "due to storage
 constraints" (Section 3.2), and neither do we: a store file holds the
 :class:`CaptureStore`'s own columns. A *segment* is one such file -- a
-spill segment or a cache shard:
+spill segment or a cache segment:
 
 * one JSON header line: ``{"format": "repro.capture-store", "version":
   3, "n_rows", "n_captures", "total_requests", "domains", "cmp_keys"}``

@@ -50,8 +50,8 @@ def ingest_captures(graph: ConsentGraph, store: CaptureStore) -> None:
     key as properties. The ``seq`` property is what lets queries
     re-derive exact capture order (and therefore byte-identical
     adoption/vantage results) from a canonically-sorted edge set; it is
-    also why re-ingesting the same store is a no-op. Sharded crawls
-    merge their stores first (``CaptureStore.merge``, in shard order)
+    also why re-ingesting the same store is a no-op. Partitioned crawls
+    merge their stores first (``merge_keyed``, in serial feed order)
     and ingest the merged store once.
 
     Deduplicated ``OBSERVES`` edges (``domain -> cmp``) record the

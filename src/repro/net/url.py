@@ -234,6 +234,17 @@ class URL:
             self.__dict__["_hash"] = h
         return h
 
+    def __reduce__(self):
+        # Pickle the fields only: the memoized hash is salted per
+        # process, and a copy unpickled in another process (a partition
+        # queue travelling to or from a worker) must key dicts by its
+        # own process's hash.
+        return (
+            URL,
+            (self.scheme, self.host, self.port, self.path, self.query,
+             self.fragment),
+        )
+
     @cached_property
     def h64(self) -> int:
         """This URL's :func:`repro.det.key64` part, precomputed.

@@ -320,7 +320,9 @@ class StreamingStudyEngine:
                 f"no streaming checkpoint at watermark {watermark.isoformat()}"
             )
         end = watermark + _ONE_DAY
-        store = cache.load_capture_store(engine._crawl_fingerprint(end))
+        store = cache.load_capture_store(
+            engine._crawl_fingerprint(end), study.config.memory_budget
+        )
         if store is None:
             raise CacheError(
                 f"streaming checkpoint at {watermark.isoformat()} has no "
@@ -331,15 +333,7 @@ class StreamingStudyEngine:
                 f"streaming checkpoint row count mismatch: state says "
                 f"{payload['rows']}, store holds {store.n_rows}"
             )
-        if study.config.memory_budget:
-            # The cache hands back one merged resident store (transient
-            # O(rows)); re-spill it so the resumed follow run is bounded
-            # again from here on.
-            spilling = SpillingCaptureStore(study.config.memory_budget)
-            spilling.merge(store)
-            engine.store = spilling
-        else:
-            engine.store = store
+        engine.store = store
         engine.platform.restore_state(payload["platform"])
         engine._ingest_rows(store.rows_since(0))
         engine._cursor = store.n_rows

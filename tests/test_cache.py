@@ -222,7 +222,9 @@ class TestStoreEntries:
 
     def test_missing_shard_is_miss(self, tmp_path, social_store):
         cache = ArtifactCache(tmp_path)
-        cache.save_capture_store(self.fp(), [social_store, social_store])
+        spilled = SpillingCaptureStore(1)
+        spilled.merge(social_store)  # one spilled segment, an empty tail
+        cache.save_capture_store(self.fp(), spilled)
         (tmp_path / self.fp().slot() / "segment-0001.seg").unlink()
         assert cache.load_capture_store(self.fp()) is None
 
@@ -309,11 +311,30 @@ class TestWarmStudy:
             if d.name.startswith("social-crawl")
         )
         shards = list(entry.glob("segment-*.seg"))
-        assert len(shards) > 1  # per-shard granularity preserved
+        assert len(shards) == 1  # the merged store, not one per worker
         serial = Study(small_config(tmp_path))
         s_store = serial.run_social_crawl()
         assert serial.last_crawl_stats.crawls == 0
         assert store_digest(s_store) == store_digest(p_store)
+
+    def test_warm_hit_honours_memory_budget(self, tmp_path):
+        config = StudyConfig(
+            seed=7,
+            n_domains=2_000,
+            events_per_day=200,
+            study_start=dt.date(2020, 3, 1),
+            study_end=dt.date(2020, 3, 11),
+            memory_budget=100,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        cold = Study(config).run_social_crawl()
+        study = Study(config)
+        warm = study.run_social_crawl()
+        assert study.last_crawl_stats.crawls == 0
+        assert isinstance(warm, SpillingCaptureStore)
+        assert warm.n_segments > 0
+        assert warm.active_store().n_rows <= config.memory_budget
+        assert store_digest(warm) == store_digest(cold)
 
     def test_config_change_invalidates(self, tmp_path):
         study = Study(small_config(tmp_path))

@@ -46,7 +46,8 @@ WINDOW = (dt.date(2020, 4, 1), dt.date(2020, 4, 8))
 MAY = dt.date(2020, 5, 15)
 
 #: Every transient kind at once, plus worker crashes, all recoverable
-#: within FAST_TEST_POLICY's five retries.
+#: within FAST_TEST_POLICY's five retries. Every partition's worker
+#: crashes once: a run has only as many partitions as workers.
 TRANSIENT = FaultSchedule(
     seed=13,
     specs=(
@@ -55,7 +56,7 @@ TRANSIENT = FaultSchedule(
         FaultSpec("slow-response", rate=0.10, attempts=1),
         FaultSpec("antibot-challenge", rate=0.08, attempts=3),
     ),
-    crash=CrashSpec(rate=0.6, attempts=1),
+    crash=CrashSpec(rate=1.0, attempts=1),
 )
 
 #: Probe-budget-safe variant: every spec clears after a single attempt,

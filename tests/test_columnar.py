@@ -333,8 +333,8 @@ class TestKernelOracle:
 
 class TestRetryKey:
     """A faulted row's backoff is keyed on ``"<url>@<share time>"``,
-    whichever path crawls it: the serial loop or a shard worker that
-    re-derived the row from its raw draw row."""
+    whichever path crawls it: the serial loop or the partition worker
+    that generated the row itself."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_retry_key_is_url_at_share_time(self, monkeypatch, workers):

@@ -8,24 +8,29 @@ figure.
 """
 
 import datetime as dt
+import os
+import time
 
 import pytest
 
 from repro.core.pipeline import Study, StudyConfig
-from repro.crawler.executor import (
-    SHARDS_PER_WORKER,
-    partition,
-    partition_grouped,
-)
+from repro.crawler import executor
 from repro.crawler.platform import (
     CaptureStore,
     NetographPlatform,
     PlatformConfig,
+    accept,
 )
 from repro.core.adoption import DomainTimeline
 from repro.crawler.columnar import VANTAGE_IDS
 from repro.crawler.capture import EU_CLOUD, US_CLOUD
+from repro.crawler.queue import CaptureQueue
 from repro.crawler.seeds import SocialShareStream, StreamConfig
+from repro.crawler.spill import SpillingCaptureStore
+from repro.crawler.storage import store_digest
+from repro.faults import WorkerCrash
+from repro.net.psl import default_psl
+from repro.web.worldgen import World, WorldConfig
 from tests.store_oracle import rows, store_from_rows
 
 START = dt.date(2020, 4, 1)
@@ -88,10 +93,12 @@ class TestDeterminism:
         stats = platform.stats.executor
         assert stats is not None
         assert stats.workers == 4
-        assert 1 <= stats.n_shards <= 4 * SHARDS_PER_WORKER
+        # One partition per worker, each dealt its share of every day's
+        # 150 candidate events.
+        assert stats.n_shards == 4
         assert stats.crawls == platform.stats.crawls == store.n_captures
         assert stats.failures == platform.stats.failures
-        assert sum(s.tasks for s in stats.shards) == store.n_captures
+        assert sum(s.tasks for s in stats.shards) == (END - START).days * 150
         assert stats.wall_seconds > 0
         assert stats.merge_seconds >= 0
         assert all(s.seconds >= 0 for s in stats.shards)
@@ -110,6 +117,9 @@ class TestDeterminism:
         serial = _fresh_platform(study)
         serial_store = serial.run(START, dt.date(2020, 4, 5))
         assert _keys(store) == _keys(serial_store)
+        # The partitions' cooldowns fold back in serial insertion order.
+        assert platform.queue.state_payload() == serial.queue.state_payload()
+        assert platform._capture_id == serial._capture_id
 
     def test_vantage_independent_of_history(self, study):
         """An event's vantage must not depend on how many crawls ran
@@ -193,31 +203,122 @@ class TestCaptureStoreMerge:
         assert len(a.domain_day_rows()["x.com"]) == 2
 
 
-class TestShardDerivation:
-    def test_partition_balanced_and_ordered(self):
-        chunks = partition(list(range(10)), 3)
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-        assert partition([], 4) == []
-        assert partition([1], 5) == [[1]]
+def _marker_shard(payload):
+    """Shard 0 waits for a marker only shard 1's resumed attempt
+    writes; shard 1's first attempt crashes at once."""
+    shard, marker, attempt = payload
+    if shard == 1:
+        if attempt == 0:
+            raise WorkerCrash(1, done=0)
+        with open(marker, "w") as handle:
+            handle.write("resumed")
+        return True
+    deadline = time.monotonic() + 20.0
+    while time.monotonic() < deadline:
+        if os.path.exists(marker):
+            return True
+        time.sleep(0.01)
+    return False
 
-    def test_partition_grouped_splits_at_day_edges(self):
-        items = [(d, i) for d in range(4) for i in range(5)]
-        chunks = partition_grouped(items, 2, key=lambda item: item[0])
-        assert [item for chunk in chunks for item in chunk] == items
-        assert len(chunks) == 2
-        for chunk in chunks:
-            days = [d for d, _ in chunk]
-            # No day is split across chunks.
-            assert days == sorted(days)
-        boundary_days = {chunk[0][0] for chunk in chunks[1:]}
-        for chunk in chunks[:-1]:
-            assert chunk[-1][0] not in boundary_days
 
-    def test_partition_grouped_falls_back_for_few_groups(self):
-        items = [(0, i) for i in range(8)]
-        chunks = partition_grouped(items, 4, key=lambda item: item[0])
-        assert len(chunks) == 4
-        assert [item for chunk in chunks for item in chunk] == items
+class TestMapShards:
+    def test_crashed_shard_resumes_while_earlier_shards_run(self, tmp_path):
+        marker = str(tmp_path / "marker")
+        results, _seconds, _wall, resumes = executor.map_shards(
+            _marker_shard,
+            [(0, marker, 0), (1, marker, 0)],
+            workers=2,
+            resume=lambda payload, crash: (payload[0], payload[1], 1),
+        )
+        assert results == [True, True]
+        assert resumes == [0, 1]
+
+
+class TestPartitions:
+    """Why a partition of the sites dedups alone: its events share no
+    registrable domain and no URL with any other partition."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_shared_sites_have_distinct_rank_owned_domains(self, seed):
+        world = World(WorldConfig(seed=seed, n_domains=3_000))
+        stream = SocialShareStream(world)
+        psl = default_psl()
+        owners = {}
+        for rank in range(1, world.n_domains + 1):
+            site = world.site(rank)
+            if site.share_weight <= 0.0:
+                continue
+            domain = psl.registrable_domain(site.domain) or site.domain
+            assert domain != world.config.shortener_domain
+            assert owners.setdefault(domain, rank) == rank
+            for parts in range(1, 6):
+                assert stream.partition_of(domain, parts) == rank % parts
+        assert len(owners) > 1_000
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
+    def test_partitions_split_each_day_and_its_acceptances(
+        self, study, parts
+    ):
+        stream = SocialShareStream(
+            study.world, StreamConfig(seed=5, events_per_day=400)
+        )
+        serial, queues = CaptureQueue(), CaptureQueue().split(
+            lambda domain: stream.partition_of(domain, parts), parts
+        )
+        for offset in range(3):
+            day = START + dt.timedelta(days=offset)
+            full = stream.events_for_day(day)
+            batches = [
+                stream.events_for_day(day, part, parts)
+                for part in range(parts)
+            ]
+            candidates = [
+                stream.partition_rows(day, part, parts).tolist()
+                for part in range(parts)
+            ]
+            assert sorted(sum(candidates, [])) == list(range(400))
+            merged = sorted(
+                (row, url)
+                for batch in batches
+                for row, url in zip(batch.rows.tolist(), batch.urls)
+            )
+            assert merged == list(zip(full.rows.tolist(), full.urls))
+            expected = accept(serial, full).rows.tolist()
+            got = sorted(
+                row
+                for queue, batch in zip(queues, batches)
+                for row in accept(queue, batch).rows.tolist()
+            )
+            assert got == expected
+            midnight = dt.datetime.combine(day, dt.time())
+            serial.prune(midnight + dt.timedelta(days=1))
+            for queue in queues:
+                queue.prune(midnight + dt.timedelta(days=1))
+        folded = CaptureQueue()
+        folded.fold(queues)
+        assert folded.state_payload() == serial.state_payload()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_budgeted_partitions_reproduce_serial(self, study, workers):
+        budget = 40
+        serial = _fresh_platform(study).run(START, END)
+        platform = NetographPlatform(
+            study.world,
+            stream=SocialShareStream(
+                study.world, StreamConfig(seed=11, events_per_day=150)
+            ),
+            config=PlatformConfig(seed=23, memory_budget=budget),
+        )
+        store = platform.run(START, END, workers=workers)
+        assert isinstance(store, SpillingCaptureStore)
+        # Each partition held more rows than the budget, so partition
+        # stores spilled inside the workers.
+        assert all(
+            shard.crawls > budget for shard in platform.stats.executor.shards
+        )
+        assert store.n_segments > 0
+        assert store.active_store().n_rows <= budget
+        assert store_digest(store) == store_digest(serial)
 
 
 class TestStudyWiring:

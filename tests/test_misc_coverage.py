@@ -24,8 +24,14 @@ class TestStreamIteration:
             ]
 
     def test_empty_row_selection(self, world):
-        stream = SocialShareStream(world)
-        batch = stream.events_for_day(dt.date(2020, 4, 1), rows=())
+        # One candidate a day: one of two partitions owns none of it.
+        stream = SocialShareStream(world, StreamConfig(events_per_day=1))
+        day = dt.date(2020, 4, 1)
+        (part,) = [
+            part for part in (0, 1)
+            if not len(stream.partition_rows(day, part, 2))
+        ]
+        batch = stream.events_for_day(day, part, 2)
         assert len(batch) == 0
         assert list(batch) == []
 

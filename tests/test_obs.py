@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.crawler import spill
+from repro.crawler import executor, spill
 from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.toplist_crawl import ToplistCrawler
@@ -279,16 +279,23 @@ class TestInstrumentedPlatform:
             loads.append(path)
             return load_store(path, *args, **kwargs)
 
+        results = []
+        map_shards = executor.map_shards
+
+        def recording_map_shards(*args, **kwargs):
+            out = map_shards(*args, **kwargs)
+            results.extend(out[0])
+            return out
+
         # Forked workers inherit the patch but count into their own copy
         # of the list: only the parent's loads are counted here.
         monkeypatch.setattr(spill, "load_store", counting_load_store)
-        platform, _ = run_platform(
-            world, obs=Observability(), workers=2, memory_budget=50
-        )
+        monkeypatch.setattr(executor, "map_shards", recording_map_shards)
+        run_platform(world, obs=Observability(), workers=2, memory_budget=50)
         shard_segments = [
             path
-            for store in platform._last_shard_stores
-            for path in store.segment_paths()
+            for result in results
+            for path in result.store.segment_paths()
         ]
         assert shard_segments
         assert sorted(loads) == sorted(shard_segments)

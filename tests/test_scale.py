@@ -1,13 +1,13 @@
-"""Flat-RSS scale-out invariants: bounded caches, spills, lazy shards.
+"""Flat-RSS scale-out invariants: bounded caches, spills, partitions.
 
 The scale-out contract has two halves. Correctness: bounding the world
-memo caches, spilling full capture segments to disk, and regenerating
-shard events lazily are all *bit-invisible* -- every digest and every
-resolution is identical to the unbounded in-memory run, serial or on
-worker processes, with or without worker crashes. Capacity: memory
-actually stays bounded -- the negative host cache cannot outgrow its
-cap, and the spilling store's footprint is set by the row budget, not
-the row count.
+memo caches, spilling full capture segments to disk, and generating
+each partition's events in its own worker are all *bit-invisible* --
+every digest and every resolution is identical to the unbounded
+in-memory run, serial or on worker processes, with or without worker
+crashes. Capacity: memory actually stays bounded -- the negative host
+cache cannot outgrow its cap, and the spilling store's footprint is set
+by the row budget, not the row count.
 """
 
 import dataclasses
@@ -15,6 +15,7 @@ import datetime as dt
 import gc
 import itertools
 import pathlib
+import pickle
 import tempfile
 import tracemalloc
 
@@ -28,11 +29,14 @@ from repro.crawler.platform import (
     NetographPlatform,
     PlatformConfig,
     SocialShardSpec,
+    crawl_social_shard,
+    resume_social_shard,
 )
+from repro.crawler.queue import CaptureQueue
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.spill import SpillingCaptureStore
 from repro.crawler.storage import store_digest
-from repro.faults import CrashSpec, FaultSchedule, FaultSpec
+from repro.faults import CrashSpec, FaultSchedule, FaultSpec, WorkerCrash
 from repro.faults.retry import FAST_TEST_POLICY
 from repro.obs import Observability
 from repro.web.lru import MISSING, BoundedLRU
@@ -53,13 +57,15 @@ TINY_LIMITS = CacheLimits(
 
 
 #: Transient faults plus worker crashes, all recoverable by retrying.
+#: Every partition's worker crashes once: a run has only as many
+#: partitions as workers.
 TRANSIENT = FaultSchedule(
     seed=13,
     specs=(
         FaultSpec("dns-error", rate=0.15, attempts=1),
         FaultSpec("connection-reset", rate=0.12, attempts=2),
     ),
-    crash=CrashSpec(rate=0.6),
+    crash=CrashSpec(rate=1.0),
 )
 
 
@@ -183,8 +189,13 @@ class TestBoundedWorldBitIdentity:
             bounded = platform.run(*WINDOW, workers=workers)
             assert store_digest(bounded) == baseline
             info = world.cache_info()
-            assert len(info["sites"]) <= 64
-            assert info["sites"].evictions > 0
+            if workers == 1:
+                assert len(info["sites"]) <= 64
+                assert info["sites"].evictions > 0
+            else:
+                # The parent only merges: the workers generate every
+                # site, in their inherited copies of the bounded world.
+                assert len(info["sites"]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -477,80 +488,74 @@ class TestNegativeHostCache:
 
 
 # ----------------------------------------------------------------------
-# Shard recipes: raw draw rows, one generator pass per day
+# Partitions: each worker generates its own sites, and resumes exactly
 # ----------------------------------------------------------------------
-def materialize(spec, world):
-    """The eager reference for ``SocialShardSpec.iter_day_chunks``: every
-    run's day generated in full, then its raw draw rows picked out."""
-    stream = SocialShareStream(world, spec.stream_config)
-    out = []
-    for ordinal, rows in spec.runs:
-        day = stream.events_for_day(dt.date.fromordinal(ordinal))
-        wanted = set(rows)
-        out.extend(
-            event
-            for row, event in zip(day.rows.tolist(), day)
-            if row in wanted
-        )
-    return tuple(out)
-
-
-def _spec(world, stream, runs, shard_id=0):
+def _partition_spec(world, stream_config, part, parts, faults=None):
     return SocialShardSpec(
-        shard_id=shard_id,
+        shard_id=part,
+        parts=parts,
         world_config=world.config,
-        config=PlatformConfig(),
-        stream_config=stream.config,
-        runs=tuple(runs),
+        config=PlatformConfig(faults=faults, retry=FAST_TEST_POLICY),
+        stream_config=stream_config,
+        start=WINDOW[0].toordinal(),
+        end=WINDOW[1].toordinal(),
+        queue=CaptureQueue().split(lambda _domain: 0, 1)[0],
     )
 
 
 class TestLazyShardEquality:
-    def test_iter_day_chunks_matches_materialize(self):
+    @pytest.mark.parametrize("events_per_day", [1, 40])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_resumed_partition_matches_uninterrupted(
+        self, seed, events_per_day
+    ):
+        """A partition cut at its crash point and resumed from the
+        checkpoint ends in the state of the uninterrupted partition.
+        At 1 event a day every cut falls on a day edge, some past days
+        that own no candidate; at 40 they fall mid-day."""
         world = World(WorldConfig(seed=5, n_domains=300))
-        stream = SocialShareStream(world)
-        runs = []
-        for offset in range(3):
-            day = WINDOW[0] + dt.timedelta(days=offset)
-            # Every 3rd kept event's draw row, from a different phase
-            # each day, plus an empty run.
-            rows = stream.events_for_day(day).rows[offset::3]
-            runs.append((day.toordinal(), tuple(rows.tolist())))
-        runs.append((WINDOW[0].toordinal() + 3, ()))
-        spec = _spec(world, stream, runs)
-        chunks = list(spec.iter_day_chunks(world))
-        assert [len(chunk) for chunk in chunks] == [
-            len(rows) for _ordinal, rows in spec.runs
-        ]
-        assert [chunk.rows.tolist() for chunk in chunks] == [
-            list(rows) for _ordinal, rows in spec.runs
-        ]
-        lazy = tuple(itertools.chain.from_iterable(chunks))
-        assert len(lazy) == spec.n_events
-        assert lazy == materialize(spec, world)
+        stream_config = StreamConfig(events_per_day=events_per_day)
+        whole = crawl_social_shard(
+            _partition_spec(world, stream_config, 1, 2)
+        )
+        crashing = FaultSchedule(seed=seed, crash=CrashSpec(rate=1.0))
+        task = _partition_spec(world, stream_config, 1, 2, crashing)
+        with pytest.raises(WorkerCrash) as crash:
+            crawl_social_shard(task)
+        assert crash.value.done == crashing.crash_point(1, whole.tasks, 0)
+        resumed = crawl_social_shard(
+            resume_social_shard(task, pickle.loads(pickle.dumps(crash.value)))
+        )
+        assert rows(resumed.store) == rows(whole.store)
+        assert sum((k.tolist() for k in resumed.keys), []) == sum(
+            (k.tolist() for k in whole.keys), []
+        )
+        assert resumed.queue.state_payload() == whole.queue.state_payload()
+        assert (resumed.events, resumed.position) == (
+            whole.events, whole.tasks
+        )
 
     def test_split_day_builds_only_each_shards_urls(self):
-        """A day split across two shards: each worker builds the URLs of
-        its own rows, never those of the rows before them."""
+        """A day split across two partitions: each worker builds the
+        URLs of its own candidates, never those of the other's."""
         config = WorldConfig(seed=5, n_domains=300)
         stream_config = StreamConfig(events_per_day=400)
         reference = SocialShareStream(World(config), stream_config)
         day = reference.events_for_day(WINDOW[0])
-        half = len(day) // 2
-        for positions in (range(half), range(half, len(day))):
-            own = day.take(list(positions))
-            world = World(config, cache_limits=UNBOUNDED_CACHE_LIMITS)
-            spec = _spec(
-                world,
-                SocialShareStream(world, stream_config),
-                [(day.ordinal, tuple(own.rows.tolist()))],
+        for part in range(2):
+            wanted = set(
+                reference.partition_rows(WINDOW[0], part, 2).tolist()
             )
-            (chunk,) = spec.iter_day_chunks(world)
+            own = day.take(
+                [i for i, row in enumerate(day.rows.tolist()) if row in wanted]
+            )
+            world = World(config, cache_limits=UNBOUNDED_CACHE_LIMITS)
+            chunk = SocialShareStream(world, stream_config).events_for_day(
+                WINDOW[0], part, 2
+            )
             assert chunk.urls == own.urls
             assert len(world._share_url_cache) == len(set(own.urls))
-        # The second shard's rows start mid-day: walking the day up to
-        # them (the old recipe) would have built every earlier URL too.
-        assert len(set(own.urls)) < len(set(day.urls))
+            assert len(set(own.urls)) < len(set(day.urls))
 
 
 # ----------------------------------------------------------------------

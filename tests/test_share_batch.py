@@ -52,19 +52,18 @@ def test_batch_columns_match_oracle(config, day):
 
 
 @settings(max_examples=40, deadline=None)
-@given(config=_stream_config, day=_day, data=st.data())
-def test_row_selection_equals_taking_rows_of_full_batch(config, day, data):
+@given(config=_stream_config, day=_day, parts=st.integers(1, 5), data=st.data())
+def test_row_selection_equals_taking_rows_of_full_batch(
+    config, day, parts, data
+):
     stream = SocialShareStream(WORLD, config)
     full = stream.events_for_day(day)
-    # Any ascending raw rows, kept or skipped: skipped rows stay skipped.
-    rows = sorted(
-        data.draw(
-            st.sets(st.integers(0, config.events_per_day - 1)), label="rows"
-        )
-    )
-    wanted = set(rows)
+    # A partition's candidate rows, kept or skipped: skipped rows stay
+    # skipped.
+    part = data.draw(st.integers(0, parts - 1), label="part")
+    wanted = set(stream.partition_rows(day, part, parts).tolist())
     positions = [i for i, row in enumerate(full.rows.tolist()) if row in wanted]
-    selected = stream.events_for_day(day, rows=rows)
+    selected = stream.events_for_day(day, part, parts)
     assert columns(selected) == columns(full.take(positions))
     events = list(full)
     assert list(selected) == [events[i] for i in positions]

@@ -1,5 +1,9 @@
 """URL parsing and canonicalization."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.net.url import URL, UrlError, _normalize_path
@@ -193,3 +197,29 @@ class TestParseCache:
         a = URL.parse("https://shared.example.com/p?q=1")
         b = URL.parse("https://shared.example.com/p?q=1")
         assert a is b
+
+
+class TestPickle:
+    def test_pickled_url_keys_work_under_another_hash_seed(self):
+        """A queue dict pickled in one process (hash memos warm) must key
+        lookups in a process with a different string-hash salt."""
+        script = (
+            "import pickle, sys\n"
+            "from repro.net.url import URL\n"
+            "u = URL.parse('https://a.example/p?q=1#f')\n"
+            "if sys.argv[1] == 'dump':\n"
+            "    sys.stdout.buffer.write(pickle.dumps({u: 7}))\n"
+            "else:\n"
+            "    d = pickle.loads(sys.stdin.buffer.read())\n"
+            "    print(d.get(u), next(iter(d)).fragment)\n"
+        )
+
+        def child(mode, seed, data=b""):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            return subprocess.run(
+                [sys.executable, "-c", script, mode], input=data, env=env,
+                capture_output=True, check=True, timeout=60,
+            ).stdout
+
+        loaded = child("load", "2", child("dump", "1"))
+        assert loaded.split() == [b"7", b"f"]
