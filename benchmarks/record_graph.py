@@ -18,6 +18,7 @@ writes the JSON.
 import argparse
 import datetime as dt
 import json
+import os
 import platform as platform_mod
 import sys
 import time
@@ -179,6 +180,7 @@ def main(argv=None):
     record = {
         "python": platform_mod.python_version(),
         "machine": platform_mod.machine(),
+        "cpu_count": os.cpu_count(),
         "config": {
             "seed": CONFIG.seed,
             "n_domains": CONFIG.n_domains,

@@ -362,10 +362,9 @@ class Study:
         from repro.graph import build_study_graph
         from repro.toplist.providers import per_country_toplists
 
-        depth = (
-            self.config.toplist_size
-            if ranking_depth is None
-            else min(ranking_depth, len(self.tranco))
+        depth = min(
+            self.config.toplist_size if ranking_depth is None else ranking_depth,
+            len(self.tranco),
         )
         with self.obs.span("graph.build", depth=depth) as span:
             graph = build_study_graph(

@@ -30,7 +30,9 @@ wrote; property writes never conflict) -- the two properties
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.crawler.columnar import VANTAGE_STRS, VANTAGE_TABLE, CaptureStore
 from repro.graph.model import ConsentGraph
@@ -57,37 +59,53 @@ def ingest_captures(graph: ConsentGraph, store: CaptureStore) -> None:
     Deduplicated ``OBSERVES`` edges (``domain -> cmp``) record the
     "ever seen with" relation, making observed CMP marketshare a plain
     node-degree query.
+
+    The store is read one segment at a time, as id columns: each
+    segment's domain and CMP tables are interned once, its rows become
+    edge columns through those tables, and ``seq`` continues from the
+    rows of the segments before it.
     """
-    domain_nodes: Dict[str, int] = {}
-    vantage_nodes = {
-        i: graph.add_node(
+    vantage_nodes = [
+        graph.add_node(
             "vantage",
             VANTAGE_STRS[i],
             region=VANTAGE_TABLE[i].region,
             address_space=VANTAGE_TABLE[i].address_space,
         )
         for i in range(len(VANTAGE_TABLE))
-    }
-    cmp_nodes: Dict[str, int] = {}
-    for seq, (domain, ordinal, cmp_key, vantage) in enumerate(
-        store.iter_rows()
-    ):
-        src = domain_nodes.get(domain)
-        if src is None:
-            src = domain_nodes[domain] = graph.add_node("domain", domain)
-        graph.add_edge(
+    ]
+    seq = 0
+    for segment in store.iter_segment_stores():
+        domains, cmp_keys = segment.tables()
+        col_domain, col_date, col_cmp, col_vantage = segment.columns()
+        n = len(col_domain)
+        domain_nodes = graph.add_nodes("domain", domains)
+        cmp_nodes = [
+            None if key is None else graph.add_node("cmp", key)
+            for key in cmp_keys
+        ]
+        cmp_props = [NO_CMP if key is None else key for key in cmp_keys]
+        graph.add_edges(
             "CAPTURED",
-            src,
-            vantage_nodes[vantage],
-            seq=seq,
-            day=ordinal,
-            cmp=cmp_key if cmp_key is not None else NO_CMP,
+            list(map(domain_nodes.__getitem__, col_domain)),
+            list(map(vantage_nodes.__getitem__, col_vantage)),
+            seq=range(seq, seq + n),
+            day=col_date,
+            cmp=list(map(cmp_props.__getitem__, col_cmp)),
         )
-        if cmp_key is not None:
-            dst = cmp_nodes.get(cmp_key)
-            if dst is None:
-                dst = cmp_nodes[cmp_key] = graph.add_node("cmp", cmp_key)
-            graph.add_edge("OBSERVES", src, dst)
+        # Distinct (domain, CMP) id pairs, first appearance first, each
+        # coded as one int: domain id * width + CMP id.
+        width = len(cmp_keys)
+        pairs = dict.fromkeys(
+            map(add, map(mul, col_domain, repeat(width)), col_cmp)
+        )
+        observed = [code for code in pairs if cmp_nodes[code % width] is not None]
+        graph.add_edges(
+            "OBSERVES",
+            [domain_nodes[code // width] for code in observed],
+            [cmp_nodes[code % width] for code in observed],
+        )
+        seq += n
 
 
 def ingest_world_adoption(
@@ -101,17 +119,16 @@ def ingest_world_adoption(
     marketshare queries count over -- marketshare at a date is the
     time-windowed in-degree of the CMP nodes.
     """
+    src, dst, start, end = [], [], [], []
     for rank in true_ranks:
         site = world.site(int(rank))
-        src = graph.add_node("domain", site.domain)
+        domain_node = graph.add_node("domain", site.domain)
         for episode in site.episodes:
-            graph.add_edge(
-                "ADOPTED",
-                src,
-                graph.add_node("cmp", episode.cmp_key),
-                start=episode.start.isoformat(),
-                end="" if episode.end is None else episode.end.isoformat(),
-            )
+            src.append(domain_node)
+            dst.append(graph.add_node("cmp", episode.cmp_key))
+            start.append(episode.start.isoformat())
+            end.append("" if episode.end is None else episode.end.isoformat())
+    graph.add_edges("ADOPTED", src, dst, start=start, end=end)
 
 
 def ingest_toplist(
@@ -125,10 +142,10 @@ def ingest_toplist(
     """
     n = len(tranco) if depth is None else min(depth, len(tranco))
     ranking = graph.add_node("ranking", "tranco", provider="tranco")
-    for position, domain in enumerate(tranco.top(n), start=1):
-        graph.add_edge(
-            "RANK", graph.add_node("domain", domain), ranking, rank=position
-        )
+    src = graph.add_nodes("domain", tranco.top(n))
+    graph.add_edges(
+        "RANK", src, [ranking] * len(src), rank=range(1, len(src) + 1)
+    )
 
 
 def ingest_country_rankings(
@@ -145,6 +162,7 @@ def ingest_country_rankings(
         "EU": graph.add_node("region", "EU"),
         "US": graph.add_node("region", "US"),
     }
+    domain_nodes, rankings, buckets, countries = [], [], [], []
     for country in sorted(toplists):
         toplist = toplists[country]
         country_node = graph.add_node("country", country)
@@ -155,9 +173,12 @@ def ingest_country_rankings(
         )
         graph.add_edge("COUNTRY", ranking, country_node)
         for bucket, domain in toplist.entries:
-            domain_node = graph.add_node("domain", domain)
-            graph.add_edge("RANK", domain_node, ranking, bucket=bucket)
-            graph.add_edge("REGISTERED_IN", domain_node, country_node)
+            domain_nodes.append(graph.add_node("domain", domain))
+            rankings.append(ranking)
+            buckets.append(bucket)
+            countries.append(country_node)
+    graph.add_edges("RANK", domain_nodes, rankings, bucket=buckets)
+    graph.add_edges("REGISTERED_IN", domain_nodes, countries)
 
 
 def ingest_gvl(graph: ConsentGraph, versions: Sequence) -> None:
@@ -175,8 +196,28 @@ def ingest_gvl(graph: ConsentGraph, versions: Sequence) -> None:
     labeled by basis) keep "which vendors ever declared purpose p"
     a one-hop degree query; each is added once, not once per version
     that repeats the declaration.
+
+    A vendor declaration (vendor id, consent and LI purpose sets) is
+    interned, CSV-encoded and expanded into ``DECLARES`` edges the first
+    time a version lists it; later versions reuse its ``MEMBER_OF`` row.
+    Each purpose set is encoded once, and each edge type is added in one
+    call.
     """
-    declared = set()
+    purpose_nodes: Dict[int, int] = {}
+    csvs: Dict[frozenset, str] = {}
+
+    def csv(purpose_ids: frozenset) -> str:
+        text = csvs.get(purpose_ids)
+        if text is None:
+            text = csvs[purpose_ids] = _purpose_csv(purpose_ids)
+        return text
+
+    #: (vendor id, consent ids, LI ids) -> (vendor node, consent CSV,
+    #: LI CSV): the MEMBER_OF row of a vendor declaring exactly that.
+    rows: Dict[Tuple[int, frozenset, frozenset], Tuple[int, str, str]] = {}
+    members, version_nodes = [], []
+    #: (vendor node, purpose node, basis), first declaration first.
+    declares: Dict[Tuple[int, int, str], None] = {}
     for version in sorted(versions, key=lambda v: v.version):
         vnode = graph.add_node(
             "gvl_version",
@@ -184,31 +225,46 @@ def ingest_gvl(graph: ConsentGraph, versions: Sequence) -> None:
             version=version.version,
             last_updated=version.last_updated.isoformat(),
         )
-        for vendor in sorted(version.vendors, key=lambda v: v.id):
-            vendor_node = graph.add_node(
-                "vendor", f"{vendor.id:06d}", vendor_id=vendor.id
+        for vendor in version.vendors:
+            declared = (
+                vendor.id, vendor.purpose_ids, vendor.leg_int_purpose_ids
             )
-            graph.add_edge(
-                "MEMBER_OF",
-                vendor_node,
-                vnode,
-                consent=_purpose_csv(vendor.purpose_ids),
-                li=_purpose_csv(vendor.leg_int_purpose_ids),
-            )
-            for basis, purpose_ids in (
-                ("consent", vendor.purpose_ids),
-                ("legitimate-interest", vendor.leg_int_purpose_ids),
-            ):
-                for pid in sorted(purpose_ids):
-                    if (vendor_node, pid, basis) in declared:
-                        continue
-                    declared.add((vendor_node, pid, basis))
-                    graph.add_edge(
-                        "DECLARES",
-                        vendor_node,
-                        graph.add_node("purpose", f"{pid:02d}", purpose_id=pid),
-                        basis=basis,
-                    )
+            row = rows.get(declared)
+            if row is None:
+                node = graph.add_node(
+                    "vendor", f"{vendor.id:06d}", vendor_id=vendor.id
+                )
+                row = rows[declared] = (
+                    node,
+                    csv(vendor.purpose_ids),
+                    csv(vendor.leg_int_purpose_ids),
+                )
+                for basis, purpose_ids in (
+                    ("consent", vendor.purpose_ids),
+                    ("legitimate-interest", vendor.leg_int_purpose_ids),
+                ):
+                    for pid in sorted(purpose_ids):
+                        purpose = purpose_nodes.get(pid)
+                        if purpose is None:
+                            purpose = purpose_nodes[pid] = graph.add_node(
+                                "purpose", f"{pid:02d}", purpose_id=pid
+                            )
+                        declares[(node, purpose, basis)] = None
+            members.append(row)
+            version_nodes.append(vnode)
+    graph.add_edges(
+        "MEMBER_OF",
+        [node for node, _, _ in members],
+        version_nodes,
+        consent=[consent for _, consent, _ in members],
+        li=[li for _, _, li in members],
+    )
+    graph.add_edges(
+        "DECLARES",
+        [vendor for vendor, _, _ in declares],
+        [purpose for _, purpose, _ in declares],
+        basis=[basis for _, _, basis in declares],
+    )
 
 
 def ingest_vantages(graph: ConsentGraph) -> None:

@@ -13,9 +13,9 @@ Design rules, all load-bearing:
 * **Interning.** A node is keyed ``(type, natural_key)`` and interned on
   first use; adding it again returns the same id, and property updates
   merge (a conflicting re-assignment raises -- two ingestors must never
-  disagree about a fact). Edges are keyed ``(etype, src, dst, props)``
-  and deduplicate the same way, so every ingestor is idempotent by
-  construction (re-ingesting the same source changes nothing).
+  disagree about a fact). Edges are identified by ``(etype, src, dst,
+  props)`` and deduplicate the same way, so every ingestor is idempotent
+  by construction (re-ingesting the same source changes nothing).
 * **Canonical digest.** :meth:`ConsentGraph.digest` hashes the *sorted*
   node and edge relations, never insertion order. Two graphs holding the
   same facts digest identically no matter which ingestor ran first --
@@ -25,17 +25,29 @@ Design rules, all load-bearing:
   property, by version number). :meth:`adjacency` hands out sorted edge
   lists for exactly this reason.
 
-The graph is deliberately in-memory and plain-Python: at study scale
-(tens of thousands of capture rows, a few hundred vendors over a few
-hundred GVL versions) a dict-interned edge table builds in a second or
-two (``BENCH_graph.json``), so it is always built, never cached.
+Edges are stored columnarly: one table per edge type and property-name
+set (``RANK`` has a ``{rank}`` and a ``{bucket}`` table), holding
+integer source and destination node-id columns, one column per property
+and the set of flat ``(src, dst, *values)`` identities that dedups
+them. Ingestors add whole columns at once (:meth:`add_edges`);
+:meth:`add_edge` is the same insertion with one row. Adjacency and
+degree indexes are built per table on the first query that needs them,
+and every read hands out fresh property dicts. At study scale (tens of
+thousands of capture rows, a few hundred vendors over a few hundred GVL
+versions) a build takes a few hundredths of a second
+(``BENCH_graph.json``), so the graph is always built, never cached.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Property values are JSON scalars only, so digests are stable across
 #: Python versions.
@@ -68,37 +80,100 @@ EDGE_TYPES: Tuple[str, ...] = (
     "DECLARES",      # vendor -> purpose, deduplicated "ever declared"
 )
 
+#: An edge's identity within its table: ``(src, dst, *values)``, the
+#: values in property-name order.
+EdgeKey = Tuple[PropValue, ...]
+
 
 class GraphError(ValueError):
     """Raised on contradictory graph construction (conflicting facts)."""
 
 
-def _canonical_props(props: Dict[str, PropValue]) -> Tuple[Tuple[str, PropValue], ...]:
-    return tuple(sorted(props.items()))
+class _EdgeTable:
+    """The edges of one type with one property-name set, as columns.
+
+    Row ``i`` is the edge ``src[i] -> dst[i]`` with property
+    ``names[j]`` set to ``values[j][i]`` and graph-wide edge id
+    ``ids[i]`` (ascending, so a bisect finds a row by id). ``keys`` maps
+    each row's :data:`EdgeKey` to the row.
+    """
+
+    __slots__ = ("names", "src", "dst", "values", "ids", "keys", "_index")
+
+    def __init__(self, names: Tuple[str, ...]) -> None:
+        self.names = names
+        self.src: List[int] = []
+        self.dst: List[int] = []
+        self.values: Tuple[List[PropValue], ...] = tuple([] for _ in names)
+        self.ids = array("q")
+        self.keys: Dict[EdgeKey, int] = {}
+        #: direction -> node id -> rows, built on first use.
+        self._index: Dict[str, Dict[int, List[int]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def append(
+        self, keys: List[EdgeKey], columns: Sequence[Sequence], first_id: int
+    ) -> None:
+        """Append new rows, given both as *keys* and as *columns*
+        (``src``, ``dst``, then one per name)."""
+        row = len(self.ids)
+        self.keys.update(zip(keys, range(row, row + len(keys))))
+        for column, new in zip((self.src, self.dst, *self.values), columns):
+            column.extend(new)
+        self.ids.extend(range(first_id, first_id + len(keys)))
+        self._index.clear()
+
+    def row_props(self, rows: Sequence[int]) -> List[Dict[str, PropValue]]:
+        """Fresh property dicts of *rows*, in order."""
+        if not self.names:
+            return [{} for _ in rows]
+        values = zip(*[map(column.__getitem__, rows) for column in self.values])
+        return list(map(dict, map(zip, repeat(self.names), values)))
+
+    def rows_at(self, node_id: int, direction: str) -> Sequence[int]:
+        """Rows whose source (``"out"``) or destination (``"in"``) is
+        *node_id*, in row order."""
+        index = self._index.get(direction)
+        if index is None:
+            index = self._index[direction] = {}
+            for row, node in enumerate(self.src if direction == "out" else self.dst):
+                rows = index.get(node)
+                if rows is None:
+                    index[node] = [row]
+                else:
+                    rows.append(row)
+        return index.get(node_id, ())
+
+    def prop_texts(self) -> List[str]:
+        """Each row's properties as the JSON object ``json.dumps`` would
+        write with ``sort_keys`` (``names`` is sorted already)."""
+        if not self.names:
+            return ["{}"] * len(self)
+        pieces = [
+            [label + text for text in map(_json_value, column)]
+            for label, column in zip(
+                (f"{_json_value(name)}: " for name in self.names), self.values
+            )
+        ]
+        return ["{" + ", ".join(parts) + "}" for parts in zip(*pieces)]
 
 
 class ConsentGraph:
     """An interned, digestable typed property graph."""
 
     def __init__(self) -> None:
-        #: (type, key) -> node id, first-appearance interned.
-        self._node_ids: Dict[Tuple[str, str], int] = {}
-        #: node id -> (type, key).
-        self._nodes: List[Tuple[str, str]] = []
-        #: node id -> merged property dict.
-        self._node_props: List[Dict[str, PropValue]] = []
-        #: (etype, src, dst, canonical props) -> edge id.
-        self._edge_ids: Dict[
-            Tuple[str, int, int, Tuple[Tuple[str, PropValue], ...]], int
-        ] = {}
-        #: edge id -> (etype, src, dst, props dict).
-        self._edges: List[Tuple[str, int, int, Dict[str, PropValue]]] = []
-        #: etype -> edge ids (insertion order; queries must re-sort).
-        self._edges_by_type: Dict[str, List[int]] = {}
-        #: (src id, etype) -> edge ids, for adjacency walks.
-        self._out: Dict[Tuple[int, str], List[int]] = {}
-        #: (dst id, etype) -> edge ids.
-        self._in: Dict[Tuple[int, str], List[int]] = {}
+        #: type -> key -> node id, first-appearance interned.
+        self._node_ids: Dict[str, Dict[str, int]] = {}
+        #: node id -> type, and node id -> key.
+        self._node_types: List[str] = []
+        self._node_keys: List[str] = []
+        #: node id -> merged property dict, for nodes that have any.
+        self._node_props: Dict[int, Dict[str, PropValue]] = {}
+        #: etype -> sorted property names -> table.
+        self._tables: Dict[str, Dict[Tuple[str, ...], _EdgeTable]] = {}
+        self._n_edges = 0
         self._digest_cache: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -112,16 +187,9 @@ class ConsentGraph:
         *different* value raises :class:`GraphError` -- two ingestors
         claiming contradictory facts is a bug, never a merge.
         """
-        node_key = (ntype, key)
-        node_id = self._node_ids.get(node_key)
-        if node_id is None:
-            node_id = len(self._nodes)
-            self._node_ids[node_key] = node_id
-            self._nodes.append(node_key)
-            self._node_props.append({})
-            self._digest_cache = None
+        node_id = self.add_nodes(ntype, (key,))[0]
         if props:
-            merged = self._node_props[node_id]
+            merged = self._node_props.setdefault(node_id, {})
             for name, value in sorted(props.items()):
                 existing = merged.get(name, _MISSING)
                 if existing is _MISSING:
@@ -134,6 +202,23 @@ class ConsentGraph:
                     )
         return node_id
 
+    def add_nodes(self, ntype: str, keys: Iterable[str]) -> List[int]:
+        """Intern every ``(ntype, key)``; returns their node ids, in
+        order (:meth:`add_node` without properties, for many keys)."""
+        ids = self._node_ids.get(ntype)
+        if ids is None:
+            ids = self._node_ids[ntype] = {}
+        out = []
+        for key in keys:
+            node_id = ids.get(key)
+            if node_id is None:
+                node_id = ids[key] = len(self._node_keys)
+                self._node_types.append(ntype)
+                self._node_keys.append(key)
+                self._digest_cache = None
+            out.append(node_id)
+        return out
+
     def add_edge(
         self, etype: str, src: int, dst: int, **props: PropValue
     ) -> int:
@@ -144,79 +229,112 @@ class ConsentGraph:
         ingestors are idempotent; rows that must stay distinct carry a
         distinguishing property (the capture ingestor's ``seq``).
         """
-        for node_id in (src, dst):
-            if not 0 <= node_id < len(self._nodes):
-                raise GraphError(f"unknown node id {node_id}")
-        edge_key = (etype, src, dst, _canonical_props(props))
-        edge_id = self._edge_ids.get(edge_key)
-        if edge_id is not None:
-            return edge_id
-        edge_id = len(self._edges)
-        self._edge_ids[edge_key] = edge_id
-        self._edges.append((etype, src, dst, dict(props)))
-        self._edges_by_type.setdefault(etype, []).append(edge_id)
-        self._out.setdefault((src, etype), []).append(edge_id)
-        self._in.setdefault((dst, etype), []).append(edge_id)
+        names = tuple(sorted(props))
+        key = (src, dst, *[props[name] for name in names])
+        table = self._insert(etype, names, [(value,) for value in key])
+        return table.ids[table.keys[key]]
+
+    def add_edges(
+        self,
+        etype: str,
+        src: Sequence[int],
+        dst: Sequence[int],
+        **columns: Sequence[PropValue],
+    ) -> None:
+        """:meth:`add_edge` for every row of equal-length columns: row
+        ``i`` is ``src[i] -[etype {name: columns[name][i]}]-> dst[i]``.
+        Rows already in the graph, or repeated within the call, are
+        added once."""
+        names = tuple(sorted(columns))
+        rows = [src, dst, *[columns[name] for name in names]]
+        if any(len(column) != len(src) for column in rows):
+            raise GraphError(f"{etype} columns differ in length")
+        self._insert(etype, names, rows)
+
+    def _insert(
+        self, etype: str, names: Tuple[str, ...], columns: List[Sequence]
+    ) -> _EdgeTable:
+        """The one insertion path: append the rows of *columns* (``src``,
+        ``dst``, then one per name) not yet in the ``(etype, names)``
+        table, first occurrence first."""
+        tables = self._tables.get(etype)
+        table = None if tables is None else tables.get(names)
+        if table is None:
+            table = _EdgeTable(names)
+        fresh = list(dict.fromkeys(zip(*columns)))
+        if table.keys:
+            fresh = [key for key in fresh if key not in table.keys]
+        if not fresh:
+            return table
+        if len(fresh) < len(columns[0]):
+            columns = [
+                list(map(itemgetter(i), fresh)) for i in range(len(columns))
+            ]
+        n_nodes = len(self._node_keys)
+        for column in columns[:2]:
+            if min(column) < 0 or max(column) >= n_nodes:
+                bad = next(i for i in column if not 0 <= i < n_nodes)
+                raise GraphError(f"unknown node id {bad}")
+        table.append(fresh, columns, self._n_edges)
+        self._tables.setdefault(etype, {})[names] = table
+        self._n_edges += len(fresh)
         self._digest_cache = None
-        return edge_id
+        return table
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._node_keys)
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return self._n_edges
 
     def node_id(self, ntype: str, key: str) -> Optional[int]:
-        return self._node_ids.get((ntype, key))
+        return self._node_ids.get(ntype, {}).get(key)
 
     def node(self, node_id: int) -> Tuple[str, str]:
         """The ``(type, key)`` of a node id."""
-        return self._nodes[node_id]
+        return self._node_types[node_id], self._node_keys[node_id]
 
     def node_key(self, node_id: int) -> str:
-        return self._nodes[node_id][1]
+        return self._node_keys[node_id]
 
     def props(self, node_id: int) -> Dict[str, PropValue]:
         """A copy of the node's merged properties."""
-        return dict(self._node_props[node_id])
+        return dict(self._node_props.get(node_id, ()))
 
     def nodes_of_type(self, ntype: str) -> List[int]:
         """Node ids of one type, sorted by natural key (never insertion
         order -- the ingest-order-independence contract)."""
-        return [
-            self._node_ids[(t, k)]
-            for t, k in sorted(self._node_ids)
-            if t == ntype
-        ]
+        ids = self._node_ids.get(ntype, {})
+        return [ids[key] for key in sorted(ids)]
 
     def edge(
         self, edge_id: int
     ) -> Tuple[str, int, int, Dict[str, PropValue]]:
-        etype, src, dst, props = self._edges[edge_id]
-        return etype, src, dst, dict(props)
+        """The ``(etype, src, dst, props)`` of an edge id."""
+        for etype, tables in self._tables.items():
+            for table in tables.values():
+                row = bisect_left(table.ids, edge_id)
+                if row < len(table) and table.ids[row] == edge_id:
+                    (props,) = table.row_props((row,))
+                    return etype, table.src[row], table.dst[row], props
+        raise IndexError(f"no edge {edge_id}")
 
     def edges_of_type(
         self, etype: str
     ) -> List[Tuple[int, int, Dict[str, PropValue]]]:
         """All ``(src, dst, props)`` of one edge type, canonically sorted
         by ``(src (type, key), dst (type, key), props)``."""
-        out = [
-            (self._edges[e][1], self._edges[e][2], self._edges[e][3])
-            for e in self._edges_by_type.get(etype, ())
+        tables = list(self._tables.get(etype, {}).values())
+        props = [table.row_props(range(len(table))) for table in tables]
+        return [
+            (tables[t].src[row], tables[t].dst[row], props[t][row])
+            for t, row in self._canonical_rows(tables, self._node_order()[1])
         ]
-        out.sort(
-            key=lambda row: (
-                self._nodes[row[0]],
-                self._nodes[row[1]],
-                _canonical_props(row[2]),
-            )
-        )
-        return out
 
     def adjacency(
         self, node_id: int, etype: str, *, direction: str = "out"
@@ -227,84 +345,159 @@ class ConsentGraph:
         The list is sorted by ``(neighbor (type, key), props)`` --
         adjacency walks see a canonical order, not insertion order.
         """
-        if direction == "out":
-            table, pick = self._out, 2
-        elif direction == "in":
-            table, pick = self._in, 1
-        else:
+        if direction not in ("out", "in"):
             raise GraphError(f"direction must be 'out' or 'in', not {direction!r}")
-        pairs = [
-            (self._edges[e][pick], self._edges[e][3])
-            for e in table.get((node_id, etype), ())
-        ]
-        pairs.sort(key=lambda p: (self._nodes[p[0]], _canonical_props(p[1])))
-        return pairs
+        types, keys = self._node_types, self._node_keys
+        found = []
+        for table in self._tables.get(etype, {}).values():
+            rows = table.rows_at(node_id, direction)
+            if not rows:
+                continue
+            neighbors = table.dst if direction == "out" else table.src
+            names = table.names
+            values = (
+                zip(*[map(column.__getitem__, rows) for column in table.values])
+                if names
+                else repeat(())
+            )
+            for row, row_values in zip(rows, values):
+                neighbor = neighbors[row]
+                found.append(
+                    (
+                        types[neighbor],
+                        keys[neighbor],
+                        tuple(zip(names, row_values)),  # canonical props
+                        neighbor,
+                    )
+                )
+        found.sort()
+        return [(neighbor, dict(props)) for _, _, props, neighbor in found]
 
     def degree(self, node_id: int, etype: str, *, direction: str = "in") -> int:
         """Edge count of one type at a node -- the "marketshare as
         CMP-node degree" primitive."""
-        table = self._in if direction == "in" else self._out
-        return len(table.get((node_id, etype), ()))
+        if direction != "in":
+            direction = "out"
+        return sum(
+            len(table.rows_at(node_id, direction))
+            for table in self._tables.get(etype, {}).values()
+        )
 
     # ------------------------------------------------------------------
     # Canonical form
     # ------------------------------------------------------------------
-    def _canonical_nodes(self) -> Iterator[Tuple[str, str, Dict[str, PropValue]]]:
-        for ntype, key in sorted(self._node_ids):
-            yield ntype, key, self._node_props[self._node_ids[(ntype, key)]]
-
-    def _canonical_edges(
-        self,
-    ) -> List[Tuple[str, Tuple[str, str], Tuple[str, str], Dict[str, PropValue]]]:
-        rows = [
-            (etype, self._nodes[src], self._nodes[dst], props)
-            for etype, src, dst, props in self._edges
+    def _node_order(self) -> Tuple[List[int], List[int]]:
+        """Node ids in ``(type, key)`` order, and each node id's
+        position in that order."""
+        order = [
+            ids[key]
+            for ntype, ids in sorted(self._node_ids.items())
+            for key in sorted(ids)
         ]
-        rows.sort(
-            key=lambda r: (r[0], r[1], r[2], _canonical_props(r[3]))
-        )
-        return rows
+        ranks = [0] * len(order)
+        for rank, node_id in enumerate(order):
+            ranks[node_id] = rank
+        return order, ranks
+
+    @staticmethod
+    def _canonical_rows(
+        tables: Sequence[_EdgeTable], ranks: List[int]
+    ) -> List[Tuple[int, int]]:
+        """``(table index, row)`` of every row of *tables* (one edge
+        type), sorted by source and destination ``(type, key)`` -- their
+        *ranks* -- then by properties: each row's name-sorted ``(name,
+        value)`` pairs flattened into one tuple, which orders exactly
+        like the tuple of pairs. Edges are unique, so the trailing
+        ``(table index, row)`` never decides."""
+        keys: List[tuple] = []
+        for t, table in enumerate(tables):
+            flat: list = []
+            for name, column in zip(table.names, table.values):
+                flat += (repeat(name), column)
+            keys.extend(
+                zip(
+                    map(ranks.__getitem__, table.src),
+                    map(ranks.__getitem__, table.dst),
+                    zip(*flat) if flat else repeat(()),
+                    repeat(t),
+                    range(len(table)),
+                )
+            )
+        keys.sort()
+        return [key[3:] for key in keys]
 
     def digest(self) -> str:
         """Canonical SHA-256 of the graph's full relational content.
 
         Insertion-order independent: the hash walks nodes sorted by
         ``(type, key)`` and edges sorted by ``(etype, endpoints,
-        props)``. Equal digests therefore mean equal graphs as *sets of
-        facts* -- the fingerprint the property suite relies on.
+        props)``, one JSON line each. Equal digests therefore mean equal
+        graphs as *sets of facts* -- the fingerprint the property suite
+        relies on.
         """
         if self._digest_cache is None:
+            order, ranks = self._node_order()
+            # '["type", "key"]' per node: the endpoint of each edge line,
+            # and each node line without its closing bracket.
+            node_json = [
+                f"[{_json_value(ntype)}, {_json_value(key)}]"
+                for ntype, key in zip(self._node_types, self._node_keys)
+            ]
+            node_props = self._node_props
             hasher = hashlib.sha256()
-            for ntype, key, props in self._canonical_nodes():
-                hasher.update(
-                    json.dumps([ntype, key, _sorted_dict(props)],
-                               sort_keys=True).encode("utf-8")
-                )
-                hasher.update(b"\n")
+            hasher.update(
+                "".join(
+                    f"{node_json[i][:-1]}, "
+                    f"{_json_value(node_props[i]) if i in node_props else '{}'}]\n"
+                    for i in order
+                ).encode("utf-8")
+            )
             hasher.update(b"--edges--\n")
-            for etype, src, dst, props in self._canonical_edges():
+            for etype in sorted(self._tables):
+                tables = list(self._tables[etype].values())
+                head = f"[{_json_value(etype)}, "
+                lines = [
+                    [
+                        f"{head}{node_json[s]}, {node_json[d]}, {props}]\n"
+                        for s, d, props in zip(
+                            table.src, table.dst, table.prop_texts()
+                        )
+                    ]
+                    for table in tables
+                ]
                 hasher.update(
-                    json.dumps(
-                        [etype, list(src), list(dst), _sorted_dict(props)],
-                        sort_keys=True,
+                    "".join(
+                        lines[t][row]
+                        for t, row in self._canonical_rows(tables, ranks)
                     ).encode("utf-8")
                 )
-                hasher.update(b"\n")
             self._digest_cache = hasher.hexdigest()
         return self._digest_cache
 
     def stats(self) -> Dict[str, int]:
         """Node/edge counts per type (sorted keys), for reporting."""
         out: Dict[str, int] = {}
-        for ntype, key in sorted(self._node_ids):
-            out[f"nodes:{ntype}"] = out.get(f"nodes:{ntype}", 0) + 1
-        for etype in sorted(self._edges_by_type):
-            out[f"edges:{etype}"] = len(self._edges_by_type[etype])
+        for ntype in sorted(self._node_ids):
+            out[f"nodes:{ntype}"] = len(self._node_ids[ntype])
+        for etype in sorted(self._tables):
+            out[f"edges:{etype}"] = sum(
+                len(table) for table in self._tables[etype].values()
+            )
         return out
 
 
-def _sorted_dict(props: Dict[str, PropValue]) -> Dict[str, PropValue]:
-    return {name: props[name] for name in sorted(props)}
+_json_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_value(value: object) -> str:
+    """``json.dumps(value, sort_keys=True)``, with strs and ints
+    short-cut."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    return _json_encode(value)
 
 
 class _Missing:

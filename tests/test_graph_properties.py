@@ -270,17 +270,17 @@ def test_gvl_adds_each_declares_edge_once():
         ),
     )
     graph = ConsentGraph()
-    calls = []
-    add_edge = graph.add_edge
+    inserted = []
+    add_edges = graph.add_edges
 
-    def counting_add_edge(etype, src, dst, **props):
-        calls.append(etype)
-        return add_edge(etype, src, dst, **props)
+    def counting_add_edges(etype, src, dst, **columns):
+        inserted.extend([etype] * len(src))
+        return add_edges(etype, src, dst, **columns)
 
-    graph.add_edge = counting_add_edge
+    graph.add_edges = counting_add_edges
     ingest_gvl(graph, history)
     assert len(graph.edges_of_type("DECLARES")) == 5
-    assert calls.count("DECLARES") == 5
+    assert inserted.count("DECLARES") == 5
 
 
 def test_country_fig5_over_an_empty_ranking_is_empty():
