@@ -5,8 +5,11 @@ once warm with a fresh ``Study`` and obs stack -- and asserts the
 tentpole guarantees of :mod:`repro.cache`:
 
 * the warm run's exports (persisted capture store, adoption series,
-  vantage table, marketshare curve) are byte-equal to the cold run's;
-* the warm run skips the crawl phase entirely (zero browser crawls);
+  vantage table, marketshare curve, Tranco order) are byte-equal to the
+  cold run's;
+* the warm run skips the crawl phase entirely (zero browser crawls) and
+  loads the Tranco list from its ``toplist`` entry without computing a
+  single provider ranking;
 * cache hits are observable (``cache_hits_total > 0``).
 
 Run by ``scripts/verify.sh`` (or ``make verify``) so cache regressions
@@ -20,12 +23,24 @@ import tempfile
 import time
 from pathlib import Path
 
+import repro.toplist.tranco as tranco_module
 from repro.core.pipeline import Study, StudyConfig
 from repro.crawler.storage import write_export
 from repro.obs import Observability
 
 WINDOW = (dt.date(2020, 3, 1), dt.date(2020, 4, 15))
 WHEN = dt.date(2020, 3, 15)
+
+
+def count_provider_rankings(calls: list) -> None:
+    """Record every provider ranking the Tranco build computes."""
+    compute = tranco_module.provider_ranking
+
+    def counted(world, provider, **kwargs):
+        calls.append(provider)
+        return compute(world, provider, **kwargs)
+
+    tranco_module.provider_ranking = counted
 
 
 def run_study(cache_dir: str, out_dir: Path, label: str):
@@ -52,28 +67,42 @@ def run_study(cache_dir: str, out_dir: Path, label: str):
 
     store_path = out_dir / f"store-{label}.jsonl"
     write_export(store, store_path)
-    exports = store_path.read_bytes() + json.dumps(
-        [series.to_payload(), table.to_payload(), curve.to_payload()],
-        sort_keys=True,
-    ).encode("utf-8")
-    hits = obs.metrics.counter("cache_hits_total").total
-    return exports, study.last_crawl_stats.crawls, hits, seconds
+    exports = (
+        store_path.read_bytes()
+        + json.dumps(
+            [series.to_payload(), table.to_payload(), curve.to_payload()],
+            sort_keys=True,
+        ).encode("utf-8")
+        + study.tranco.order.tobytes()
+    )
+    hits = obs.metrics.counter("cache_hits_total")
+    return (
+        exports,
+        study.last_crawl_stats.crawls,
+        hits.total,
+        hits.value(stage="toplist"),
+        seconds,
+    )
 
 
 def main():
+    rankings: list = []
+    count_provider_rankings(rankings)
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         cache_dir = str(out_dir / "cache")
-        cold, cold_crawls, cold_hits, cold_s = run_study(
+        cold, cold_crawls, cold_hits, _, cold_s = run_study(
             cache_dir, out_dir, "cold"
         )
+        cold_rankings = len(rankings)
         print(f"  cold: {cold_crawls} crawls, {cold_hits:.0f} hits, "
-              f"{cold_s:.2f}s")
-        warm, warm_crawls, warm_hits, warm_s = run_study(
+              f"{cold_rankings} provider rankings, {cold_s:.2f}s")
+        warm, warm_crawls, warm_hits, toplist_hits, warm_s = run_study(
             cache_dir, out_dir, "warm"
         )
+        warm_rankings = len(rankings) - cold_rankings
         print(f"  warm: {warm_crawls} crawls, {warm_hits:.0f} hits, "
-              f"{warm_s:.2f}s")
+              f"{warm_rankings} provider rankings, {warm_s:.2f}s")
         if warm != cold:
             print("FAIL: warm exports are not byte-identical to cold")
             return 1
@@ -83,10 +112,16 @@ def main():
         if not warm_hits > 0:
             print("FAIL: warm run reported no cache hits")
             return 1
-        if cold_crawls == 0 or cold_hits != 0:
+        if toplist_hits != 1 or warm_rankings != 0:
+            print(f"FAIL: warm run recomputed the Tranco list "
+                  f"({toplist_hits:.0f} toplist hits, "
+                  f"{warm_rankings} provider rankings)")
+            return 1
+        if cold_crawls == 0 or cold_hits != 0 or cold_rankings == 0:
             print("FAIL: cold run was not actually cold")
             return 1
-    print("cache smoke: warm rerun byte-identical, crawl phase skipped")
+    print("cache smoke: warm rerun byte-identical, crawl phase and "
+          "Tranco build skipped")
     return 0
 
 

@@ -9,8 +9,11 @@ full recomputations. Two artifact classes are cached:
   (a JSON header, then the raw id columns; crash-safe);
 * **Derived analyses** -- :class:`~repro.core.adoption.AdoptionSeries`,
   :class:`~repro.core.vantage.VantageTable`,
-  :class:`~repro.core.marketshare.MarketShareCurve` and toplist probe
-  resolutions, serialized as a single header + payload JSON artifact.
+  :class:`~repro.core.marketshare.MarketShareCurve`, toplist probe
+  resolutions and the aggregate :class:`~repro.toplist.tranco.TrancoList`
+  order (the ``toplist`` stage), serialized as a single header + payload
+  JSON artifact. The header records the SHA-256 of the payload line,
+  checked before the payload is parsed.
 
 Correctness model
 -----------------
@@ -94,6 +97,8 @@ CODE_VERSIONS: Dict[str, int] = {
     # written under the batch "social-crawl" fingerprint for the same
     # prefix window, so batch and follow runs share crawl artifacts.
     "stream-checkpoint": 1,
+    # The aggregate Tranco order of the study's world.
+    "toplist": 1,
 }
 
 #: Static stage -> module-closure map: the modules whose code
@@ -147,6 +152,11 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
     "stream-checkpoint": [
         "repro.stream.engine",
         "repro.stream.state",
+    ],
+    "toplist": [
+        "repro.toplist.providers",
+        "repro.toplist.tranco",
+        "repro.web.worldgen",
     ],
 }
 
@@ -375,22 +385,22 @@ class ArtifactCache:
                 return None
             path = self.root / fingerprint.slot() / "artifact.json"
             try:
-                with open(path, "r", encoding="utf-8") as handle:
+                with open(path, "rb") as handle:
                     header = json.loads(handle.readline())
                     body = handle.readline()
-                    payload = json.loads(body)
+                valid = (
+                    isinstance(header, dict)
+                    and header.get("format") == CACHE_FORMAT
+                    and header.get("digest") == fingerprint.digest()
+                    and header.get("payload_sha256")
+                    == hashlib.sha256(body).hexdigest()
+                )
+                payload = json.loads(body) if valid else None
             except (OSError, ValueError):
-                self._miss(fingerprint, "corrupt")
-                span.set(outcome="miss")
-                return None
-            if (
-                not isinstance(header, dict)
-                or header.get("format") != CACHE_FORMAT
-                or header.get("digest") != fingerprint.digest()
-                or not body.endswith("\n")
-            ):
-                # Artifact header out of step with the manifest (or the
-                # payload line lost its terminator to truncation).
+                valid = False
+            if not valid:
+                # Unreadable, or out of step with the manifest, or the
+                # payload line changed (a byte flip, or truncation).
                 self._miss(fingerprint, "corrupt")
                 span.set(outcome="miss")
                 return None
@@ -401,16 +411,17 @@ class ArtifactCache:
     def save_payload(self, fingerprint: Fingerprint, payload: object) -> Path:
         """Persist *payload* (JSON-serializable) under *fingerprint*."""
         entry_dir = self._fresh_entry_dir(fingerprint)
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         header = {
             "format": CACHE_FORMAT,
             "schema": SCHEMA_VERSION,
             "digest": fingerprint.digest(),
+            "payload_sha256": hashlib.sha256(body).hexdigest(),
         }
-        with atomic_write(entry_dir / "artifact.json") as handle:
-            handle.write(json.dumps(header, sort_keys=True))
-            handle.write("\n")
-            handle.write(json.dumps(payload, sort_keys=True))
-            handle.write("\n")
+        with atomic_write(entry_dir / "artifact.json", mode="wb") as handle:
+            handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            handle.write(b"\n")
+            handle.write(body)
         self._commit(fingerprint, entry_dir, "json")
         return entry_dir
 

@@ -15,9 +15,9 @@ the headline analyses can be run without writing Python:
 Every command accepts ``--seed`` and ``--domains`` to size the synthetic
 world; results are deterministic for a given seed.
 
-Caching: pass ``--cache-dir .repro-cache`` to persist crawl stores and
-derived analyses across invocations; a warm rerun serves them from disk
-bit-identically (``--no-cache`` forces a cold compute).
+Caching: pass ``--cache-dir .repro-cache`` to persist crawl stores, the
+Tranco list and derived analyses across invocations; a warm rerun serves
+them from disk bit-identically (``--no-cache`` forces a cold compute).
 
 Observability: pass ``--metrics-out metrics.jsonl`` and/or
 ``--trace-out trace.jsonl`` to record pipeline metrics and trace spans

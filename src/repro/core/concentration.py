@@ -40,7 +40,7 @@ def cmp_counts(
     limit = max_rank if max_rank is not None else world.n_domains
     counts: Counter = Counter()
     for rank in range(1, limit + 1):
-        key = world.site(rank).cmp_on(date)
+        key = world.cmp_history(rank).cmp_on(date)
         if key is not None:
             counts[key] += 1
     return counts

@@ -6,10 +6,11 @@ paper plots this cumulatively over sizes from 100 to one million,
 showing the mid-market adoption hump (4% in the top 100, 13% in the top
 1k, 1.51% in the top 1M -- Section 5.1).
 
-Toplist prefixes up to ``exact_limit`` are evaluated exactly (every site
-is generated); deeper strata are estimated by uniform sampling within
-log-spaced rank strata, which keeps million-rank curves tractable while
-remaining unbiased.
+Toplist prefixes up to ``exact_limit`` are evaluated exactly (every
+site's CMP history is read); deeper strata are estimated by uniform
+sampling within log-spaced rank strata, which keeps million-rank curves
+tractable while remaining unbiased. Only histories are drawn
+(:meth:`~repro.web.worldgen.World.cmp_history`), never full sites.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def marketshare_by_toplist_size(
     true_ranks = tranco.top_true_ranks(len(tranco))
     return stratified_marketshare(
         len(true_ranks),
-        lambda position: world.site(int(true_ranks[position])).cmp_on(date),
+        lambda position: world.cmp_history(int(true_ranks[position])).cmp_on(date),
         date,
         sizes,
         exact_limit=exact_limit,

@@ -144,7 +144,17 @@ class Study:
     # ------------------------------------------------------------------
     @cached_property
     def tranco(self) -> TrancoList:
-        return build_tranco(self.world)
+        """The Tranco list of this study's world, served from the cache
+        when one is set (it is a pure function of the world)."""
+        if self.cache is None:
+            return build_tranco(self.world)
+        fingerprint = self.fingerprint("toplist")
+        payload = self.cache.load_payload(fingerprint)
+        if payload is not None:
+            return TrancoList.from_payload(self.world, payload)
+        tranco = build_tranco(self.world)
+        self.cache.save_payload(fingerprint, tranco.to_payload())
+        return tranco
 
     # ------------------------------------------------------------------
     # Cache fingerprints

@@ -152,43 +152,54 @@ class GvlHistoryGenerator:
             vendors[v.id] = v
 
         # Leaves.
+        random = rng.random
         leave_prob = self.config.leave_prob * scale
         drop_prob = self.config.drop_purpose_prob * scale
         new_prob = self.config.new_purpose_prob * scale
+        li_to_consent = self.config.li_to_consent_prob * switch_mult
+        consent_to_li = self.config.consent_to_li_prob * switch_mult
         for vid in list(vendors):
-            if rng.random() < leave_prob:
+            if random() < leave_prob:
                 del vendors[vid]
 
-        # Purpose-declaration changes of existing members.
+        # Purpose-declaration changes of existing members. A draw for
+        # purpose `pid` only ever moves `pid`, so every membership test
+        # can read the vendor's own frozensets; the mutable copies (and
+        # a new Vendor) are made only once a draw changes something.
         for vid, vendor in list(vendors.items()):
-            purposes = set(vendor.purpose_ids)
-            leg_int = set(vendor.leg_int_purpose_ids)
-            changed = False
+            consent_ids = vendor.purpose_ids
+            leg_int_ids = vendor.leg_int_purpose_ids
+            purposes: Optional[Set[int]] = None
+            leg_int: Optional[Set[int]] = None
             for pid in PURPOSE_IDS:
-                if pid in leg_int:
-                    if rng.random() < self.config.li_to_consent_prob * switch_mult:
-                        leg_int.discard(pid)
-                        purposes.add(pid)
-                        changed = True
-                    elif rng.random() < drop_prob:
-                        leg_int.discard(pid)
-                        changed = True
-                elif pid in purposes:
-                    if rng.random() < self.config.consent_to_li_prob * switch_mult:
-                        purposes.discard(pid)
-                        leg_int.add(pid)
-                        changed = True
-                    elif rng.random() < drop_prob:
-                        purposes.discard(pid)
-                        changed = True
+                # The purpose's new basis: "consent", "li" or None (dropped).
+                if pid in leg_int_ids:
+                    if random() < li_to_consent:
+                        basis = "consent"
+                    elif random() < drop_prob:
+                        basis = None
+                    else:
+                        continue
+                elif pid in consent_ids:
+                    if random() < consent_to_li:
+                        basis = "li"
+                    elif random() < drop_prob:
+                        basis = None
+                    else:
+                        continue
+                elif random() < new_prob:
+                    basis = "li" if random() < _LI_PROB[pid] else "consent"
                 else:
-                    if rng.random() < new_prob:
-                        if rng.random() < _LI_PROB[pid]:
-                            leg_int.add(pid)
-                        else:
-                            purposes.add(pid)
-                        changed = True
-            if changed:
+                    continue
+                if purposes is None:
+                    purposes, leg_int = set(consent_ids), set(leg_int_ids)
+                purposes.discard(pid)
+                leg_int.discard(pid)
+                if basis == "consent":
+                    purposes.add(pid)
+                elif basis == "li":
+                    leg_int.add(pid)
+            if purposes is not None:
                 vendors[vid] = Vendor(
                     id=vendor.id,
                     name=vendor.name,

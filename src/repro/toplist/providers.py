@@ -43,11 +43,12 @@ _INFRA_BOOST = 8.0
 _QUANTCAST_TAIL_START = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProviderRanking:
     """One provider's ranking: ``order[i]`` is the true rank of the
     domain the provider puts in position ``i + 1``. Providers with
-    partial coverage list fewer domains than the world contains."""
+    partial coverage list fewer domains than the world contains.
+    Equality is identity; compare ``order`` with ``np.array_equal``."""
 
     provider: str
     order: np.ndarray  # int64, shape (n_listed,)

@@ -23,12 +23,14 @@ from repro.toplist.providers import PROVIDER_NAMES, provider_ranking
 from repro.web.worldgen import World
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrancoList:
     """An aggregated toplist over a world.
 
     ``order[i]`` is the *true* popularity rank of the domain at Tranco
     rank ``i + 1``. Domain names are materialized lazily via the world.
+    Equality is identity, as for :class:`World`: compare ``order``
+    arrays with ``np.array_equal``.
     """
 
     world: World
@@ -36,6 +38,28 @@ class TrancoList:
 
     def __len__(self) -> int:
         return len(self.order)
+
+    # ------------------------------------------------------------------
+    # Cache serialization (repro.cache toplist artifacts)
+    # ------------------------------------------------------------------
+    def to_payload(self) -> dict:
+        """JSON-serializable payload: the order as a list of ints."""
+        return {"order": self.order.tolist()}
+
+    @classmethod
+    def from_payload(cls, world: World, payload: dict) -> "TrancoList":
+        """Inverse of :meth:`to_payload` over *world*; raises
+        ``ValueError`` unless the order is a permutation of
+        ``1..world.n_domains``."""
+        order = np.asarray(payload["order"], dtype=np.int64)
+        n = world.n_domains
+        if order.shape != (n,) or not np.array_equal(
+            np.sort(order), np.arange(1, n + 1)
+        ):
+            raise ValueError(
+                f"toplist payload is not a permutation of 1..{n}"
+            )
+        return cls(world=world, order=order)
 
     def true_rank_at(self, tranco_rank: int) -> int:
         """True popularity rank of the site at 1-based *tranco_rank*."""

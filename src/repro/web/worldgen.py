@@ -22,7 +22,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro.cmps import onetrust, quantcast, trustarc, cookiebot, liveramp, crownpeak
 from repro.cmps.base import DialogDescriptor, cmp_by_key
-from repro.web.adoption import AdoptionModel
+from repro.web.adoption import AdoptionHistory, AdoptionModel
 from repro.web.lru import MISSING, BoundedLRU
 from repro.web.website import CmpEpisode, Website
 
@@ -87,6 +87,9 @@ _WORDS2 = (
 )
 
 _B36 = string.digits + string.ascii_lowercase
+
+#: The CMP history of every site that is not a normal site.
+_NO_HISTORY = AdoptionHistory(stints=())
 
 
 def _b36(n: int) -> str:
@@ -227,6 +230,28 @@ class World:
         self._domain_to_rank[site.domain] = rank
         return site
 
+    def cmp_history(self, rank: int) -> AdoptionHistory:
+        """The CMP timeline of the site at *rank*, for readers that need
+        only ``cmp_on(date)``.
+
+        A memoized site answers from its episodes. Otherwise only the
+        site's first draws are made (:meth:`_draw_prefix`), which costs
+        a fraction of generating the site, and nothing enters the site
+        memo. Either way the answer equals ``site(rank).cmp_on`` on
+        every date: :meth:`_generate` makes the same first draws through
+        :meth:`_draw_prefix` and only then draws the rest of the site.
+        """
+        site = self._cache.get(rank)
+        if site is not None:
+            return AdoptionHistory(
+                stints=tuple(
+                    (ep.cmp_key, ep.start, ep.end) for ep in site.episodes
+                )
+            )
+        if not 1 <= rank <= self.config.n_domains:
+            raise KeyError(f"rank {rank} outside [1, {self.config.n_domains}]")
+        return self._draw_prefix(rank)[3]
+
     def sites(self, ranks) -> Iterator[Website]:
         for rank in ranks:
             yield self.site(rank)
@@ -315,10 +340,27 @@ class World:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def _generate(self, rank: int) -> Website:
+    def _draw_prefix(
+        self, rank: int
+    ) -> Tuple[random.Random, str, float, AdoptionHistory]:
+        """The first draws of site *rank*: its class, its TLD roll and,
+        for a normal site, its CMP history (every other class has none).
+
+        Returns the site's RNG positioned after them. :meth:`_generate`
+        continues from it; :meth:`cmp_history` stops here. Nothing a
+        site draws later feeds back into these draws, so both see the
+        same history.
+        """
         rng = random.Random(f"{self.config.seed}:site:{rank}")
         site_class = self._site_class(rng, rank)
-        tld_rng_roll = rng.random()
+        tld_roll = rng.random()
+        history = _NO_HISTORY
+        if site_class == "normal":
+            history = self._adoption.sample_history(rng, rank)
+        return rng, site_class, tld_roll, history
+
+    def _generate(self, rank: int) -> Website:
+        rng, site_class, tld_rng_roll, history = self._draw_prefix(rank)
 
         if site_class == "infrastructure":
             return Website(
@@ -361,7 +403,6 @@ class World:
             )
 
         # -- a normal, user-facing site --------------------------------
-        history = self._adoption.sample_history(rng, rank)
         episodes = tuple(
             CmpEpisode(
                 cmp_key=key,

@@ -45,6 +45,15 @@ def small_config(tmp_path, **overrides):
     return StudyConfig(**base)
 
 
+def rewrite_payload(artifact, edit):
+    """Apply *edit* to the payload line of a JSON artifact, in place;
+    the edit must change it."""
+    header, body = artifact.read_bytes().split(b"\n", 1)
+    edited = edit(body)
+    assert edited != body
+    artifact.write_bytes(header + b"\n" + edited)
+
+
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
@@ -176,6 +185,28 @@ class TestPayloadEntries:
         cache.save_payload(self.fp(seed=1), list(range(100)))
         assert cache.load_payload(self.fp(seed=1)) == list(range(100))
 
+    def test_changed_payload_byte_is_miss(self, tmp_path):
+        obs = Observability()
+        cache = ArtifactCache(tmp_path, obs=obs)
+        cache.save_payload(self.fp(seed=1), {"counts": [1.0, 3.0]})
+        rewrite_payload(
+            tmp_path / self.fp(seed=1).slot() / "artifact.json",
+            lambda body: body.replace(b"1.0", b"2.0"),
+        )
+        assert cache.load_payload(self.fp(seed=1)) is None
+        misses = obs.metrics.counter("cache_misses_total")
+        assert misses.value(stage="adoption", reason="corrupt") == 1
+
+    def test_header_without_payload_digest_is_miss(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.save_payload(self.fp(seed=1), [1])
+        artifact = tmp_path / self.fp(seed=1).slot() / "artifact.json"
+        header, body = artifact.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        del fields["payload_sha256"]
+        artifact.write_bytes(json.dumps(fields).encode("utf-8") + b"\n" + body)
+        assert cache.load_payload(self.fp(seed=1)) is None
+
     def test_schema_bump_raises_naming_entry(self, tmp_path, monkeypatch):
         cache = ArtifactCache(tmp_path)
         cache.save_payload(self.fp(seed=1), [1])
@@ -289,6 +320,43 @@ class TestWarmStudy:
                 assert study.last_crawl_stats.crawls == 0
                 assert study.cache.hits() >= 4
         assert exports[0] == exports[1]
+
+    def test_toplist_served_from_cache(self, tmp_path, monkeypatch):
+        cold = Study(small_config(tmp_path)).tranco
+        obs = Observability()
+        study = Study(small_config(tmp_path), obs=obs)
+
+        def no_ranking(*args, **kwargs):
+            raise AssertionError("a provider ranking was recomputed")
+
+        monkeypatch.setattr("repro.toplist.tranco.provider_ranking", no_ranking)
+        warm = study.tranco
+        assert warm.order.tobytes() == cold.order.tobytes()
+        hits = obs.metrics.counter("cache_hits_total")
+        assert hits.value(stage="toplist") == 1
+
+    @pytest.mark.parametrize("stage", ["marketshare", "toplist"])
+    def test_changed_artifact_byte_recomputes(self, tmp_path, stage):
+        when = dt.date(2020, 3, 10)
+        cold = Study(small_config(tmp_path))
+        cold_curve = cold.marketshare_curve(when).to_payload()
+        cold_order = cold.tranco.to_payload()
+        (artifact,) = (tmp_path / "cache").glob(f"{stage}*/artifact.json")
+        if stage == "marketshare":
+            # An in-range count change: still a valid curve.
+            old, new = b"1.0", b"2.0"
+        else:
+            # Swap the first two ranks: still a permutation.
+            first, second = cold_order["order"][:2]
+            old = f"[{first}, {second},".encode()
+            new = f"[{second}, {first},".encode()
+        rewrite_payload(artifact, lambda body: body.replace(old, new, 1))
+        obs = Observability()
+        warm = Study(small_config(tmp_path), obs=obs)
+        assert warm.marketshare_curve(when).to_payload() == cold_curve
+        assert warm.tranco.to_payload() == cold_order
+        misses = obs.metrics.counter("cache_misses_total")
+        assert misses.value(stage=stage, reason="corrupt") == 1
 
     def test_empty_toplist_table_keeps_its_own_entry(self, tmp_path):
         """A ``size=0`` Table 1 must not be served for the default size."""

@@ -1,10 +1,60 @@
 """Synthetic GVL history generator: shape and invariants."""
 
 import datetime as dt
+import hashlib
+import json
+
+import pytest
 
 from repro.core.gvl_analysis import GvlAnalysis
 from repro.tcf.gvlgen import GvlGenConfig, generate_gvl_history
 from repro.tcf.purposes import PURPOSE_IDS
+
+#: :func:`history_digest` of the full default-config history, by seed.
+#: Any change to the draw order or to the vendors a draw produces shows
+#: here.
+PINNED_HISTORY_DIGESTS = {
+    5: "3e7822020101fc8aa9aaa157c35b10b464b3f9f3b37203e943ae294a9c342cb7",
+    7: "16c4c52c52e98c4f3a2d678ae7efccadb9554358f90511adca89970a4231f84f",
+    20: "9de1d58d630fae9dddf212d608bedb6a1b9437623dd8045a0573bd5e64f30f44",
+}
+
+
+@pytest.fixture(scope="module")
+def full_histories(full_gvl_history):
+    """The full default-config history at every pinned seed (20 is the
+    default)."""
+    histories = {
+        seed: generate_gvl_history(GvlGenConfig(seed=seed)) for seed in (5, 7)
+    }
+    histories[20] = full_gvl_history
+    return histories
+
+
+def history_digest(history):
+    """sha256 over every version: its number and date, then each vendor
+    in list order with the fields ``to_json()`` writes. Each distinct
+    vendor is encoded once (``to_json``'s indented output needs the
+    pure-Python JSON encoder, ~20x slower over a full history)."""
+    rows = {}
+    digest = hashlib.sha256()
+    for version in history:
+        digest.update(f"{version.version} {version.last_updated}\n".encode("utf-8"))
+        for vendor in version.vendors:
+            row = rows.get(vendor)
+            if row is None:
+                row = rows[vendor] = json.dumps(
+                    [
+                        vendor.id,
+                        vendor.name,
+                        vendor.policy_url,
+                        sorted(vendor.purpose_ids),
+                        sorted(vendor.leg_int_purpose_ids),
+                        sorted(vendor.feature_ids),
+                    ]
+                ).encode("utf-8") + b"\n"
+            digest.update(row)
+    return digest.hexdigest()
 
 
 class TestStructure:
@@ -30,16 +80,24 @@ class TestStructure:
         b = generate_gvl_history(GvlGenConfig(seed=2, **kwargs))
         assert a[-1].vendor_ids != b[-1].vendor_ids
 
-    def test_vendor_ids_never_reused(self, gvl_history):
+    def test_vendor_ids_never_reused(self, full_histories):
         # A vendor that left keeps its id forever (the real list's
         # behaviour); new vendors always get fresh ids.
-        seen_max = 0
-        for version in gvl_history:
-            new_ids = [v for v in version.vendor_ids if v > seen_max]
-            seen_max = max(seen_max, version.max_vendor_id)
-            # No id below the previous max may appear for the first time
-            # in this version unless it was present before.
-        assert seen_max >= len(gvl_history[0])
+        for seed, history in full_histories.items():
+            seen, previous = frozenset(), frozenset()
+            for version in history:
+                ids = version.vendor_ids
+                first_seen = ids - seen
+                # Every id that was not on the previous version is new:
+                # an id that left never reappears.
+                assert ids - previous == first_seen, (seed, version.version)
+                if first_seen and seen:
+                    assert min(first_seen) > max(seen), (seed, version.version)
+                seen, previous = seen | ids, ids
+
+    def test_full_history_digests_pinned(self, full_histories):
+        for seed, history in full_histories.items():
+            assert history_digest(history) == PINNED_HISTORY_DIGESTS[seed], seed
 
     def test_json_roundtrip_of_generated(self, gvl_history):
         from repro.tcf.gvl import GlobalVendorList

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.toplist.providers import PROVIDER_NAMES, provider_ranking
-from repro.toplist.tranco import build_tranco
+from repro.toplist.tranco import TrancoList, build_tranco
 
 
 class TestProviders:
@@ -110,3 +110,35 @@ class TestTranco:
         a = build_tranco(world)
         b = build_tranco(world)
         assert np.array_equal(a.order, b.order)
+
+
+class TestIdentityAndPayload:
+    def test_equality_and_hash_are_identity(self, world):
+        # Both wrap numpy arrays: value equality would be ambiguous.
+        pairs = [
+            (build_tranco(world), build_tranco(world)),
+            (provider_ranking(world, "alexa"), provider_ranking(world, "alexa")),
+        ]
+        for value, twin in pairs:
+            assert value == value
+            assert value != twin
+            assert hash(value) == hash(value)
+            assert np.array_equal(value.order, twin.order)
+
+    def test_payload_roundtrip(self, world):
+        tranco = build_tranco(world)
+        loaded = TrancoList.from_payload(world, tranco.to_payload())
+        assert loaded.world is world
+        assert np.array_equal(loaded.order, tranco.order)
+
+    def test_payload_must_be_a_permutation(self, world):
+        order = build_tranco(world).order.tolist()
+        bad_orders = [
+            order[:-1],  # too short
+            order + [len(order) + 1],  # too long
+            [order[1]] + order[1:],  # a duplicate, one rank missing
+            [0] + order[1:],  # out of range
+        ]
+        for bad in bad_orders:
+            with pytest.raises(ValueError, match="permutation"):
+                TrancoList.from_payload(world, {"order": bad})

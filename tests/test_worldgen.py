@@ -5,7 +5,14 @@ from collections import Counter
 
 import pytest
 
+from repro.core.concentration import cmp_counts
+from repro.core.marketshare import (
+    marketshare_by_toplist_size,
+    stratified_marketshare,
+)
 from repro.net.psl import default_psl
+from repro.tcf.globalcookie import shared_consent_reach
+from repro.toplist.tranco import build_tranco
 from repro.web.worldgen import World, WorldConfig
 
 
@@ -147,3 +154,76 @@ class TestGeoTraits:
         assert qc_n > 20 and ot_n > 20
         # Quantcast customers skew EU (38.3% vs 16.3% in the paper).
         assert qc_eu / qc_n > ot_eu / ot_n
+
+
+# ----------------------------------------------------------------------
+# History-only reads: World.cmp_history
+# ----------------------------------------------------------------------
+#: Dates every ~5 weeks from before the study window to after it.
+HISTORY_DATES = [dt.date(2018, 1, 1) + dt.timedelta(days=37 * i) for i in range(31)]
+
+
+def site_class(site):
+    if site.is_infrastructure:
+        return "infrastructure"
+    if site.redirects_to is not None:
+        return "alias"
+    if site.reachability in ("unreachable", "http-error", "invalid-response"):
+        return site.reachability
+    return "normal"
+
+
+class TestCmpHistory:
+    def test_history_equals_site_before_and_after_memoization(self):
+        # Seed 7 at 2,000 domains holds every site class, both
+        # invalid-response sites included, and the rank <= 30 head.
+        world = World(WorldConfig(seed=7, n_domains=2_000))
+        ranks = range(1, world.n_domains + 1)
+        fresh = [world.cmp_history(rank) for rank in ranks]
+        assert len(world.cache_info()["sites"]) == 0
+        sites = [world.site(rank) for rank in ranks]
+        memoized = [world.cmp_history(rank) for rank in ranks]
+        assert {site_class(site) for site in sites} == {
+            "infrastructure", "alias", "unreachable", "http-error",
+            "invalid-response", "normal",
+        }
+        for before, site, after in zip(fresh, sites, memoized):
+            stints = tuple((e.cmp_key, e.start, e.end) for e in site.episodes)
+            assert before.stints == stints == after.stints, site.rank
+            for date in HISTORY_DATES:
+                assert before.cmp_on(date) == site.cmp_on(date) == after.cmp_on(date)
+
+    def test_rank_bounds(self):
+        world = World(WorldConfig(seed=7, n_domains=1_000))
+        for rank in (0, 1_001):
+            with pytest.raises(KeyError):
+                world.cmp_history(rank)
+
+    @pytest.mark.parametrize("seed", [7, 5])
+    def test_marketshare_matches_site_oracle(self, seed):
+        config = WorldConfig(seed=seed, n_domains=3_000)
+        world, oracle_world = World(config), World(config)
+        tranco = build_tranco(world)
+        true_ranks = tranco.top_true_ranks(len(tranco))
+        date = dt.date(2020, 5, 15)
+        kwargs = dict(exact_limit=1_000, samples_per_stratum=300)
+        oracle = stratified_marketshare(
+            len(true_ranks),
+            lambda p: oracle_world.site(int(true_ranks[p])).cmp_on(date),
+            date,
+            **kwargs,
+        )
+        curve = marketshare_by_toplist_size(world, tranco, date, **kwargs)
+        assert curve.to_payload() == oracle.to_payload()
+        expected = Counter(
+            key
+            for key in (oracle_world.site(r).cmp_on(date) for r in range(1, 1_001))
+            if key is not None
+        )
+        assert cmp_counts(world, date, max_rank=1_000) == expected
+        assert shared_consent_reach(world, date, max_rank=1_000) == dict(expected)
+
+    def test_figure5_leaves_the_site_memo_empty(self):
+        world = World(WorldConfig(seed=7, n_domains=3_000))
+        marketshare_by_toplist_size(world, build_tranco(world), dt.date(2020, 5, 15))
+        assert len(world.cache_info()["sites"]) == 0
