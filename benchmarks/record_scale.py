@@ -6,7 +6,10 @@ capture store active (``StudyConfig.memory_budget``), and records
 ``(crawls, peak_rss_mb, wall_seconds)`` for each run into
 ``BENCH_scale.json``. The point of the record is the *ratio*: crawls
 grow ~12x while peak RSS stays roughly flat, because the store spills
-full segments to disk and the world caches are bounded LRUs.
+full segments to disk and the world's memos are bounded
+(:class:`repro.web.worldgen.CacheLimits`). Each run also reports every
+memo's entries, hits, misses and evictions: the large run is long
+enough to overflow a bound, so it shows what eviction costs in hits.
 
 Each run then reads the whole store back the way a study does and
 records the peak RSS after each read: ``store_digest`` (which streams
@@ -27,6 +30,7 @@ re-runs the large study and fails when
   ``ROW_COST_BYTES`` each, with slack), or
 * its peak RSS regresses more than ``RSS_SLACK_FRACTION`` over the
   committed ``BENCH_scale.json``, or
+* any world memo holds more entries than its ``CacheLimits`` bound, or
 * a tiny spill-vs-in-memory digest comparison stops being
   bit-identical (the correctness half of the guard).
 
@@ -129,6 +133,11 @@ def run_one(spec: Dict) -> Dict:
     study.adoption_series(store)
     adoption_wall = time.perf_counter() - t0
     adoption_peak_mb = reader.peak_rss_bytes() / (1024 * 1024)
+    limits = study.world.cache_limits
+    memos = {
+        name: dict(memo.counts()._asdict(), bound=getattr(limits, name))
+        for name, memo in sorted(study.world.cache_info().items())
+    }
     return {
         "crawls": crawls,
         "rows_with_cmp": with_cmp,
@@ -139,7 +148,32 @@ def run_one(spec: Dict) -> Dict:
         "digest_seconds": round(digest_wall, 2),
         "adoption_peak_rss_mb": round(adoption_peak_mb, 1),
         "adoption_seconds": round(adoption_wall, 2),
+        "memos": memos,
     }
+
+
+def memo_lines(memos: Dict) -> List[str]:
+    """One line per world memo: entries against its bound, hits,
+    misses and evictions."""
+    lines = []
+    for name, memo in memos.items():
+        lookups = memo["hits"] + memo["misses"]
+        ratio = memo["hits"] / lookups if lookups else 0.0
+        lines.append(
+            f"  memo {name}: {memo['entries']} entries (bound "
+            f"{memo['bound']}), {memo['hits']} hits / {lookups} lookups "
+            f"({ratio:.4f}), {memo['evictions']} evictions"
+        )
+    return lines
+
+
+def memo_bound_problems(memos: Dict) -> List[str]:
+    return [
+        f"world memo {name} holds {memo['entries']} entries, over its "
+        f"bound of {memo['bound']}"
+        for name, memo in memos.items()
+        if memo["bound"] is not None and memo["entries"] > memo["bound"]
+    ]
 
 
 def run_in_subprocess(spec: Dict) -> Dict:
@@ -215,6 +249,8 @@ def check_floor() -> int:
         f"({fresh['digest_seconds']:.1f}s); after adoption_series "
         f"{fresh['adoption_peak_rss_mb']:.1f} MB (not gated)"
     )
+    print("\n".join(memo_lines(fresh["memos"])))
+    problems += memo_bound_problems(fresh["memos"])
     for stage, key in (
         ("crawl", "peak_rss_mb"), ("store_digest", "digest_peak_rss_mb")
     ):
@@ -263,6 +299,12 @@ def record() -> int:
             f"({result['digest_seconds']:.1f}s), after adoption_series "
             f"{result['adoption_peak_rss_mb']:.1f} MB"
         )
+        print("\n".join(memo_lines(result["memos"])))
+        problems += memo_bound_problems(result["memos"])
+    if problems:
+        for problem in problems:
+            print(f"FAIL: {problem}")
+        return 1
     crawl_ratio = runs["large"]["crawls"] / runs["small"]["crawls"]
     rss_ratio = runs["large"]["peak_rss_mb"] / runs["small"]["peak_rss_mb"]
     record_obj = {

@@ -5,8 +5,8 @@ Three gates, one contract each:
 * ``repro.graph`` -- the whole package, >= 90% (the ISSUE-9 gate: new
   subsystems can't land untested);
 * scale-out -- the spilling capture store, the segment format it
-  spills to and the bounded-LRU primitive (``repro.crawler.spill``,
-  ``repro.crawler.storage``, ``repro.web.lru``), >= 90% (the
+  spills to and the bounded-memo primitive (``repro.crawler.spill``,
+  ``repro.crawler.storage``, ``repro.web.memo``), >= 90% (the
   memory-bounding layer is load-bearing for bit-identity, and every
   corrupt-file branch of the format must stay exercised);
 * the toplist crawl (``repro.crawler.toplist_crawl``), >= 90%: Table 1
@@ -74,11 +74,11 @@ GATES: Tuple[Gate, ...] = (
         ),
     ),
     Gate(
-        name="scale-out (spill + storage + lru)",
+        name="scale-out (spill + storage + memo)",
         files=(
             SRC_ROOT / "repro" / "crawler" / "spill.py",
             SRC_ROOT / "repro" / "crawler" / "storage.py",
-            SRC_ROOT / "repro" / "web" / "lru.py",
+            SRC_ROOT / "repro" / "web" / "memo.py",
         ),
         floor=90.0,
         tests=(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.faults.inject import WorkerCrash
-from repro.web.lru import BoundedLRU
+from repro.web.memo import BoundedMemo
 from repro.web.worldgen import World, WorldConfig
 
 T = TypeVar("T")
@@ -123,10 +123,10 @@ class ExecutorStats:
 #: Per-process cache of regenerated worlds, keyed by their config. A
 #: long-lived worker process serving studies with many distinct configs
 #: (e.g. a test session, or a benchmark sweeping scales) used to pin
-#: every world it ever built; a small LRU bound keeps the handful of
-#: live configs warm while letting abandoned worlds be collected.
-#: Eviction is bit-invisible: worlds regenerate from their config.
-_WORLD_CACHE: BoundedLRU = BoundedLRU(maxsize=4)
+#: every world it ever built; a small bound keeps the last few configs
+#: while letting abandoned worlds be collected. Eviction is
+#: bit-invisible: worlds regenerate from their config.
+_WORLD_CACHE = BoundedMemo(maxsize=4)
 
 
 def resolve_world(config: WorldConfig) -> World:

@@ -106,6 +106,7 @@ from repro.net.psl import default_psl
 from repro.net.url import URL
 from repro.obs import Counter, Observability, resolve_obs
 from repro.obs.memory import publish_memory_gauges
+from repro.web.memo import CountMap, count_growth, sum_counts
 from repro.web.serving import CompactVisit, visit_compact, visit_key_prefix
 from repro.web.worldgen import World, WorldConfig, publish_world_cache_gauges
 
@@ -529,6 +530,10 @@ class SocialShardResult:
     #: replays into its own engine and metrics.
     engine: DetectionEngine = field(default_factory=DetectionEngine)
     faults: FaultTally = field(default_factory=FaultTally)
+    #: How the worker's copy of the world's memo counters grew while it
+    #: crawled the partition, summed over resumes; the parent adds it
+    #: to its world's (:meth:`World.absorb_cache_counts`).
+    cache_counts: CountMap = field(default_factory=dict)
 
 
 def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
@@ -545,6 +550,7 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
     run's final result is bit-identical to an uninterrupted one.
     """
     world = resolve_world(task.world_config)
+    started = world.cache_counts()
     stream = SocialShareStream(world, task.stream_config)
     config = task.config
     part, parts = task.shard_id, task.parts
@@ -592,13 +598,24 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
                 state.failures += failed + exhausted
             state.position = stop
             if crashing:
+                _add_cache_growth(state, world, started)
                 raise WorkerCrash(part, done=stop, checkpoint=state)
             state.queue.prune(
                 dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1)
             )
             state.day = day.toordinal() + 1
         lo = hi
+    _add_cache_growth(state, world, started)
     return state
+
+
+def _add_cache_growth(
+    state: SocialShardResult, world: World, started: CountMap
+) -> None:
+    """Add how *world*'s memo counters grew since *started* to the
+    partition's."""
+    grown = count_growth(world.cache_counts(), started)
+    state.cache_counts = sum_counts(state.cache_counts, grown)
 
 
 def resume_social_shard(
@@ -918,9 +935,9 @@ class NetographPlatform:
     def _absorb_partition(
         self, result: SocialShardResult, run_tally: FaultTally
     ) -> None:
-        """Fold a partition's event, crawl, fault and detection counts
-        into this process's stats and metrics (the work itself ran
-        inside the worker)."""
+        """Fold a partition's event, crawl, fault, detection and world
+        memo counts into this process's stats and metrics (the work
+        itself ran inside the worker)."""
         crawls = result.store.n_captures
         self.stats.events += result.events
         self._m_events.inc(result.events)
@@ -942,3 +959,4 @@ class NetographPlatform:
             engine.matches,
             engine.excluded,
         )
+        self.world.absorb_cache_counts(result.cache_counts)

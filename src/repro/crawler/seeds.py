@@ -137,7 +137,7 @@ class SocialShareStream:
         #: cache size bounded by the distinct targets actually shared).
         #: Lives on the world so it survives the stream (platform runs
         #: build a fresh stream per run over a long-lived world).
-        self._url_cache: dict = world._share_url_cache
+        self._url_cache = world._share_url_cache
 
     # ------------------------------------------------------------------
     def _uniforms(self, ordinal: int) -> Tuple[np.random.Generator, np.ndarray]:

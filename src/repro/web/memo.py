@@ -1,0 +1,122 @@
+"""Deterministic bounded memo for the world's caches.
+
+Every :class:`~repro.web.worldgen.World` memo (generated sites, host
+resolutions, visit plans, shared URLs) is a pure function of the world
+seed and the key, so evicting an entry can never change results -- a
+miss just regenerates the same bits. That makes a size bound *bit
+invisible*: the only observable difference is time and memory. This
+module provides the one primitive all of those caches share, with
+hit/miss/eviction counters the observability layer snapshots into the
+``world_cache_*`` gauges at the end of a run.
+
+A hit is one ``dict`` lookup plus a counter; nothing is reordered. On
+overflow the oldest insertion is evicted. Insertion order is the
+dict's own, so eviction involves no clock and no randomness and a
+memo evolves identically across runs and platforms. Once a memo first
+overflows, a :class:`~collections.deque` takes over the order: CPython
+finds a dict's first live entry by scanning past every entry deleted
+before it, which makes ``del d[next(iter(d))]`` cost tens of
+microseconds per eviction at the default bounds. Each memo is
+process-local: shard workers are processes, so a worker's evictions
+never touch the parent's memos.
+"""
+
+from __future__ import annotations
+
+import operator
+from collections import deque
+from typing import Any, Deque, Dict, NamedTuple, Optional
+
+__all__ = [
+    "BoundedMemo", "CountMap", "MISSING", "MemoCounts", "count_growth",
+    "sum_counts",
+]
+
+#: Sentinel distinguishing "key absent" from any cached value,
+#: ``None`` included.
+MISSING = object()
+
+
+class MemoCounts(NamedTuple):
+    """A memo's counters; every lookup is a hit or a miss."""
+
+    hits: int
+    misses: int
+    evictions: int
+    entries: int
+
+
+#: :class:`MemoCounts` by memo label.
+CountMap = Dict[str, MemoCounts]
+
+
+def sum_counts(a: CountMap, b: CountMap) -> CountMap:
+    """Label-wise sum of two count maps (a label absent counts zero)."""
+    out = dict(a)
+    for name, counts in b.items():
+        mine = out.get(name)
+        out[name] = (
+            counts if mine is None
+            else MemoCounts(*map(operator.add, mine, counts))
+        )
+    return out
+
+
+def count_growth(after: CountMap, before: CountMap) -> CountMap:
+    """Label-wise ``after - before`` of two maps with the same labels."""
+    return {
+        name: MemoCounts(*map(operator.sub, counts, before[name]))
+        for name, counts in after.items()
+    }
+
+
+class BoundedMemo:
+    """A ``dict`` memo that evicts its oldest insertion past *maxsize*.
+
+    ``maxsize=None`` means unbounded. Replacing the value of a key
+    already present keeps the key's place in the eviction order.
+    """
+
+    __slots__ = ("maxsize", "hits", "misses", "evictions", "_data", "_order")
+
+    def __init__(self, maxsize: Optional[int] = None) -> None:
+        if maxsize is not None and maxsize < 1:
+            raise ValueError("maxsize must be None or >= 1")
+        self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._data: Dict[Any, Any] = {}
+        #: Keys in insertion order, from the first overflow on.
+        self._order: Optional[Deque[Any]] = None
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        value = self._data.get(key, MISSING)
+        if value is MISSING:
+            self.misses += 1
+            return default
+        self.hits += 1
+        return value
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        data = self._data
+        size = len(data)
+        data[key] = value
+        if len(data) == size:  # replaced a value: its place stands
+            return
+        if self._order is not None:
+            self._order.append(key)
+        elif size != self.maxsize:
+            return
+        else:  # the first overflow: the dict's order, *key* last
+            self._order = deque(data)
+        del data[self._order.popleft()]
+        self.evictions += 1
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def counts(self) -> MemoCounts:
+        return MemoCounts(
+            self.hits, self.misses, self.evictions, len(self._data)
+        )

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.cmps import onetrust, quantcast, trustarc, cookiebot, liveramp, crownpeak
 from repro.cmps.base import DialogDescriptor, cmp_by_key
 from repro.web.adoption import AdoptionHistory, AdoptionModel
-from repro.web.lru import MISSING, BoundedLRU
+from repro.web.memo import MISSING, BoundedMemo, CountMap, sum_counts
 from repro.web.website import CmpEpisode, Website
 
 _DIALOG_SAMPLERS = {
@@ -91,6 +91,14 @@ _B36 = string.digits + string.ascii_lowercase
 #: The CMP history of every site that is not a normal site.
 _NO_HISTORY = AdoptionHistory(stints=())
 
+#: A site's ``embed_regions``: every site shares one of these two sets.
+_EU_ONLY = frozenset({"EU"})
+_EU_AND_US = frozenset({"EU", "US"})
+
+
+def _owns(site: Website, domain: str) -> bool:
+    return site.domain == domain or domain in site.redirect_aliases
+
 
 def _b36(n: int) -> str:
     if n == 0:
@@ -106,13 +114,15 @@ def _b36(n: int) -> str:
 class CacheLimits:
     """Size bounds for the world's memo caches.
 
-    Every memo is a pure function of ``(world seed, key)``, so these
-    bounds are *execution knobs*: eviction regenerates identical bits
-    on the next miss, and no limit ever enters a cache fingerprint.
-    ``None`` means unbounded. The defaults keep a multi-million-crawl
-    study's world memory flat while staying far above the Zipf-skewed
-    hot set of the default 100k-domain world, so steady-state hit rates
-    are indistinguishable from unbounded.
+    Each memo (a :class:`~repro.web.memo.BoundedMemo`) evicts its
+    oldest insertion past its bound. Memos are pure functions of
+    ``(world seed, key)``, so these bounds are *execution knobs*:
+    eviction regenerates identical bits on the next miss, and no limit
+    ever enters a cache fingerprint. ``None`` means unbounded. The
+    defaults keep a multi-million-crawl study's world memory flat
+    while staying far above the Zipf-skewed hot set of the default
+    100k-domain world, so steady-state hit rates are indistinguishable
+    from unbounded.
     """
 
     #: Generated :class:`~repro.web.website.Website` objects, by rank.
@@ -168,41 +178,31 @@ class World:
         self._adoption = AdoptionModel(
             self.config.study_start, self.config.study_end
         )
-        self._cache: BoundedLRU = BoundedLRU(
-            limits.sites, on_evict=self._on_site_evict
-        )
-        #: domain -> rank memo, populated by :meth:`site`. Purely a
-        #: shortcut past :meth:`_rank_from_domain` (the rank is encoded
-        #: in the domain's base-36 suffix); the site-cache eviction
-        #: callback drops entries so it never outgrows the site cache.
-        self._domain_to_rank: Dict[str, int] = {}
+        self._cache = BoundedMemo(limits.sites)
         #: host -> resolved *rank*, memoizing the full
         #: :meth:`host_to_site` chain -- the crawl path resolves the
         #: same www/apex hosts for every visit. Ranks, not sites, so an
         #: entry never pins an evicted Website alive.
-        self._host_site_cache: BoundedLRU = BoundedLRU(limits.hosts)
+        self._host_site_cache = BoundedMemo(limits.hosts)
         #: host -> True for hosts that resolved to *nothing*. Kept
         #: apart from the positive entries so the unbounded universe of
         #: dead/external hosts gets its own (small) cap.
-        self._host_negative_cache: BoundedLRU = BoundedLRU(
-            limits.negative_hosts
-        )
+        self._host_negative_cache = BoundedMemo(limits.negative_hosts)
         #: ``(url, region, space)`` -> static visit plan, owned by
         #: :mod:`repro.web.serving` (the compact-visit fast path).
-        self._visit_plan_cache: BoundedLRU = BoundedLRU(limits.visit_plans)
+        self._visit_plan_cache = BoundedMemo(limits.visit_plans)
         #: ``(rank, subsite index, shortened)`` -> shared URL instance,
         #: owned by :mod:`repro.crawler.seeds`. World-level so every
         #: stream over this world reuses the same instances (their
         #: string/hash/key memos and plan-cache entries stay warm).
-        self._share_url_cache: BoundedLRU = BoundedLRU(limits.share_urls)
+        self._share_url_cache = BoundedMemo(limits.share_urls)
+        #: Memo counters that worker processes' copies of this world
+        #: shipped home (:meth:`absorb_cache_counts`).
+        self._worker_cache_counts: CountMap = {}
 
-    def _on_site_evict(self, rank: int, site: Website) -> None:
-        # Keep the domain->rank memo from pinning evicted domains; the
-        # rank re-derives from the domain suffix on the next lookup.
-        self._domain_to_rank.pop(site.domain, None)
-
-    def cache_info(self) -> Dict[str, BoundedLRU]:
-        """The memo caches by gauge label, for ``world_cache_*``."""
+    def cache_info(self) -> Dict[str, BoundedMemo]:
+        """This process's memos by gauge label (each is a
+        :class:`CacheLimits` field name)."""
         return {
             "sites": self._cache,
             "hosts": self._host_site_cache,
@@ -210,6 +210,18 @@ class World:
             "visit_plans": self._visit_plan_cache,
             "share_urls": self._share_url_cache,
         }
+
+    def cache_counts(self) -> CountMap:
+        """Counters per memo: this process's plus every worker copy's
+        that :meth:`absorb_cache_counts` took in."""
+        own = {name: memo.counts() for name, memo in self.cache_info().items()}
+        return sum_counts(own, self._worker_cache_counts)
+
+    def absorb_cache_counts(self, counts: CountMap) -> None:
+        """Add how a worker copy's memo counters grew from the state
+        the worker started from (:func:`~repro.web.memo.count_growth`)."""
+        shipped = self._worker_cache_counts
+        self._worker_cache_counts = sum_counts(shipped, counts)
 
     # ------------------------------------------------------------------
     # Site access
@@ -227,7 +239,6 @@ class World:
             raise KeyError(f"rank {rank} outside [1, {self.config.n_domains}]")
         site = self._generate(rank)
         self._cache[rank] = site
-        self._domain_to_rank[site.domain] = rank
         return site
 
     def cmp_history(self, rank: int) -> AdoptionHistory:
@@ -264,15 +275,11 @@ class World:
         those the *alias site* is returned, not its redirect target.
         """
         domain = domain.lower()
-        if domain in self._domain_to_rank:
-            return self.site(self._domain_to_rank[domain])
         rank = self._rank_from_domain(domain)
         if rank is None:
             return None
         site = self.site(rank)
-        if site.domain == domain or domain in site.redirect_aliases:
-            return site
-        return None
+        return site if _owns(site, domain) else None
 
     def host_to_site(self, host: str) -> Optional[Website]:
         """Resolve an arbitrary hostname (www.X, subdomain.X) to a site."""
@@ -297,10 +304,25 @@ class World:
         return resolved
 
     def _rank_from_domain(self, domain: str) -> Optional[int]:
+        """The rank that lowercase *domain*'s base-36 tag names.
+
+        An alias domain's tag is its site's rank followed by "alt", so
+        a tag that ends in "alt" reads two ways: "1alt" is the alias of
+        rank 1 or the domain of rank 60,401, and "alt" is the domain of
+        rank 13,745. Such a tag is settled by generating the candidate
+        sites. Any other tag is read without generating a site, so that
+        rank is unchecked: :meth:`site_by_domain` checks it.
+        """
         name = domain.split(".", 1)[0]
         tag = name.rsplit("-", 1)[-1]
-        if tag.endswith("alt"):
-            tag = tag[:-3]
+        if not tag.endswith("alt"):
+            return self._tag_rank(tag)
+        for rank in (self._tag_rank(tag[:-3]), self._tag_rank(tag)):
+            if rank is not None and _owns(self.site(rank), domain):
+                return rank
+        return None
+
+    def _tag_rank(self, tag: str) -> Optional[int]:
         if not tag or any(c not in _B36 for c in tag):
             return None
         rank = int(tag, 36)
@@ -444,7 +466,7 @@ class World:
             rank=rank,
             domain=self._make_domain(rng, rank, eu=eu),
             episodes=episodes,
-            embed_regions=frozenset({"EU"}) if embed_eu_only else frozenset({"EU", "US"}),
+            embed_regions=_EU_ONLY if embed_eu_only else _EU_AND_US,
             us_embed_since=us_embed_since,
             behind_antibot_cdn=antibot,
             slow_loader=slow,
@@ -537,26 +559,31 @@ class World:
 def publish_world_cache_gauges(obs, world: World) -> None:
     """Snapshot the world memo caches into obs gauges.
 
-    Point-in-time hits, evictions and entry counts per bounded memo
-    (sites, host resolutions, visit plans, shared URLs) -- the numbers
-    that decide whether a bounded run stays memoized or thrashes.
-    Called at the end of every platform run; a no-op under the null obs
-    backend. The caches are per-process, so sharded runs report the
-    parent's caches only.
+    Point-in-time hits, misses, evictions and entry counts per bounded
+    memo (sites, host resolutions, visit plans, shared URLs) -- the
+    numbers that decide whether a bounded run stays memoized or
+    thrashes. Called at the end of every platform run; a no-op under
+    the null obs backend. Sharded runs add what their workers' copies
+    of the world did (:meth:`World.cache_counts`).
     """
     if not obs.enabled:
         return
     hits = obs.metrics.gauge(
         "world_cache_hits", "memoization hits in the world caches, by cache"
     )
+    misses = obs.metrics.gauge(
+        "world_cache_misses",
+        "memoization misses in the world caches, by cache",
+    )
     evictions = obs.metrics.gauge(
         "world_cache_evictions",
-        "LRU evictions from the world caches, by cache",
+        "oldest-insertion evictions from the world caches, by cache",
     )
     entries = obs.metrics.gauge(
         "world_cache_entries", "memoized entries in the world caches, by cache"
     )
-    for name, lru in sorted(world.cache_info().items()):
-        hits.set(lru.hits, cache=name)
-        evictions.set(lru.evictions, cache=name)
-        entries.set(len(lru), cache=name)
+    for name, counts in sorted(world.cache_counts().items()):
+        hits.set(counts.hits, cache=name)
+        misses.set(counts.misses, cache=name)
+        evictions.set(counts.evictions, cache=name)
+        entries.set(counts.entries, cache=name)

@@ -281,6 +281,24 @@ class TestStoreEntries:
         loaded = cache.load_capture_store(self.fp())
         assert store_digest(loaded) == store_digest(social_store)
 
+    def test_manifest_without_segment_list_is_miss(
+        self, tmp_path, social_store
+    ):
+        """Entries written before the manifest listed its segments
+        recompute once."""
+        obs = Observability()
+        cache = ArtifactCache(tmp_path, obs=obs)
+        cache.save_capture_store(self.fp(), social_store)
+        manifest_path = tmp_path / self.fp().slot() / "entry.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["segments"][0]["rows"] == social_store.n_rows
+        del manifest["segments"]
+        manifest["shards"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        assert cache.load_capture_store(self.fp()) is None
+        misses = obs.metrics.counter("cache_misses_total")
+        assert misses.value(stage="social-crawl", reason="corrupt") == 1
+
     def test_artifact_kind_mismatch_is_miss(self, tmp_path):
         """A JSON entry must not satisfy a store lookup (or vice versa)."""
         cache = ArtifactCache(tmp_path)
@@ -357,6 +375,32 @@ class TestWarmStudy:
         assert warm.tranco.to_payload() == cold_order
         misses = obs.metrics.counter("cache_misses_total")
         assert misses.value(stage=stage, reason="corrupt") == 1
+
+    def test_changed_segment_byte_recomputes(self, tmp_path):
+        """Adding 1 to a date of a cached segment keeps every id in
+        range, so only the manifest's digest can tell: the warm run
+        misses and recomputes the cold store."""
+        config = small_config(
+            tmp_path,
+            seed=7,
+            n_domains=2_000,
+            events_per_day=400,
+            study_end=WINDOW[0] + dt.timedelta(days=7),
+        )
+        cold = store_digest(Study(config).run_social_crawl())
+        (segment,) = (tmp_path / "cache").glob("social-crawl*/*.seg")
+        data = bytearray(segment.read_bytes())
+        header = json.loads(data[: data.index(b"\n")])
+        date_column = data.index(b"\n") + 1 + 4 * header["n_rows"]
+        data[date_column] += 1
+        segment.write_bytes(bytes(data))
+        obs = Observability()
+        warm = Study(config, obs=obs)
+        assert store_digest(warm.run_social_crawl()) == cold
+        misses = obs.metrics.counter("cache_misses_total")
+        assert misses.value(stage="social-crawl", reason="corrupt") == 1
+        hits = obs.metrics.counter("cache_hits_total")
+        assert hits.value(stage="social-crawl") == 0
 
     def test_empty_toplist_table_keeps_its_own_entry(self, tmp_path):
         """A ``size=0`` Table 1 must not be served for the default size."""

@@ -26,6 +26,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.lint import DEFAULT_CONFIG, LintConfig, lint_paths
 from repro.lint.cli import find_repo_root, main
 from repro.lint.engine import PARSE_ERROR, analyze_paths
@@ -489,6 +491,31 @@ class TestRealTreeMutation:
             and "repro.crawler.platform" in f.message
             for f in cache001
         )
+
+    @pytest.mark.parametrize(
+        "module", ["repro.web.adoption", "repro.web.worldgen"]
+    )
+    def test_site_draws_are_in_every_drawing_closure(self, module):
+        """Every site is drawn by repro.web.worldgen, its CMP history by
+        repro.web.adoption, so a change in either must change each
+        stage whose result depends on site draws: the crawl, the
+        toplist probes (they resolve hosts to sites), Table 1 and
+        Fig 5."""
+        _, program, _ = analyze_paths(
+            [REPO_ROOT / "src"], DEFAULT_CONFIG, root=REPO_ROOT
+        )
+        before, problems = build_lock(program)
+        assert problems == []
+        program.modules[module].digest = "perturbed"
+        after, _ = build_lock(program)
+        changed = {
+            stage
+            for stage, entry in before["stages"].items()
+            if after["stages"][stage]["digest"] != entry["digest"]
+        }
+        assert {
+            "social-crawl", "toplist-probes", "vantage", "marketshare"
+        } <= changed
 
 
 # ---------------------------------------------------------------------------

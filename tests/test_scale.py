@@ -39,7 +39,7 @@ from repro.crawler.storage import store_digest
 from repro.faults import CrashSpec, FaultSchedule, FaultSpec, WorkerCrash
 from repro.faults.retry import FAST_TEST_POLICY
 from repro.obs import Observability
-from repro.web.lru import MISSING, BoundedLRU
+from repro.web.memo import MISSING, BoundedMemo, MemoCounts
 from repro.web.worldgen import (
     UNBOUNDED_CACHE_LIMITS,
     CacheLimits,
@@ -83,38 +83,85 @@ def small_config(**overrides):
 
 
 # ----------------------------------------------------------------------
-# BoundedLRU: the eviction primitive under everything else
+# BoundedMemo: the eviction primitive under everything else
 # ----------------------------------------------------------------------
-class TestBoundedLRU:
-    def test_evicts_least_recently_used(self):
-        lru = BoundedLRU(maxsize=2)
-        lru["a"] = 1
-        lru["b"] = 2
-        assert lru.get("a") == 1  # refresh "a"; "b" is now oldest
-        lru["c"] = 3
-        assert lru.get("b", MISSING) is MISSING
-        assert lru.get("a") == 1
-        assert lru.evictions == 1
+class TestBoundedMemo:
+    def test_evicts_oldest_insertion(self):
+        memo = BoundedMemo(maxsize=2)
+        memo["a"] = 1
+        memo["b"] = 2
+        assert memo.get("a") == 1  # a hit does not refresh "a"
+        memo["c"] = 3
+        assert memo.get("a", MISSING) is MISSING
+        assert (memo.get("b"), memo.get("c")) == (2, 3)
+        assert memo.evictions == 1
+
+    def test_replacing_a_value_keeps_its_place(self):
+        memo = BoundedMemo(maxsize=2)
+        memo["a"] = 1
+        memo["b"] = 2
+        memo["a"] = 10
+        assert (len(memo), memo.evictions) == (2, 0)
+        memo["c"] = 3
+        assert memo.get("a", MISSING) is MISSING
+        assert memo.get("b") == 2
+        # Past the first overflow too: a replaced key is not queued twice.
+        memo["b"] = 20
+        memo["d"] = 4
+        memo["e"] = 5
+        assert memo.get("c", MISSING) is MISSING
+        assert (memo.get("d"), memo.get("e"), len(memo)) == (4, 5, 2)
+        assert memo.evictions == 3
 
     def test_unbounded_mode_never_evicts(self):
-        lru = BoundedLRU(maxsize=None)
+        memo = BoundedMemo(maxsize=None)
         for i in range(1000):
-            lru[i] = i
-        assert len(lru) == 1000
-        assert lru.evictions == 0
+            memo[i] = i
+        assert len(memo) == 1000
+        assert memo.evictions == 0
 
-    def test_on_evict_callback_sees_evicted_pair(self):
-        evicted = []
-        lru = BoundedLRU(maxsize=1, on_evict=lambda k, v: evicted.append((k, v)))
-        lru["a"] = 1
-        lru["b"] = 2
-        assert evicted == [("a", 1)]
+    def test_rejects_nonpositive_maxsize(self):
+        with pytest.raises(ValueError):
+            BoundedMemo(maxsize=0)
 
-    def test_setdefault_matches_dict_semantics(self):
-        lru = BoundedLRU(maxsize=4)
-        assert lru.setdefault("a", 1) == 1
-        assert lru.setdefault("a", 2) == 1
-        assert lru["a"] == 1
+    def test_overflow_counts_evictions(self):
+        memo = BoundedMemo(maxsize=2)
+        for i in range(5):
+            memo[i] = i
+        assert [memo.get(i, MISSING) for i in range(5)] == [
+            MISSING, MISSING, MISSING, 3, 4
+        ]
+        assert memo.evictions == 3
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        maxsize=st.integers(1, 12),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 40)), max_size=300
+        ),
+    )
+    def test_bound_holds_and_every_lookup_is_counted(self, maxsize, ops):
+        """Under churn the memo never exceeds its bound, holds exactly
+        the newest *maxsize* distinct insertions, and counts every
+        lookup as one hit or one miss."""
+        memo = BoundedMemo(maxsize=maxsize)
+        inserted = []  # distinct keys, oldest first (FIFO oracle)
+        lookups = 0
+        for is_lookup, key in ops:
+            if is_lookup:
+                lookups += 1
+                expected = key if key in inserted[-maxsize:] else MISSING
+                assert memo.get(key, MISSING) == expected
+            else:
+                if key not in inserted[-maxsize:]:  # else a replacement
+                    inserted.append(key)
+                memo[key] = key
+            assert len(memo) <= maxsize
+        assert memo.hits + memo.misses == lookups
+        live = len(inserted[-maxsize:])
+        assert memo.counts() == MemoCounts(
+            memo.hits, memo.misses, len(inserted) - live, live
+        )
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +209,79 @@ class TestBoundedWorldBitIdentity:
             assert (a is None) == (b is None)
             if a is not None:
                 assert a.rank == b.rank
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_domain_resolution_identical_after_eviction(self, seed):
+        """Normal and alias domains whose sites the tiny memo evicted
+        resolve as in the unbounded world: the rank comes from the
+        domain's base-36 tag, not from a memo beside the sites."""
+        config = WorldConfig(seed=seed, n_domains=300)
+        bounded = World(config, cache_limits=TINY_LIMITS)
+        unbounded = World(config, cache_limits=UNBOUNDED_CACHE_LIMITS)
+        sites = [unbounded.site(rank) for rank in range(1, 301)]
+        aliases = [site for site in sites if site.redirects_to is not None]
+        normal = [
+            site for site in sites
+            if site.redirects_to is None and site.share_weight > 0.0
+        ]
+        assert aliases and normal
+        picked = aliases + normal[::10]
+        for site in picked:
+            bounded.site(site.rank)
+        assert bounded.cache_info()["sites"].evictions > len(picked) - 8
+        domains = [site.domain for site in picked]
+        domains += [site.redirects_to for site in aliases]
+        domains += ["newswire-zz.com", "not-a-world-domain.test"]
+        for domain in domains + [domain.upper() for domain in domains]:
+            assert bounded.site_by_domain(domain) == unbounded.site_by_domain(
+                domain
+            )
+            for host in (domain, f"www.{domain}"):
+                assert bounded.host_to_site(host) == unbounded.host_to_site(
+                    host
+                )
+
+    @pytest.mark.parametrize(
+        "limits", [UNBOUNDED_CACHE_LIMITS, TINY_LIMITS], ids=["unbounded", "tiny"]
+    )
+    def test_tags_ending_in_alt_resolve_to_their_own_site(self, limits):
+        """Rank 13,745 is "alt" in base 36 and rank 60,401 is "1alt",
+        the alias tag of rank 1. A world that has not generated them
+        resolves their domains to their own sites, routes them to their
+        own rank's partition, and still resolves alias domains."""
+        config = WorldConfig(seed=17, n_domains=60_401)
+        oracle = World(config, cache_limits=UNBOUNDED_CACHE_LIMITS)
+        for rank in (13_745, 60_401):
+            site = oracle.site(rank)
+            world = World(config, cache_limits=limits)
+            assert world.site_by_domain(site.domain.upper()) == site
+            assert world.host_to_site(f"www.{site.domain}") == site
+            stream = SocialShareStream(world)
+            for parts in (2, 3, 4, 5):
+                assert stream.partition_of(site.domain, parts) == rank % parts
+        aliases = [
+            site for site in map(oracle.site, range(1, 400))
+            if site.redirects_to is not None
+        ]
+        assert aliases
+        world = World(config, cache_limits=limits)
+        for alias in aliases:
+            assert world.site_by_domain(alias.domain) == alias
+
+    def test_cmp_history_never_inserts_into_the_site_memo(self):
+        world = World(
+            WorldConfig(seed=7, n_domains=300), cache_limits=TINY_LIMITS
+        )
+        memo = world.cache_info()["sites"]
+        for rank in range(1, 301):
+            world.cmp_history(rank)
+        assert memo.counts() == MemoCounts(0, 300, 0, 0)
+        for rank in (1, 2, 3):
+            world.site(rank)
+        held = len(memo)
+        for rank in range(1, 301):
+            world.cmp_history(rank)
+        assert len(memo) == held and memo.evictions == 0
 
     def test_study_digest_identical_with_bounded_worker_worlds(self):
         study = Study(small_config())
@@ -428,42 +548,6 @@ class TestSpillStoreAPI:
         assert spilling.n_rows == 0
 
 
-class TestBoundedLRUSurface:
-    """The rest of the dict drop-in surface (worldgen uses it all)."""
-
-    def test_rejects_nonpositive_maxsize(self):
-        with pytest.raises(ValueError):
-            BoundedLRU(maxsize=0)
-
-    def test_contains_delete_pop_clear_views(self):
-        lru = BoundedLRU(maxsize=4)
-        lru["a"] = 1
-        lru["b"] = 2
-        assert "a" in lru and "z" not in lru
-        assert lru.pop("a") == 1
-        assert lru.pop("z", "fallback") == "fallback"
-        with pytest.raises(KeyError):
-            lru.pop("z")
-        del lru["b"]
-        lru["c"] = 3
-        assert list(lru.values()) == [3]
-        assert list(lru.items()) == [("c", 3)]
-        lru.clear()
-        assert len(lru) == 0
-
-    def test_touch_of_concurrently_evicted_key_is_benign(self):
-        lru = BoundedLRU(maxsize=2)
-        lru._touch("never-inserted")  # the racing-eviction code path
-
-    def test_overflow_reports_evictions_through_callback(self):
-        evicted = []
-        lru = BoundedLRU(maxsize=2, on_evict=lambda k, v: evicted.append(k))
-        for i in range(5):
-            lru[i] = i
-        assert evicted == [0, 1, 2]
-        assert lru.evictions == 3
-
-
 # ----------------------------------------------------------------------
 # Negative host cache: bounded, still correct after eviction
 # ----------------------------------------------------------------------
@@ -572,3 +656,20 @@ class TestScaleGauges:
         assert "world_cache_entries" in names
         assert "world_cache_evictions" in names
         assert "process_peak_rss_mb" in names
+
+    def test_sharded_run_gauges_count_worker_memos(self):
+        """The workers make every crawl lookup, so a 2-worker run's
+        gauges must include what their copies of the world memoized."""
+        study = Study(small_config())
+        obs = Observability()
+        platform = NetographPlatform(study.world, obs=obs)
+        platform.run(*WINDOW, workers=2)
+        gauges = {
+            (record["metric"], record["labels"].get("cache")): record["value"]
+            for record in obs.metrics.snapshot()
+            if record["metric"].startswith("world_cache_")
+        }
+        own = study.world.cache_info()["sites"]
+        assert gauges[("world_cache_entries", "sites")] > len(own)
+        assert gauges[("world_cache_hits", "sites")] > own.hits
+        assert gauges[("world_cache_misses", "sites")] > own.misses
