@@ -13,6 +13,12 @@ store must also serve a *batch* run over the ingested prefix (zero
 crawls), because checkpoints are written under the exact batch
 ``social-crawl`` fingerprint.
 
+The check runs twice: fault-free, and under the ``follow`` benchmark
+workload's transient fault schedule, so the fault schedule's memo is
+live across days and across the checkpoint resume. Every injected
+fault is transient and recovered, so the faulted exports must also
+equal the fault-free ones.
+
 Run by ``scripts/verify.sh`` (or ``make smoke-streaming``).
 """
 
@@ -28,13 +34,25 @@ from repro.core.pipeline import Study, StudyConfig
 from repro.core.vantage import VantageTable
 from repro.crawler.columnar import VANTAGE_STRS
 from repro.crawler.storage import write_export
+from repro.faults import FaultSchedule, FaultSpec, RetryPolicy
 
 START = dt.date(2020, 3, 1)
 MID = dt.date(2020, 3, 21)
 END = dt.date(2020, 4, 1)
 
+#: The ``follow`` benchmark workload's schedule: every fault transient
+#: and recovered within the retry budget.
+FAULTS = FaultSchedule(
+    seed=13,
+    specs=(
+        FaultSpec("dns-error", rate=0.1, attempts=1),
+        FaultSpec("connection-reset", rate=0.1, attempts=2),
+    ),
+)
+RETRY = RetryPolicy(max_retries=5, base_delay=0.01, max_delay=0.1, jitter=0.0)
 
-def _config(cache_dir=None) -> StudyConfig:
+
+def _config(cache_dir=None, faults=None) -> StudyConfig:
     return StudyConfig(
         seed=7,
         n_domains=2_500,
@@ -43,6 +61,8 @@ def _config(cache_dir=None) -> StudyConfig:
         study_start=START,
         study_end=END,
         cache_dir=cache_dir,
+        faults=faults,
+        retry=RETRY if faults is not None else None,
     )
 
 
@@ -77,67 +97,89 @@ def _batch_exports(study: Study, out_dir: Path, ranks, sizes) -> bytes:
     ).encode("utf-8")
 
 
+def _check(out_dir: Path, faults=None):
+    """Batch == cold follow == resumed follow under *faults*; returns
+    the exports, or ``None`` after printing the failure."""
+    label = "faulted" if faults is not None else "fault-free"
+    cache_dir = str(out_dir / f"cache-{label}")
+
+    # Smoke-run durations for the log lines; never part of results.
+    t0 = time.perf_counter()  # repro-lint: disable=DET002
+    cold = Study(_config(faults=faults)).streaming_engine().run_until(END)
+    cold_exports = _engine_exports(cold, out_dir, "cold")
+    t1 = time.perf_counter()  # repro-lint: disable=DET002
+    print(f"  {label} cold follow: {cold.rows_ingested} rows over "
+          f"{cold.days_ingested} days, {t1 - t0:.2f}s, "
+          f"{cold.platform.stats.faults.summary()}")
+    if faults is not None and not cold.platform.stats.faults.recovered:
+        print(f"FAIL: {label}: the schedule injected no recovered fault")
+        return None
+
+    batch_exports = _batch_exports(
+        Study(_config(faults=faults)), out_dir, cold._ranks, cold._sizes
+    )
+    if cold_exports != batch_exports:
+        print(f"FAIL: {label}: cold follow exports differ from batch")
+        return None
+
+    # Mid-window checkpoint, then resume in a fresh engine.
+    first = Study(_config(cache_dir, faults)).streaming_engine()
+    first.run_until(MID)
+    if first.checkpoint() is None:
+        print(f"FAIL: {label}: checkpoint was not written")
+        return None
+    resumed = Study(_config(cache_dir, faults)).streaming_engine(resume=True)
+    if resumed.watermark != MID - dt.timedelta(days=1):
+        print(f"FAIL: {label}: resumed at watermark {resumed.watermark}")
+        return None
+    # The restored counter covers the prefix (stats match an
+    # uninterrupted run); actual crawl work here is the delta.
+    restored_crawls = resumed.platform.stats.crawls
+    resumed.run_until(END)
+    crawl_delta = resumed.platform.stats.crawls - restored_crawls
+    print(f"  {label} resumed follow: restored at "
+          f"{MID - dt.timedelta(days=1)}, crawled {crawl_delta} pages "
+          f"this run (cold: {cold.platform.stats.crawls})")
+    if _engine_exports(resumed, out_dir, "resumed") != batch_exports:
+        print(f"FAIL: {label}: resumed follow exports differ from batch")
+        return None
+    if not (restored_crawls > 0
+            and crawl_delta < cold.platform.stats.crawls):
+        print(f"FAIL: {label}: resumed run did not skip the checkpointed "
+              "prefix")
+        return None
+
+    # The checkpointed store doubles as the batch cache entry for the
+    # ingested prefix: a batch run over [START, MID) must skip its
+    # crawl phase entirely.
+    batch_study = Study(_config(cache_dir, faults))
+    batch_study.run_social_crawl(START, MID)
+    if batch_study.last_crawl_stats.crawls != 0:
+        print(
+            f"FAIL: {label}: batch prefix run crawled "
+            f"{batch_study.last_crawl_stats.crawls} pages instead of "
+            "hitting the streaming checkpoint"
+        )
+        return None
+    return batch_exports
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
-        cache_dir = str(out_dir / "cache")
-
-        # Smoke-run durations for the log lines; never part of results.
-        t0 = time.perf_counter()  # repro-lint: disable=DET002
-        cold = Study(_config()).streaming_engine().run_until(END)
-        cold_exports = _engine_exports(cold, out_dir, "cold")
-        t1 = time.perf_counter()  # repro-lint: disable=DET002
-        print(f"  cold follow: {cold.rows_ingested} rows over "
-              f"{cold.days_ingested} days, {t1 - t0:.2f}s")
-
-        batch_exports = _batch_exports(
-            Study(_config()), out_dir, cold._ranks, cold._sizes
-        )
-        if cold_exports != batch_exports:
-            print("FAIL: cold follow exports differ from batch")
+        clean = _check(out_dir)
+        if clean is None:
             return 1
-
-        # Mid-window checkpoint, then resume in a fresh engine.
-        first = Study(_config(cache_dir)).streaming_engine()
-        first.run_until(MID)
-        if first.checkpoint() is None:
-            print("FAIL: checkpoint was not written")
+        faulted = _check(out_dir, FAULTS)
+        if faulted is None:
             return 1
-        resumed = Study(_config(cache_dir)).streaming_engine(resume=True)
-        if resumed.watermark != MID - dt.timedelta(days=1):
-            print(f"FAIL: resumed at watermark {resumed.watermark}")
-            return 1
-        # The restored counter covers the prefix (stats match an
-        # uninterrupted run); actual crawl work here is the delta.
-        restored_crawls = resumed.platform.stats.crawls
-        resumed.run_until(END)
-        crawl_delta = resumed.platform.stats.crawls - restored_crawls
-        print(f"  resumed follow: restored at {MID - dt.timedelta(days=1)}, "
-              f"crawled {crawl_delta} pages this run "
-              f"(cold: {cold.platform.stats.crawls})")
-        if _engine_exports(resumed, out_dir, "resumed") != batch_exports:
-            print("FAIL: resumed follow exports differ from batch")
-            return 1
-        if not (restored_crawls > 0
-                and crawl_delta < cold.platform.stats.crawls):
-            print("FAIL: resumed run did not skip the checkpointed prefix")
-            return 1
-
-        # The checkpointed store doubles as the batch cache entry for
-        # the ingested prefix: a batch run over [START, MID) must skip
-        # its crawl phase entirely.
-        batch_study = Study(_config(cache_dir))
-        batch_study.run_social_crawl(START, MID)
-        if batch_study.last_crawl_stats.crawls != 0:
-            print(
-                f"FAIL: batch prefix run crawled "
-                f"{batch_study.last_crawl_stats.crawls} pages instead of "
-                "hitting the streaming checkpoint"
-            )
+        if faulted != clean:
+            print("FAIL: recovered transient faults changed the exports")
             return 1
 
     print("streaming smoke: follow == batch byte-identically, cold and "
-          "resumed; checkpoint serves batch runs")
+          "resumed, fault-free and under transient faults; checkpoint "
+          "serves batch runs")
     return 0
 
 

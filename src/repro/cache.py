@@ -122,6 +122,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.cmps.onetrust",
         "repro.cmps.quantcast",
         "repro.cmps.trustarc",
+        "repro.crawler.browser",
         "repro.crawler.capture",
         "repro.crawler.columnar",
         "repro.crawler.executor",
@@ -130,7 +131,11 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.seeds",
         "repro.crawler.spill",
         "repro.crawler.storage",
+        "repro.det",
         "repro.detect.engine",
+        "repro.faults.inject",
+        "repro.faults.retry",
+        "repro.faults.schedule",
         "repro.web.adoption",
         "repro.web.memo",
         "repro.web.serving",
@@ -146,6 +151,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.cmps.trustarc",
         "repro.crawler.executor",
         "repro.crawler.toplist_crawl",
+        "repro.faults.schedule",
         "repro.net.http",
         "repro.net.probe",
         "repro.web.adoption",
@@ -164,9 +170,14 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.cmps.quantcast",
         "repro.cmps.trustarc",
         "repro.core.vantage",
+        "repro.crawler.browser",
         "repro.crawler.platform",
         "repro.crawler.toplist_crawl",
+        "repro.det",
         "repro.detect.engine",
+        "repro.faults.inject",
+        "repro.faults.retry",
+        "repro.faults.schedule",
         "repro.net.probe",
         "repro.web.adoption",
         "repro.web.serving",

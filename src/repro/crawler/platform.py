@@ -121,8 +121,10 @@ __all__ = [
     "accept",
     "crawl_batch",
     "crawl_social_shard",
+    "fault_memo_counts",
     "meter_crawls",
     "meter_faults",
+    "publish_fault_memo_gauges",
     "resume_social_shard",
     "visit_rows",
 ]
@@ -456,6 +458,47 @@ def meter_faults(obs: Observability, tally: FaultTally) -> None:
         retries.inc(tally.exhausted, outcome="exhausted")
 
 
+def fault_memo_counts(schedule: Optional[FaultSchedule]) -> CountMap:
+    """*schedule*'s affliction-memo counters by vantage label (empty
+    without a schedule)."""
+    return {} if schedule is None else schedule.memo_counts()
+
+
+def publish_fault_memo_gauges(obs: Observability, counts: CountMap) -> None:
+    """Snapshot the fault schedule's affliction memo into obs gauges.
+
+    Published next to the ``world_cache_*`` gauges at the end of every
+    platform run, with the same four counters by vantage label;
+    *counts* (from :func:`fault_memo_counts`) includes what worker
+    processes' copies of the schedule shipped home. A no-op under the
+    null obs backend and for a run without a fault schedule.
+    """
+    if not obs.enabled or not counts:
+        return
+    metrics = obs.metrics
+    hits = metrics.gauge(
+        "fault_memo_hits",
+        "fault schedule lookups served from its memo, by vantage",
+    )
+    misses = metrics.gauge(
+        "fault_memo_misses",
+        "fault schedule lookups that drew the key, by vantage",
+    )
+    evictions = metrics.gauge(
+        "fault_memo_evictions",
+        "oldest-insertion evictions from the fault schedule's memo",
+    )
+    entries = metrics.gauge(
+        "fault_memo_entries",
+        "domains held in the fault schedule's memo, by vantage",
+    )
+    for vantage, memo in sorted(counts.items()):
+        hits.set(memo.hits, vantage=vantage)
+        misses.set(memo.misses, vantage=vantage)
+        evictions.set(memo.evictions, vantage=vantage)
+        entries.set(memo.entries, vantage=vantage)
+
+
 def accept(queue: CaptureQueue, batch: ShareBatch) -> ShareBatch:
     """The events of *batch* that *queue*'s dedup rules accept, in
     order (the dedup step of the serial loop and of every partition)."""
@@ -534,6 +577,9 @@ class SocialShardResult:
     #: crawled the partition, summed over resumes; the parent adds it
     #: to its world's (:meth:`World.absorb_cache_counts`).
     cache_counts: CountMap = field(default_factory=dict)
+    #: The same growth for the worker's copy of the fault schedule's
+    #: memo (:func:`fault_memo_counts`).
+    fault_memo_counts: CountMap = field(default_factory=dict)
 
 
 def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
@@ -550,9 +596,10 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
     run's final result is bit-identical to an uninterrupted one.
     """
     world = resolve_world(task.world_config)
-    started = world.cache_counts()
-    stream = SocialShareStream(world, task.stream_config)
     config = task.config
+    schedule = config.faults
+    started = world.cache_counts(), fault_memo_counts(schedule)
+    stream = SocialShareStream(world, task.stream_config)
     part, parts = task.shard_id, task.parts
     days = [dt.date.fromordinal(o) for o in range(task.start, task.end)]
     counts = [len(stream.partition_rows(day, part, parts)) for day in days]
@@ -567,7 +614,6 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
             day=task.start,
         )
     clock = VirtualClock()
-    schedule = config.faults
     crash_at = (
         schedule.crash_point(part, state.tasks, task.shard_attempt)
         if schedule is not None
@@ -598,24 +644,30 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
                 state.failures += failed + exhausted
             state.position = stop
             if crashing:
-                _add_cache_growth(state, world, started)
+                _add_cache_growth(state, world, schedule, started)
                 raise WorkerCrash(part, done=stop, checkpoint=state)
             state.queue.prune(
                 dt.datetime.combine(day, dt.time()) + dt.timedelta(days=1)
             )
             state.day = day.toordinal() + 1
         lo = hi
-    _add_cache_growth(state, world, started)
+    _add_cache_growth(state, world, schedule, started)
     return state
 
 
 def _add_cache_growth(
-    state: SocialShardResult, world: World, started: CountMap
+    state: SocialShardResult,
+    world: World,
+    schedule: Optional[FaultSchedule],
+    started: Tuple[CountMap, CountMap],
 ) -> None:
-    """Add how *world*'s memo counters grew since *started* to the
-    partition's."""
-    grown = count_growth(world.cache_counts(), started)
+    """Add how *world*'s and *schedule*'s memo counters grew since
+    *started* to the partition's."""
+    world_started, faults_started = started
+    grown = count_growth(world.cache_counts(), world_started)
     state.cache_counts = sum_counts(state.cache_counts, grown)
+    grown = count_growth(fault_memo_counts(schedule), faults_started)
+    state.fault_memo_counts = sum_counts(state.fault_memo_counts, grown)
 
 
 def resume_social_shard(
@@ -651,6 +703,9 @@ class NetographPlatform:
         self.engine = DetectionEngine(obs=self.obs)
         self.stats = PlatformStats()
         self._capture_id = 0
+        #: Fault-memo counters that worker processes' copies of the
+        #: schedule shipped home (:func:`fault_memo_counts`).
+        self._worker_fault_memo: CountMap = {}
         metrics = self.obs.metrics
         self._m_events = metrics.counter(
             "platform_events_total", "share events seen by the platform"
@@ -778,6 +833,13 @@ class NetographPlatform:
             meter_faults(self.obs, run_tally)
             publish_cache_gauges(self.obs)
             publish_world_cache_gauges(self.obs, self.world)
+            publish_fault_memo_gauges(
+                self.obs,
+                sum_counts(
+                    fault_memo_counts(self.config.faults),
+                    self._worker_fault_memo,
+                ),
+            )
             publish_memory_gauges(self.obs)
             run_span.set(
                 events=self.stats.events,
@@ -960,3 +1022,6 @@ class NetographPlatform:
             engine.excluded,
         )
         self.world.absorb_cache_counts(result.cache_counts)
+        self._worker_fault_memo = sum_counts(
+            self._worker_fault_memo, result.fault_memo_counts
+        )

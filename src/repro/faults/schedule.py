@@ -10,6 +10,14 @@ randomness in the pipeline, the decision is independent of execution
 order, so fault injection composes with the sharded executor without
 breaking its determinism contract.
 
+Only the attempt check runs per call: which specs afflict a key does
+not depend on the attempt, so each schedule draws a key once per
+process and memoizes the answer, one bounded memo per vantage label
+keyed by domain. The memo is not part of the schedule's value: ``==``,
+``hash``, ``repr``, :meth:`FaultSchedule.digest` and pickles never see
+it, so shard tasks ship only the fields and every worker process fills
+its own.
+
 Worker crashes are scheduled the same way, keyed on
 ``(seed, shard_id, shard attempt)``: an afflicted shard raises
 :class:`repro.faults.inject.WorkerCrash` before a scheduled task index,
@@ -25,6 +33,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.web.memo import MISSING, BoundedMemo, CountMap
+
 #: The transient failure classes of the live web that shaped the
 #: paper's captures (Sections 3.2 and 3.5).
 FAULT_KINDS = (
@@ -33,6 +43,20 @@ FAULT_KINDS = (
     "slow-response",
     "antibot-challenge",
 )
+
+#: Bound on the domains one schedule memoizes per vantage label. A
+#: key's afflictions are a pure function of the schedule and the key,
+#: so an eviction only costs the key's redraw.
+AFFLICTION_MEMO_SIZE = 32_768
+
+#: Bound on the vantage labels one schedule memoizes. The pipeline
+#: crawls from four vantages and probes under a fifth label; keys of
+#: any further label are drawn on every call.
+MEMO_VANTAGES = 8
+
+#: The memo value of every key no spec afflicts (most keys): one shared
+#: empty tuple instead of one per key.
+_UNAFFLICTED: Tuple["FaultSpec", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -94,12 +118,33 @@ class FaultSchedule:
     """A deterministic plan of faults for one chaos run.
 
     Frozen and built from primitives only, so it crosses process
-    boundaries inside shard tasks unchanged.
+    boundaries inside shard tasks unchanged. The affliction memo that
+    :meth:`fault_for` fills stays behind: each process starts its own.
+    Like the world's memos it takes no lock; the crawl paths consult a
+    schedule from one thread.
     """
 
     seed: int = 0
     specs: Tuple[FaultSpec, ...] = ()
     crash: Optional[CrashSpec] = None
+
+    def __post_init__(self) -> None:
+        # vantage -> domain -> the specs afflicting the key. Not a
+        # field, so ==, hash, repr and digest() never see it.
+        object.__setattr__(self, "_afflicted", {})
+
+    def __reduce__(self):
+        """Pickle the fields only: an unpickled copy starts with an
+        empty memo, and a populated schedule pickles to the same bytes
+        as a fresh one."""
+        return type(self), (self.seed, self.specs, self.crash)
+
+    def memo_counts(self) -> CountMap:
+        """This process's affliction-memo counters by vantage label."""
+        return {
+            vantage: memo.counts()
+            for vantage, memo in self._afflicted.items()
+        }
 
     @property
     def transient_only(self) -> bool:
@@ -133,17 +178,35 @@ class FaultSchedule:
         *domain* from *vantage*, or ``None``.
 
         Specs are consulted in declaration order; the first afflicted
-        one wins, so overlapping specs stay deterministic.
+        one whose attempt budget covers *attempt* wins, so overlapping
+        specs stay deterministic.
         """
+        memo = self._afflicted.get(vantage)
+        if memo is None:
+            memo = BoundedMemo(AFFLICTION_MEMO_SIZE)
+            if len(self._afflicted) < MEMO_VANTAGES:
+                self._afflicted[vantage] = memo
+        afflicting = memo.get(domain, MISSING)
+        if afflicting is MISSING:
+            afflicting = memo[domain] = self._afflicting(domain, vantage)
+        for spec in afflicting:
+            if spec.persistent or attempt < spec.attempts:
+                return Fault(spec.kind)
+        return None
+
+    def _afflicting(
+        self, domain: str, vantage: str
+    ) -> Tuple[FaultSpec, ...]:
+        """The specs afflicting ``(domain, vantage)``, in declaration
+        order: one keyed draw per spec."""
+        afflicting = []
         for spec in self.specs:
             rng = random.Random(
                 f"{self.seed}:fault:{spec.kind}:{domain}:{vantage}"
             )
-            if rng.random() >= spec.rate:
-                continue
-            if spec.persistent or attempt < spec.attempts:
-                return Fault(spec.kind)
-        return None
+            if rng.random() < spec.rate:
+                afflicting.append(spec)
+        return tuple(afflicting) or _UNAFFLICTED
 
     def crash_point(
         self, shard_id: int, n_tasks: int, attempt: int

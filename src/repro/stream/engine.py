@@ -15,6 +15,13 @@ the incremental analysis state:
   :class:`~repro.core.marketshare.MarketShareAccumulator` for O(1)
   live marketshare curves.
 
+Each query answer is derived once per watermark (:meth:`query`): the
+first query after :meth:`advance_day` builds the adoption-series
+snapshot, every retrospective answer is memoized under the engine
+lock, and the next :meth:`advance_day` drops them all when it publishes
+its watermark. The snapshot is built lazily, at the first query, not
+at each day: ingest pays nothing for answers nobody asks for.
+
 Checkpoints reuse :mod:`repro.cache`: the store is saved under the
 exact ``social-crawl`` fingerprint a batch run over the ingested prefix
 would use (so batch and follow runs serve each other's cache entries),
@@ -31,7 +38,7 @@ from __future__ import annotations
 import datetime as dt
 import threading
 from collections import Counter
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import CacheError, Fingerprint
 from repro.core.adoption import AdoptionAccumulator, AdoptionSeries
@@ -47,11 +54,41 @@ from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.spill import SpillingCaptureStore
 from repro.stream.state import LiveAdoptionState
+from repro.web.memo import MISSING, BoundedMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (cycle guard)
     from repro.core.pipeline import Study
 
 _ONE_DAY = dt.timedelta(days=1)
+
+#: Bound on the answers memoized at one watermark: ``?date=`` may name
+#: any day, and each distinct ``(query, date)`` is one entry.
+ANSWER_MEMO_SIZE = 256
+
+#: A memoized query answer.
+Answer = Union[Counter, MarketShareCurve, VantageTable]
+
+
+def _own_curve(curve: MarketShareCurve) -> MarketShareCurve:
+    return MarketShareCurve.from_payload(curve.to_payload())
+
+
+def _own_table(table: VantageTable) -> VantageTable:
+    # Not through the payload, which sorts every domain set: the sets
+    # are frozensets, so the copy shares them.
+    return VantageTable(
+        {name: Counter(counts) for name, counts in table.counts.items()},
+        dict(table.cmp_domains),
+    )
+
+
+#: How a caller gets its own copy of each memoized query's answer, so
+#: mutating it cannot change a later answer.
+_COPIES = {
+    "counts_on": Counter,
+    "marketshare_curve": _own_curve,
+    "vantage_table": _own_table,
+}
 
 
 class StreamingStudyEngine:
@@ -78,6 +115,10 @@ class StreamingStudyEngine:
         #: Guards engine state between the follow loop and the query
         #: server's handler threads.
         self.lock = threading.RLock()
+        #: The watermark's adoption-series snapshot and memoized query
+        #: answers (:meth:`query`); :meth:`advance_day` drops both.
+        self._series: Optional[AdoptionSeries] = None
+        self._answers = BoundedMemo(ANSWER_MEMO_SIZE)
         self.platform = NetographPlatform(
             study.world,
             stream=SocialShareStream(
@@ -143,8 +184,10 @@ class StreamingStudyEngine:
         to the batch serial loop), the new rows drained into the
         accumulators via ``rows_since``, then watermark finalization:
         the live state votes the newly-final day and its transitions
-        drive the marketshare accumulator. A ``checkpoint_every`` > 0
-        writes a checkpoint every that-many ingested days.
+        drive the marketshare accumulator. Publishing the new watermark
+        drops the previous one's memoized answers. A
+        ``checkpoint_every`` > 0 writes a checkpoint every that-many
+        ingested days.
         """
         with self.lock:
             day = self.next_day
@@ -160,6 +203,8 @@ class StreamingStudyEngine:
                     self.marketshare.transition(domain, old, new)
                 span.set(rows=len(rows), transitions=len(transitions))
             self.watermark = day
+            self._series = None
+            self._answers = BoundedMemo(ANSWER_MEMO_SIZE)
             self.next_day = day + _ONE_DAY
             self.days_ingested += 1
             self._m_rows.inc(len(rows))
@@ -196,12 +241,11 @@ class StreamingStudyEngine:
         """The retrospective series over every ingested row --
         byte-identical to the batch derivation at this cut point."""
         with self.lock:
-            return self.adoption.series()
+            return AdoptionSeries(timelines=dict(self._snapshot().timelines))
 
     def counts_on(self, date: dt.date) -> Counter:
         """Retrospective per-CMP domain counts on *date*."""
-        with self.lock:
-            return self.adoption.series().counts_on(date)
+        return self.query("counts_on", date)[0]
 
     def live_counts(self) -> Counter:
         """Per-CMP counts of the live (watermark-finalized) state."""
@@ -209,19 +253,56 @@ class StreamingStudyEngine:
             return Counter(self.live.counts)
 
     def vantage_table(self) -> VantageTable:
-        with self.lock:
-            return self.vantage.table()
+        return self.query("vantage_table")[0]
 
     def marketshare_curve(
         self, date: Optional[dt.date] = None
     ) -> MarketShareCurve:
         """Retrospective observed-marketshare curve (default: at the
         watermark), derived from the interpolated timelines."""
+        return self.query("marketshare_curve", date)[0]
+
+    def query(
+        self, name: str, date: Optional[dt.date] = None
+    ) -> Tuple[Answer, bool]:
+        """``(answer, cached)`` of a retrospective query at the current
+        watermark: ``counts_on`` (on *date*), ``marketshare_curve`` (on
+        *date*, default the watermark) or ``vantage_table``.
+
+        The first call per ``(name, date)`` at a watermark derives the
+        answer under the lock and memoizes it; ``cached`` says whether
+        this call found it memoized. Either way the caller gets its own
+        copy.
+        """
         with self.lock:
-            when = date if date is not None else self._watermark_or_raise()
+            if date is None and name == "marketshare_curve":
+                date = self._watermark_or_raise()
+            key = (name, date)
+            answer = self._answers.get(key, MISSING)
+            cached = answer is not MISSING
+            if not cached:
+                answer = self._derive(name, date)
+                self._answers[key] = answer
+            return _COPIES[name](answer), cached
+
+    def _derive(self, name: str, date: Optional[dt.date]) -> Answer:
+        """One query answer from the watermark's state (lock held)."""
+        if name == "vantage_table":
+            return self.vantage.table()
+        if name == "counts_on":
+            return self._snapshot().counts_on(date)
+        if name == "marketshare_curve":
             return observed_marketshare(
-                self.adoption.series(), self._ranks, when, self._sizes
+                self._snapshot(), self._ranks, date, self._sizes
             )
+        raise ValueError(f"unknown query {name!r}")
+
+    def _snapshot(self) -> AdoptionSeries:
+        """The watermark's adoption series, built by its first query
+        (lock held)."""
+        if self._series is None:
+            self._series = self.adoption.series()
+        return self._series
 
     def live_marketshare_curve(self) -> MarketShareCurve:
         """The O(1) live curve at the watermark (expiring-state view)."""

@@ -16,10 +16,12 @@ keeps ingesting:
 * ``GET /metrics``            -- the metrics registry in Prometheus text
   format 0.0.4 (on the null obs backend: the query-latency histogram)
 
-Every query runs inside a ``stream.query`` obs span and is recorded
-once, in the ``stream_query_seconds`` latency histogram labeled by
-endpoint; ``/stats`` estimates its percentiles from the bucket counts,
-so the server's memory stays flat however many requests it answers.
+Every query runs inside a ``stream.query`` obs span, tagged
+``cached=True`` when the engine served a memoized answer
+(:meth:`StreamingStudyEngine.query`), and is recorded once, in the
+``stream_query_seconds`` latency histogram labeled by endpoint;
+``/stats`` estimates its percentiles from the bucket counts, so the
+server's memory stays flat however many requests it answers.
 The handler threads only touch the engine through its lock-guarded
 query methods, so serving is safe while
 :meth:`StreamingStudyEngine.advance_day` runs. Latency measurement uses
@@ -44,6 +46,10 @@ from repro.stream.engine import StreamingStudyEngine
 #: 25%, so a bucket-interpolated percentile is off by at most 25%.
 QUERY_BUCKETS: Tuple[float, ...] = tuple(5e-5 * 1.25**k for k in range(56))
 
+#: How often the accept loop checks for shutdown: :meth:`QueryServer.close`
+#: waits out at most one interval.
+POLL_INTERVAL_S = 0.02
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes queries to the engine; one instance per request."""
@@ -61,8 +67,12 @@ class _Handler(BaseHTTPRequestHandler):
         started = time.perf_counter()  # repro-lint: disable=DET002
         engine = self.server.engine
         try:
-            with engine.obs.span("stream.query", endpoint=endpoint) as span:
-                status, payload = self._route(endpoint, parse_qs(url.query))
+            with engine.obs.span(
+                "stream.query", endpoint=endpoint, cached=False
+            ) as span:
+                status, payload = self._route(
+                    endpoint, parse_qs(url.query), span
+                )
                 span.set(status=status)
         except Exception as exc:  # pragma: no cover - defensive 500
             status, payload = 500, {"error": str(exc)}
@@ -85,8 +95,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _route(
-        self, endpoint: str, query: Dict[str, List[str]]
+        self, endpoint: str, query: Dict[str, List[str]], span
     ) -> Tuple[int, Union[dict, str]]:
+        """The status and payload answering *endpoint*; tags *span*
+        ``cached`` when the engine served a memoized answer."""
         engine = self.server.engine
         if endpoint == "/healthz":
             watermark = engine.watermark
@@ -104,7 +116,8 @@ class _Handler(BaseHTTPRequestHandler):
             date, error = self._date_param(query)
             if error is not None:
                 return error
-            counts = engine.counts_on(date)
+            counts, cached = engine.query("counts_on", date)
+            span.set(cached=cached)
             return 200, {
                 "date": date.isoformat(),
                 "counts": dict(counts),
@@ -122,11 +135,14 @@ class _Handler(BaseHTTPRequestHandler):
             date, error = self._date_param(query)
             if error is not None:
                 return error
-            return 200, _curve_payload(engine.marketshare_curve(date))
+            curve, cached = engine.query("marketshare_curve", date)
+            span.set(cached=cached)
+            return 200, _curve_payload(curve)
         if endpoint == "/marketshare/live":
             return 200, _curve_payload(engine.live_marketshare_curve())
         if endpoint == "/vantage":
-            table = engine.vantage_table()
+            table, cached = engine.query("vantage_table")
+            span.set(cached=cached)
             return 200, {
                 "rows": [
                     {
@@ -243,7 +259,10 @@ class QueryServer(ThreadingHTTPServer):
     def serve_background(self) -> "QueryServer":
         """Start the accept loop on a daemon thread; returns self."""
         thread = threading.Thread(
-            target=self.serve_forever, name="stream-query-server", daemon=True
+            target=self.serve_forever,
+            kwargs={"poll_interval": POLL_INTERVAL_S},
+            name="stream-query-server",
+            daemon=True,
         )
         self._thread = thread
         thread.start()

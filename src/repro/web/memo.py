@@ -49,6 +49,8 @@ class MemoCounts(NamedTuple):
 #: :class:`MemoCounts` by memo label.
 CountMap = Dict[str, MemoCounts]
 
+_ZERO = MemoCounts(0, 0, 0, 0)
+
 
 def sum_counts(a: CountMap, b: CountMap) -> CountMap:
     """Label-wise sum of two count maps (a label absent counts zero)."""
@@ -63,9 +65,10 @@ def sum_counts(a: CountMap, b: CountMap) -> CountMap:
 
 
 def count_growth(after: CountMap, before: CountMap) -> CountMap:
-    """Label-wise ``after - before`` of two maps with the same labels."""
+    """Label-wise ``after - before`` (a label absent from *before*
+    counts zero)."""
     return {
-        name: MemoCounts(*map(operator.sub, counts, before[name]))
+        name: MemoCounts(*map(operator.sub, counts, before.get(name, _ZERO)))
         for name, counts in after.items()
     }
 

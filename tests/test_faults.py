@@ -8,9 +8,13 @@ contracts they build on.
 """
 
 import datetime as dt
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.faults.schedule as schedule_module
 from repro.crawler.browser import crawl_url
 from repro.crawler.capture import EU_CLOUD, EU_UNIVERSITY
 from repro.faults import (
@@ -29,6 +33,7 @@ from repro.faults import (
 from repro.faults.inject import EXHAUSTED_REASON
 from repro.net.probe import resolve_seed_url, resolve_toplist
 from repro.net.url import URL
+from tests.fault_oracle import oracle_fault_for
 
 NOON = dt.datetime(2020, 5, 15, 12)
 
@@ -133,6 +138,189 @@ class TestFaultSchedule:
         points = [schedule.crash_point(s, 10, 0) for s in range(100)]
         crashed = sum(1 for p in points if p is not None)
         assert 0 < crashed < 100
+
+
+# ---------------------------------------------------------------------------
+# The affliction memo: fault_for draws each key once per process
+# ---------------------------------------------------------------------------
+
+_spec = st.builds(
+    FaultSpec,
+    kind=st.sampled_from(FAULT_KINDS),
+    rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    attempts=st.integers(1, 3),
+    persistent=st.booleans(),
+)
+_VANTAGES = ("EU-cloud", "US-cloud", "EU-university", "probe")
+
+
+def _populated(schedule: FaultSchedule) -> FaultSchedule:
+    for i in range(50):
+        for vantage in _VANTAGES:
+            for attempt in range(3):
+                schedule.fault_for(f"site{i}.com", vantage, attempt)
+    return schedule
+
+
+class TestAfflictionMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        specs=st.lists(_spec, min_size=1, max_size=3).map(tuple),
+        lookups=st.lists(
+            st.tuples(
+                st.integers(0, 12),
+                st.sampled_from(_VANTAGES),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_matches_the_per_call_derivation(self, seed, specs, lookups):
+        """Every answer, repeated keys and attempts past the budget
+        included, equals the oracle's fresh per-call draws."""
+        schedule = FaultSchedule(seed=seed, specs=specs)
+        for rank, vantage, attempt in lookups:
+            domain = f"site{rank}.com"
+            assert schedule.fault_for(
+                domain, vantage, attempt
+            ) == oracle_fault_for(schedule, domain, vantage, attempt)
+        keys = {(f"site{r}.com", v) for r, v, _a in lookups}
+        counts = schedule.memo_counts()
+        assert sum(c.entries for c in counts.values()) == len(keys)
+        assert sum(c.hits + c.misses for c in counts.values()) == len(
+            lookups
+        )
+
+    def test_each_key_is_drawn_once(self, monkeypatch):
+        schedule = FaultSchedule(
+            seed=4,
+            specs=(
+                FaultSpec("dns-error", rate=0.5),
+                FaultSpec("connection-reset", rate=0.5, attempts=2),
+            ),
+        )
+        seeds = []
+        real = schedule_module.random.Random
+
+        def counting(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(schedule_module.random, "Random", counting)
+        for attempt in range(4):
+            for i in range(20):
+                schedule.fault_for(f"site{i}.com", "EU-cloud", attempt)
+        assert len(seeds) == 2 * 20
+        assert len(set(seeds)) == len(seeds)
+
+    def test_unafflicted_keys_share_one_empty_tuple(self):
+        schedule = _populated(
+            FaultSchedule(seed=2, specs=(FaultSpec("dns-error", rate=0.2),))
+        )
+        values = [
+            value
+            for memo in schedule._afflicted.values()
+            for value in memo._data.values()
+            if not value
+        ]
+        assert values and all(value is values[0] for value in values)
+
+    def test_memo_is_not_part_of_the_value(self):
+        specs = (
+            FaultSpec("dns-error", rate=0.3),
+            FaultSpec("antibot-challenge", rate=0.2, persistent=True),
+        )
+        fresh = FaultSchedule(seed=9, specs=specs, crash=CrashSpec(0.5))
+        used = _populated(
+            FaultSchedule(seed=9, specs=specs, crash=CrashSpec(0.5))
+        )
+        assert sum(c.entries for c in used.memo_counts().values()) == 200
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used.digest() == fresh.digest()
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        # An unpickled copy starts with an empty memo and answers alike.
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == used and copy.memo_counts() == {}
+        assert copy.fault_for("site3.com", "probe", 0) == used.fault_for(
+            "site3.com", "probe", 0
+        )
+
+    def test_bound_holds_under_churn_and_answers_stay_exact(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(schedule_module, "AFFLICTION_MEMO_SIZE", 16)
+        monkeypatch.setattr(schedule_module, "MEMO_VANTAGES", 2)
+        schedule = FaultSchedule(
+            seed=6,
+            specs=(
+                FaultSpec("slow-response", rate=0.4, attempts=2),
+                FaultSpec("dns-error", rate=0.6),
+            ),
+        )
+        vantages = ("EU-cloud", "US-cloud", "EU-university")
+        for round_no in range(3):
+            for i in range(100):
+                domain = f"site{(i * 7 + round_no) % 61}.com"
+                for vantage in vantages:
+                    attempt = (i + round_no) % 4
+                    assert schedule.fault_for(
+                        domain, vantage, attempt
+                    ) == oracle_fault_for(schedule, domain, vantage, attempt)
+            counts = schedule.memo_counts()
+            # The third label is never memoized, the others stay bounded.
+            assert sorted(counts) == ["EU-cloud", "US-cloud"]
+            assert all(c.entries <= 16 for c in counts.values())
+        assert all(c.evictions > 0 for c in counts.values())
+
+    def test_worker_crawls_give_the_serial_store(self):
+        """A 2-worker faulted crawl (each worker fills its own memo from
+        an unpickled schedule) stores the serial crawl's rows, and the
+        platform publishes both sides' memo counters."""
+        from repro.core.pipeline import Study, StudyConfig
+        from repro.crawler.platform import NetographPlatform, PlatformConfig
+        from repro.crawler.storage import store_digest
+        from repro.obs import Observability
+
+        schedule = FaultSchedule(
+            seed=13,
+            specs=(
+                FaultSpec("dns-error", rate=0.1),
+                FaultSpec("connection-reset", rate=0.1, attempts=2),
+            ),
+        )
+        world = Study(StudyConfig(seed=5, n_domains=1_500)).world
+        start = dt.date(2020, 3, 1)
+        end = start + dt.timedelta(days=4)
+        digests, gauges = [], []
+        for workers in (1, 2):
+            obs = Observability()
+            config = PlatformConfig(
+                faults=FaultSchedule(schedule.seed, schedule.specs),
+                retry=RetryPolicy(max_retries=5, jitter=0.0),
+            )
+            platform = NetographPlatform(world, config=config, obs=obs)
+            store = platform.run(start, end, workers=workers)
+            assert platform.stats.faults.injected > 0
+            digests.append(store_digest(store))
+            gauges.append(
+                {
+                    (r["metric"], r["labels"]["vantage"]): r["value"]
+                    for r in obs.metrics.snapshot()
+                    if r["metric"].startswith("fault_memo_")
+                }
+            )
+            if workers == 2:
+                # The workers did every lookup; the parent's copy none.
+                assert config.faults.memo_counts() == {}
+        assert digests[0] == digests[1]
+        # Both runs drew every key once; the partitioned one per worker.
+        assert gauges[0] == gauges[1]
+        assert gauges[0][("fault_memo_entries", "EU-cloud")] > 0
+        assert gauges[0][("fault_memo_hits", "EU-cloud")] > 0
 
 
 # ---------------------------------------------------------------------------

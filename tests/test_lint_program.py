@@ -492,30 +492,68 @@ class TestRealTreeMutation:
             for f in cache001
         )
 
+    @pytest.fixture(scope="class")
+    def src_program(self) -> Program:
+        _, program, _ = analyze_paths(
+            [REPO_ROOT / "src"], DEFAULT_CONFIG, root=REPO_ROOT
+        )
+        return program
+
+    @staticmethod
+    def stages_changed_by(program: Program, module: str) -> set:
+        """The stages whose closure digest changes when *module*'s
+        digest is perturbed in the analyzed program."""
+        before, problems = build_lock(program)
+        assert problems == []
+        info = program.modules[module]
+        digest, info.digest = info.digest, "perturbed"
+        try:
+            after, _ = build_lock(program)
+        finally:
+            info.digest = digest
+        return {
+            stage
+            for stage, entry in before["stages"].items()
+            if after["stages"][stage]["digest"] != entry["digest"]
+        }
+
     @pytest.mark.parametrize(
         "module", ["repro.web.adoption", "repro.web.worldgen"]
     )
-    def test_site_draws_are_in_every_drawing_closure(self, module):
+    def test_site_draws_are_in_every_drawing_closure(
+        self, src_program, module
+    ):
         """Every site is drawn by repro.web.worldgen, its CMP history by
         repro.web.adoption, so a change in either must change each
         stage whose result depends on site draws: the crawl, the
         toplist probes (they resolve hosts to sites), Table 1 and
         Fig 5."""
-        _, program, _ = analyze_paths(
-            [REPO_ROOT / "src"], DEFAULT_CONFIG, root=REPO_ROOT
-        )
-        before, problems = build_lock(program)
-        assert problems == []
-        program.modules[module].digest = "perturbed"
-        after, _ = build_lock(program)
-        changed = {
-            stage
-            for stage, entry in before["stages"].items()
-            if after["stages"][stage]["digest"] != entry["digest"]
-        }
         assert {
             "social-crawl", "toplist-probes", "vantage", "marketshare"
-        } <= changed
+        } <= self.stages_changed_by(src_program, module)
+
+    @pytest.mark.parametrize(
+        "module, stages",
+        [
+            (
+                "repro.faults.schedule",
+                {"social-crawl", "toplist-probes", "vantage"},
+            ),
+            ("repro.faults.inject", {"social-crawl", "vantage"}),
+            ("repro.faults.retry", {"social-crawl", "vantage"}),
+            ("repro.det", {"social-crawl", "vantage"}),
+            ("repro.crawler.browser", {"social-crawl", "vantage"}),
+        ],
+    )
+    def test_fault_and_visit_modules_are_in_their_closures(
+        self, src_program, module, stages
+    ):
+        """Each of these decides cached rows: the schedule picks which
+        crawls (and probes) fail, run_with_retries and RetryPolicy how
+        many retries a row gets, repro.det keys every visit draw and
+        browser.FAULT_STATUS sets a faulted row's status. A change in
+        any of them must change the digest of every stage it feeds."""
+        assert stages <= self.stages_changed_by(src_program, module)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ byte-identical to a batch run over days 0..N -- same store digest, same
 analysis payloads -- cold and when resumed from a mid-window checkpoint.
 """
 
+import dataclasses
 import datetime as dt
 import json
 import socket
 import sys
 import threading
+import time
 import tracemalloc
 import urllib.error
 import urllib.request
@@ -19,13 +21,15 @@ from collections import Counter
 import pytest
 
 from repro.cache import CacheError
+from repro.core.adoption import AdoptionSeries
 from repro.core.marketshare import observed_marketshare
 from repro.core.pipeline import Study, StudyConfig
 from repro.core.vantage import VantageTable
 from repro.crawler.columnar import VANTAGE_STRS
 from repro.crawler.storage import store_digest
+from repro.obs import Observability
 from repro.stream import serve_engine
-from repro.stream.server import _Handler
+from repro.stream.server import _curve_payload, _Handler
 from tests.prometheus import parse_prometheus
 
 START = dt.date(2020, 3, 1)
@@ -373,6 +377,241 @@ class TestQueryServer:
         finally:
             server.close()
         assert seen and all(seen)
+
+    def test_idle_servers_close_promptly(self, engine):
+        """close() must not wait out a long accept-loop poll: each of
+        three servers, idle after answering one request, closes within
+        0.1 s."""
+        for _ in range(3):
+            server = serve_engine(engine)
+            self._get(server, "/healthz")
+            started = time.perf_counter()
+            server.close()
+            assert time.perf_counter() - started < 0.1
+
+
+def _expected_bodies(engine, toplist, dates):
+    """Every answering endpoint's body, derived without the engine's
+    memo: the adoption and marketshare answers from a batch series over
+    the engine's store, the vantage table from its rows, the live views
+    from the live state."""
+    watermark = engine.watermark
+    series = AdoptionSeries.from_columnar(engine.store, toplist)
+    table = VantageTable.from_stream_rows(
+        (VANTAGE_STRS[vid], domain, cmp_key)
+        for domain, _ordinal, cmp_key, vid in engine.store.rows_since(0)
+    )
+    live = dict(engine.live.counts)
+
+    def adoption(date):
+        counts = series.counts_on(date)
+        return {
+            "date": date.isoformat(),
+            "counts": dict(counts),
+            "total": sum(counts.values()),
+        }
+
+    def marketshare(date):
+        return _curve_payload(
+            observed_marketshare(series, engine._ranks, date, engine._sizes)
+        )
+
+    bodies = {
+        "/healthz": {"status": "ok", "watermark": watermark.isoformat()},
+        "/adoption": adoption(watermark),
+        "/adoption/live": {
+            "watermark": watermark.isoformat(),
+            "counts": live,
+            "total": sum(live.values()),
+        },
+        "/marketshare": marketshare(watermark),
+        "/marketshare/live": _curve_payload(
+            engine.marketshare.curve(watermark)
+        ),
+        "/vantage": {
+            "rows": [
+                {
+                    "config": name,
+                    "counts": counts,
+                    "total": total,
+                    "coverage": round(coverage, 4),
+                }
+                for name, counts, total, coverage in table.rows()
+            ],
+        },
+    }
+    for date in dates:
+        bodies[f"/adoption?date={date}"] = adoption(date)
+        bodies[f"/marketshare?date={date}"] = marketshare(date)
+    return {
+        path: json.dumps(body, sort_keys=True).encode("utf-8")
+        for path, body in bodies.items()
+    }
+
+
+class TestAnswerMemo:
+    """Query answers are derived once per watermark, never stale."""
+
+    def _body(self, server, path):
+        url = f"http://127.0.0.1:{server.port}{path}"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            return response.read()
+
+    def test_bodies_equal_the_unmemoized_derivation(self):
+        obs = Observability()
+        study = Study(CFG, obs=obs)
+        engine = study.streaming_engine().run_until(START + dt.timedelta(3))
+        toplist = set(study.toplist_domains)
+        server = serve_engine(engine)
+        try:
+            for _ in range(3):
+                engine.advance_day()
+                watermark = engine.watermark
+                dates = (START + dt.timedelta(1), watermark, MID)
+                expected = _expected_bodies(engine, toplist, dates)
+                for _ in range(2):  # derived, then memoized
+                    for path, body in expected.items():
+                        assert self._body(server, path) == body, path
+        finally:
+            server.close()
+        spans = [
+            record["attrs"]
+            for record in obs.tracer.export_records()
+            if record["name"] == "stream.query"
+        ]
+        assert len(spans) == 3 * 2 * len(expected)
+        cached = {
+            (attrs["endpoint"], attrs["cached"]) for attrs in spans
+        }
+        # Memoized endpoints serve their repeats from the memo; the
+        # live views and /healthz derive on every request.
+        for endpoint in ("/adoption", "/marketshare", "/vantage"):
+            assert {(endpoint, False), (endpoint, True)} <= cached
+        for endpoint in ("/healthz", "/adoption/live", "/marketshare/live"):
+            assert (endpoint, True) not in cached
+
+    def test_advance_day_drops_the_answers(self):
+        engine = Study(CFG).streaming_engine().run_until(MID)
+        old = engine.watermark
+        assert engine.query("counts_on", old)[1] is False
+        assert engine.query("counts_on", old)[1] is True
+        assert engine.query("vantage_table")[1] is False
+        assert engine.query("marketshare_curve")[1] is False
+        assert engine.query("marketshare_curve", old)[1] is True
+        engine.advance_day()
+        for name, date in (
+            ("counts_on", old),
+            ("vantage_table", None),
+            ("marketshare_curve", None),
+        ):
+            assert engine.query(name, date)[1] is False
+        series = AdoptionSeries.from_columnar(
+            engine.store, set(engine._ranks)
+        )
+        assert engine.counts_on(old) == series.counts_on(old)
+        assert _payload_bytes(
+            engine.adoption_series().to_payload()
+        ) == _payload_bytes(series.to_payload())
+
+    def test_mutating_an_answer_changes_no_later_answer(self):
+        engine = Study(CFG).streaming_engine().run_until(MID)
+        date = engine.watermark
+        counts = engine.counts_on(date)
+        curve = engine.marketshare_curve()
+        table = engine.vantage_table()
+        series = engine.adoption_series()
+        before = (
+            Counter(counts),
+            _payload_bytes(curve.to_payload()),
+            _payload_bytes(table.to_payload()),
+            _payload_bytes(series.to_payload()),
+        )
+        key = next(iter(counts))
+        counts[key] += 100
+        counts["not-a-cmp"] = 1
+        curve.sizes.append(10**6)
+        for per_size in curve.counts.values():
+            per_size[0] += 1.0
+        for per_cmp in table.counts.values():
+            per_cmp["not-a-cmp"] = 7
+        table.cmp_domains.clear()
+        series.timelines.clear()
+        after = (
+            engine.counts_on(date),
+            _payload_bytes(engine.marketshare_curve().to_payload()),
+            _payload_bytes(engine.vantage_table().to_payload()),
+            _payload_bytes(engine.adoption_series().to_payload()),
+        )
+        assert after == before
+
+    def test_resumed_engine_answers_identically(self, tmp_path):
+        cfg = dataclasses.replace(CFG, cache_dir=str(tmp_path))
+        cold = Study(cfg).streaming_engine().run_until(MID)
+        cold.query("counts_on", START)  # memoized before the checkpoint
+        assert cold.checkpoint() is not None
+        resumed = Study(cfg).streaming_engine(resume=True)
+        for _ in range(2):
+            assert resumed.watermark == cold.watermark
+            for name, date in (
+                ("counts_on", START),
+                ("counts_on", cold.watermark),
+                ("marketshare_curve", None),
+                ("vantage_table", None),
+            ):
+                mine, _ = resumed.query(name, date)
+                theirs, _ = cold.query(name, date)
+                if isinstance(mine, Counter):
+                    assert mine == theirs
+                else:
+                    assert _payload_bytes(mine.to_payload()) == (
+                        _payload_bytes(theirs.to_payload())
+                    )
+            cold.advance_day()
+            resumed.advance_day()
+
+    def test_concurrent_queries_derive_each_answer_once(self):
+        """Handler threads race on the memo: under the engine lock the
+        first query per key derives it and every other one hits."""
+        engine = Study(CFG).streaming_engine().run_until(MID)
+        keys = [
+            ("counts_on", START),
+            ("counts_on", engine.watermark),
+            ("marketshare_curve", None),
+            ("vantage_table", None),
+        ]
+        per_thread, n_threads = 200, 8
+        answers = []
+
+        def hammer(offset):
+            for i in range(per_thread):
+                name, date = keys[(i + offset) % len(keys)]
+                answer, _cached = engine.query(name, date)
+                if name == "counts_on":
+                    answers.append((name, date, dict(answer)))
+
+        threads = [
+            threading.Thread(target=hammer, args=(k,))
+            for k in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        counts = engine._answers.counts()
+        assert counts.misses == len(keys) == counts.entries
+        assert counts.hits == per_thread * n_threads - len(keys)
+        for name, date, answer in answers:
+            assert answer == dict(engine.counts_on(date))
+
+    def test_unknown_query_raises(self, engine):
+        with pytest.raises(ValueError, match="unknown query"):
+            engine.query("nope")
 
 
 class TestCli:
