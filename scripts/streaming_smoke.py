@@ -13,9 +13,11 @@ store must also serve a *batch* run over the ingested prefix (zero
 crawls), because checkpoints are written under the exact batch
 ``social-crawl`` fingerprint.
 
-The check runs twice: fault-free, and under the ``follow`` benchmark
-workload's transient fault schedule, so the fault schedule's memo is
-live across days and across the checkpoint resume. Every injected
+The check runs three times: fault-free, and twice under the
+``follow`` benchmark workload's transient fault schedule, so the fault
+schedule's memo is live across days and across the checkpoint resume:
+once with that workload's unjittered backoff and once with jittered
+backoff, whose delays are derived one retry at a time. Every injected
 fault is transient and recovered, so the faulted exports must also
 equal the fault-free ones.
 
@@ -50,9 +52,11 @@ FAULTS = FaultSchedule(
     ),
 )
 RETRY = RetryPolicy(max_retries=5, base_delay=0.01, max_delay=0.1, jitter=0.0)
+#: The same backoff with jitter: each delay seeds its own RNG.
+JITTERED = RetryPolicy(max_retries=5, base_delay=0.01, max_delay=0.1, jitter=0.1)
 
 
-def _config(cache_dir=None, faults=None) -> StudyConfig:
+def _config(cache_dir=None, faults=None, retry=None) -> StudyConfig:
     return StudyConfig(
         seed=7,
         n_domains=2_500,
@@ -62,7 +66,7 @@ def _config(cache_dir=None, faults=None) -> StudyConfig:
         study_end=END,
         cache_dir=cache_dir,
         faults=faults,
-        retry=RETRY if faults is not None else None,
+        retry=retry,
     )
 
 
@@ -97,15 +101,15 @@ def _batch_exports(study: Study, out_dir: Path, ranks, sizes) -> bytes:
     ).encode("utf-8")
 
 
-def _check(out_dir: Path, faults=None):
-    """Batch == cold follow == resumed follow under *faults*; returns
-    the exports, or ``None`` after printing the failure."""
-    label = "faulted" if faults is not None else "fault-free"
+def _check(out_dir: Path, label: str, faults=None, retry=None):
+    """Batch == cold follow == resumed follow under *faults* and
+    *retry*; returns the exports, or ``None`` after printing the
+    failure."""
     cache_dir = str(out_dir / f"cache-{label}")
 
     # Smoke-run durations for the log lines; never part of results.
     t0 = time.perf_counter()  # repro-lint: disable=DET002
-    cold = Study(_config(faults=faults)).streaming_engine().run_until(END)
+    cold = Study(_config(None, faults, retry)).streaming_engine().run_until(END)
     cold_exports = _engine_exports(cold, out_dir, "cold")
     t1 = time.perf_counter()  # repro-lint: disable=DET002
     print(f"  {label} cold follow: {cold.rows_ingested} rows over "
@@ -116,19 +120,21 @@ def _check(out_dir: Path, faults=None):
         return None
 
     batch_exports = _batch_exports(
-        Study(_config(faults=faults)), out_dir, cold._ranks, cold._sizes
+        Study(_config(None, faults, retry)), out_dir, cold._ranks, cold._sizes
     )
     if cold_exports != batch_exports:
         print(f"FAIL: {label}: cold follow exports differ from batch")
         return None
 
     # Mid-window checkpoint, then resume in a fresh engine.
-    first = Study(_config(cache_dir, faults)).streaming_engine()
+    first = Study(_config(cache_dir, faults, retry)).streaming_engine()
     first.run_until(MID)
     if first.checkpoint() is None:
         print(f"FAIL: {label}: checkpoint was not written")
         return None
-    resumed = Study(_config(cache_dir, faults)).streaming_engine(resume=True)
+    resumed = Study(_config(cache_dir, faults, retry)).streaming_engine(
+        resume=True
+    )
     if resumed.watermark != MID - dt.timedelta(days=1):
         print(f"FAIL: {label}: resumed at watermark {resumed.watermark}")
         return None
@@ -152,7 +158,7 @@ def _check(out_dir: Path, faults=None):
     # The checkpointed store doubles as the batch cache entry for the
     # ingested prefix: a batch run over [START, MID) must skip its
     # crawl phase entirely.
-    batch_study = Study(_config(cache_dir, faults))
+    batch_study = Study(_config(cache_dir, faults, retry))
     batch_study.run_social_crawl(START, MID)
     if batch_study.last_crawl_stats.crawls != 0:
         print(
@@ -167,19 +173,21 @@ def _check(out_dir: Path, faults=None):
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
-        clean = _check(out_dir)
+        clean = _check(out_dir, "fault-free")
         if clean is None:
             return 1
-        faulted = _check(out_dir, FAULTS)
-        if faulted is None:
-            return 1
-        if faulted != clean:
-            print("FAIL: recovered transient faults changed the exports")
-            return 1
+        for label, retry in (("faulted", RETRY), ("jittered", JITTERED)):
+            faulted = _check(out_dir, label, FAULTS, retry)
+            if faulted is None:
+                return 1
+            if faulted != clean:
+                print(f"FAIL: {label}: recovered transient faults changed "
+                      "the exports")
+                return 1
 
     print("streaming smoke: follow == batch byte-identically, cold and "
-          "resumed, fault-free and under transient faults; checkpoint "
-          "serves batch runs")
+          "resumed, fault-free and under transient faults with plain and "
+          "jittered backoff; checkpoint serves batch runs")
     return 0
 
 

@@ -126,7 +126,7 @@ def run_with_retries(
         return result
     if tally is not None:
         tally.count_fault(kind)
-    delays = policy.schedule(key) if policy is not None else ()
+    delays = policy.delays(key) if policy is not None else ()
     for retry_no, delay in enumerate(delays, start=1):
         if clock is not None:
             clock.sleep(delay)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Tuple
+from itertools import islice
+from typing import Iterator, Tuple
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,10 @@ class RetryPolicy:
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
 
-    def schedule(self, key: str) -> Tuple[float, ...]:
-        """All backoff delays for *key*, one per permitted retry."""
-        delays = []
+    def delays(self, key: str) -> Iterator[float]:
+        """The backoff delays for *key*, one per permitted retry, each
+        derived only when asked for: with jitter, every delay seeds its
+        own RNG, so a caller that stops after retry *n* seeds *n*."""
         previous = 0.0
         raw = self.base_delay
         for attempt in range(1, self.max_retries + 1):
@@ -60,11 +62,13 @@ class RetryPolicy:
             if self.jitter:
                 rng = random.Random(f"{self.seed}:retry:{key}:{attempt}")
                 value *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-            value = max(previous, min(value, self.max_delay))
-            delays.append(value)
-            previous = value
+            previous = max(previous, min(value, self.max_delay))
+            yield previous
             raw *= self.multiplier
-        return tuple(delays)
+
+    def schedule(self, key: str) -> Tuple[float, ...]:
+        """All backoff delays for *key*, one per permitted retry."""
+        return tuple(self.delays(key))
 
     def delay(self, key: str, attempt: int) -> float:
         """Backoff before retry *attempt* (1-based) of *key*."""
@@ -72,7 +76,7 @@ class RetryPolicy:
             raise ValueError(
                 f"attempt {attempt} outside [1, {self.max_retries}]"
             )
-        return self.schedule(key)[attempt - 1]
+        return next(islice(self.delays(key), attempt - 1, None))
 
 
 #: A policy for tests and docs: plenty of retries, tiny virtual delays.

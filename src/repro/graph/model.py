@@ -44,10 +44,22 @@ import hashlib
 import json
 from array import array
 from bisect import bisect_left
-from itertools import repeat
+from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 #: Property values are JSON scalars only, so digests are stable across
 #: Python versions.
@@ -146,18 +158,76 @@ class _EdgeTable:
                     rows.append(row)
         return index.get(node_id, ())
 
-    def prop_texts(self) -> List[str]:
-        """Each row's properties as the JSON object ``json.dumps`` would
-        write with ``sort_keys`` (``names`` is sorted already)."""
+    def prop_keys(self, rows: Sequence[int]) -> List[tuple]:
+        """Each row's name-sorted ``(name, value)`` pairs flattened into
+        one tuple, which orders exactly like the tuple of pairs."""
         if not self.names:
-            return ["{}"] * len(self)
-        pieces = [
-            [label + text for text in map(_json_value, column)]
-            for label, column in zip(
-                (f"{_json_value(name)}: " for name in self.names), self.values
-            )
+            return [()] * len(rows)
+        flat: list = []
+        for name, column in zip(self.names, self.values):
+            flat += (repeat(name), map(column.__getitem__, rows))
+        return list(zip(*flat))
+
+    def edges(
+        self, rows: Sequence[int]
+    ) -> Iterator[Tuple[int, int, Dict[str, PropValue]]]:
+        """``(src, dst, props)`` of *rows*, in order, with fresh props."""
+        return zip(
+            map(self.src.__getitem__, rows),
+            map(self.dst.__getitem__, rows),
+            self.row_props(rows),
+        )
+
+    def line_pieces(
+        self, rows: Sequence[int], head: str, node_texts: _NodeTexts
+    ) -> Iterator[Tuple[str, ...]]:
+        """The canonical line of each of *rows*, as a tuple of string
+        pieces: *head* (``'["ETYPE", '``), the endpoints' JSON, then the
+        properties as ``json.dumps`` writes them with ``sort_keys``
+        (``names`` is sorted already)."""
+        src = list(map(self.src.__getitem__, rows))
+        dst = list(map(self.dst.__getitem__, rows))
+        node_texts.fill(src)
+        node_texts.fill(dst)
+        parts: list = [
+            repeat(head),
+            map(node_texts.__getitem__, src),
+            repeat(", "),
+            map(node_texts.__getitem__, dst),
         ]
-        return ["{" + ", ".join(parts) + "}" for parts in zip(*pieces)]
+        separator = ", {"
+        for name, column in zip(self.names, self.values):
+            parts += (
+                repeat(f"{separator}{_json_value(name)}: "),
+                _json_texts(list(map(column.__getitem__, rows))),
+            )
+            separator = ", "
+        parts.append(repeat("}]\n" if self.names else ", {}]\n"))
+        return zip(*parts)
+
+
+class _NodeTexts(dict):
+    """Node id -> its ``'["type", "key"]'`` JSON, for the nodes
+    :meth:`fill` was given."""
+
+    def __init__(self, types: List[str], keys: List[str]) -> None:
+        super().__init__()
+        self.types = types
+        self.keys = keys
+
+    def fill(self, node_ids: Iterable[int]) -> None:
+        missing = list(set(node_ids).difference(self))
+        if missing:
+            self.update(
+                zip(
+                    missing,
+                    map(
+                        "[{}, {}]".format,
+                        _json_texts(list(map(self.types.__getitem__, missing))),
+                        _json_texts(list(map(self.keys.__getitem__, missing))),
+                    ),
+                )
+            )
 
 
 class ConsentGraph:
@@ -330,11 +400,10 @@ class ConsentGraph:
         """All ``(src, dst, props)`` of one edge type, canonically sorted
         by ``(src (type, key), dst (type, key), props)``."""
         tables = list(self._tables.get(etype, {}).values())
-        props = [table.row_props(range(len(table))) for table in tables]
-        return [
-            (tables[t].src[row], tables[t].dst[row], props[t][row])
-            for t, row in self._canonical_rows(tables, self._node_order()[1])
-        ]
+        out: List[Tuple[int, int, Dict[str, PropValue]]] = []
+        for chunk in self._canonical_chunks(tables, self._node_order()[1]):
+            out += _in_order(chunk, _EdgeTable.edges)
+        return out
 
     def adjacency(
         self, node_id: int, etype: str, *, direction: str = "out"
@@ -386,45 +455,62 @@ class ConsentGraph:
     # ------------------------------------------------------------------
     # Canonical form
     # ------------------------------------------------------------------
-    def _node_order(self) -> Tuple[List[int], List[int]]:
+    def _node_order(self) -> Tuple[np.ndarray, np.ndarray]:
         """Node ids in ``(type, key)`` order, and each node id's
-        position in that order."""
-        order = [
-            ids[key]
-            for ntype, ids in sorted(self._node_ids.items())
-            for key in sorted(ids)
-        ]
-        ranks = [0] * len(order)
-        for rank, node_id in enumerate(order):
-            ranks[node_id] = rank
+        position in that order (its rank)."""
+        n_nodes = len(self._node_keys)
+        order = np.fromiter(
+            (
+                ids[key]
+                for _, ids in sorted(self._node_ids.items())
+                for key in sorted(ids)
+            ),
+            dtype=np.int64,
+            count=n_nodes,
+        )
+        ranks = np.empty(n_nodes, dtype=np.int32)
+        ranks[order] = np.arange(n_nodes, dtype=np.int32)
         return order, ranks
 
     @staticmethod
-    def _canonical_rows(
-        tables: Sequence[_EdgeTable], ranks: List[int]
-    ) -> List[Tuple[int, int]]:
-        """``(table index, row)`` of every row of *tables* (one edge
-        type), sorted by source and destination ``(type, key)`` -- their
-        *ranks* -- then by properties: each row's name-sorted ``(name,
-        value)`` pairs flattened into one tuple, which orders exactly
-        like the tuple of pairs. Edges are unique, so the trailing
-        ``(table index, row)`` never decides."""
-        keys: List[tuple] = []
-        for t, table in enumerate(tables):
-            flat: list = []
-            for name, column in zip(table.names, table.values):
-                flat += (repeat(name), column)
-            keys.extend(
-                zip(
-                    map(ranks.__getitem__, table.src),
-                    map(ranks.__getitem__, table.dst),
-                    zip(*flat) if flat else repeat(()),
-                    repeat(t),
-                    range(len(table)),
-                )
-            )
-        keys.sort()
-        return [key[3:] for key in keys]
+    def _canonical_chunks(
+        tables: Sequence[_EdgeTable], ranks: np.ndarray
+    ) -> Iterator[_Chunk]:
+        """The rows of *tables* (one edge type) in canonical order: by
+        source and destination ``(type, key)`` -- their *ranks* -- then
+        by :meth:`_EdgeTable.prop_keys`.
+
+        A stable numpy sort orders every row by its endpoint ranks, so
+        rows that tie there stay in ``(table, row)`` order. The property
+        key is built only for the rows of runs of equal ``(src, dst)``,
+        one chunk at a time; edges are unique, so the ``(table, row)``
+        tie-break never decides. Yields chunks (:data:`_Chunk`) of at
+        least ``_CHUNK`` rows; the last may be shorter, and a chunk never
+        splits a run. Besides one chunk, only integer arrays are held:
+        9 bytes per row of the type and 8 per run (about 28 per row
+        while the sort runs)."""
+        offsets = np.cumsum([0] + [len(table) for table in tables])
+        n = int(offsets[-1])
+        if not n:
+            return
+        src = np.concatenate([ranks[table.src] for table in tables])
+        dst = np.concatenate([ranks[table.dst] for table in tables])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        # tied[i]: sorted rows i and i + 1 share their endpoints.
+        tied = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+        del src, dst
+        run_starts = np.flatnonzero(~tied) + 1
+        start = 0
+        while start < n:
+            at = int(np.searchsorted(run_starts, start + _CHUNK))
+            end = int(run_starts[at]) if at < len(run_starts) else n
+            positions = order[start:end]
+            tie = tied[start : end - 1]
+            if tie.any():
+                _sort_runs(tables, offsets, positions, tie)
+            yield _by_table(tables, offsets, positions)
+            start = end
 
     def digest(self) -> str:
         """Canonical SHA-256 of the graph's full relational content.
@@ -433,44 +519,42 @@ class ConsentGraph:
         ``(type, key)`` and edges sorted by ``(etype, endpoints,
         props)``, one JSON line each. Equal digests therefore mean equal
         graphs as *sets of facts* -- the fingerprint the property suite
-        relies on.
+        relies on. The text is hashed a chunk of lines at a time
+        (:meth:`_canonical_chunks`), never held whole.
         """
         if self._digest_cache is None:
             order, ranks = self._node_order()
-            # '["type", "key"]' per node: the endpoint of each edge line,
-            # and each node line without its closing bracket.
-            node_json = [
-                f"[{_json_value(ntype)}, {_json_value(key)}]"
-                for ntype, key in zip(self._node_types, self._node_keys)
-            ]
-            node_props = self._node_props
+            types, keys = self._node_types, self._node_keys
+            node_props = self._node_props.get
             hasher = hashlib.sha256()
-            hasher.update(
-                "".join(
-                    f"{node_json[i][:-1]}, "
-                    f"{_json_value(node_props[i]) if i in node_props else '{}'}]\n"
-                    for i in order
-                ).encode("utf-8")
-            )
+            for start in range(0, len(order), _CHUNK):
+                ids = order[start : start + _CHUNK].tolist()
+                lines = zip(
+                    repeat("["),
+                    _json_texts(list(map(types.__getitem__, ids))),
+                    repeat(", "),
+                    _json_texts(list(map(keys.__getitem__, ids))),
+                    repeat(", "),
+                    (
+                        "{}" if props is None else _json_value(props)
+                        for props in map(node_props, ids)
+                    ),
+                    repeat("]\n"),
+                )
+                hasher.update("".join(chain.from_iterable(lines)).encode())
             hasher.update(b"--edges--\n")
+            node_texts = _NodeTexts(types, keys)
             for etype in sorted(self._tables):
                 tables = list(self._tables[etype].values())
                 head = f"[{_json_value(etype)}, "
-                lines = [
-                    [
-                        f"{head}{node_json[s]}, {node_json[d]}, {props}]\n"
-                        for s, d, props in zip(
-                            table.src, table.dst, table.prop_texts()
-                        )
-                    ]
-                    for table in tables
-                ]
-                hasher.update(
-                    "".join(
-                        lines[t][row]
-                        for t, row in self._canonical_rows(tables, ranks)
-                    ).encode("utf-8")
+                pieces = partial(
+                    _EdgeTable.line_pieces, head=head, node_texts=node_texts
                 )
+                for chunk in self._canonical_chunks(tables, ranks):
+                    lines = _in_order(chunk, pieces)
+                    hasher.update("".join(chain.from_iterable(lines)).encode())
+                    if len(node_texts) > _CHUNK:  # keep the memo bounded
+                        node_texts.clear()
             self._digest_cache = hasher.hexdigest()
         return self._digest_cache
 
@@ -486,6 +570,10 @@ class ConsentGraph:
         return out
 
 
+#: Nodes or edge rows per piece of canonical text: what bounds the
+#: memory :meth:`ConsentGraph.digest` holds beyond a few integer arrays.
+_CHUNK = 1024
+
 _json_encode = json.JSONEncoder(sort_keys=True).encode
 
 
@@ -498,6 +586,73 @@ def _json_value(value: object) -> str:
     if kind is int:
         return str(value)
     return _json_encode(value)
+
+
+def _json_texts(values: List[object]) -> Iterable[str]:
+    """:func:`_json_value` of each of *values*, a column at a time."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    if kinds == {int}:
+        return map(str, values)
+    return map(_json_value, values)
+
+
+def _sort_runs(
+    tables: Sequence[_EdgeTable],
+    offsets: np.ndarray,
+    positions: np.ndarray,
+    tie: np.ndarray,
+) -> None:
+    """Sort each run of rows that tie on their endpoints, in place, by
+    :meth:`_EdgeTable.prop_keys`. *positions* index the concatenation
+    of *tables* (table ``t`` starts at ``offsets[t]``); ``tie[i]`` says
+    rows ``i`` and ``i + 1`` tie."""
+    new_run = np.ones(len(positions), dtype=bool)
+    new_run[1:] = ~tie
+    member = ~new_run
+    member[:-1] |= tie
+    members = np.flatnonzero(member)
+    found = positions[members]
+    keys = _in_order(_by_table(tables, offsets, found), _EdgeTable.prop_keys)
+    ranked = sorted(zip(np.cumsum(new_run)[members].tolist(), keys, found.tolist()))
+    positions[members] = [position for _, _, position in ranked]
+
+
+#: A chunk of canonically ordered rows, split by table: ``(table,
+#: rows, at)``, where *at* gives each row's index in the chunk (``None``
+#: when the chunk has one table).
+_Chunk = List[Tuple[_EdgeTable, List[int], Optional[List[int]]]]
+
+
+def _by_table(
+    tables: Sequence[_EdgeTable], offsets: np.ndarray, positions: np.ndarray
+) -> _Chunk:
+    """Rows given by their *positions* in the concatenation of *tables*,
+    split by table."""
+    if len(tables) == 1:
+        return [(tables[0], positions.tolist(), None)]
+    table_of = np.searchsorted(offsets, positions, side="right") - 1
+    chunk: _Chunk = []
+    for t in np.unique(table_of).tolist():
+        at = np.flatnonzero(table_of == t)
+        chunk.append((tables[t], (positions[at] - offsets[t]).tolist(), at.tolist()))
+    return chunk
+
+
+def _in_order(
+    chunk: _Chunk, each: Callable[[_EdgeTable, List[int]], Iterable]
+) -> Iterable:
+    """``each(table, rows)``, one item per row, over every table of
+    *chunk*, back in the chunk's order."""
+    if len(chunk) == 1:
+        table, rows, _ = chunk[0]
+        return each(table, rows)
+    merged: list = [None] * sum(len(rows) for _, rows, _ in chunk)
+    for table, rows, at in chunk:
+        for index, item in zip(at, each(table, rows)):
+            merged[index] = item
+    return merged
 
 
 class _Missing:

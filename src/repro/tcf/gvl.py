@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.tcf.purposes import (
     PURPOSE_IDS,
@@ -77,24 +79,30 @@ class Vendor:
         return None
 
 
-@dataclass(frozen=True)
-class GlobalVendorList:
-    """One published version of the GVL."""
+class VendorIndex:
+    """Vendor lookup by id for the frozen GVL list dataclasses (v1 and
+    v2), over their ``vendors`` tuple.
 
-    version: int
-    last_updated: dt.date
-    vendors: Tuple[Vendor, ...]
-    _by_id: Mapping[int, Vendor] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
+    The id -> vendor dict is built on the first lookup, not at
+    construction: a generated history holds hundreds of versions, and
+    most callers look up vendors in only a few of them. Construction
+    still rejects duplicate ids (:meth:`_check_ids`).
+    """
 
-    def __post_init__(self) -> None:
-        by_id = {}
-        for v in self.vendors:
-            if v.id in by_id:
-                raise ValueError(f"duplicate vendor id {v.id} in GVL v{self.version}")
-            by_id[v.id] = v
-        object.__setattr__(self, "_by_id", by_id)
+    vendors: Tuple
+
+    def _check_ids(self, where: str) -> None:
+        """Raise ``ValueError`` on the first repeated vendor id."""
+        if len(set(map(attrgetter("id"), self.vendors))) < len(self.vendors):
+            seen: set = set()
+            for vendor in self.vendors:
+                if vendor.id in seen:
+                    raise ValueError(f"duplicate vendor id {vendor.id} in {where}")
+                seen.add(vendor.id)
+
+    @cached_property
+    def _by_id(self) -> Dict[int, object]:
+        return {vendor.id: vendor for vendor in self.vendors}
 
     def __len__(self) -> int:
         return len(self.vendors)
@@ -102,7 +110,7 @@ class GlobalVendorList:
     def __contains__(self, vendor_id: int) -> bool:
         return vendor_id in self._by_id
 
-    def get(self, vendor_id: int) -> Optional[Vendor]:
+    def get(self, vendor_id: int):
         return self._by_id.get(vendor_id)
 
     @property
@@ -111,7 +119,19 @@ class GlobalVendorList:
 
     @property
     def max_vendor_id(self) -> int:
-        return max(self._by_id) if self._by_id else 0
+        return max(map(attrgetter("id"), self.vendors), default=0)
+
+
+@dataclass(frozen=True)
+class GlobalVendorList(VendorIndex):
+    """One published version of the GVL."""
+
+    version: int
+    last_updated: dt.date
+    vendors: Tuple[Vendor, ...]
+
+    def __post_init__(self) -> None:
+        self._check_ids(f"GVL v{self.version}")
 
     def purpose_histogram(self, basis: str = "any") -> Dict[int, int]:
         """Count vendors declaring each purpose.
@@ -246,16 +266,32 @@ def diff_versions(
     Purpose changes are only tracked for vendors present in both versions
     ("changes made by existing members", Section 4.2); joins and leaves
     are reported separately. *purpose_ids* defaults to TCF v1's five
-    purposes; pass v2's ten to diff v2 lists (the function is duck-typed
-    over anything with ``vendor_ids``/``get``/``basis_for``).
+    purposes; pass v2's ten to diff v2 lists (the function takes either
+    list model: any :class:`VendorIndex` whose vendors have
+    ``basis_for``).
     """
-    joined = new.vendor_ids - old.vendor_ids
-    left = old.vendor_ids - new.vendor_ids
+    return _diff(old, new, old.vendor_ids, new.vendor_ids, purpose_ids)
+
+
+def _diff(
+    old: GlobalVendorList,
+    new: GlobalVendorList,
+    old_ids: FrozenSet[int],
+    new_ids: FrozenSet[int],
+    purpose_ids: Tuple[int, ...],
+) -> GvlDiff:
+    """:func:`diff_versions`, given each version's ``vendor_ids``. A
+    vendor object both versions share (the generator shares every
+    vendor no draw changed) has no purpose change to find."""
+    common = old_ids & new_ids
     changes: List[PurposeChange] = []
-    for vid in old.vendor_ids & new.vendor_ids:
-        before_v = old.get(vid)
-        after_v = new.get(vid)
-        assert before_v is not None and after_v is not None
+    for vid, before_v, after_v in zip(
+        common,
+        map(old._by_id.__getitem__, common),
+        map(new._by_id.__getitem__, common),
+    ):
+        if before_v is after_v:
+            continue
         for pid in purpose_ids:
             before = before_v.basis_for(pid)
             after = after_v.basis_for(pid)
@@ -265,8 +301,8 @@ def diff_versions(
         from_version=old.version,
         to_version=new.version,
         date=new.last_updated,
-        joined=frozenset(joined),
-        left=frozenset(left),
+        joined=new_ids - old_ids,
+        left=old_ids - new_ids,
         purpose_changes=tuple(changes),
     )
 
@@ -277,7 +313,8 @@ def diff_history(
 ) -> List[GvlDiff]:
     """Diff every consecutive pair in a version history."""
     versions = sorted(versions, key=lambda g: g.version)
+    ids = [version.vendor_ids for version in versions]
     return [
-        diff_versions(a, b, purpose_ids)
-        for a, b in zip(versions, versions[1:])
+        _diff(a, b, a_ids, b_ids, purpose_ids)
+        for a, b, a_ids, b_ids in zip(versions, versions[1:], ids, ids[1:])
     ]

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.tcf.gvl import GlobalVendorList, Vendor
+from repro.tcf.gvl import GlobalVendorList, Vendor, VendorIndex
 from repro.tcf.v2.migrate import upgrade_purposes
 from repro.tcf.v2.purposes import (
     PURPOSE_IDS_V2,
@@ -92,7 +92,7 @@ class VendorV2:
 
 
 @dataclass(frozen=True)
-class GlobalVendorListV2:
+class GlobalVendorListV2(VendorIndex):
     """One published version of the v2 GVL."""
 
     #: v2 restarted its version counter; ``gvl_specification_version`` is
@@ -101,36 +101,9 @@ class GlobalVendorListV2:
     last_updated: dt.date
     vendors: Tuple[VendorV2, ...]
     gvl_specification_version: int = 2
-    _by_id: Mapping[int, VendorV2] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
 
     def __post_init__(self) -> None:
-        by_id = {}
-        for v in self.vendors:
-            if v.id in by_id:
-                raise ValueError(
-                    f"duplicate vendor id {v.id} in GVL v2 #{self.version}"
-                )
-            by_id[v.id] = v
-        object.__setattr__(self, "_by_id", by_id)
-
-    def __len__(self) -> int:
-        return len(self.vendors)
-
-    def __contains__(self, vendor_id: int) -> bool:
-        return vendor_id in self._by_id
-
-    def get(self, vendor_id: int) -> Optional[VendorV2]:
-        return self._by_id.get(vendor_id)
-
-    @property
-    def vendor_ids(self) -> FrozenSet[int]:
-        return frozenset(self._by_id)
-
-    @property
-    def max_vendor_id(self) -> int:
-        return max(self._by_id) if self._by_id else 0
+        self._check_ids(f"GVL v2 #{self.version}")
 
     def purpose_histogram(self, basis: str = "any") -> Dict[int, int]:
         counts = {pid: 0 for pid in PURPOSE_IDS_V2}

@@ -9,11 +9,14 @@ contracts they build on.
 
 import datetime as dt
 import pickle
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.faults.retry as retry_module
 import repro.faults.schedule as schedule_module
 from repro.crawler.browser import crawl_url
 from repro.crawler.capture import EU_CLOUD, EU_UNIVERSITY
@@ -382,6 +385,34 @@ class TestRetryPolicy:
     def test_zero_retries_means_empty_schedule(self):
         assert RetryPolicy(max_retries=0).schedule("k") == ()
 
+    def test_delays_are_the_schedule_derived_one_at_a_time(self, monkeypatch):
+        seeded = count_retry_rngs(monkeypatch)
+        policy = RetryPolicy(max_retries=4, base_delay=0.3, seed=5)
+        delays = policy.delays("x.com")
+        assert seeded == []
+        first = next(delays)
+        assert seeded == ["5:retry:x.com:1"]
+        assert (first, *delays) == policy.schedule("x.com")
+        seeded.clear()
+        assert policy.delay("x.com", 2) == policy.schedule("x.com")[1]
+        assert seeded[:2] == ["5:retry:x.com:1", "5:retry:x.com:2"]
+        assert len(seeded) == 2 + 4  # delay() stops at retry 2
+
+
+def count_retry_rngs(monkeypatch):
+    """Record the seed of every RNG ``repro.faults.retry`` makes."""
+    seeded = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(
+        retry_module, "random", SimpleNamespace(Random=CountingRandom)
+    )
+    return seeded
+
 
 # ---------------------------------------------------------------------------
 # FaultTally / run_with_retries
@@ -432,6 +463,21 @@ class TestRunWithRetries:
         assert result.fault == "dns-error"
         assert (tally.retries, tally.recovered, tally.exhausted) == (2, 0, 1)
         assert tally.injected == 3  # initial try + 2 retries
+
+    def test_first_retry_recovery_seeds_one_rng(self, monkeypatch):
+        seeded = count_retry_rngs(monkeypatch)
+        policy = RetryPolicy(
+            max_retries=5, base_delay=0.01, max_delay=0.1, jitter=0.1
+        )
+        tally = FaultTally()
+        clock = VirtualClock()
+        result = run_with_retries(
+            self._flaky(1), key="k", policy=policy, clock=clock, tally=tally
+        )
+        assert result.attempt == 1 and result.fault is None
+        assert (tally.retries, tally.recovered) == (1, 1)
+        assert seeded == ["0:retry:k:1"]
+        assert clock.sleeps == [policy.delay("k", 1)]
 
     def test_no_policy_means_no_retries(self):
         tally = FaultTally()
