@@ -116,6 +116,7 @@ CODE_VERSIONS: Dict[str, int] = {
 #: this declaration statically, without importing the package.
 STAGE_CLOSURES: Dict[str, List[str]] = {
     "social-crawl": [
+        "repro.cmps.base",
         "repro.cmps.cookiebot",
         "repro.cmps.crownpeak",
         "repro.cmps.liveramp",
@@ -131,11 +132,16 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.seeds",
         "repro.crawler.spill",
         "repro.crawler.storage",
+        "repro.datasets",
         "repro.det",
         "repro.detect.engine",
+        "repro.detect.fingerprints",
         "repro.faults.inject",
         "repro.faults.retry",
         "repro.faults.schedule",
+        "repro.net.psl",
+        "repro.net.url",
+        "repro.valueclass",
         "repro.web.adoption",
         "repro.web.memo",
         "repro.web.serving",
@@ -143,6 +149,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.web.worldgen",
     ],
     "toplist-probes": [
+        "repro.cmps.base",
         "repro.cmps.cookiebot",
         "repro.cmps.crownpeak",
         "repro.cmps.liveramp",
@@ -151,9 +158,12 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.cmps.trustarc",
         "repro.crawler.executor",
         "repro.crawler.toplist_crawl",
+        "repro.datasets",
         "repro.faults.schedule",
         "repro.net.http",
         "repro.net.probe",
+        "repro.net.url",
+        "repro.valueclass",
         "repro.web.adoption",
         "repro.web.website",
         "repro.web.worldgen",
@@ -163,6 +173,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.columnar",
     ],
     "vantage": [
+        "repro.cmps.base",
         "repro.cmps.cookiebot",
         "repro.cmps.crownpeak",
         "repro.cmps.liveramp",
@@ -173,19 +184,26 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.browser",
         "repro.crawler.platform",
         "repro.crawler.toplist_crawl",
+        "repro.datasets",
         "repro.det",
         "repro.detect.engine",
+        "repro.detect.fingerprints",
         "repro.faults.inject",
         "repro.faults.retry",
         "repro.faults.schedule",
         "repro.net.probe",
+        "repro.net.psl",
+        "repro.net.url",
+        "repro.valueclass",
         "repro.web.adoption",
         "repro.web.serving",
         "repro.web.website",
         "repro.web.worldgen",
     ],
     "marketshare": [
+        "repro.cmps.base",
         "repro.core.marketshare",
+        "repro.datasets",
         "repro.toplist.tranco",
         "repro.web.adoption",
         "repro.web.worldgen",

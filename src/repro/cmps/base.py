@@ -12,11 +12,13 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
+from repro.valueclass import value_class
+
 #: Regions distinguished by the geo-dependent behaviour in the paper.
 REGIONS = ("EU", "US")
 
 
-@dataclass(frozen=True)
+@value_class
 class DialogButton:
     """One button (or link) in a consent dialog.
 
@@ -50,7 +52,7 @@ class DialogButton:
             raise ValueError("dialog pages are 1-based")
 
 
-@dataclass(frozen=True)
+@value_class
 class DialogDescriptor:
     """A publisher's concrete dialog configuration.
 

@@ -27,12 +27,15 @@ Design rules, all load-bearing:
 
 Edges are stored columnarly: one table per edge type and property-name
 set (``RANK`` has a ``{rank}`` and a ``{bucket}`` table), holding
-integer source and destination node-id columns, one column per property
-and the set of flat ``(src, dst, *values)`` identities that dedups
-them. Ingestors add whole columns at once (:meth:`add_edges`);
-:meth:`add_edge` is the same insertion with one row. Adjacency and
-degree indexes are built per table on the first query that needs them,
-and every read hands out fresh property dicts. At study scale (tens of
+integer source and destination node-id columns and one column per
+property -- and nothing per row besides. Ingestors add whole columns at
+once (:meth:`add_edges`); :meth:`add_edge` is the same insertion with
+one row. An insertion dedups rows on their flat ``(src, dst, *values)``
+identity, but it only needs those tuples when row hashes cannot prove
+the rows new and distinct (:meth:`ConsentGraph._insert`); only then is
+a table's identity index built, from its columns. Adjacency and degree
+indexes are built per table on the first query that needs them, and
+every read hands out fresh property dicts. At study scale (tens of
 thousands of capture rows, a few hundred vendors over a few hundred GVL
 versions) a build takes a few hundredths of a second
 (``BENCH_graph.json``), so the graph is always built, never cached.
@@ -106,11 +109,12 @@ class _EdgeTable:
 
     Row ``i`` is the edge ``src[i] -> dst[i]`` with property
     ``names[j]`` set to ``values[j][i]`` and graph-wide edge id
-    ``ids[i]`` (ascending, so a bisect finds a row by id). ``keys`` maps
-    each row's :data:`EdgeKey` to the row.
+    ``ids[i]`` (ascending, so a bisect finds a row by id). Rows are
+    distinct; :meth:`key_index` maps each row's :data:`EdgeKey` to the
+    row, built on first use.
     """
 
-    __slots__ = ("names", "src", "dst", "values", "ids", "keys", "_index")
+    __slots__ = ("names", "src", "dst", "values", "ids", "_keys", "_index")
 
     def __init__(self, names: Tuple[str, ...]) -> None:
         self.names = names
@@ -118,23 +122,34 @@ class _EdgeTable:
         self.dst: List[int] = []
         self.values: Tuple[List[PropValue], ...] = tuple([] for _ in names)
         self.ids = array("q")
-        self.keys: Dict[EdgeKey, int] = {}
+        #: EdgeKey -> row, built on first use and kept up to date.
+        self._keys: Optional[Dict[EdgeKey, int]] = None
         #: direction -> node id -> rows, built on first use.
         self._index: Dict[str, Dict[int, List[int]]] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def append(
-        self, keys: List[EdgeKey], columns: Sequence[Sequence], first_id: int
-    ) -> None:
-        """Append new rows, given both as *keys* and as *columns*
-        (``src``, ``dst``, then one per name)."""
+    def rows(self) -> Iterator[EdgeKey]:
+        """Every row's :data:`EdgeKey`, in row order."""
+        return zip(self.src, self.dst, *self.values)
+
+    def key_index(self) -> Dict[EdgeKey, int]:
+        """:data:`EdgeKey` -> row, built from the columns on first use."""
+        if self._keys is None:
+            self._keys = dict(zip(self.rows(), range(len(self.ids))))
+        return self._keys
+
+    def append(self, columns: Sequence[Sequence], first_id: int) -> None:
+        """Append new rows given as *columns* (``src``, ``dst``, then one
+        per name)."""
         row = len(self.ids)
-        self.keys.update(zip(keys, range(row, row + len(keys))))
+        n = len(columns[0])
+        if self._keys is not None:
+            self._keys.update(zip(zip(*columns), range(row, row + n)))
         for column, new in zip((self.src, self.dst, *self.values), columns):
             column.extend(new)
-        self.ids.extend(range(first_id, first_id + len(keys)))
+        self.ids.extend(range(first_id, first_id + n))
         self._index.clear()
 
     def row_props(self, rows: Sequence[int]) -> List[Dict[str, PropValue]]:
@@ -301,8 +316,10 @@ class ConsentGraph:
         """
         names = tuple(sorted(props))
         key = (src, dst, *[props[name] for name in names])
-        table = self._insert(etype, names, [(value,) for value in key])
-        return table.ids[table.keys[key]]
+        table, added = self._insert(etype, names, [(value,) for value in key])
+        if added:
+            return table.ids[-1]
+        return table.ids[table.key_index()[key]]
 
     def add_edges(
         self,
@@ -323,33 +340,53 @@ class ConsentGraph:
 
     def _insert(
         self, etype: str, names: Tuple[str, ...], columns: List[Sequence]
-    ) -> _EdgeTable:
+    ) -> Tuple[_EdgeTable, int]:
         """The one insertion path: append the rows of *columns* (``src``,
         ``dst``, then one per name) not yet in the ``(etype, names)``
-        table, first occurrence first."""
+        table, first occurrence first. Returns the table and the number
+        of rows added.
+
+        If no two of the table's rows and the new ones share a hash, the
+        new rows are all new and distinct, and the columns are appended
+        as they are: no row becomes a tuple, and the table keeps no
+        index. Otherwise (a repeated row, or rows whose hashes merely
+        collide) the exact path dedups the rows' :data:`EdgeKey` tuples,
+        against the table's :meth:`~_EdgeTable.key_index` if it has
+        rows. A table that has an index, or more rows than both
+        :data:`_REHASH_ROWS` and the insertion, takes the exact path."""
         tables = self._tables.get(etype)
         table = None if tables is None else tables.get(names)
         if table is None:
             table = _EdgeTable(names)
-        fresh = list(dict.fromkeys(zip(*columns)))
-        if table.keys:
-            fresh = [key for key in fresh if key not in table.keys]
-        if not fresh:
-            return table
-        if len(fresh) < len(columns[0]):
-            columns = [
-                list(map(itemgetter(i), fresh)) for i in range(len(columns))
-            ]
+        n = len(columns[0])
+        if not n:
+            return table, 0
+        if not (
+            table._keys is None
+            and len(table) <= max(n, _REHASH_ROWS)
+            and _distinct(chain(table.rows(), zip(*columns)), len(table) + n)
+        ):
+            fresh = list(dict.fromkeys(zip(*columns)))
+            if len(table):
+                index = table.key_index()
+                fresh = [key for key in fresh if key not in index]
+            if not fresh:
+                return table, 0
+            if len(fresh) < n:
+                columns = [
+                    list(map(itemgetter(i), fresh)) for i in range(len(columns))
+                ]
+                n = len(fresh)
         n_nodes = len(self._node_keys)
         for column in columns[:2]:
             if min(column) < 0 or max(column) >= n_nodes:
                 bad = next(i for i in column if not 0 <= i < n_nodes)
                 raise GraphError(f"unknown node id {bad}")
-        table.append(fresh, columns, self._n_edges)
+        table.append(columns, self._n_edges)
         self._tables.setdefault(etype, {})[names] = table
-        self._n_edges += len(fresh)
+        self._n_edges += n
         self._digest_cache = None
-        return table
+        return table, n
 
     # ------------------------------------------------------------------
     # Lookup
@@ -403,6 +440,22 @@ class ConsentGraph:
         out: List[Tuple[int, int, Dict[str, PropValue]]] = []
         for chunk in self._canonical_chunks(tables, self._node_order()[1]):
             out += _in_order(chunk, _EdgeTable.edges)
+        return out
+
+    def edge_columns(self, etype: str, *names: str) -> Tuple[list, ...]:
+        """``src``, ``dst`` and the columns of property *names* of every
+        edge of one type, as fresh lists, the type's tables concatenated
+        in no defined order: for a projection that orders rows by their
+        properties itself, without :meth:`edges_of_type`'s canonical
+        sort and per-row dicts. A table of the type without one of
+        *names* raises ``KeyError``."""
+        out: Tuple[list, ...] = tuple([] for _ in range(2 + len(names)))
+        for table in self._tables.get(etype, {}).values():
+            columns = dict(zip(table.names, table.values))
+            for column, new in zip(
+                out, (table.src, table.dst, *map(columns.__getitem__, names))
+            ):
+                column += new
         return out
 
     def adjacency(
@@ -574,6 +627,12 @@ class ConsentGraph:
 #: memory :meth:`ConsentGraph.digest` holds beyond a few integer arrays.
 _CHUNK = 1024
 
+#: An insertion re-hashes a table's rows, rather than build its identity
+#: index, only while they number at most this many or at most as many
+#: as the rows it inserts: re-hashing then costs O(1) amortized per
+#: inserted row, even for :meth:`ConsentGraph.add_edge` in a loop.
+_REHASH_ROWS = 64
+
 _json_encode = json.JSONEncoder(sort_keys=True).encode
 
 
@@ -596,6 +655,21 @@ def _json_texts(values: List[object]) -> Iterable[str]:
     if kinds == {int}:
         return map(str, values)
     return map(_json_value, values)
+
+
+def _distinct(rows: Iterable[EdgeKey], count: int) -> bool:
+    """True if the *count* *rows* have pairwise different hashes, which
+    proves them pairwise different. False says nothing: equal rows, or
+    a collision (``hash(-1) == hash(-2)``). Holds 8 bytes per row."""
+    hashes = np.fromiter(
+        # Salted per process, but only picks the dedup path: both give
+        # the same rows.
+        map(hash, rows),  # repro-lint: disable=DET003
+        dtype=np.int64,
+        count=count,
+    )
+    hashes.sort()
+    return not (hashes[1:] == hashes[:-1]).any()
 
 
 def _sort_runs(

@@ -54,20 +54,13 @@ def capture_rows(
 
     Returns ``(domain, date_ordinal, cmp_key, vantage_key)`` tuples
     sorted by the global sequence number each ``CAPTURED`` edge carries
-    -- exactly ``CaptureStore.iter_rows()`` order.
+    -- exactly ``CaptureStore.iter_rows()`` order. Reads the edge
+    columns: the ``seq`` sort is the only order that matters here.
     """
-    rows = [
-        (
-            props["seq"],
-            graph.node_key(src),
-            props["day"],
-            props["cmp"] or None,
-            graph.node_key(dst),
-        )
-        for src, dst, props in graph.edges_of_type("CAPTURED")
-    ]
-    rows.sort()
-    return [(d, o, c, v) for _, d, o, c, v in rows]
+    src, dst, seq, day, cmp = graph.edge_columns("CAPTURED", "seq", "day", "cmp")
+    key = graph.node_key
+    rows = sorted(zip(seq, map(key, src), day, cmp, map(key, dst)))
+    return [(d, o, c or None, v) for _, d, o, c, v in rows]
 
 
 def domain_day_rows(

@@ -141,17 +141,21 @@ class SaltedHashRule(Rule):
     derived from ``hash()`` differs between runs and between shard
     worker processes. Use ``zlib.crc32`` (as ``website.py`` does for
     subsite CMP coverage) or ``hashlib`` for stable digests.
+
+    Every load of the name counts, not only the call form: the builtin
+    handed on as a value (``map(hash, rows)``, ``sorted(xs, key=hash)``,
+    ``h = hash``) is called just the same, out of the rule's sight.
     """
 
     id = "DET003"
     summary = "built-in hash() is process-salted; use crc32/hashlib"
-    example = 'bucket = hash(domain) % 64'
+    example = 'bucket = hash(domain) % 64\nbuckets = map(hash, domains)'
 
     def check(self, node: ast.AST, ctx: RuleContext) -> Iterator[RawFinding]:
         if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "hash"
+            isinstance(node, ast.Name)
+            and node.id == "hash"
+            and isinstance(node.ctx, ast.Load)
         ):
             yield node, (
                 "built-in hash() is salted per process (PYTHONHASHSEED); "

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import field, replace
+from functools import lru_cache
 from typing import Optional, Tuple
+
+from repro.valueclass import value_class
 
 _SCHEME_RE = re.compile(r"^([a-zA-Z][a-zA-Z0-9+.-]*):")
 _HOST_RE = re.compile(r"^[a-z0-9]([a-z0-9._-]*[a-z0-9])?$")
@@ -43,12 +45,19 @@ class UrlError(ValueError):
     """Raised when a string cannot be parsed as a supported URL."""
 
 
-@dataclass(frozen=True, order=True)
+#: Writes a slot past the value class's refusing ``__setattr__``.
+_set = object.__setattr__
+
+
+@value_class(order=True, memos=("_str", "_hash", "_h64"))
 class URL:
     """An absolute, canonicalized URL.
 
     Instances are immutable and hashable, so they can be used as dictionary
-    keys in the capture queue's deduplication maps.
+    keys in the capture queue's deduplication maps. A URL is a slotted
+    value class (:mod:`repro.valueclass`): its six fields and the memos
+    of its string, hash and :attr:`h64` live in fixed slots, with no
+    per-instance ``__dict__`` -- a crawl holds thousands of URLs.
 
     Attributes:
         scheme: ``http`` or ``https``.
@@ -65,6 +74,25 @@ class URL:
     path: str = "/"
     query: str = ""
     fragment: str = field(default="", compare=False)
+
+    def __init__(
+        self,
+        scheme: str,
+        host: str,
+        port: Optional[int] = None,
+        path: str = "/",
+        query: str = "",
+        fragment: str = "",
+    ) -> None:
+        _set(self, "scheme", scheme)
+        _set(self, "host", host)
+        _set(self, "port", port)
+        _set(self, "path", path)
+        _set(self, "query", query)
+        _set(self, "fragment", fragment)
+        _set(self, "_str", None)
+        _set(self, "_hash", None)
+        _set(self, "_h64", None)
 
     # ------------------------------------------------------------------
     # Construction
@@ -207,23 +235,22 @@ class URL:
 
     def __str__(self) -> str:
         # Memoized: the crawl hot path stringifies every URL several
-        # times (visit keys, queue logs). The cache bypasses the frozen
-        # guard by writing to __dict__ directly; equality ignores it.
-        s = self.__dict__.get("_str")
+        # times (visit keys, queue logs).
+        s = self._str
         if s is None:
             s = f"{self.origin}{self.path}"
             if self.query:
                 s += f"?{self.query}"
             if self.fragment:
                 s += f"#{self.fragment}"
-            self.__dict__["_str"] = s
+            _set(self, "_str", s)
         return s
 
     def __hash__(self) -> int:
         # Memoized with the same field tuple the generated dataclass
         # hash would use (fragment is compare=False and excluded); URLs
         # key the capture queue's dedup maps, so this runs per event.
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             # Process-local dict keying only (mirrors the hash the
             # dataclass would generate); never persisted or compared
@@ -231,21 +258,22 @@ class URL:
             h = hash(  # repro-lint: disable=DET003
                 (self.scheme, self.host, self.port, self.path, self.query)
             )
-            self.__dict__["_hash"] = h
+            _set(self, "_hash", h)
         return h
 
     def __reduce__(self):
         # Pickle the fields only: the memoized hash is salted per
         # process, and a copy unpickled in another process (a partition
         # queue travelling to or from a worker) must key dicts by its
-        # own process's hash.
+        # own process's hash. Unpickling runs the constructor, which
+        # leaves every memo empty.
         return (
             URL,
             (self.scheme, self.host, self.port, self.path, self.query,
              self.fragment),
         )
 
-    @cached_property
+    @property
     def h64(self) -> int:
         """This URL's :func:`repro.det.key64` part, precomputed.
 
@@ -253,8 +281,12 @@ class URL:
         ``key64(..., url.h64, ...)`` equals ``key64(..., str(url), ...)``
         while skipping the string encode/CRC on every use.
         """
-        s = str(self)
-        return zlib.crc32(s.encode("utf-8")) ^ (len(s) << 32)
+        h = self._h64
+        if h is None:
+            s = str(self)
+            h = zlib.crc32(s.encode("utf-8")) ^ (len(s) << 32)
+            _set(self, "_h64", h)
+        return h
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)

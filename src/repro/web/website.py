@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import datetime as dt
 import zlib
-from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from repro.cmps.base import DialogDescriptor
+from repro.valueclass import value_class
 
 
-@dataclass(frozen=True)
+@value_class
 class CmpEpisode:
     """A maximal interval during which a site used one CMP.
 
@@ -50,7 +50,7 @@ class CmpEpisode:
         return self.start <= date and (self.end is None or date < self.end)
 
 
-@dataclass(frozen=True)
+@value_class
 class Website:
     """One site of the synthetic web."""
 

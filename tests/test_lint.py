@@ -130,10 +130,29 @@ class TestDet003:
     @pytest.mark.parametrize(
         "snippet",
         [
+            "buckets = list(map(hash, rows))\n",
+            "ordered = sorted(xs, key=hash)\n",
+            "h = hash\n",
+        ],
+    )
+    def test_builtin_passed_as_a_value(self, snippet):
+        """The builtin handed on uncalled is called all the same."""
+        assert check(snippet) == ["DET003"]
+
+    def test_suppressed_value_use(self):
+        code = "hashes = map(hash, rows)  # repro-lint: disable=DET003\n"
+        assert check(code) == []
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
             "import zlib\nbucket = zlib.crc32(domain.encode()) % 100\n",
             "import hashlib\nd = hashlib.sha256(b'x').hexdigest()\n",
             "h = obj.hash()\n",  # method, not the builtin
             "def __hash__(self):\n    return 3\n",
+            "from dataclasses import field\nx = field(hash=False)\n",
+            "h = obj.__hash__\n",
+            "h = obj.__hash__()\n",
         ],
     )
     def test_negative(self, snippet):

@@ -555,6 +555,42 @@ class TestRealTreeMutation:
         any of them must change the digest of every stage it feeds."""
         assert stages <= self.stages_changed_by(src_program, module)
 
+    @pytest.mark.parametrize(
+        "module, stages",
+        [
+            (
+                "repro.net.url",
+                {"social-crawl", "vantage", "toplist-probes"},
+            ),
+            ("repro.net.psl", {"social-crawl", "vantage"}),
+            (
+                "repro.cmps.base",
+                {"social-crawl", "vantage", "toplist-probes", "marketshare"},
+            ),
+            ("repro.detect.fingerprints", {"social-crawl", "vantage"}),
+            (
+                "repro.datasets",
+                {"social-crawl", "vantage", "toplist-probes", "marketshare"},
+            ),
+            (
+                "repro.valueclass",
+                {"social-crawl", "vantage", "toplist-probes"},
+            ),
+        ],
+    )
+    def test_row_deciding_modules_are_in_their_closures(
+        self, src_program, module, stages
+    ):
+        """Each of these decides cached rows: URL.h64 keys every visit
+        draw (and repro.net.probe builds URLs), the PSL picks the
+        registrable domain rows are deduped and stored under, the CMP
+        registry's launch dates and EU-TLD shares shape site histories,
+        FINGERPRINTS attributes a capture to its CMP, STUDY_END bounds
+        the CMP drop windows, and repro.valueclass builds the URL, site
+        and dialog classes (their pickled form travels between crawl
+        processes)."""
+        assert stages <= self.stages_changed_by(src_program, module)
+
 
 # ---------------------------------------------------------------------------
 # PARSE001 hardening

@@ -1,11 +1,14 @@
 """URL parsing and canonicalization."""
 
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
+from repro.det import key64
 from repro.net.url import URL, UrlError, _normalize_path
 
 
@@ -223,3 +226,108 @@ class TestPickle:
 
         loaded = child("load", "2", child("dump", "1"))
         assert loaded.split() == [b"7", b"f"]
+
+
+MEMOS = ("_str", "_hash", "_h64")
+
+
+def warmed(raw):
+    """A fresh URL (not the shared parse-cache instance) with every memo
+    filled."""
+    url = URL.parse(raw)
+    url = URL(url.scheme, url.host, url.port, url.path, url.query, url.fragment)
+    hash(url), str(url), url.h64
+    assert all(getattr(url, memo) is not None for memo in MEMOS)
+    return url
+
+
+def memos_of(url):
+    return [getattr(url, memo) for memo in MEMOS]
+
+
+class TestValueClass:
+    """A URL is a slotted value class: six fields and three memos in
+    fixed slots, no per-instance dict."""
+
+    def test_no_instance_dict(self):
+        url = warmed("https://example.com/a?q=1#f")
+        assert not hasattr(url, "__dict__")
+        assert type(url).__slots__ == (
+            "scheme", "host", "port", "path", "query", "fragment", *MEMOS
+        )
+
+    def test_fields_and_memos_refuse_assignment(self):
+        url = warmed("https://example.com/a")
+        for name in ("host", "fragment", "_hash", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(url, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del url.host
+
+    def test_equality_and_order_ignore_fragment_and_memos(self):
+        a = warmed("https://example.com/a#x")
+        b = URL("https", "example.com", None, "/a", "", "y")
+        assert memos_of(b) == [None, None, None]
+        assert a == b and hash(a) == hash(b)
+        assert not a < b and not b < a and a <= b and a >= b
+        c = URL("https", "example.com", None, "/b")
+        assert a < c and c > b
+        assert sorted([c, b, a]) == [b, a, c]
+        assert a != ("https", "example.com", None, "/a", "")
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["https://example.com/a?q=1#f", "http://example.com:8080/", "https://x.org"],
+    )
+    def test_hash_is_the_field_tuple_hash(self, raw):
+        url = URL.parse(raw)
+        assert hash(url) == hash(
+            (url.scheme, url.host, url.port, url.path, url.query)
+        )
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            URL.parse("https://example.com/a?q=1#f"),
+            URL("http", "example.com", None, "/é"),  # UTF-8, not ASCII
+        ],
+    )
+    def test_h64_is_the_key64_part_of_the_string(self, url):
+        assert key64(url.h64) == key64(str(url))
+        assert key64(7, url.h64, 3) == key64(7, str(url), 3)
+
+    def test_pickle_carries_no_memo_and_the_copy_rehashes(self):
+        url = warmed("https://example.com/dir/page?q=1#frag")
+        data = pickle.dumps(url)
+        assert str(url).encode() not in data
+        copy = pickle.loads(data)
+        assert memos_of(copy) == [None, None, None]
+        assert copy == url and copy.fragment == "frag"
+        assert hash(copy) == hash(url) and str(copy) == str(url)
+        assert copy.h64 == url.h64
+
+    @pytest.mark.parametrize(
+        "derive, expected",
+        [
+            (
+                lambda u: dataclasses.replace(u, path="/x"),
+                "https://example.com:8443/x?q=1#f",
+            ),
+            (lambda u: u.with_path("/b", "z=2"), "https://example.com:8443/b?z=2"),
+            (lambda u: u.sibling("http"), "http://example.com/a?q=1#f"),
+            (lambda u: u.with_host("other.org"), "https://other.org:8443/a?q=1#f"),
+            (lambda u: u.resolve("c?d=1"), "https://example.com:8443/c?d=1"),
+        ],
+    )
+    def test_derived_urls_start_with_empty_memos(self, derive, expected):
+        url = warmed("https://example.com:8443/a?q=1#f")
+        before = memos_of(url)
+        derived = derive(url)
+        assert memos_of(derived) == [None, None, None]
+        assert str(derived) == expected
+        assert hash(derived) == hash(
+            (derived.scheme, derived.host, derived.port, derived.path,
+             derived.query)
+        )
+        assert key64(derived.h64) == key64(expected)
+        assert memos_of(url) == before
