@@ -90,10 +90,13 @@ CODE_VERSIONS: Dict[str, int] = {
     # social-crawl v3: store entries are binary segments, no longer
     # JSON Lines; older entries are evicted by fingerprint instead of
     # being parsed.
-    "social-crawl": 3,
-    "toplist-probes": 2,
+    # social-crawl v4, toplist-probes v3, vantage v3: fault affliction,
+    # crash points and retry jitter are repro.det keyed draws, so a
+    # faulted run's rows come from other keys than before.
+    "social-crawl": 4,
+    "toplist-probes": 3,
     "adoption": 2,
-    "vantage": 2,
+    "vantage": 3,
     "marketshare": 2,
     # Streaming engine checkpoints (repro.stream): engine state (queue
     # cooldowns, watermark, capture counter) saved beside a store entry
@@ -159,6 +162,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.crawler.executor",
         "repro.crawler.toplist_crawl",
         "repro.datasets",
+        "repro.det",
         "repro.faults.schedule",
         "repro.net.http",
         "repro.net.probe",

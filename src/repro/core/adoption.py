@@ -365,12 +365,10 @@ class AdoptionAccumulator:
 
     def __init__(
         self,
-        restrict_to: Optional[Iterable[str]] = None,
         *,
         interpolate: bool = True,
         fade_out_days: int = FADE_OUT_DAYS,
     ):
-        self._wanted = set(restrict_to) if restrict_to is not None else None
         self._interpolate = interpolate
         self._fade_out_days = fade_out_days
         #: domain -> (date_ordinal, cmp_key) rows in feed order.
@@ -382,15 +380,11 @@ class AdoptionAccumulator:
         #: first-dirtied order (a dict, not a set, so rebuild order --
         #: and therefore new-domain insertion order -- is deterministic).
         self._dirty: Dict[str, None] = {}
-        self.rows_seen = 0
 
     def add(
         self, domain: str, date_ordinal: int, cmp_key: Optional[str]
     ) -> None:
         """Ingest one capture row (the streaming hot path)."""
-        self.rows_seen += 1
-        if self._wanted is not None and domain not in self._wanted:
-            return
         bucket = self._rows.get(domain)
         if bucket is None:
             self._rows[domain] = [(date_ordinal, cmp_key)]

@@ -21,10 +21,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.cmps.base import CMP_KEYS
-from repro.toplist.tranco import TrancoList
+from repro.toplist.tranco import TrancoList, TrancoRanks
 from repro.web.worldgen import World
 
 
@@ -209,9 +211,14 @@ def stratified_marketshare(
 # ----------------------------------------------------------------------
 # Observed (capture-derived) marketshare -- batch + incremental paths
 # ----------------------------------------------------------------------
+#: A toplist's domain -> 1-based rank, read one domain at a time with
+#: ``get`` and never iterated.
+RankLookup = Union[Mapping[str, int], TrancoRanks]
+
+
 def observed_marketshare(
     series,
-    ranks: Mapping[str, int],
+    ranks: RankLookup,
     date: dt.date,
     sizes: Sequence[int],
 ) -> MarketShareCurve:
@@ -234,12 +241,9 @@ def observed_marketshare(
         raise ValueError("toplist sizes must be positive")
     per_bucket: Dict[str, List[int]] = {k: [0] * len(sizes) for k in CMP_KEYS}
     max_size = sizes[-1]
-    timelines = series.timelines
-    for domain, rank in ranks.items():
-        if rank > max_size:
-            continue
-        timeline = timelines.get(domain)
-        if timeline is None:
+    for domain, timeline in series.timelines.items():
+        rank = ranks.get(domain)
+        if rank is None or rank > max_size:
             continue
         state = timeline.state_on(date)
         buckets = per_bucket.get(state) if state is not None else None
@@ -279,18 +283,13 @@ class MarketShareAccumulator:
     :func:`_curve_from_buckets` encoding.
     """
 
-    def __init__(self, ranks: Mapping[str, int], sizes: Sequence[int]):
+    def __init__(self, ranks: RankLookup, sizes: Sequence[int]):
         self.sizes = sorted(set(int(s) for s in sizes))
         if not self.sizes or self.sizes[0] < 1:
             raise ValueError("toplist sizes must be positive")
-        max_size = self.sizes[-1]
-        #: domain -> bucket index (domains beyond the deepest prefix
-        #: never contribute and are dropped here once).
-        self._bucket: Dict[str, int] = {
-            domain: bisect.bisect_left(self.sizes, rank)
-            for domain, rank in ranks.items()
-            if rank <= max_size
-        }
+        #: Asked once per transition; domains ranked beyond the deepest
+        #: prefix never contribute.
+        self._ranks = ranks
         self._per_bucket: Dict[str, List[int]] = {
             k: [0] * len(self.sizes) for k in CMP_KEYS
         }
@@ -301,9 +300,10 @@ class MarketShareAccumulator:
         """Apply one finalized domain state change (``old -> new``)."""
         if old == new:
             return
-        bucket = self._bucket.get(domain)
-        if bucket is None:
+        rank = self._ranks.get(domain)
+        if rank is None or rank > self.sizes[-1]:
             return
+        bucket = bisect.bisect_left(self.sizes, rank)
         if old is not None:
             series = self._per_bucket.get(old)
             if series is not None:

@@ -15,7 +15,7 @@ but *waited out* by a clock object, so the wait is a seam:
 from __future__ import annotations
 
 import time
-from typing import List, Protocol
+from typing import Protocol
 
 
 class Clock(Protocol):
@@ -31,20 +31,24 @@ class VirtualClock:
 
     The tally doubles as the test probe for backoff behaviour: after a
     retry loop, ``slept`` is exactly the sum of the policy's schedule
-    prefix that was consumed.
+    prefix that was consumed. It holds two numbers however long it
+    lives -- a follow engine's platform keeps one clock for the whole
+    session -- so it keeps no per-sleep record.
     """
+
+    __slots__ = ("slept", "n_sleeps")
 
     def __init__(self) -> None:
         #: Total virtual seconds slept.
         self.slept = 0.0
-        #: Individual sleep requests, in order.
-        self.sleeps: List[float] = []
+        #: Sleep requests taken.
+        self.n_sleeps = 0
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError(f"cannot sleep {seconds!r} seconds")
         self.slept += seconds
-        self.sleeps.append(seconds)
+        self.n_sleeps += 1
 
 
 class SystemClock:

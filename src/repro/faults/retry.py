@@ -9,14 +9,20 @@ are locked by the hypothesis tests in ``tests/test_properties.py``:
 * same seed and key -> identical schedule, call after call;
 * delays are monotone non-decreasing and never exceed ``max_delay``;
 * the schedule length never exceeds ``max_retries``.
+
+The jitter of retry *n* is the *n*-th draw of a :mod:`repro.det` keyed
+stream over ``(seed, key)``: a counter-based draw, so it is derived
+only when retry *n* is taken and costs a few integer operations, not
+the seeding of a ``random.Random``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Tuple
+
+from repro.det import KeyedRand, key64
 
 
 @dataclass(frozen=True)
@@ -53,14 +59,17 @@ class RetryPolicy:
 
     def delays(self, key: str) -> Iterator[float]:
         """The backoff delays for *key*, one per permitted retry, each
-        derived only when asked for: with jitter, every delay seeds its
-        own RNG, so a caller that stops after retry *n* seeds *n*."""
+        derived only when asked for: with jitter, delay *n* takes draw
+        *n* of the key's stream, so a caller that stops after retry *n*
+        draws *n* values."""
         previous = 0.0
         raw = self.base_delay
-        for attempt in range(1, self.max_retries + 1):
+        rng = None
+        if self.jitter:
+            rng = KeyedRand(key64(self.seed, "retry", key))
+        for _attempt in range(self.max_retries):
             value = min(raw, self.max_delay)
-            if self.jitter:
-                rng = random.Random(f"{self.seed}:retry:{key}:{attempt}")
+            if rng is not None:
                 value *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
             previous = max(previous, min(value, self.max_delay))
             yield previous

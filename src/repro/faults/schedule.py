@@ -10,6 +10,13 @@ randomness in the pipeline, the decision is independent of execution
 order, so fault injection composes with the sharded executor without
 breaking its determinism contract.
 
+Every draw is a :mod:`repro.det` keyed draw, not a seeded
+``random.Random``: ``(domain, vantage)`` is folded once onto a prefix
+the schedule folds from its seed, and each spec then takes one
+:func:`~repro.det.mix64` of that key salted by its kind. A spec's
+afflicted keys therefore depend on the seed, its kind and its rate
+only, never on the schedule's other specs or their order.
+
 Only the attempt check runs per call: which specs afflict a key does
 not depend on the attempt, so each schedule draws a key once per
 process and memoizes the answer, one bounded memo per vantage label
@@ -29,10 +36,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.det import KeyedRand, fold64, key64, mix64
 from repro.web.memo import MISSING, BoundedMemo, CountMap
 
 #: The transient failure classes of the live web that shaped the
@@ -57,6 +64,13 @@ MEMO_VANTAGES = 8
 #: The memo value of every key no spec afflicts (most keys): one shared
 #: empty tuple instead of one per key.
 _UNAFFLICTED: Tuple["FaultSpec", ...] = ()
+
+#: Per-kind salt of the affliction draw: two specs of different kinds
+#: draw independently from the same ``(domain, vantage)`` key.
+KIND_SALTS = {kind: key64("fault-kind", kind) for kind in FAULT_KINDS}
+
+#: 2**-53: a 64-bit mix's top 53 bits as a uniform in [0, 1).
+_UNIT = 1.1102230246251565e-16
 
 
 @dataclass(frozen=True)
@@ -132,6 +146,14 @@ class FaultSchedule:
         # vantage -> domain -> the specs afflicting the key. Not a
         # field, so ==, hash, repr and digest() never see it.
         object.__setattr__(self, "_afflicted", {})
+        # The affliction draw's key prefix and each spec's kind salt,
+        # derived from the fields once per schedule (and per process).
+        object.__setattr__(self, "_prefix", key64(self.seed, "fault"))
+        object.__setattr__(
+            self,
+            "_salted",
+            tuple((spec, KIND_SALTS[spec.kind]) for spec in self.specs),
+        )
 
     def __reduce__(self):
         """Pickle the fields only: an unpickled copy starts with an
@@ -198,15 +220,13 @@ class FaultSchedule:
         self, domain: str, vantage: str
     ) -> Tuple[FaultSpec, ...]:
         """The specs afflicting ``(domain, vantage)``, in declaration
-        order: one keyed draw per spec."""
-        afflicting = []
-        for spec in self.specs:
-            rng = random.Random(
-                f"{self.seed}:fault:{spec.kind}:{domain}:{vantage}"
-            )
-            if rng.random() < spec.rate:
-                afflicting.append(spec)
-        return tuple(afflicting) or _UNAFFLICTED
+        order: the key folded once, then one salted mix per spec."""
+        key = fold64(self._prefix, domain, vantage)
+        afflicting = _UNAFFLICTED
+        for spec, salt in self._salted:
+            if (mix64(key ^ salt) >> 11) * _UNIT < spec.rate:
+                afflicting += (spec,)
+        return afflicting
 
     def crash_point(
         self, shard_id: int, n_tasks: int, attempt: int
@@ -223,8 +243,7 @@ class FaultSchedule:
             return None
         if attempt >= self.crash.attempts:
             return None
-        rng = random.Random(f"{self.seed}:crash:{shard_id}")
-        if rng.random() >= self.crash.rate:
+        key = key64(self.seed, "crash", shard_id)
+        if KeyedRand(key).random() >= self.crash.rate:
             return None
-        point_rng = random.Random(f"{self.seed}:crash:{shard_id}:{attempt}")
-        return point_rng.randrange(n_tasks)
+        return KeyedRand(fold64(key, attempt)).randrange(n_tasks)

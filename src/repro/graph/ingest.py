@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add, mul
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crawler.columnar import VANTAGE_STRS, VANTAGE_TABLE, CaptureStore
 from repro.graph.model import ConsentGraph
@@ -61,9 +61,12 @@ def ingest_captures(graph: ConsentGraph, store: CaptureStore) -> None:
     node-degree query.
 
     The store is read one segment at a time, as id columns: each
-    segment's domain and CMP tables are interned once, its rows become
-    edge columns through those tables, and ``seq`` continues from the
-    rows of the segments before it.
+    segment's domain and CMP tables are interned once and its rows
+    become edge columns through those tables. All segments' rows then
+    go into the graph in one ``CAPTURED`` and one ``OBSERVES``
+    insertion: rows inserted into an empty table in one call are
+    appended without building the table's key index, which a second
+    insertion into a table already larger than it would build.
     """
     vantage_nodes = [
         graph.add_node(
@@ -74,38 +77,42 @@ def ingest_captures(graph: ConsentGraph, store: CaptureStore) -> None:
         )
         for i in range(len(VANTAGE_TABLE))
     ]
-    seq = 0
+    src: List[int] = []
+    dst: List[int] = []
+    days: List[int] = []
+    cmps: List[str] = []
+    # Distinct (domain node, CMP node) pairs, first appearance first.
+    observed: Dict[Tuple[int, int], None] = {}
     for segment in store.iter_segment_stores():
         domains, cmp_keys = segment.tables()
         col_domain, col_date, col_cmp, col_vantage = segment.columns()
-        n = len(col_domain)
         domain_nodes = graph.add_nodes("domain", domains)
         cmp_nodes = [
             None if key is None else graph.add_node("cmp", key)
             for key in cmp_keys
         ]
         cmp_props = [NO_CMP if key is None else key for key in cmp_keys]
-        graph.add_edges(
-            "CAPTURED",
-            list(map(domain_nodes.__getitem__, col_domain)),
-            list(map(vantage_nodes.__getitem__, col_vantage)),
-            seq=range(seq, seq + n),
-            day=col_date,
-            cmp=list(map(cmp_props.__getitem__, col_cmp)),
-        )
-        # Distinct (domain, CMP) id pairs, first appearance first, each
-        # coded as one int: domain id * width + CMP id.
+        src.extend(map(domain_nodes.__getitem__, col_domain))
+        dst.extend(map(vantage_nodes.__getitem__, col_vantage))
+        days.extend(col_date)
+        cmps.extend(map(cmp_props.__getitem__, col_cmp))
+        # The segment's distinct (domain, CMP) id pairs, each coded as
+        # one int: domain id * width + CMP id.
         width = len(cmp_keys)
-        pairs = dict.fromkeys(
+        for code in dict.fromkeys(
             map(add, map(mul, col_domain, repeat(width)), col_cmp)
-        )
-        observed = [code for code in pairs if cmp_nodes[code % width] is not None]
-        graph.add_edges(
-            "OBSERVES",
-            [domain_nodes[code // width] for code in observed],
-            [cmp_nodes[code % width] for code in observed],
-        )
-        seq += n
+        ):
+            cmp_node = cmp_nodes[code % width]
+            if cmp_node is not None:
+                observed[domain_nodes[code // width], cmp_node] = None
+    graph.add_edges(
+        "CAPTURED", src, dst, seq=range(len(src)), day=days, cmp=cmps
+    )
+    graph.add_edges(
+        "OBSERVES",
+        [domain for domain, _cmp in observed],
+        [cmp for _domain, cmp in observed],
+    )
 
 
 def ingest_world_adoption(

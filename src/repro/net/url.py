@@ -49,15 +49,16 @@ class UrlError(ValueError):
 _set = object.__setattr__
 
 
-@value_class(order=True, memos=("_str", "_hash", "_h64"))
+@value_class(order=True, memos=("_hash", "_h64"))
 class URL:
     """An absolute, canonicalized URL.
 
     Instances are immutable and hashable, so they can be used as dictionary
     keys in the capture queue's deduplication maps. A URL is a slotted
     value class (:mod:`repro.valueclass`): its six fields and the memos
-    of its string, hash and :attr:`h64` live in fixed slots, with no
-    per-instance ``__dict__`` -- a crawl holds thousands of URLs.
+    of its hash and :attr:`h64` live in fixed slots, with no
+    per-instance ``__dict__`` -- a crawl holds thousands of URLs. The
+    string is not kept: it is built on demand.
 
     Attributes:
         scheme: ``http`` or ``https``.
@@ -90,7 +91,6 @@ class URL:
         _set(self, "path", path)
         _set(self, "query", query)
         _set(self, "fragment", fragment)
-        _set(self, "_str", None)
         _set(self, "_hash", None)
         _set(self, "_h64", None)
 
@@ -234,16 +234,13 @@ class URL:
         )
 
     def __str__(self) -> str:
-        # Memoized: the crawl hot path stringifies every URL several
-        # times (visit keys, queue logs).
-        s = self._str
-        if s is None:
-            s = f"{self.origin}{self.path}"
-            if self.query:
-                s += f"?{self.query}"
-            if self.fragment:
-                s += f"#{self.fragment}"
-            _set(self, "_str", s)
+        # Not memoized: the crawl reads a URL's string once, for its
+        # h64 memo; retry keys and queue checkpoints are rare.
+        s = f"{self.origin}{self.path}"
+        if self.query:
+            s += f"?{self.query}"
+        if self.fragment:
+            s += f"#{self.fragment}"
         return s
 
     def __hash__(self) -> int:

@@ -54,6 +54,7 @@ from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.spill import SpillingCaptureStore
 from repro.stream.state import LiveAdoptionState
+from repro.toplist.tranco import TrancoRanks
 from repro.web.memo import MISSING, BoundedMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (cycle guard)
@@ -146,16 +147,17 @@ class StreamingStudyEngine:
         else:
             self.store = CaptureStore()
         self._cursor = 0
-        restrict = (
-            set(study.toplist_domains) if restrict_to_toplist else None
-        )
-        self.adoption = AdoptionAccumulator(restrict)
+        #: The toplist's domain -> Tranco rank lookup: the restriction
+        #: of the series and the ranks of the marketshare curves. It
+        #: resolves a domain from its name, so building the engine
+        #: generates none of the toplist's sites.
+        self._ranks = TrancoRanks(study.tranco, cfg.toplist_size)
+        #: The domains whose rows feed the adoption series and the live
+        #: state (``None``: every domain), asked once per row.
+        self._wanted = self._ranks if restrict_to_toplist else None
+        self.adoption = AdoptionAccumulator()
         self.vantage = VantageAccumulator()
-        self.live = LiveAdoptionState(restrict_to=restrict)
-        self._ranks = {
-            domain: rank
-            for rank, domain in enumerate(study.toplist_domains, start=1)
-        }
+        self.live = LiveAdoptionState()
         self._sizes = list(
             marketshare_sizes
             if marketshare_sizes is not None
@@ -225,14 +227,18 @@ class StreamingStudyEngine:
     def _ingest_rows(
         self, rows: List[Tuple[str, int, Optional[str], int]]
     ) -> None:
-        """Feed decoded store rows to every accumulator, in feed order."""
+        """Feed decoded store rows to every accumulator, in feed order:
+        the vantage table takes every row, the adoption series and the
+        live state only the wanted domains'."""
         adoption_add = self.adoption.add
         vantage_add = self.vantage.add
         buffer_row = self.live.buffer_row
+        wanted = self._wanted
         for domain, ordinal, cmp_key, vantage_id in rows:
-            adoption_add(domain, ordinal, cmp_key)
             vantage_add(VANTAGE_STRS[vantage_id], domain, cmp_key)
-            buffer_row(domain, ordinal, cmp_key)
+            if wanted is None or domain in wanted:
+                adoption_add(domain, ordinal, cmp_key)
+                buffer_row(domain, ordinal, cmp_key)
 
     # ------------------------------------------------------------------
     # Queries (thread-safe; the query server calls these)

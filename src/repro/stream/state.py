@@ -24,7 +24,7 @@ from __future__ import annotations
 import datetime as dt
 import heapq
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.adoption import FADE_OUT_DAYS, day_vote
 
@@ -51,10 +51,8 @@ class LiveAdoptionState:
         self,
         *,
         fade_out_days: int = FADE_OUT_DAYS,
-        restrict_to: Optional[Iterable[str]] = None,
     ) -> None:
         self.fade_out_days = fade_out_days
-        self._wanted = set(restrict_to) if restrict_to is not None else None
         #: Pending (not yet final) captures: ordinal -> domain -> states
         #: in capture order.
         self._pending: Dict[int, Dict[str, List[Optional[str]]]] = {}
@@ -78,8 +76,6 @@ class LiveAdoptionState:
         self, domain: str, date_ordinal: int, cmp_key: Optional[str]
     ) -> None:
         """Buffer one capture row until its day is finalized."""
-        if self._wanted is not None and domain not in self._wanted:
-            return
         if date_ordinal <= self.watermark_ordinal:
             raise ValueError(
                 f"capture dated ordinal {date_ordinal} arrived at or "

@@ -15,7 +15,7 @@ synthetic web every site already is a distinct eTLD+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -85,6 +85,42 @@ class TrancoList:
         if len(matches) == 0:
             return None
         return int(matches[0]) + 1
+
+
+class TrancoRanks:
+    """A read-only ``domain -> Tranco rank`` lookup over a Tranco top *n*.
+
+    Answers ``in`` and :meth:`get` exactly as
+    ``{d: r for r, d in enumerate(tranco.top(n), 1)}`` would, without
+    generating the *n* sites for their names: a domain's base-36 tag
+    names its world rank (:meth:`World._rank_from_domain`), the inverse
+    of the Tranco order turns that into a Tranco rank, and a hit is
+    confirmed against ``world.site(rank).domain`` -- a site the crawl
+    that produced the domain has already memoized. It does not iterate;
+    :meth:`TrancoList.top` lists the names.
+    """
+
+    __slots__ = ("_world", "_positions")
+
+    def __init__(self, tranco: TrancoList, n: int) -> None:
+        self._world = tranco.world
+        #: World rank -> Tranco rank, for the top *n* only.
+        self._positions: Dict[int, int] = dict(
+            zip(tranco.order[:n].tolist(), range(1, n + 1))
+        )
+
+    def __contains__(self, domain: str) -> bool:
+        return self.get(domain) is not None
+
+    def get(self, domain: str) -> Optional[int]:
+        """The Tranco rank of *domain*, or ``None`` outside the top
+        *n*."""
+        world = self._world
+        rank = world._rank_from_domain(domain)
+        position = self._positions.get(rank)
+        if position is None or world.site(rank).domain != domain:
+            return None
+        return position
 
 
 def build_tranco(

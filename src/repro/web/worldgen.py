@@ -323,7 +323,9 @@ class World:
         return None
 
     def _tag_rank(self, tag: str) -> Optional[int]:
-        if not tag or any(c not in _B36 for c in tag):
+        # A tag holding any character outside base 36 keeps it after
+        # the strip.
+        if not tag or tag.strip(_B36):
             return None
         rank = int(tag, 36)
         if 1 <= rank <= self.config.n_domains:

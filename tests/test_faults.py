@@ -8,9 +8,9 @@ contracts they build on.
 """
 
 import datetime as dt
+import math
 import pickle
-import random
-from types import SimpleNamespace
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,8 @@ from repro.faults import (
 from repro.faults.inject import EXHAUSTED_REASON
 from repro.net.probe import resolve_seed_url, resolve_toplist
 from repro.net.url import URL
-from tests.fault_oracle import oracle_fault_for
+from repro.det import KeyedRand, key64
+from tests.fault_oracle import oracle_afflicts, oracle_fault_for
 
 NOON = dt.datetime(2020, 5, 15, 12)
 
@@ -142,6 +143,79 @@ class TestFaultSchedule:
         crashed = sum(1 for p in points if p is not None)
         assert 0 < crashed < 100
 
+    def test_crash_draws_are_keyed_on_seed_shard_and_attempt(self):
+        schedule = FaultSchedule(seed=5, crash=CrashSpec(rate=0.5, attempts=3))
+        for shard in range(40):
+            key = key64(5, "crash", shard)
+            afflicted = KeyedRand(key).random() < 0.5
+            for attempt in range(3):
+                expected = (
+                    KeyedRand(key64(5, "crash", shard, attempt)).randrange(7)
+                    if afflicted
+                    else None
+                )
+                assert schedule.crash_point(shard, 7, attempt) == expected
+
+
+# ---------------------------------------------------------------------------
+# Keyed affliction: one draw per (seed, kind, domain, vantage)
+# ---------------------------------------------------------------------------
+
+
+def afflicted_keys(schedule, spec, keys):
+    """The keys of *keys* that *spec* of *schedule* afflicts."""
+    return {key for key in keys if spec in schedule._afflicting(*key)}
+
+
+class TestKeyedAffliction:
+    def test_rate_is_the_afflicted_fraction(self):
+        spec = FaultSpec("dns-error", rate=0.1)
+        schedule = FaultSchedule(seed=13, specs=(spec,))
+        n = 20_000
+        keys = [(f"site{i}.com", "EU-cloud") for i in range(n)]
+        fraction = len(afflicted_keys(schedule, spec, keys)) / n
+        sigma = math.sqrt(0.1 * 0.9 / n)
+        assert abs(fraction - 0.1) < 5 * sigma
+
+    def test_a_spec_afflicts_the_same_keys_in_any_schedule(self):
+        spec = FaultSpec("dns-error", rate=0.3)
+        other = FaultSpec("connection-reset", rate=0.5, attempts=2)
+        keys = [
+            (f"site{i}.com", vantage)
+            for i in range(500)
+            for vantage in ("EU-cloud", "US-university")
+        ]
+        alone, first, second = (
+            afflicted_keys(FaultSchedule(seed=13, specs=specs), spec, keys)
+            for specs in ((spec,), (spec, other), (other, spec))
+        )
+        assert alone == first == second
+        assert 0 < len(alone) < len(keys)
+        assert alone == {
+            key for key in keys if oracle_afflicts(13, "dns-error", 0.3, *key)
+        }
+
+    def test_kinds_draw_apart(self):
+        """Two specs of one rate but different kinds afflict different
+        keys: each kind salts its own draw."""
+        specs = (
+            FaultSpec("dns-error", rate=0.3),
+            FaultSpec("slow-response", rate=0.3),
+        )
+        schedule = FaultSchedule(seed=13, specs=specs)
+        keys = [(f"site{i}.com", "EU-cloud") for i in range(500)]
+        dns, slow = (afflicted_keys(schedule, spec, keys) for spec in specs)
+        assert dns and slow and dns != slow
+
+    def test_the_seed_is_part_of_the_key(self):
+        spec = FaultSpec("connection-reset", rate=0.1)
+        keys = [(f"site{i}.com", "EU-cloud") for i in range(2_000)]
+        by_seed = [
+            afflicted_keys(FaultSchedule(seed=seed, specs=(spec,)), spec, keys)
+            for seed in (13, 14)
+        ]
+        assert by_seed[0] and by_seed[1] and by_seed[0] != by_seed[1]
+
 
 # ---------------------------------------------------------------------------
 # The affliction memo: fault_for draws each key once per process
@@ -204,19 +278,19 @@ class TestAfflictionMemo:
                 FaultSpec("connection-reset", rate=0.5, attempts=2),
             ),
         )
-        seeds = []
-        real = schedule_module.random.Random
+        folded = []
+        real = schedule_module.fold64
 
-        def counting(seed):
-            seeds.append(seed)
-            return real(seed)
+        def counting(prefix, *parts):
+            folded.append(parts)
+            return real(prefix, *parts)
 
-        monkeypatch.setattr(schedule_module.random, "Random", counting)
+        monkeypatch.setattr(schedule_module, "fold64", counting)
         for attempt in range(4):
             for i in range(20):
                 schedule.fault_for(f"site{i}.com", "EU-cloud", attempt)
-        assert len(seeds) == 2 * 20
-        assert len(set(seeds)) == len(seeds)
+        # One fold per key, shared by both specs' draws.
+        assert folded == [(f"site{i}.com", "EU-cloud") for i in range(20)]
 
     def test_unafflicted_keys_share_one_empty_tuple(self):
         schedule = _populated(
@@ -331,13 +405,45 @@ class TestAfflictionMemo:
 # ---------------------------------------------------------------------------
 
 
+class RecordingClock(VirtualClock):
+    """A virtual clock that also records every sleep request, in order:
+    the probe for tests that check which backoff delays were taken."""
+
+    __slots__ = ("sleeps",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sleeps = []
+
+    def sleep(self, seconds: float) -> None:
+        super().sleep(seconds)
+        self.sleeps.append(seconds)
+
+
 class TestClocks:
     def test_virtual_clock_accumulates(self):
-        clock = VirtualClock()
+        clock = RecordingClock()
         clock.sleep(0.5)
         clock.sleep(1.25)
         assert clock.slept == pytest.approx(1.75)
+        assert clock.n_sleeps == 2
         assert clock.sleeps == [0.5, 1.25]
+
+    def test_virtual_clock_size_does_not_grow_with_sleeps(self):
+        clock = VirtualClock()
+        clock.sleep(0.01)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10_000):
+                clock.sleep(0.01)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert not hasattr(clock, "__dict__")
+        assert grown < 1_024
+        assert clock.n_sleeps == 10_001
+        assert clock.slept == pytest.approx(100.01)
 
     def test_virtual_clock_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -386,32 +492,49 @@ class TestRetryPolicy:
         assert RetryPolicy(max_retries=0).schedule("k") == ()
 
     def test_delays_are_the_schedule_derived_one_at_a_time(self, monkeypatch):
-        seeded = count_retry_rngs(monkeypatch)
+        draws = count_retry_draws(monkeypatch)
         policy = RetryPolicy(max_retries=4, base_delay=0.3, seed=5)
         delays = policy.delays("x.com")
-        assert seeded == []
+        assert draws == []
         first = next(delays)
-        assert seeded == ["5:retry:x.com:1"]
+        assert draws == [key64(5, "retry", "x.com")]
         assert (first, *delays) == policy.schedule("x.com")
-        seeded.clear()
+        draws.clear()
         assert policy.delay("x.com", 2) == policy.schedule("x.com")[1]
-        assert seeded[:2] == ["5:retry:x.com:1", "5:retry:x.com:2"]
-        assert len(seeded) == 2 + 4  # delay() stops at retry 2
+        assert len(draws) == 2 + 4  # delay() stops at retry 2
+
+    def test_jitter_is_the_keyed_stream_of_seed_and_key(self):
+        policy = RetryPolicy(
+            max_retries=4, base_delay=1.0, multiplier=1.0, max_delay=2.0,
+            jitter=0.5, seed=9,
+        )
+        rng = KeyedRand(key64(9, "retry", "k"))
+        factors = [1.0 + 0.5 * (2.0 * rng.random() - 1.0) for _ in range(4)]
+        expected, previous = [], 0.0
+        for factor in factors:
+            previous = max(previous, min(factor, 2.0))
+            expected.append(previous)
+        assert policy.schedule("k") == tuple(expected)
+        assert policy.schedule("k") != policy.schedule("k2")
+        assert policy.schedule("k") != RetryPolicy(
+            max_retries=4, base_delay=1.0, multiplier=1.0, max_delay=2.0,
+            jitter=0.5, seed=10,
+        ).schedule("k")
 
 
-def count_retry_rngs(monkeypatch):
-    """Record the seed of every RNG ``repro.faults.retry`` makes."""
-    seeded = []
+def count_retry_draws(monkeypatch):
+    """Record the key of every jitter draw ``repro.faults.retry`` makes."""
+    draws = []
 
-    class CountingRandom(random.Random):
-        def __init__(self, seed):
-            seeded.append(seed)
-            super().__init__(seed)
+    class CountingRand(KeyedRand):
+        __slots__ = ()
 
-    monkeypatch.setattr(
-        retry_module, "random", SimpleNamespace(Random=CountingRandom)
-    )
-    return seeded
+        def random(self):
+            draws.append(self._key)
+            return super().random()
+
+    monkeypatch.setattr(retry_module, "KeyedRand", CountingRand)
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +567,7 @@ class TestRunWithRetries:
     def test_recovery_within_budget(self):
         policy = RetryPolicy(max_retries=3, jitter=0.0, base_delay=1.0)
         tally = FaultTally()
-        clock = VirtualClock()
+        clock = RecordingClock()
         result = run_with_retries(
             self._flaky(2), key="k", policy=policy, clock=clock, tally=tally
         )
@@ -465,18 +588,18 @@ class TestRunWithRetries:
         assert tally.injected == 3  # initial try + 2 retries
 
     def test_first_retry_recovery_seeds_one_rng(self, monkeypatch):
-        seeded = count_retry_rngs(monkeypatch)
+        draws = count_retry_draws(monkeypatch)
         policy = RetryPolicy(
             max_retries=5, base_delay=0.01, max_delay=0.1, jitter=0.1
         )
         tally = FaultTally()
-        clock = VirtualClock()
+        clock = RecordingClock()
         result = run_with_retries(
             self._flaky(1), key="k", policy=policy, clock=clock, tally=tally
         )
         assert result.attempt == 1 and result.fault is None
         assert (tally.retries, tally.recovered) == (1, 1)
-        assert seeded == ["0:retry:k:1"]
+        assert draws == [key64(0, "retry", "k")]
         assert clock.sleeps == [policy.delay("k", 1)]
 
     def test_no_policy_means_no_retries(self):

@@ -351,6 +351,11 @@ def test_spilled_study_graph_keeps_its_digest():
     graph = study.build_graph(store, gvl_versions=versions)
     assert graph.digest() == PINNED_DIGEST
     assert graph.stats() == PINNED_STATS
+    # Every segment's rows went in by one insertion per edge type, so
+    # neither table built a key index.
+    for etype in ("CAPTURED", "OBSERVES"):
+        tables = graph._tables[etype].values()
+        assert [table._keys for table in tables] == [None]
 
 
 def test_graph_build_span_reports_the_clamped_depth():

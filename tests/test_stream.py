@@ -95,15 +95,23 @@ class TestBatchEquivalence:
         self, engine, stream_study, batch_store
     ):
         batch_series = stream_study.adoption_series(batch_store)
+        ranks = {
+            domain: rank
+            for rank, domain in enumerate(stream_study.toplist_domains, 1)
+        }
         batch_curve = observed_marketshare(
-            batch_series,
-            engine._ranks,
-            END - dt.timedelta(days=1),
-            engine._sizes,
+            batch_series, ranks, END - dt.timedelta(days=1), engine._sizes
         )
         assert _payload_bytes(
             engine.marketshare_curve().to_payload()
         ) == _payload_bytes(batch_curve.to_payload())
+
+    def test_building_the_engine_generates_no_site(self):
+        """The engine's toplist lookup reads domains by their tags, so
+        building it generates none of the toplist's sites."""
+        study = Study(CFG)
+        study.streaming_engine()
+        assert study.world.cache_counts()["sites"].misses == 0
 
     def test_mid_window_cut_matches_batch(self, stream_study):
         """Equivalence holds at an interior watermark, not just the end."""
@@ -506,7 +514,7 @@ class TestAnswerMemo:
         ):
             assert engine.query(name, date)[1] is False
         series = AdoptionSeries.from_columnar(
-            engine.store, set(engine._ranks)
+            engine.store, set(engine.study.toplist_domains)
         )
         assert engine.counts_on(old) == series.counts_on(old)
         assert _payload_bytes(

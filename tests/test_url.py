@@ -228,7 +228,7 @@ class TestPickle:
         assert loaded.split() == [b"7", b"f"]
 
 
-MEMOS = ("_str", "_hash", "_h64")
+MEMOS = ("_hash", "_h64")
 
 
 def warmed(raw):
@@ -246,8 +246,8 @@ def memos_of(url):
 
 
 class TestValueClass:
-    """A URL is a slotted value class: six fields and three memos in
-    fixed slots, no per-instance dict."""
+    """A URL is a slotted value class: six fields and two memos (hash
+    and h64, no string) in fixed slots, no per-instance dict."""
 
     def test_no_instance_dict(self):
         url = warmed("https://example.com/a?q=1#f")
@@ -267,7 +267,7 @@ class TestValueClass:
     def test_equality_and_order_ignore_fragment_and_memos(self):
         a = warmed("https://example.com/a#x")
         b = URL("https", "example.com", None, "/a", "", "y")
-        assert memos_of(b) == [None, None, None]
+        assert memos_of(b) == [None, None]
         assert a == b and hash(a) == hash(b)
         assert not a < b and not b < a and a <= b and a >= b
         c = URL("https", "example.com", None, "/b")
@@ -301,7 +301,7 @@ class TestValueClass:
         data = pickle.dumps(url)
         assert str(url).encode() not in data
         copy = pickle.loads(data)
-        assert memos_of(copy) == [None, None, None]
+        assert memos_of(copy) == [None, None]
         assert copy == url and copy.fragment == "frag"
         assert hash(copy) == hash(url) and str(copy) == str(url)
         assert copy.h64 == url.h64
@@ -323,7 +323,7 @@ class TestValueClass:
         url = warmed("https://example.com:8443/a?q=1#f")
         before = memos_of(url)
         derived = derive(url)
-        assert memos_of(derived) == [None, None, None]
+        assert memos_of(derived) == [None, None]
         assert str(derived) == expected
         assert hash(derived) == hash(
             (derived.scheme, derived.host, derived.port, derived.path,
