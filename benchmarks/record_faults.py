@@ -2,7 +2,7 @@
 
 The chaos invariant says a fault-free run with ``repro.faults`` wired in
 is *bit-identical* to one without it; this benchmark pins down what the
-wiring *costs*. It times the same two-week social window three ways --
+wiring *costs*. It times the same social window three ways --
 no schedule (``faults=None``, today's fast path), an empty schedule
 (every crawl goes through ``run_with_retries`` and a ``fault_for``
 lookup that injects nothing), and a transient schedule whose faults are
@@ -13,14 +13,19 @@ root:
     PYTHONPATH=src python benchmarks/record_faults.py
 
 The acceptance budget is a small single-digit-percent overhead for the
-empty-schedule mode; single runs on a noisy machine jitter either way,
-so the best-of-N of interleaved repetitions is recorded.
+empty-schedule mode. The window is long enough that every mode runs for
+at least half a second: a 14-day window took 0.05-0.08 s per mode, and
+its best-of-9 moved by a third between runs of the same code. Single
+runs on a noisy machine still jitter either way, so the record keeps
+the best of the interleaved repetitions and, beside it, their median
+and interquartile range.
 """
 
 import datetime as dt
 import json
 import os
 import platform as platform_mod
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -30,7 +35,7 @@ from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.faults import FaultSchedule, FaultSpec, RetryPolicy
 from repro.web.worldgen import World, WorldConfig
 
-WINDOW = (dt.date(2020, 4, 1), dt.date(2020, 4, 15))
+WINDOW = (dt.date(2020, 1, 1), dt.date(2020, 6, 1))
 REPEATS = 9
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
@@ -92,8 +97,13 @@ def main():
                 )
 
     # Best-of-N: on a contended machine the minimum approximates the
-    # true cost; best drift with background load.
+    # true cost; the median and quartiles show how far repeats drift
+    # with background load.
     best = {name: min(values) for name, values in timings.items()}
+    quartiles = {
+        name: statistics.quantiles(values, n=4)
+        for name, values in timings.items()
+    }
     base = best["no_schedule"]
     recovered = tallies["transient_recovered"]
     assert recovered.injected > 0 and recovered.exhausted == 0
@@ -106,6 +116,12 @@ def main():
         "window_days": (WINDOW[1] - WINDOW[0]).days,
         "repeats": REPEATS,
         "best_seconds": {k: round(v, 4) for k, v in best.items()},
+        "median_seconds": {
+            k: round(q[1], 4) for k, q in quartiles.items()
+        },
+        "iqr_seconds": {
+            k: round(q[2] - q[0], 4) for k, q in quartiles.items()
+        },
         "overhead_pct_vs_no_schedule": {
             name: round((best[name] / base - 1.0) * 100, 2)
             for name in ("empty_schedule", "transient_recovered")
@@ -116,7 +132,11 @@ def main():
     }
     OUT_PATH.write_text(json.dumps(record, indent=2) + "\n")
     for name, value in best.items():
-        print(f"  {name:<20} best {value:7.3f}s")
+        q1, median, q3 = quartiles[name]
+        print(
+            f"  {name:<20} best {value:7.3f}s  median {median:7.3f}s  "
+            f"IQR {q3 - q1:6.3f}s"
+        )
     print(
         "  empty-schedule overhead: "
         f"{record['overhead_pct_vs_no_schedule']['empty_schedule']:+.2f}%"

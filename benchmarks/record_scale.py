@@ -6,10 +6,14 @@ capture store active (``StudyConfig.memory_budget``), and records
 ``(crawls, peak_rss_mb, wall_seconds)`` for each run into
 ``BENCH_scale.json``. The point of the record is the *ratio*: crawls
 grow ~12x while peak RSS stays roughly flat, because the store spills
-full segments to disk and the world's memos are bounded
-(:class:`repro.web.worldgen.CacheLimits`). Each run also reports every
-memo's entries, hits, misses and evictions: the large run is long
-enough to overflow a bound, so it shows what eviction costs in hits.
+full segments to disk and every crawl memo is bounded: the world's
+memos (:class:`repro.web.worldgen.CacheLimits`), the host ->
+registrable-domain memo (:data:`repro.net.psl.DOMAINS`) and the
+detection host-mask table (:data:`repro.detect.engine.HOST_MASKS`).
+Each run also reports every memo's entries, hits, misses and
+evictions: the large run is long enough to overflow a bound, so it
+shows what eviction costs in hits. The two host memos count no hits
+(a hit is the caller's bare dict lookup), so they report misses only.
 
 Each run then reads the whole store back the way a study does and
 records the peak RSS after each read: ``store_digest`` (which streams
@@ -30,7 +34,7 @@ re-runs the large study and fails when
   ``ROW_COST_BYTES`` each, with slack), or
 * its peak RSS regresses more than ``RSS_SLACK_FRACTION`` over the
   committed ``BENCH_scale.json``, or
-* any world memo holds more entries than its ``CacheLimits`` bound, or
+* any crawl memo holds more entries than its bound, or
 * a tiny spill-vs-in-memory digest comparison stops being
   bit-identical (the correctness half of the guard).
 
@@ -109,6 +113,8 @@ def run_one(spec: Dict) -> Dict:
     """
     from repro.core.pipeline import Study
     from repro.crawler.storage import store_digest
+    from repro.detect.engine import HOST_MASKS
+    from repro.net.psl import DOMAINS
     from repro.obs.memory import RusageReader
 
     reader = RusageReader()
@@ -138,6 +144,10 @@ def run_one(spec: Dict) -> Dict:
         name: dict(memo.counts()._asdict(), bound=getattr(limits, name))
         for name, memo in sorted(study.world.cache_info().items())
     }
+    for name, memo in (("domains", DOMAINS), ("host_masks", HOST_MASKS)):
+        memos[name] = dict(
+            memo.counts()._asdict(), hits=None, bound=memo.maxsize
+        )
     return {
         "crawls": crawls,
         "rows_with_cmp": with_cmp,
@@ -153,23 +163,26 @@ def run_one(spec: Dict) -> Dict:
 
 
 def memo_lines(memos: Dict) -> List[str]:
-    """One line per world memo: entries against its bound, hits,
-    misses and evictions."""
+    """One line per crawl memo: entries against its bound, hits (where
+    counted), misses and evictions."""
     lines = []
     for name, memo in memos.items():
-        lookups = memo["hits"] + memo["misses"]
-        ratio = memo["hits"] / lookups if lookups else 0.0
+        if memo["hits"] is None:
+            lookups = f"{memo['misses']} misses"
+        else:
+            total = memo["hits"] + memo["misses"]
+            ratio = memo["hits"] / total if total else 0.0
+            lookups = f"{memo['hits']} hits / {total} lookups ({ratio:.4f})"
         lines.append(
             f"  memo {name}: {memo['entries']} entries (bound "
-            f"{memo['bound']}), {memo['hits']} hits / {lookups} lookups "
-            f"({ratio:.4f}), {memo['evictions']} evictions"
+            f"{memo['bound']}), {lookups}, {memo['evictions']} evictions"
         )
     return lines
 
 
 def memo_bound_problems(memos: Dict) -> List[str]:
     return [
-        f"world memo {name} holds {memo['entries']} entries, over its "
+        f"memo {name} holds {memo['entries']} entries, over its "
         f"bound of {memo['bound']}"
         for name, memo in memos.items()
         if memo["bound"] is not None and memo["entries"] > memo["bound"]

@@ -21,6 +21,13 @@ Two guard rails keep the record honest:
   baseline. ``make bench-throughput`` wires this as the non-matrix CI
   perf gate; it never writes the JSON.
 
+What the floor gates: one ``World`` crawls the window once cold (every
+site generated on first sight) and then ``SERIAL_REPS`` more times,
+served from the world's site memo. The floor gates the best of those
+warm repeats -- the crawl kernel's steady-state rate, not a cold
+study's. The cold run's rate is printed beside it and never gated;
+it is several times lower, because it pays world generation.
+
 The parallel rows exercise the sharded executor's process pool on the
 same two-week social window as the serial row and verify the determinism contract
 (identical observation sequences) while timing the fan-out. Each row
@@ -163,15 +170,17 @@ def check_floor(out_path=OUT_PATH, floor=FLOOR_FRACTION):
     committed_rate = committed_serial["crawls_per_second"]
 
     world = _bench_world()
-    _platform(world).run(*WINDOW)  # warm the lazy site cache
+    cold, _ = time_platform_window(world, 1)  # warms the lazy site cache
     row, _ = time_serial_best(world)
     fresh_rate = row["crawls_per_second"]
     ratio = fresh_rate / committed_rate
     verdict = "OK" if ratio >= floor else "FAIL"
     print(
-        f"serial throughput floor: fresh {fresh_rate:.1f} crawls/s vs "
-        f"committed {committed_rate:.1f} ({ratio:.2f}x, floor "
-        f"{floor:.2f}x) -- {verdict}"
+        f"serial throughput floor: fresh {fresh_rate:.1f} crawls/s "
+        f"(best of {SERIAL_REPS} warm repeats) vs committed "
+        f"{committed_rate:.1f} ({ratio:.2f}x, floor {floor:.2f}x) -- "
+        f"{verdict}; cold run {cold['crawls_per_second']:.1f} crawls/s "
+        "(not gated)"
     )
     if ratio < floor:
         print(
@@ -222,7 +231,9 @@ def main(argv=None):
 
     # Warm the lazy site cache so every row times crawling, not world
     # generation (the serial row would otherwise pay it alone).
-    _platform(world).run(*WINDOW)
+    cold, _ = time_platform_window(world, 1)
+    print(f"  cold       {cold['seconds']:7.3f}s  "
+          f"{cold['crawls_per_second']:8.1f} crawls/s (not recorded)")
 
     serial_row, baseline_keys = time_serial_best(world)
     serial_seconds = serial_row["seconds"]

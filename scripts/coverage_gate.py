@@ -6,7 +6,7 @@ Three gates, one contract each:
   subsystems can't land untested);
 * scale-out -- the spilling capture store, the segment format it
   spills to and the bounded-memo primitive (``repro.crawler.spill``,
-  ``repro.crawler.storage``, ``repro.web.memo``), >= 90% (the
+  ``repro.crawler.storage``, ``repro.memo``), >= 90% (the
   memory-bounding layer is load-bearing for bit-identity, and every
   corrupt-file branch of the format must stay exercised);
 * the toplist crawl (``repro.crawler.toplist_crawl``), >= 90%: Table 1
@@ -78,7 +78,7 @@ GATES: Tuple[Gate, ...] = (
         files=(
             SRC_ROOT / "repro" / "crawler" / "spill.py",
             SRC_ROOT / "repro" / "crawler" / "storage.py",
-            SRC_ROOT / "repro" / "web" / "memo.py",
+            SRC_ROOT / "repro" / "memo.py",
         ),
         floor=90.0,
         tests=(

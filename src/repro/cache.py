@@ -85,7 +85,7 @@ SCHEMA_VERSION = 1
 #: changes, invalidating cached artifacts computed by the old code.
 CODE_VERSIONS: Dict[str, int] = {
     # v2: the columnar crawl path re-derived the visit/event randomness
-    # (keyed counter streams + structural visit plans); every
+    # (keyed counter streams + the structural compact visit); every
     # crawl-derived artifact changed value, so all stages bump together.
     # social-crawl v3: store entries are binary segments, no longer
     # JSON Lines; older entries are evicted by fingerprint instead of
@@ -142,11 +142,11 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.faults.inject",
         "repro.faults.retry",
         "repro.faults.schedule",
+        "repro.memo",
         "repro.net.psl",
         "repro.net.url",
         "repro.valueclass",
         "repro.web.adoption",
-        "repro.web.memo",
         "repro.web.serving",
         "repro.web.website",
         "repro.web.worldgen",
@@ -195,6 +195,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.faults.inject",
         "repro.faults.retry",
         "repro.faults.schedule",
+        "repro.memo",
         "repro.net.probe",
         "repro.net.psl",
         "repro.net.url",

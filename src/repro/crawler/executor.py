@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.faults.inject import WorkerCrash
-from repro.web.memo import BoundedMemo
+from repro.memo import BoundedMemo
 from repro.web.worldgen import World, WorldConfig
 
 T = TypeVar("T")

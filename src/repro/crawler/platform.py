@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     List,
     NamedTuple,
     Optional,
@@ -101,12 +100,12 @@ from repro.faults import (
     WorkerCrash,
     run_with_retries,
 )
+from repro.memo import CountMap, count_growth, sum_counts
 from repro.net import publish_cache_gauges
-from repro.net.psl import default_psl
+from repro.net.psl import DOMAINS
 from repro.net.url import URL
 from repro.obs import Counter, Observability, resolve_obs
 from repro.obs.memory import publish_memory_gauges
-from repro.web.memo import CountMap, count_growth, sum_counts
 from repro.web.serving import CompactVisit, visit_compact, visit_key_prefix
 from repro.web.worldgen import World, WorldConfig, publish_world_cache_gauges
 
@@ -218,22 +217,6 @@ def _draw_arr(keys: "np.ndarray", position: int) -> "np.ndarray":
     return (x >> _S11).astype(np.float64) * 1.1102230246251565e-16  # 2**-53
 
 
-#: host -> registrable-domain memo. PSL mapping is world-independent,
-#: so one process-wide table serves every run.
-_DOMAIN_MEMO: Dict[str, str] = {}
-
-
-def _final_domain(host: str) -> str:
-    """PSL-registrable domain of *host* (the paper's counting unit)."""
-    domain = _DOMAIN_MEMO.get(host)
-    if domain is None:
-        reg = default_psl().registrable_domain(host)
-        # A process-local memo: the PSL mapping is pure, so every
-        # worker process stores an equal value.
-        domain = _DOMAIN_MEMO[host] = reg if reg is not None else host  # repro-lint: disable=RACE001
-    return domain
-
-
 def _fault_kind(result: Union[CompactVisit, Fault]) -> Optional[str]:
     return result.kind if isinstance(result, Fault) else None
 
@@ -304,10 +287,11 @@ def visit_rows(
     n_reqs: List[int] = []
     statuses: List[Optional[int]] = []
     kinds: List[Optional[str]] = [None] * len(urls)
+    domain_of = DOMAINS.data.get
     for url, date, region, key in zip(urls, dates, regions, keys):
         if faults is not None:
             i = len(domains)  # this row's index
-            seed_domain = _final_domain(url.host)
+            seed_domain = DOMAINS(url.host)
             vantage = f"{region}-{address_space}"
             first = attempts[i] if attempts is not None else 0
             last = first
@@ -348,7 +332,8 @@ def visit_rows(
                 world, url, date, region, address_space, cutoff, key
             )
         kept = visit.kept_hosts
-        domains.append(_final_domain(visit.final_host))
+        host = visit.final_host
+        domains.append(domain_of(host) or DOMAINS(host))
         masks.append(hosts_mask(kept))
         n_reqs.append(len(kept))
         statuses.append(visit.status)

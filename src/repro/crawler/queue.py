@@ -19,8 +19,10 @@ its per-submit cost is on the critical path):
 * Cooldown bookkeeping uses integer epoch-day seconds instead of
   ``datetime`` values -- one conversion per submit replaces a
   ``timedelta`` allocation per cooldown comparison.
-* ``host -> registrable domain`` is memoized per queue; the PSL walk
-  runs once per distinct host instead of once per submit.
+* ``host -> registrable domain`` comes from the crawl path's one
+  bounded memo (:data:`repro.net.psl.DOMAINS`): a hit is one dict
+  lookup, and a queue carries no memo of its own, so a partition
+  queue pickles without one.
 * Decision metrics are accumulated as plain ints and flushed to the
   observability counters on :meth:`prune` (once per simulated day),
   not per submit.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.net.psl import default_psl
+from repro.net.psl import DOMAINS
 from repro.net.url import URL
 from repro.obs import Observability, resolve_obs
 
@@ -78,7 +80,6 @@ class CaptureQueue:
     def __init__(self, obs: Optional[Observability] = None) -> None:
         self._last_domain_capture: Dict[str, int] = {}
         self._last_url_capture: Dict[URL, int] = {}
-        self._domain_memo: Dict[str, str] = {}
         self.stats = QueueStats()
         self._m_decisions = resolve_obs(obs).metrics.counter(
             "queue_submissions_total",
@@ -116,7 +117,7 @@ class CaptureQueue:
             stats.skipped_url += 1
             self._pend_skip_url += 1
             return False
-        domain = self._domain_memo.get(url.host) or self._domain_of(url.host)
+        domain = DOMAINS.data.get(url.host) or DOMAINS(url.host)
         last_domain = self._last_domain_capture.get(domain)
         if last_domain is not None and ts - last_domain < _DOMAIN_COOLDOWN_S:
             stats.skipped_domain += 1
@@ -146,12 +147,6 @@ class CaptureQueue:
         if self._feed is not None:
             self._feed[url] = self._feed[domain] = feed
         return True
-
-    def _domain_of(self, host: str) -> str:
-        """The registrable domain of *host* (memoized)."""
-        reg = default_psl().registrable_domain(host)
-        domain = self._domain_memo[host] = reg if reg is not None else host
-        return domain
 
     def prune(self, now: dt.datetime) -> None:
         """Drop expired cooldown entries to bound memory on long runs.
@@ -208,10 +203,8 @@ class CaptureQueue:
         queues = [CaptureQueue() for _ in range(parts)]
         for queue in queues:
             queue._feed = {}
-        memo = self._domain_memo
         for url, ts in self._last_url_capture.items():
-            domain = memo.get(url.host) or self._domain_of(url.host)
-            queues[owner(domain)]._last_url_capture[url] = ts
+            queues[owner(DOMAINS(url.host))]._last_url_capture[url] = ts
         for domain, ts in self._last_domain_capture.items():
             queues[owner(domain)]._last_domain_capture[domain] = ts
         return queues

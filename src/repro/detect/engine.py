@@ -12,12 +12,12 @@ paper manually excludes this outlier (Section 3.5, "CMP Detection").
 
 Detection is bitmask-based: each fingerprint owns one bit (in
 ``FINGERPRINTS`` table order), every distinct host resolves -- once,
-memoized -- to the mask of fingerprints it matches, and a capture's
-detection state is the OR of its contacted hosts' masks. All per-mask
-derived values (matched keys, first match, overcount flag) come from
-precomputed 64-entry tables, which is what makes the columnar batch
-path (:meth:`DetectionEngine.detect_batch`) a table lookup per crawl
-instead of a fingerprint loop per capture.
+in a bounded memo -- to the mask of fingerprints it matches, and a
+capture's detection state is the OR of its contacted hosts' masks. All
+per-mask derived values (matched keys, first match, overcount flag)
+come from precomputed 64-entry tables, which is what makes the
+columnar batch path (:meth:`DetectionEngine.detect_batch`) a table
+lookup per crawl instead of a fingerprint loop per capture.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crawler.capture import Capture
 from repro.detect.fingerprints import FINGERPRINTS
+from repro.memo import FunctionMemo
 from repro.obs import Observability, resolve_obs
 
 #: The two-day Quantcast analytics outlier window (Section 3.5).
@@ -50,37 +51,39 @@ _MASK_FIRST: Tuple[Optional[str], ...] = tuple(
 )
 _MASK_COUNT: Tuple[int, ...] = tuple(len(keys) for keys in _MASK_KEYS)
 
-#: host -> fingerprint mask, filled on first sight of each host.
-_HOST_MASKS: Dict[str, int] = {}
+#: Bound of :data:`HOST_MASKS`, like
+#: :data:`repro.net.psl.DOMAIN_MEMO_SIZE` for the same host universe.
+HOST_MASK_MEMO_SIZE = 65_536
 
 
-def host_mask(host: str) -> int:
-    """The fingerprint bitmask of one host (memoized).
+def _mask_of(host: str) -> int:
+    mask = 0
+    for i, fp in enumerate(FINGERPRINTS):
+        if fp.matches_host(host):
+            mask |= 1 << i
+    return mask
+
+
+#: host -> fingerprint mask, filled on first sight of each host. A
+#: process-local memo of a pure function, so every worker process
+#: holds equal entries.
+HOST_MASKS = FunctionMemo(_mask_of, HOST_MASK_MEMO_SIZE)
+
+
+def hosts_mask(hosts: Sequence[str]) -> int:
+    """The combined fingerprint mask of a host sequence.
 
     The host vocabulary of a run is small (site domains plus a handful
     of CMP/third-party hosts), so after warm-up this is one dict hit
     per contacted host.
     """
-    mask = _HOST_MASKS.get(host)
-    if mask is None:
-        mask = 0
-        for i, fp in enumerate(FINGERPRINTS):
-            if fp.matches_host(host):
-                mask |= 1 << i
-        # A process-local memo: the mask is a pure function of the
-        # host, so every worker process stores an equal value.
-        _HOST_MASKS[host] = mask  # repro-lint: disable=RACE001
-    return mask
-
-
-def hosts_mask(hosts: Sequence[str]) -> int:
-    """The combined fingerprint mask of a host sequence."""
     mask = 0
-    masks = _HOST_MASKS
+    memo = HOST_MASKS
+    masks = memo.data
     for host in hosts:
         m = masks.get(host)
         if m is None:
-            m = host_mask(host)
+            m = memo(host)
         mask |= m
     return mask
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.det import KeyedRand, fold64, key64, mix64
-from repro.web.memo import MISSING, BoundedMemo, CountMap
+from repro.memo import MISSING, BoundedMemo, CountMap
 
 #: The transient failure classes of the live web that shaped the
 #: paper's captures (Sections 3.2 and 3.5).

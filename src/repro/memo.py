@@ -1,13 +1,15 @@
-"""Deterministic bounded memo for the world's caches.
+"""Deterministic bounded memos for the world's and the crawl's caches.
 
 Every :class:`~repro.web.worldgen.World` memo (generated sites, host
-resolutions, visit plans, shared URLs) is a pure function of the world
-seed and the key, so evicting an entry can never change results -- a
-miss just regenerates the same bits. That makes a size bound *bit
-invisible*: the only observable difference is time and memory. This
-module provides the one primitive all of those caches share, with
+resolutions, shared URLs) is a pure function of the world seed and the
+key, so evicting an entry can never change results -- a miss just
+regenerates the same bits. That makes a size bound *bit invisible*:
+the only observable difference is time and memory. This module
+provides the one primitive all of those caches share, with
 hit/miss/eviction counters the observability layer snapshots into the
-``world_cache_*`` gauges at the end of a run.
+``world_cache_*`` gauges at the end of a run. :class:`FunctionMemo`
+bounds the crawl's per-host tables (registrable domains, fingerprint
+masks) the same way, with hits a caller's bare dict lookup.
 
 A hit is one ``dict`` lookup plus a counter; nothing is reordered. On
 overflow the oldest insertion is evicted. Insertion order is the
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from typing import Any, Deque, Dict, NamedTuple, Optional
+from typing import Any, Callable, Deque, Dict, NamedTuple, Optional
 
 __all__ = [
-    "BoundedMemo", "CountMap", "MISSING", "MemoCounts", "count_growth",
-    "sum_counts",
+    "BoundedMemo", "CountMap", "FunctionMemo", "MISSING", "MemoCounts",
+    "count_growth", "sum_counts",
 ]
 
 #: Sentinel distinguishing "key absent" from any cached value,
@@ -123,3 +125,31 @@ class BoundedMemo:
         return MemoCounts(
             self.hits, self.misses, self.evictions, len(self._data)
         )
+
+
+class FunctionMemo(BoundedMemo):
+    """A :class:`BoundedMemo` of one pure *function*, read on hot paths.
+
+    A hit is the caller's own ``memo.data.get(key)``: one dict lookup
+    that counts nothing, so ``hits`` stays 0. Calling the memo answers
+    any key, computing, inserting and counting a miss when it is
+    absent; hot callers call it only after their lookup missed.
+    ``data`` is never rebound, so a caller may hold it across calls.
+    """
+
+    __slots__ = ("function", "data")
+
+    def __init__(
+        self, function: Callable[[Any], Any], maxsize: Optional[int]
+    ) -> None:
+        super().__init__(maxsize)
+        self.function = function
+        self.data = self._data
+
+    def __call__(self, key: Any) -> Any:
+        value = self._data.get(key, MISSING)
+        if value is MISSING:
+            self.misses += 1
+            value = self.function(key)
+            self[key] = value
+        return value

@@ -17,7 +17,7 @@ reproduction is built on:
 """
 
 from repro.net.http import Cookie, HttpRequest, HttpResponse, HttpTransaction
-from repro.net.psl import PublicSuffixList, default_psl
+from repro.net.psl import DOMAINS, PublicSuffixList, default_psl
 from repro.net.url import URL, UrlError, parse_cache_info
 
 __all__ = [
@@ -36,24 +36,32 @@ __all__ = [
 def publish_cache_gauges(obs) -> None:
     """Snapshot the net-layer memoization caches into obs gauges.
 
-    Point-in-time hits and entry counts of the bounded ``URL.parse``
-    cache and the per-instance PSL caches -- the knobs that decide
-    whether a multi-million-URL run stays memoized or thrashes. Called
-    at the end of every platform/toplist run; a no-op under the null
-    obs backend. The caches are per-process, so sharded ``process``
-    runs report the parent's caches only.
+    Point-in-time counts of the bounded ``URL.parse`` cache and of the
+    crawl path's host -> registrable-domain memo
+    (:data:`~repro.net.psl.DOMAINS`, label ``domains``) -- the knobs
+    that decide whether a multi-million-URL run stays memoized or
+    thrashes. A domain-memo hit is a bare dict lookup and counts
+    nothing, so that memo publishes misses and entries only: every
+    miss inserted one entry, and misses past the entries were evicted.
+    Called at the end of every platform/toplist run; a no-op under the
+    null obs backend. The caches are per-process, so sharded
+    ``process`` runs report the parent's caches only.
     """
     if not obs.enabled:
         return
     hits = obs.metrics.gauge(
         "net_cache_hits", "memoization hits in the net layer, by cache"
     )
+    misses = obs.metrics.gauge(
+        "net_cache_misses", "memoization misses in the net layer, by cache"
+    )
     entries = obs.metrics.gauge(
         "net_cache_entries", "memoized entries in the net layer, by cache"
     )
     info = parse_cache_info()
     hits.set(info.hits, cache="url_parse")
+    misses.set(info.misses, cache="url_parse")
     entries.set(info.currsize, cache="url_parse")
-    for name, psl_info in sorted(default_psl().cache_info().items()):
-        hits.set(psl_info.hits, cache=f"psl_{name}")
-        entries.set(psl_info.currsize, cache=f"psl_{name}")
+    domains = DOMAINS.counts()
+    misses.set(domains.misses, cache="domains")
+    entries.set(domains.entries, cache="domains")

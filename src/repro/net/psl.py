@@ -12,12 +12,20 @@ exception rules (``!www.ck``) -- against a bundled snapshot of rules in
 :mod:`repro.datasets`. The snapshot covers every suffix the synthetic web
 generator emits plus the common real-world suffixes, so the lookup code
 path is identical to one backed by the full list.
+
+The crawl path reads registrable domains through :data:`DOMAINS`, one
+bounded process-wide host -> domain memo whose misses fill neither of
+the PSL's own caches. The PSL's public methods stay memoized for their
+other callers: the row crawl path and
+:class:`~repro.crawler.capture.Capture`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
+
+from repro.memo import FunctionMemo
 
 
 class PublicSuffixList:
@@ -28,8 +36,8 @@ class PublicSuffixList:
             (``// ...``) and blank lines are ignored.
     """
 
-    #: Cached lookups per instance; sized for crawl workloads, where the
-    #: same third-party and toplist hosts recur millions of times.
+    #: Cached lookups per instance; sized for the row crawl path, where
+    #: the same third-party and toplist hosts recur millions of times.
     CACHE_SIZE = 65_536
 
     def __init__(self, rules: Iterable[str]):
@@ -77,7 +85,7 @@ class PublicSuffixList:
         self._install_caches()
 
     def cache_info(self) -> dict:
-        """Per-cache hit/miss/size statistics (for the obs gauges)."""
+        """Per-cache hit/miss/size statistics."""
         return {
             "suffix": self._suffix_cached.cache_info(),
             "registrable": self._registrable_cached.cache_info(),
@@ -129,7 +137,9 @@ class PublicSuffixList:
 
     def _registrable_domain_uncached(self, host: str) -> Optional[str]:
         labels = _labels(host)
-        suffix = self.public_suffix(host)
+        # Uncached: every registrable miss is a distinct host, so a
+        # suffix memo filled here would never be read back.
+        suffix = self._public_suffix_uncached(host)
         n_suffix = suffix.count(".") + 1
         if len(labels) <= n_suffix:
             return None
@@ -170,3 +180,22 @@ def default_psl() -> PublicSuffixList:
     from repro.datasets import load_psl_snapshot
 
     return PublicSuffixList(load_psl_snapshot())
+
+
+def registrable_or_host(host: str) -> str:
+    """The registrable domain of *host*, or *host* itself for a bare
+    public suffix (the crawl's counting unit; fills no PSL cache)."""
+    reg = default_psl()._registrable_domain_uncached(host)
+    return reg if reg is not None else host
+
+
+#: Bound of :data:`DOMAINS`: far above the distinct hosts of a
+#: 3.7M-crawl run over 20k domains, so it only caps a pathological host
+#: universe.
+DOMAIN_MEMO_SIZE = 65_536
+
+#: The crawl path's one host -> :func:`registrable_or_host` memo. The
+#: capture queue and the crawl kernel read it with ``DOMAINS.data.get``
+#: and call it on a miss. Process-wide: the mapping is pure, so every
+#: worker process holds equal entries, and partition queues carry none.
+DOMAINS = FunctionMemo(registrable_or_host, DOMAIN_MEMO_SIZE)

@@ -53,9 +53,9 @@ from repro.crawler.columnar import VANTAGE_STRS, CaptureStore
 from repro.crawler.platform import NetographPlatform, PlatformConfig
 from repro.crawler.seeds import SocialShareStream, StreamConfig
 from repro.crawler.spill import SpillingCaptureStore
+from repro.memo import MISSING, BoundedMemo
 from repro.stream.state import LiveAdoptionState
 from repro.toplist.tranco import TrancoRanks
-from repro.web.memo import MISSING, BoundedMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (cycle guard)
     from repro.core.pipeline import Study

@@ -26,9 +26,13 @@ A visit is split into an observable **skeleton** and cosmetic **flesh**:
 
 The columnar crawl path (:func:`visit_compact`) consumes the skeleton
 alone and never builds transaction or page objects, which is where the
-bulk of its speedup comes from; because both paths share one skeleton
-function and one draw stream, their observable results are identical by
-construction (pinned by ``tests/test_columnar.py``).
+bulk of its speedup comes from; both paths draw from one stream, so
+their observable results are identical (pinned by
+``tests/test_columnar.py``). At the default and extended crawl cutoffs
+it does not even draw the skeleton's timings: it follows the same
+decisions inline and reads only the draws that can change what a crawl
+records (pinned to the skeleton path by ``tests/test_memo_contract.py``).
+Nothing is memoized per visit.
 """
 
 from __future__ import annotations
@@ -414,10 +418,11 @@ def visit_compact(
     or page text. *key* (when the caller already computed the visit
     key) avoids re-deriving it.
 
-    For cutoffs inside a structural band the result comes from the
-    cached per-``(url, region, space)`` plan (:func:`_visit_compact_fast`)
-    -- bit-identical to the skeleton path, pinned by tests -- otherwise
-    the full skeleton is planned and filtered draw-exactly.
+    For cutoffs inside a structural band the visit is derived without
+    its timing draws (:func:`_visit_compact_fast`) -- bit-identical to
+    the skeleton path, pinned by tests -- otherwise the full skeleton
+    is planned and filtered draw-exactly. Nothing is memoized per
+    visit: every call derives its visit afresh.
     """
     if _SAFE_LO <= cutoff <= _SAFE_HI:
         return _visit_compact_fast(world, url, date, region,
@@ -471,108 +476,6 @@ def visit_compact(
     )
 
 
-class _VisitPlan(NamedTuple):
-    """The date-independent part of a ``(url, region, space)`` visit.
-
-    Derived once and cached on the world; only the CMP episode, the US
-    embed ramp, and the Quantcast incident window vary with the date.
-    """
-
-    #: Fully static outcome (failure classes); short-circuits the rest.
-    terminal: Optional[CompactVisit]
-    site: Optional[Website]
-    #: Kept hosts up to and including the common third parties.
-    base_hosts: Tuple[str, ...]
-    #: Number of redirect hops (drives the aux draw positions).
-    n_hops: int
-    final_host: str
-    #: The visited subsite carries the CMP embed at all.
-    subsite_ok: bool
-    #: ``region in site.embed_regions`` (the date-independent half of
-    #: ``embeds_cmp_for``; the US ramp is checked per date).
-    region_embeds: bool
-    us_region: bool
-    #: Site is in the 8% selected for the Quantcast analytics incident.
-    qca_selected: bool
-
-
-def _visit_plan(
-    world: World, url: URL, region: str, address_space: str
-) -> _VisitPlan:
-    """Build the static plan, mirroring ``_visit_skeleton`` structure.
-
-    This re-derives the skeleton's *keep/cut-relevant* decisions only
-    (kinds, hops, hosts); timings are omitted because inside a
-    structural band they cannot affect the kept-set. Parity with the
-    skeleton path is pinned by tests over every site class.
-    """
-    def terminal(visit: CompactVisit) -> _VisitPlan:
-        return _VisitPlan(visit, None, (), 0, "", False, False, False,
-                          False)
-
-    host = url.host
-    hop_sources: List[str] = []
-    if host == world.config.shortener_domain:
-        ref = _decode_short_ref(world, url)
-        if ref is None:
-            return terminal(CompactVisit(404, host, (host,), False, False))
-        site, subsite_index = ref
-        hop_sources.append(host)
-        host = site.domain
-    else:
-        site = world.host_to_site(host)
-        subsite_index = -1
-    if site is None:
-        return terminal(
-            CompactVisit(None, host, tuple(hop_sources), False, False)
-        )
-    if site.redirects_to is not None:
-        hop_sources.append(host)
-        host = f"www.{site.redirects_to}"
-        site = world.site_by_domain(site.redirects_to)
-        if site is None:
-            return terminal(
-                CompactVisit(None, host, tuple(hop_sources), False, False)
-            )
-    if subsite_index < 0:
-        subsite_index = _subsite_index(site, url)
-
-    reach = site.reachability
-    if reach == "unreachable":
-        # Mirrors the skeleton's early return: no transactions at all.
-        return terminal(CompactVisit(None, host, (), False, False))
-    if reach == "invalid-response":
-        return terminal(
-            CompactVisit(None, host, tuple(hop_sources), False, False)
-        )
-    if reach == "http-error":
-        return terminal(
-            CompactVisit(503, host, (*hop_sources, host), False, False)
-        )
-    if site.behind_antibot_cdn and address_space == "cloud":
-        return terminal(
-            CompactVisit(403, host, (*hop_sources, host), False, True)
-        )
-    if site.blocks_eu_visitors and region == "EU":
-        return terminal(
-            CompactVisit(451, host, (*hop_sources, host), False, False)
-        )
-
-    return _VisitPlan(
-        terminal=None,
-        site=site,
-        base_hosts=(*hop_sources, host, *_COMMON_THIRD_PARTIES),
-        n_hops=len(hop_sources),
-        final_host=host,
-        subsite_ok=site.subsite_embeds_cmp(subsite_index),
-        region_embeds=region in site.embed_regions,
-        us_region=region == "US",
-        qca_selected=(
-            zlib.crc32(f"qca:{site.domain}".encode("utf-8")) % 100 < 8
-        ),
-    )
-
-
 def _visit_compact_fast(
     world: World,
     url: URL,
@@ -585,40 +488,71 @@ def _visit_compact_fast(
     """Structural-band :func:`visit_compact` (see the band constants).
 
     Inside a band the kept-set never depends on timing draws, so the
-    visit reduces to the cached static plan plus the date-dependent CMP
-    and Quantcast-incident pieces. Only the aux-host inclusion draws
-    still consume randomness -- and those are read at their exact
-    skeleton stream positions, so results stay bit-identical to the
-    skeleton path.
+    visit follows the skeleton's decisions -- redirect hops, failure
+    classes, the Quantcast incident and the CMP embed -- without
+    drawing any timing. Only the aux-host inclusion draws consume
+    randomness, and those are read at their exact skeleton stream
+    positions, so results stay bit-identical to the skeleton path
+    (pinned by tests over every site class).
     """
-    cache = world._visit_plan_cache
-    cache_key = (url, region, address_space)
-    plan = cache.get(cache_key)
-    if plan is None:
-        plan = cache[cache_key] = _visit_plan(
-            world, url, region, address_space
-        )
-    if plan.terminal is not None:
-        return plan.terminal
+    host = url.host
+    hops: Tuple[str, ...] = ()
+    if host == world.config.shortener_domain:
+        ref = _decode_short_ref(world, url)
+        if ref is None:
+            return CompactVisit(404, host, (host,), False, False)
+        site, subsite_index = ref
+        hops = (host,)
+        host = site.domain
+    else:
+        site = world.host_to_site(host)
+        subsite_index = -1
+    if site is None:
+        return CompactVisit(None, host, hops, False, False)
+    if site.redirects_to is not None:
+        hops += (host,)
+        host = f"www.{site.redirects_to}"
+        site = world.site_by_domain(site.redirects_to)
+        if site is None:
+            return CompactVisit(None, host, hops, False, False)
 
-    site = plan.site
-    hosts = plan.base_hosts
-    qca_active = (
-        plan.qca_selected
-        and _QCA_START <= date.toordinal() <= _QCA_END
+    reach = site.reachability
+    if reach == "unreachable":
+        # Mirrors the skeleton's early return: no transactions at all.
+        return CompactVisit(None, host, (), False, False)
+    if reach == "invalid-response":
+        return CompactVisit(None, host, hops, False, False)
+    if reach == "http-error":
+        return CompactVisit(503, host, (*hops, host), False, False)
+    if site.behind_antibot_cdn and address_space == "cloud":
+        return CompactVisit(403, host, (*hops, host), False, True)
+    if site.blocks_eu_visitors and region == "EU":
+        return CompactVisit(451, host, (*hops, host), False, False)
+
+    hosts = (*hops, host, *_COMMON_THIRD_PARTIES)
+    ordinal = date.toordinal()
+    qca = (
+        _QCA_START <= ordinal <= _QCA_END
+        and zlib.crc32(f"qca:{site.domain}".encode("utf-8")) % 100 < 8
     )
-    if qca_active:
+    if qca:
         hosts += (_QCA_HOST,)
-
     timed_out = False
-    if site.episodes and plan.subsite_ok:
+    if site.episodes:
         episode = site.episode_on(date)
-        if episode is not None and (
-            plan.region_embeds
-            or (
-                plan.us_region
-                and site.us_embed_since is not None
-                and date >= site.us_embed_since
+        if (
+            episode is not None
+            and (
+                region in site.embed_regions
+                or (
+                    region == "US"
+                    and site.us_embed_since is not None
+                    and date >= site.us_embed_since
+                )
+            )
+            and site.subsite_embeds_cmp(
+                subsite_index if subsite_index >= 0
+                else _subsite_index(site, url)
             )
         ):
             if site.slow_loader and not keep_all:
@@ -634,19 +568,19 @@ def _visit_compact_fast(
                 if aux:
                     if key is None:
                         key = visit_key(
-                            world.config.seed, url, date.toordinal(),
-                            region, address_space,
+                            world.config.seed, url, ordinal, region,
+                            address_space,
                         )
                     rng = KeyedRand(key)
                     # Stream position: one draw per hop, the document
                     # duration, the third-party offset, the incident
                     # offset when active, and the cmp_start draw all
                     # precede the aux draws in the skeleton.
-                    rng.skip(plan.n_hops + 3 + (1 if qca_active else 0))
+                    rng.skip(len(hops) + 3 + qca)
                     for aux_host in aux:
                         if rng.random() < 0.7:
                             hosts += (aux_host,)
-    return CompactVisit(200, plan.final_host, hosts, timed_out, False)
+    return CompactVisit(200, host, hosts, timed_out, False)
 
 
 def render_page(

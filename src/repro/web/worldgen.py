@@ -22,8 +22,8 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro.cmps import onetrust, quantcast, trustarc, cookiebot, liveramp, crownpeak
 from repro.cmps.base import DialogDescriptor, cmp_by_key
+from repro.memo import MISSING, BoundedMemo, CountMap, sum_counts
 from repro.web.adoption import AdoptionHistory, AdoptionModel
-from repro.web.memo import MISSING, BoundedMemo, CountMap, sum_counts
 from repro.web.website import CmpEpisode, Website
 
 _DIALOG_SAMPLERS = {
@@ -114,7 +114,7 @@ def _b36(n: int) -> str:
 class CacheLimits:
     """Size bounds for the world's memo caches.
 
-    Each memo (a :class:`~repro.web.memo.BoundedMemo`) evicts its
+    Each memo (a :class:`~repro.memo.BoundedMemo`) evicts its
     oldest insertion past its bound. Memos are pure functions of
     ``(world seed, key)``, so these bounds are *execution knobs*:
     eviction regenerates identical bits on the next miss, and no limit
@@ -133,16 +133,13 @@ class CacheLimits:
     #: number, so without this cap a long probe run leaks one entry per
     #: distinct miss, forever.
     negative_hosts: Optional[int] = 4_096
-    #: ``(url, region, space)`` -> static visit plan entries.
-    visit_plans: Optional[int] = 65_536
     #: ``(rank, subsite, shortened)`` -> shared URL instances.
     share_urls: Optional[int] = 65_536
 
 
 #: Restores the pre-bounds behavior: every memo grows without limit.
 UNBOUNDED_CACHE_LIMITS = CacheLimits(
-    sites=None, hosts=None, negative_hosts=None, visit_plans=None,
-    share_urls=None,
+    sites=None, hosts=None, negative_hosts=None, share_urls=None,
 )
 
 
@@ -188,13 +185,10 @@ class World:
         #: apart from the positive entries so the unbounded universe of
         #: dead/external hosts gets its own (small) cap.
         self._host_negative_cache = BoundedMemo(limits.negative_hosts)
-        #: ``(url, region, space)`` -> static visit plan, owned by
-        #: :mod:`repro.web.serving` (the compact-visit fast path).
-        self._visit_plan_cache = BoundedMemo(limits.visit_plans)
         #: ``(rank, subsite index, shortened)`` -> shared URL instance,
         #: owned by :mod:`repro.crawler.seeds`. World-level so every
         #: stream over this world reuses the same instances (their
-        #: string/hash/key memos and plan-cache entries stay warm).
+        #: hash and visit-key memos stay warm).
         self._share_url_cache = BoundedMemo(limits.share_urls)
         #: Memo counters that worker processes' copies of this world
         #: shipped home (:meth:`absorb_cache_counts`).
@@ -207,7 +201,6 @@ class World:
             "sites": self._cache,
             "hosts": self._host_site_cache,
             "negative_hosts": self._host_negative_cache,
-            "visit_plans": self._visit_plan_cache,
             "share_urls": self._share_url_cache,
         }
 
@@ -219,7 +212,7 @@ class World:
 
     def absorb_cache_counts(self, counts: CountMap) -> None:
         """Add how a worker copy's memo counters grew from the state
-        the worker started from (:func:`~repro.web.memo.count_growth`)."""
+        the worker started from (:func:`~repro.memo.count_growth`)."""
         shipped = self._worker_cache_counts
         self._worker_cache_counts = sum_counts(shipped, counts)
 
@@ -562,7 +555,7 @@ def publish_world_cache_gauges(obs, world: World) -> None:
     """Snapshot the world memo caches into obs gauges.
 
     Point-in-time hits, misses, evictions and entry counts per bounded
-    memo (sites, host resolutions, visit plans, shared URLs) -- the
+    memo (sites, host resolutions, shared URLs) -- the
     numbers that decide whether a bounded run stays memoized or
     thrashes. Called at the end of every platform run; a no-op under
     the null obs backend. Sharded runs add what their workers' copies

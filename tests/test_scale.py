@@ -38,8 +38,8 @@ from repro.crawler.spill import SpillingCaptureStore
 from repro.crawler.storage import store_digest
 from repro.faults import CrashSpec, FaultSchedule, FaultSpec, WorkerCrash
 from repro.faults.retry import FAST_TEST_POLICY
+from repro.memo import MISSING, BoundedMemo, MemoCounts
 from repro.obs import Observability
-from repro.web.memo import MISSING, BoundedMemo, MemoCounts
 from repro.web.worldgen import (
     UNBOUNDED_CACHE_LIMITS,
     CacheLimits,
@@ -51,9 +51,7 @@ from tests.store_oracle import rows, store_from_rows
 WINDOW = (dt.date(2020, 3, 1), dt.date(2020, 3, 8))
 
 #: Small enough to force constant eviction on a 300-domain world.
-TINY_LIMITS = CacheLimits(
-    sites=8, hosts=8, negative_hosts=4, visit_plans=8, share_urls=8
-)
+TINY_LIMITS = CacheLimits(sites=8, hosts=8, negative_hosts=4, share_urls=8)
 
 
 #: Transient faults plus worker crashes, all recoverable by retrying.
@@ -287,8 +285,7 @@ class TestBoundedWorldBitIdentity:
         study = Study(small_config())
         baseline = store_digest(study.run_social_crawl())
         limits = CacheLimits(
-            sites=64, hosts=64, negative_hosts=16, visit_plans=64,
-            share_urls=64,
+            sites=64, hosts=64, negative_hosts=16, share_urls=64
         )
         config = study.config
         for workers in (1, 2):
