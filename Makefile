@@ -28,7 +28,8 @@ chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q -m chaos
 
 ## Statement-coverage gates: repro.graph, the spill + storage + memo
-## layer and repro.crawler.toplist_crawl must each stay >= 90% covered.
+## layer, repro.crawler.toplist_crawl and the visit derivation
+## (repro.web.serving) must each stay >= 90% covered.
 ## Uses pytest-cov when installed (also enforces the repo-wide
 ## baseline); falls back to a stdlib settrace tracer otherwise.
 coverage:

@@ -1,6 +1,6 @@
 """Coverage gate: the gated subsystems must stay statement-covered.
 
-Three gates, one contract each:
+Four gates, one contract each:
 
 * ``repro.graph`` -- the whole package, >= 90% (the ISSUE-9 gate: new
   subsystems can't land untested);
@@ -11,7 +11,11 @@ Three gates, one contract each:
   corrupt-file branch of the format must stay exercised);
 * the toplist crawl (``repro.crawler.toplist_crawl``), >= 90%: Table 1
   comes from its compact rows and the customization audit from the
-  captures it renders, so both paths stay pinned by its oracle tests.
+  captures it renders, so both paths stay pinned by its oracle tests;
+* the visit derivation (``repro.web.serving``), >= 90%: every visit is
+  decided in one place and read both as a rendered page and as a
+  compact crawl row, so every outcome class of both readers stays
+  exercised.
 
 Two measurement paths:
 
@@ -98,6 +102,16 @@ GATES: Tuple[Gate, ...] = (
             "tests/test_toplist_crawl.py",
             "tests/test_chaos_invariants.py",
             "tests/test_cache.py",
+        ),
+    ),
+    Gate(
+        name="repro.web.serving",
+        files=(SRC_ROOT / "repro" / "web" / "serving.py",),
+        floor=90.0,
+        tests=(
+            "tests/test_serving.py",
+            "tests/test_memo_contract.py",
+            "tests/test_columnar.py",
         ),
     ),
 )

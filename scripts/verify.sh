@@ -24,5 +24,5 @@ python scripts/cache_smoke.py
 echo "== streaming equivalence (batch vs follow byte-equality) =="
 python scripts/streaming_smoke.py
 
-echo "== coverage gates (repro.graph, spill + storage + lru, toplist_crawl: each >= 90%) =="
+echo "== coverage gates (repro.graph, spill + storage + memo, toplist_crawl, serving: each >= 90%) =="
 python scripts/coverage_gate.py

@@ -22,7 +22,6 @@ from typing import Dict, Optional
 
 from repro.crawler.capture import Capture, ScreenshotInfo, Vantage
 from repro.faults.schedule import FaultSchedule
-from repro.net.http import follow_redirects
 from repro.net.psl import default_psl
 from repro.net.url import URL
 from repro.web.serving import VisitSettings, render_page
@@ -94,9 +93,7 @@ def crawl_url(
         language=profile.language,
     )
     page = render_page(world, url, settings)
-    kept = page.transactions_before(profile.cutoff)
-    timed_out = len(kept) < len(page.transactions)
-    final_url = follow_redirects(kept, url) if kept else page.final_url
+    kept, final_url, timed_out = page.cut(profile.cutoff)
     # Storage entries only exist if the writing script ran before the
     # crawl was cut off.
     kept_storage = tuple(
@@ -106,7 +103,7 @@ def crawl_url(
     return Capture(
         capture_id=capture_id,
         seed_url=url,
-        final_url=final_url if kept else page.final_url,
+        final_url=final_url,
         captured_at=when,
         vantage=vantage,
         status=page.status,

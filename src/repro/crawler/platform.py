@@ -26,16 +26,17 @@ event, whatever runs it: :func:`crawl_batch` takes a day's batch,
 derives the vantage and queue-delay draws and the visit key of every
 event at once with uint64 numpy replicas of the keyed fold
 (:func:`_fold64_arr`, :func:`_draw_arr`; bit-identical to
-:mod:`repro.det`), renders each visit's compact skeleton in the row
-step :func:`visit_rows` (:func:`~repro.web.serving.visit_compact`),
-detects the batch over its host masks and appends it to the columnar
-store in one call. Only rows the fault schedule touches leave the
-straight path: they run a per-row retry loop
-(:func:`~repro.faults.run_with_retries`) around the same precomputed
-visit, so a recovered crawl is bit-identical to its fault-free self.
-The toplist crawl (:mod:`repro.crawler.toplist_crawl`) runs its rows
-through the same step, with its own vantage, dates, retry keys and
-fault-attempt counters.
+:mod:`repro.det`), derives each visit's compact view in the row step
+:func:`visit_rows` (:func:`~repro.web.serving.visit_compact`, which
+reads the same visit decision the page renderer does), detects the
+batch over its host masks and appends it to the columnar store in one
+call. Only rows the fault schedule touches leave the straight path:
+they run a per-row retry loop (:func:`~repro.faults.run_with_retries`)
+around the same precomputed visit, so a recovered crawl is
+bit-identical to its fault-free self. The toplist crawl
+(:mod:`repro.crawler.toplist_crawl`) runs its rows through the same
+step, with its own vantage, dates, retry keys and fault-attempt
+counters.
 
 The serial loop (and with it :meth:`NetographPlatform.ingest_day` and
 the streaming engine) feeds each whole day through :func:`accept` and
@@ -46,10 +47,11 @@ candidates of each day, cutting a day at the schedule's crash point and
 at the resume position. The parent only merges: it interleaves the
 partition stores by each row's feed position (share day, draw row),
 re-interning in first-appearance order, so the store, its digest and
-the queue state equal the serial run's. The row reference
-(:func:`~repro.crawler.browser.crawl_url` compacted with
-``Capture.to_observation``) survives only as the test oracle in
-``tests/test_columnar.py``.
+the queue state equal the serial run's. Full captures come from
+:func:`~repro.crawler.browser.crawl_url`: the toplist census renders
+its rows through it (``ToplistCrawlResult.captures_for``), and,
+compacted with ``Capture.to_observation``, it is the kernel's row
+oracle in ``tests/test_columnar.py``.
 """
 
 from __future__ import annotations
@@ -265,7 +267,7 @@ def visit_rows(
     """Visit each row's URL on its date from its region: the row step
     both crawlers share.
 
-    Row *i* renders its compact skeleton
+    Row *i* takes its compact view of the visit
     (:func:`~repro.web.serving.visit_compact`, under visit key
     ``keys[i]``, derived when ``None``). Rows the fault schedule faults
     on their first attempt are retried under *retry* with backoff

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.crawler.capture import Capture
 from repro.detect.fingerprints import FINGERPRINTS
 from repro.memo import FunctionMemo
 from repro.obs import Observability, resolve_obs
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (crawler -> platform -> engine)
+    from repro.crawler.capture import Capture
 
 #: The two-day Quantcast analytics outlier window (Section 3.5).
 QUANTCAST_OUTLIER_WINDOW = (dt.date(2018, 7, 10), dt.date(2018, 7, 11))

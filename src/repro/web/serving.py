@@ -12,26 +12,25 @@ behaviour (timeouts, redirect following, storage capture) on top.
 Hot-path structure
 ------------------
 
-A visit is split into an observable **skeleton** and cosmetic **flesh**:
+Every visit is decided once, by :func:`_visit_structure`: its redirect
+hops (shortener, alias), its outcome (one of the failure classes, or the
+page), whether the Quantcast analytics stub loads and which CMP episode
+is embedded. Deciding draws nothing. Two readers share the decision:
 
-* the skeleton (:func:`_visit_skeleton`) decides everything a crawl
-  *outcome* depends on -- redirect hops, the final host, the document
-  status, which transactions exist and when each starts, whether and
-  when the CMP script loads. It draws from a per-visit
+* :func:`render_page` adds the visit's timings, drawn from a per-visit
   :class:`~repro.det.KeyedRand` keyed on ``(world seed, url, date,
-  visitor)``;
-* the flesh (response sizes, durations of leaf transactions, IPs,
-  cookie values, storage records, page text) is only materialized by
-  :func:`render_page`, from a *disjoint* stream split off the same key.
+  visitor)``, and its cosmetic flesh (response sizes, durations of leaf
+  transactions, IPs, cookie values, storage records, page text), drawn
+  from a *disjoint* stream split off the same key;
+* :func:`visit_compact`, the columnar crawl's view of a visit, keeps
+  only what a crawl records: the request hosts kept under the cutoff,
+  the final host and the status. Inside the structural cutoff bands,
+  which hold the default and extended crawl profiles, the kept hosts
+  follow from the decision alone, plus the aux-host inclusion draws
+  read at their stream position; no transaction or page object is
+  built. Any other cutoff renders the page and cuts it the way
+  :func:`~repro.crawler.browser.crawl_url` does.
 
-The columnar crawl path (:func:`visit_compact`) consumes the skeleton
-alone and never builds transaction or page objects, which is where the
-bulk of its speedup comes from; both paths draw from one stream, so
-their observable results are identical (pinned by
-``tests/test_columnar.py``). At the default and extended crawl cutoffs
-it does not even draw the skeleton's timings: it follows the same
-decisions inline and reads only the draws that can change what a crawl
-records (pinned to the skeleton path by ``tests/test_memo_contract.py``).
 Nothing is memoized per visit.
 """
 
@@ -45,7 +44,13 @@ from typing import List, NamedTuple, Optional, Tuple
 from repro.cmps.base import DialogDescriptor, cmp_by_key
 from repro.datasets import GDPR_PHRASES
 from repro.det import KeyedRand, fold64, key64
-from repro.net.http import Cookie, HttpRequest, HttpResponse, HttpTransaction
+from repro.net.http import (
+    Cookie,
+    HttpRequest,
+    HttpResponse,
+    HttpTransaction,
+    follow_redirects,
+)
 from repro.net.url import URL
 from repro.web.website import CmpEpisode, Website
 from repro.web.worldgen import World
@@ -79,9 +84,8 @@ _VK_PREFIX: dict = {}
 #: Quantcast analytics incident window (Section 3.5), as date ordinals.
 _QCA_START = dt.date(2018, 7, 10).toordinal()
 _QCA_END = dt.date(2018, 7, 11).toordinal()
+_QCA_HOST = "quantcast.mgr.consensu.org"
 
-_ANTIBOT_TEXT = "Checking your browser before accessing the site."
-_EU_BLOCK_TEXT = "Unavailable for legal reasons."
 
 
 @dataclass(frozen=True)
@@ -131,13 +135,22 @@ class PageLoad:
     def contacted_hosts(self) -> Tuple[str, ...]:
         return tuple(tx.request.url.host for tx in self.transactions)
 
-    def transactions_before(self, cutoff: float) -> Tuple[HttpTransaction, ...]:
-        """Transactions that started before the crawl timeout fired."""
-        return tuple(tx for tx in self.transactions if tx.started_at < cutoff)
+    def cut(
+        self, cutoff: float
+    ) -> Tuple[Tuple[HttpTransaction, ...], URL, bool]:
+        """The load as a crawl cut off at *cutoff* seconds records it:
+        the transactions that started before the cutoff, the address-bar
+        URL they lead to (the final URL when none is kept) and whether
+        any transaction was cut."""
+        kept = tuple(tx for tx in self.transactions if tx.started_at < cutoff)
+        final_url = (
+            follow_redirects(kept, self.seed_url) if kept else self.final_url
+        )
+        return kept, final_url, len(kept) < len(self.transactions)
 
 
 # ----------------------------------------------------------------------
-# The visit skeleton (shared by render_page and visit_compact)
+# The visit structure (shared by render_page and visit_compact)
 # ----------------------------------------------------------------------
 #: Visit outcome kinds.
 _OK = 0
@@ -149,34 +162,31 @@ _HTTP_ERROR = 5
 _ANTIBOT = 6
 _EU_BLOCKED = 7
 
-class VisitSkeleton(NamedTuple):
-    """The observable plan of one page visit (no flesh)."""
+#: Final document status per outcome kind (``None``: no response).
+_STATUS = {
+    _OK: 200, _SHORT_404: 404, _DEAD_HOST: None, _UNREACHABLE: None,
+    _INVALID: None, _HTTP_ERROR: 503, _ANTIBOT: 403, _EU_BLOCKED: 451,
+}
 
-    kind: int
-    #: Final document status (``None`` when no response was received).
-    status: Optional[int]
-    #: The site finally serving the page (``None`` for dead hosts and
-    #: undecodable short links).
-    site: Optional[Website]
-    #: Address-bar host after all redirect hops (ignoring any cutoff).
-    final_host: str
-    #: ``(site, subsite_index)`` behind a shortener seed URL, if any.
-    short_ref: Optional[Tuple[Website, int]]
-    #: Redirect hops in order: ``(source_host, target_host, start,
-    #: duration)``. At most two (shortener, alias).
-    hops: Tuple[Tuple[str, str, float, float], ...]
-    #: Start of the final document transaction (meaningless when
-    #: ``status is None``).
-    doc_start: float
-    #: Duration of the final document transaction; only plan-drawn for
-    #: _OK (it gates asset starts), ``None`` otherwise (flesh decides).
-    doc_duration: Optional[float]
-    #: Asset transactions of an _OK page: ``(host, path, start, kind)``.
-    assets: Tuple[Tuple[str, str, float, str], ...]
-    #: ``(episode, cmp_start)`` when the CMP is embedded for this visit.
-    cmp: Optional[Tuple[CmpEpisode, float]]
-    #: Subsite index of the visited path (0 = landing page).
-    subsite_index: int
+#: Page text of the error pages that have one.
+_ERROR_TEXT = {
+    _ANTIBOT: "Checking your browser before accessing the site.",
+    _EU_BLOCKED: "Unavailable for legal reasons.",
+}
+
+#: The outcome kinds a site's reachability class decides by itself.
+_REACH_FAILURE = {
+    "unreachable": _UNREACHABLE,
+    "invalid-response": _INVALID,
+    "http-error": _HTTP_ERROR,
+}
+
+#: ``(kind, site, final_host, hop_sources, short_ref, qca, episode)``,
+#: see :func:`_visit_structure`.
+_VisitStructure = Tuple[
+    int, Optional[Website], str, Tuple[str, ...],
+    Optional[Tuple[Website, int]], bool, Optional[CmpEpisode],
+]
 
 
 def visit_key(
@@ -196,169 +206,87 @@ def visit_key(
     )
 
 
-def _visit_skeleton(
+def _visit_structure(
     world: World,
     url: URL,
     date: dt.date,
     region: str,
     address_space: str,
-    rng: KeyedRand,
-) -> VisitSkeleton:
-    """Plan one visit's observable structure.
+) -> _VisitStructure:
+    """Decide one visit: everything about it that draws nothing.
 
-    THE DRAW ORDER HERE IS A COMPATIBILITY CONTRACT between the row and
-    columnar crawl paths: both build the skeleton through this one
-    function, so any edit changes both identically -- never duplicate
-    this sequence elsewhere.
+    Returns ``(kind, site, final_host, hop_sources, short_ref, qca,
+    episode)``:
+
+    * ``kind``, the outcome: a failure class or ``_OK``;
+    * ``site``, the site finally serving the page (``None`` for a dead
+      host or an undecodable short link);
+    * ``final_host``, the address-bar host after every redirect hop;
+    * ``hop_sources``, at most two (shortener, alias): hop *i* runs from
+      ``hop_sources[i]`` to the next source, the last hop to
+      ``final_host``;
+    * ``short_ref``, the ``(site, subsite index)`` behind a short link;
+    * ``qca``, whether the Quantcast analytics stub loads, and
+      ``episode``, the CMP episode embedded for this visitor -- both
+      decided only for an ``_OK`` page.
+
+    :func:`render_page` and :func:`visit_compact` read every visit from
+    here, so the two views cannot disagree on one.
     """
-    now = 0.0
     host = url.host
-    hops: List[Tuple[str, str, float, float]] = []
+    sources: Tuple[str, ...] = ()
     short_ref: Optional[Tuple[Website, int]] = None
-
-    # URL-shortener hop.
     if host == world.config.shortener_domain:
         short_ref = _decode_short_ref(world, url)
         if short_ref is None:
-            return VisitSkeleton(
-                _SHORT_404, 404, None, host, None, (), 0.0, None, (), None, 0
-            )
-        target_site, subsite_index = short_ref
-        duration = 0.15 + 0.2 * rng.random()
-        hops.append((host, target_site.domain, now, duration))
-        now += duration
-        host = target_site.domain
-        site: Optional[Website] = target_site
+            return _SHORT_404, None, host, (), None, False, None
+        site, subsite_index = short_ref
+        sources = (host,)
+        host = site.domain
     else:
         site = world.host_to_site(host)
-        subsite_index = -1  # resolved below once the site is final
-
-    if site is None:
-        return VisitSkeleton(
-            _DEAD_HOST, None, None, host, short_ref, tuple(hops),
-            0.0, None, (), None, 0,
-        )
-
-    # Alias domains 301 to their canonical site.
-    if site.redirects_to is not None:
-        target_host = f"www.{site.redirects_to}"
-        duration = 0.15 + 0.2 * rng.random()
-        hops.append((host, target_host, now, duration))
-        now += duration
-        host = target_host
+        subsite_index = -1  # resolved below, only if a CMP could embed
+    if site is not None and site.redirects_to is not None:
+        # Alias domains 301 to their canonical site.
+        sources += (host,)
+        host = f"www.{site.redirects_to}"
         site = world.site_by_domain(site.redirects_to)
-        if site is None:
-            return VisitSkeleton(
-                _DEAD_HOST, None, None, host, short_ref, tuple(hops),
-                0.0, None, (), None, 0,
-            )
+    if site is None:
+        return _DEAD_HOST, None, host, sources, short_ref, False, None
 
-    if subsite_index < 0:
-        subsite_index = _subsite_index(site, url)
-
-    # Hard failure classes.
-    reach = site.reachability
-    if reach == "unreachable":
-        return VisitSkeleton(
-            _UNREACHABLE, None, site, host, short_ref, tuple(hops),
-            0.0, None, (), None, subsite_index,
-        )
-    if reach == "invalid-response":
-        return VisitSkeleton(
-            _INVALID, None, site, host, short_ref, tuple(hops),
-            0.0, None, (), None, subsite_index,
-        )
-    if reach == "http-error":
-        return VisitSkeleton(
-            _HTTP_ERROR, 503, site, host, short_ref, tuple(hops),
-            now, None, (), None, subsite_index,
-        )
-
-    # Anti-bot CDNs challenge public-cloud visitors with an interstitial
-    # page that embeds nothing (Section 3.5).
-    if site.behind_antibot_cdn and address_space == "cloud":
-        return VisitSkeleton(
-            _ANTIBOT, 403, site, host, short_ref, tuple(hops),
-            now, None, (), None, subsite_index,
-        )
-
-    # Geo-variable sites answering EU visitors with HTTP 451.
-    if site.blocks_eu_visitors and region == "EU":
-        return VisitSkeleton(
-            _EU_BLOCKED, 451, site, host, short_ref, tuple(hops),
-            now, None, (), None, subsite_index,
-        )
-
-    # -- the actual page -----------------------------------------------
-    doc_start = now
-    doc_duration = 0.3 + 0.3 * rng.random()
-    now += doc_duration
-    # One uniform fans out to every third-party offset via a Weyl
-    # (golden-ratio) lattice: each offset is still uniform in [0.2,
-    # 0.4) but costs no extra draw -- the offsets of one page are
-    # correlated, which is cosmetically irrelevant and halves the draw
-    # count of the hottest skeleton section.
-    u = rng.random()
-    assets: List[Tuple[str, str, float, str]] = [
-        (
-            third_party, "/collect.js",
-            now + 0.2 + 0.2 * ((u + k * 0.6180339887498949) % 1.0),
-            "script",
-        )
-        for k, third_party in enumerate(_COMMON_THIRD_PARTIES)
-    ]
+    kind = _REACH_FAILURE.get(site.reachability)
+    if kind is None:
+        if site.behind_antibot_cdn and address_space == "cloud":
+            # Anti-bot CDNs challenge public-cloud visitors with an
+            # interstitial page that embeds nothing (Section 3.5).
+            kind = _ANTIBOT
+        elif site.blocks_eu_visitors and region == "EU":
+            # Geo-variable sites answer EU visitors with HTTP 451.
+            kind = _EU_BLOCKED
+    if kind is not None:
+        return kind, site, host, sources, short_ref, False, None
 
     # The July 2018 Quantcast analytics incident: for two days the
     # firm's *analytics* product (a different line of business) embedded
     # parts of the CMP script for all its customers, producing false
     # CMP fingerprints that the paper manually excludes (Section 3.5).
     ordinal = date.toordinal()
-    if (
+    qca = (
         _QCA_START <= ordinal <= _QCA_END
         and zlib.crc32(f"qca:{site.domain}".encode("utf-8")) % 100 < 8
-    ):
-        assets.append((
-            "quantcast.mgr.consensu.org", "/qca-stub.js",
-            now + 0.2 + 0.2 * rng.random(), "script",
-        ))
-
-    episode = site.episode_on(date)
-    cmp: Optional[Tuple[CmpEpisode, float]] = None
-    if (
-        episode is not None
-        and site.embeds_cmp_for(region, date)
-        and site.subsite_embeds_cmp(subsite_index)
-    ):
-        model = cmp_by_key(episode.cmp_key)
-        u = rng.random()
-        if site.slow_loader:
-            # The CMP request lands beyond the default 10s crawl cutoff
-            # by construction (the site property *means* "CMP arrives
-            # late", Section 3.5); extended-timeout crawls catch it.
-            cmp_start = 10.5 + 9.0 * u
-        else:
-            cmp_start = 0.4 + 2.4 * u
-        # The cmp.js offset rides on the same uniform (Weyl-shifted).
-        assets.append((
-            model.fingerprint_host, "/cmp.js",
-            cmp_start + 0.2 + 0.2 * ((u + 0.6180339887498949) % 1.0),
-            "script",
-        ))
-        for aux in model.auxiliary_hosts:
-            # One draw decides inclusion AND offset: conditioned on
-            # u < 0.7, u/0.7 is again uniform in [0, 1).
-            u = rng.random()
-            if u < 0.7:
-                assets.append((
-                    aux, "/config.json",
-                    cmp_start + 0.4 + 0.2 * (u / 0.7), "xhr",
-                ))
-        cmp = (episode, cmp_start)
-
-    return VisitSkeleton(
-        _OK, 200, site, host, short_ref, tuple(hops), doc_start,
-        doc_duration, tuple(assets), cmp, subsite_index,
     )
+    episode = site.episode_on(date) if site.episodes else None
+    if episode is not None:
+        embeds = region in site.embed_regions or (
+            region == "US"
+            and site.us_embed_since is not None
+            and date >= site.us_embed_since
+        )
+        if not embeds or not site.subsite_embeds_cmp(
+            subsite_index if subsite_index >= 0 else _subsite_index(site, url)
+        ):
+            episode = None
+    return _OK, site, host, sources, short_ref, qca, episode
 
 
 class CompactVisit(NamedTuple):
@@ -377,19 +305,17 @@ class CompactVisit(NamedTuple):
     blocked_by_antibot: bool
 
 
-#: Cutoff bands where the kept-set is *structural* (see
-#: :func:`_visit_compact_fast`). Fast transactions all start before
-#: 3.4s, slow-loader CMP transactions all start at 10.5s or later and
-#: end by 20.1s -- so for any cutoff inside [3.5, 10.4] every fast
-#: transaction is kept and every slow one is cut, and for any cutoff
-#: >= 20.2 everything is kept. The default crawl profile (10s) and the
-#: extended profile (120s) both hit a band; odd cutoffs (tests, custom
-#: profiles) take the draw-exact skeleton path.
+#: Cutoff bands where the kept set is *structural*. Fast transactions
+#: all start before 3.4 s, and slow-loader CMP transactions start at
+#: 10.5 s or later and before 20.1 s (pinned at the band edges by
+#: ``tests/test_memo_contract.py``). So for any cutoff inside [3.5,
+#: 10.4] every fast transaction is kept and every slow one is cut, and
+#: for any cutoff >= 20.2 everything is kept. The default crawl profile
+#: (10 s) and the extended one (120 s) both fall in a band; any other
+#: cutoff (tests, custom profiles) renders the page and cuts it.
 _SAFE_LO = 3.5
 _SAFE_HI = 10.4
 _KEEP_ALL = 20.2
-
-_QCA_HOST = "quantcast.mgr.consensu.org"
 
 
 def visit_key_prefix(world_seed: int) -> int:
@@ -413,173 +339,64 @@ def visit_compact(
 ) -> CompactVisit:
     """One visit as the columnar crawl path sees it.
 
-    Equivalent to ``render_page`` + the browser's cutoff filtering +
-    redirect following, but without materializing transactions, cookies
-    or page text. *key* (when the caller already computed the visit
-    key) avoids re-deriving it.
-
-    For cutoffs inside a structural band the visit is derived without
-    its timing draws (:func:`_visit_compact_fast`) -- bit-identical to
-    the skeleton path, pinned by tests -- otherwise the full skeleton
-    is planned and filtered draw-exactly. Nothing is memoized per
-    visit: every call derives its visit afresh.
+    Equal to the page :func:`render_page` renders, cut at *cutoff*
+    (:meth:`PageLoad.cut`), which is what a cutoff outside the
+    structural bands computes. Inside a band the kept hosts follow from
+    :func:`_visit_structure` without a transaction, cookie or page text
+    being built: the only draws are the aux-host inclusion draws, read
+    at their stream position under *key* (the visit key, derived when
+    ``None``). Nothing is memoized per visit.
     """
-    if _SAFE_LO <= cutoff <= _SAFE_HI:
-        return _visit_compact_fast(world, url, date, region,
-                                   address_space, False, key)
-    if cutoff >= _KEEP_ALL:
-        return _visit_compact_fast(world, url, date, region,
-                                   address_space, True, key)
-    if key is None:
-        key = visit_key(
-            world.config.seed, url, date.toordinal(), region,
-            address_space,
+    keep_all = cutoff >= _KEEP_ALL
+    if not keep_all and not _SAFE_LO <= cutoff <= _SAFE_HI:
+        page = render_page(
+            world, url, VisitSettings(date, region, address_space)
         )
-    sk = _visit_skeleton(world, url, date, region, address_space,
-                         KeyedRand(key))
-    if sk.kind == _UNREACHABLE:
-        # The row path records no transactions at all for unreachable
-        # sites, including any redirect hops that led there.
-        return CompactVisit(None, sk.final_host, (), False, False)
-    hosts: List[str] = []
-    total = 0
-    final_host = url.host
-    # Kept redirect hops move the address bar; a hop past the cutoff
-    # stops the walk (hop starts are monotonic).
-    walking = True
-    for source_host, target_host, start, _duration in sk.hops:
-        total += 1
-        if walking and start < cutoff:
-            hosts.append(source_host)
-            final_host = target_host
-        else:
-            walking = False
-    if sk.status is not None:
-        total += 1
-        doc_host = url.host if sk.kind == _SHORT_404 else sk.final_host
-        if walking and sk.doc_start < cutoff:
-            hosts.append(doc_host)
-    for host, _path, start, _kind in sk.assets:
-        total += 1
-        if start < cutoff:
-            hosts.append(host)
-    if not hosts:
-        # No transaction kept: the browser reports the un-truncated
-        # final URL (crawl_url falls back to ``page.final_url``).
-        final_host = sk.final_host
-    return CompactVisit(
-        status=sk.status,
-        final_host=final_host,
-        kept_hosts=tuple(hosts),
-        timed_out=len(hosts) < total,
-        blocked_by_antibot=sk.kind == _ANTIBOT,
+        kept, final_url, timed_out = page.cut(cutoff)
+        return CompactVisit(
+            page.status, final_url.host,
+            tuple(tx.request.url.host for tx in kept), timed_out,
+            page.blocked_by_antibot,
+        )
+    kind, site, host, sources, _short_ref, qca, episode = _visit_structure(
+        world, url, date, region, address_space
     )
-
-
-def _visit_compact_fast(
-    world: World,
-    url: URL,
-    date: dt.date,
-    region: str,
-    address_space: str,
-    keep_all: bool,
-    key: Optional[int],
-) -> CompactVisit:
-    """Structural-band :func:`visit_compact` (see the band constants).
-
-    Inside a band the kept-set never depends on timing draws, so the
-    visit follows the skeleton's decisions -- redirect hops, failure
-    classes, the Quantcast incident and the CMP embed -- without
-    drawing any timing. Only the aux-host inclusion draws consume
-    randomness, and those are read at their exact skeleton stream
-    positions, so results stay bit-identical to the skeleton path
-    (pinned by tests over every site class).
-    """
-    host = url.host
-    hops: Tuple[str, ...] = ()
-    if host == world.config.shortener_domain:
-        ref = _decode_short_ref(world, url)
-        if ref is None:
-            return CompactVisit(404, host, (host,), False, False)
-        site, subsite_index = ref
-        hops = (host,)
-        host = site.domain
-    else:
-        site = world.host_to_site(host)
-        subsite_index = -1
-    if site is None:
+    status = _STATUS[kind]
+    if status is None:
+        # No response: the hops that led here are recorded, except
+        # for an unreachable site, which records nothing at all.
+        hops = () if kind == _UNREACHABLE else sources
         return CompactVisit(None, host, hops, False, False)
-    if site.redirects_to is not None:
-        hops += (host,)
-        host = f"www.{site.redirects_to}"
-        site = world.site_by_domain(site.redirects_to)
-        if site is None:
-            return CompactVisit(None, host, hops, False, False)
-
-    reach = site.reachability
-    if reach == "unreachable":
-        # Mirrors the skeleton's early return: no transactions at all.
-        return CompactVisit(None, host, (), False, False)
-    if reach == "invalid-response":
-        return CompactVisit(None, host, hops, False, False)
-    if reach == "http-error":
-        return CompactVisit(503, host, (*hops, host), False, False)
-    if site.behind_antibot_cdn and address_space == "cloud":
-        return CompactVisit(403, host, (*hops, host), False, True)
-    if site.blocks_eu_visitors and region == "EU":
-        return CompactVisit(451, host, (*hops, host), False, False)
-
-    hosts = (*hops, host, *_COMMON_THIRD_PARTIES)
-    ordinal = date.toordinal()
-    qca = (
-        _QCA_START <= ordinal <= _QCA_END
-        and zlib.crc32(f"qca:{site.domain}".encode("utf-8")) % 100 < 8
-    )
+    if kind != _OK:
+        return CompactVisit(
+            status, host, (*sources, host), False, kind == _ANTIBOT
+        )
+    hosts = (*sources, host, *_COMMON_THIRD_PARTIES)
     if qca:
         hosts += (_QCA_HOST,)
     timed_out = False
-    if site.episodes:
-        episode = site.episode_on(date)
-        if (
-            episode is not None
-            and (
-                region in site.embed_regions
-                or (
-                    region == "US"
-                    and site.us_embed_since is not None
-                    and date >= site.us_embed_since
-                )
-            )
-            and site.subsite_embeds_cmp(
-                subsite_index if subsite_index >= 0
-                else _subsite_index(site, url)
-            )
-        ):
-            if site.slow_loader and not keep_all:
-                # cmp.js (and any aux fetches) start past the cutoff:
-                # cut, which is exactly what ``timed_out`` records. The
-                # aux inclusion draws cannot change the kept-set, so
-                # they are skipped entirely.
-                timed_out = True
-            else:
-                model = cmp_by_key(episode.cmp_key)
-                hosts += (model.fingerprint_host,)
-                aux = model.auxiliary_hosts
-                if aux:
-                    if key is None:
-                        key = visit_key(
-                            world.config.seed, url, ordinal, region,
-                            address_space,
-                        )
-                    rng = KeyedRand(key)
-                    # Stream position: one draw per hop, the document
-                    # duration, the third-party offset, the incident
-                    # offset when active, and the cmp_start draw all
-                    # precede the aux draws in the skeleton.
-                    rng.skip(len(hops) + 3 + qca)
-                    for aux_host in aux:
-                        if rng.random() < 0.7:
-                            hosts += (aux_host,)
+    if episode is not None:
+        if site.slow_loader and not keep_all:
+            # cmp.js (and any aux fetches) start past the cutoff: cut,
+            # which is exactly what ``timed_out`` records. The aux
+            # inclusion draws cannot change the kept set, so they are
+            # skipped entirely.
+            timed_out = True
+        else:
+            model = cmp_by_key(episode.cmp_key)
+            hosts += (model.fingerprint_host,)
+            if model.auxiliary_hosts:
+                if key is None:
+                    key = visit_key(
+                        world.config.seed, url, date.toordinal(), region,
+                        address_space,
+                    )
+                rng = KeyedRand(key)
+                # The aux draws' stream position (see render_page).
+                rng.skip(len(sources) + 3 + qca)
+                for aux_host in model.auxiliary_hosts:
+                    if rng.random() < 0.7:
+                        hosts += (aux_host,)
     return CompactVisit(200, host, hosts, timed_out, False)
 
 
@@ -588,87 +405,73 @@ def render_page(
 ) -> PageLoad:
     """Render one visit of *url* as seen by the given visitor.
 
-    Deterministic for a given (world seed, url, settings, date).
+    Deterministic for a given (world seed, url, settings, date). The
+    visit is decided by :func:`_visit_structure`; rendering adds its
+    timings and its flesh.
     """
-    key = visit_key(
-        world.config.seed, url, settings.date.toordinal(),
-        settings.region, settings.address_space,
+    date, region = settings.date, settings.region
+    kind, site, final_host, sources, short_ref, qca, episode = (
+        _visit_structure(world, url, date, region, settings.address_space)
     )
-    rng = KeyedRand(key)
-    sk = _visit_skeleton(
-        world, url, settings.date, settings.region, settings.address_space,
-        rng,
-    )
+    rng = KeyedRand(visit_key(
+        world.config.seed, url, date.toordinal(), region,
+        settings.address_space,
+    ))
     flesh = rng.split(_FLESH_SALT)
+    # THE TIMING DRAW ORDER IS A CONTRACT (visit_compact reads the
+    # aux-host draws by position). The visit-key stream *rng* yields, in
+    # order: one duration per redirect hop; then, on an _OK page, the
+    # document duration, the third-party offset, the Quantcast stub
+    # offset when the stub loads, the CMP start when a CMP is embedded
+    # and one draw per aux host. So ``len(hop_sources) + 3 + qca``
+    # draws precede the aux draws. The flesh comes from the split
+    # stream *flesh*, in transaction order, then the storage records.
 
-    # Rebuild the address-bar URL chain from the hop plan.
+    # Rebuild the address-bar URL chain from the hops.
     txs: List[HttpTransaction] = []
+    now = 0.0
     current_url = url
-    for _source_host, target_host, start, duration in sk.hops:
-        if sk.short_ref is not None and not txs:
-            target_site, index = sk.short_ref
+    for _source, target_host in zip(sources, (*sources[1:], final_host)):
+        if short_ref is not None and not txs:
+            target_site, index = short_ref
             target_url = URL(
-                scheme="https",
-                host=target_site.domain,
+                scheme="https", host=target_host,
                 path=target_site.subsite_path(index),
             )
         else:
             target_url = current_url.with_host(target_host)
-        txs.append(
-            _redirect_tx(current_url, str(target_url), start, duration)
-        )
+        duration = 0.15 + 0.2 * rng.random()
+        txs.append(_redirect_tx(current_url, str(target_url), now, duration))
+        now += duration
         current_url = target_url
 
-    if sk.kind == _SHORT_404:
-        doc = _doc_tx(url, 404, 0.0, flesh)
-        return PageLoad(
-            seed_url=url, final_url=url, status=404, transactions=(doc,)
-        )
-    if sk.kind == _DEAD_HOST:
-        # DNS/TLS failure: for a direct dead host nothing was recorded;
-        # behind a shortener the hop transaction was.
+    status = _STATUS[kind]
+    if status is None:
+        # DNS/TLS failure or an invalid response: the hops are recorded
+        # (none for a direct visit), except for an unreachable site.
+        kept = () if kind == _UNREACHABLE else tuple(txs)
         return PageLoad(
             seed_url=url, final_url=current_url, status=None,
-            transactions=tuple(txs),
+            transactions=kept,
         )
-    if sk.kind == _UNREACHABLE:
-        return PageLoad(seed_url=url, final_url=current_url, status=None)
-    if sk.kind == _INVALID:
-        return PageLoad(
-            seed_url=url, final_url=current_url, status=None,
-            transactions=tuple(txs),
-        )
-    if sk.kind == _HTTP_ERROR:
-        txs.append(_doc_tx(current_url, 503, sk.doc_start, flesh))
-        return PageLoad(
-            seed_url=url, final_url=current_url, status=503,
-            transactions=tuple(txs),
-        )
-    if sk.kind == _ANTIBOT:
-        txs.append(_doc_tx(current_url, 403, sk.doc_start, flesh))
+    if kind != _OK:
+        txs.append(_doc_tx(current_url, status, now, flesh))
         return PageLoad(
             seed_url=url,
             final_url=current_url,
-            status=403,
+            status=status,
             transactions=tuple(txs),
-            page_text=_ANTIBOT_TEXT,
-            blocked_by_antibot=True,
-        )
-    if sk.kind == _EU_BLOCKED:
-        txs.append(_doc_tx(current_url, 451, sk.doc_start, flesh))
-        return PageLoad(
-            seed_url=url, final_url=current_url, status=451,
-            transactions=tuple(txs),
-            page_text=_EU_BLOCK_TEXT,
+            page_text=_ERROR_TEXT.get(kind, ""),
+            blocked_by_antibot=kind == _ANTIBOT,
         )
 
     # -- the actual page -----------------------------------------------
-    site = sk.site
     assert site is not None
+    doc_duration = 0.3 + 0.3 * rng.random()
     txs.append(
-        _doc_tx(current_url, 200, sk.doc_start, flesh,
-                duration=sk.doc_duration)
+        _doc_tx(current_url, 200, now, flesh, duration=doc_duration)
     )
+    now += doc_duration
     cookies = [
         Cookie(
             name="session",
@@ -676,16 +479,52 @@ def render_page(
             domain=site.domain,
         )
     ]
-    for host, path, start, kind in sk.assets:
-        txs.append(_asset_tx(host, path, start, flesh, kind))
+    # One uniform fans out to every third-party offset via a Weyl
+    # (golden-ratio) lattice: each offset is still uniform in [0.2,
+    # 0.4) but costs no extra draw -- the offsets of one page are
+    # correlated, which is cosmetically irrelevant.
+    u = rng.random()
+    for k, third_party in enumerate(_COMMON_THIRD_PARTIES):
+        start = now + 0.2 + 0.2 * ((u + k * 0.6180339887498949) % 1.0)
+        txs.append(
+            _asset_tx(third_party, "/collect.js", start, flesh, "script")
+        )
+    if qca:
+        start = now + 0.2 + 0.2 * rng.random()
+        txs.append(
+            _asset_tx(_QCA_HOST, "/qca-stub.js", start, flesh, "script")
+        )
 
     dialog: Optional[DialogDescriptor] = None
     dialog_shown = False
     page_text = f"{site.domain} front matter. Latest stories and updates."
-
-    if sk.cmp is not None:
-        episode, _cmp_start = sk.cmp
+    cmp_key: Optional[str] = None
+    cmp_start = 2.0
+    if episode is not None:
         model = cmp_by_key(episode.cmp_key)
+        u = rng.random()
+        if site.slow_loader:
+            # The CMP request lands beyond the default 10s crawl cutoff
+            # by construction (the site property *means* "CMP arrives
+            # late", Section 3.5); extended-timeout crawls catch it.
+            cmp_start = 10.5 + 9.0 * u
+        else:
+            cmp_start = 0.4 + 2.4 * u
+        # The cmp.js offset rides on the same uniform (Weyl-shifted).
+        start = cmp_start + 0.2 + 0.2 * ((u + 0.6180339887498949) % 1.0)
+        txs.append(_asset_tx(
+            model.fingerprint_host, "/cmp.js", start, flesh, "script"
+        ))
+        for aux in model.auxiliary_hosts:
+            # One draw decides inclusion AND offset: conditioned on
+            # u < 0.7, u/0.7 is again uniform in [0, 1).
+            u = rng.random()
+            if u < 0.7:
+                start = cmp_start + 0.4 + 0.2 * (u / 0.7)
+                txs.append(
+                    _asset_tx(aux, "/config.json", start, flesh, "xhr")
+                )
+        cmp_key = episode.cmp_key
         cookies.append(
             Cookie(
                 name="cmp_present",
@@ -695,7 +534,7 @@ def render_page(
             )
         )
         dialog = episode.dialog
-        dialog_shown = dialog.shown_to(settings.region)
+        dialog_shown = dialog.shown_to(region)
         if dialog_shown:
             phrases = (GDPR_PHRASES[0], GDPR_PHRASES[5])
             page_text += " " + " ".join(phrases)
@@ -704,10 +543,7 @@ def render_page(
     from repro.crawler.clientstorage import synthesize_storage_records
 
     storage = synthesize_storage_records(
-        site.domain,
-        sk.cmp[0].cmp_key if sk.cmp is not None else None,
-        flesh,
-        cmp_script_at=sk.cmp[1] if sk.cmp is not None else 2.0,
+        site.domain, cmp_key, flesh, cmp_script_at=cmp_start
     )
     return PageLoad(
         seed_url=url,

@@ -11,8 +11,9 @@ Pins the contracts the columnar crawl path rests on:
   :mod:`repro.det` reference;
 * the crawl kernel stores, row for row, what the ``Capture`` reference
   (``crawl_url`` + ``to_observation``) records for the same accepted
-  events -- at fast-band, keep-all and skeleton-path cutoffs, with and
-  without fault schedules.
+  events -- at the 10 s and 120 s band cutoffs and at 15 s, outside the
+  bands, where the kernel cuts the rendered page -- with and without
+  fault schedules.
 
 Plus the columnar adoption path.
 """

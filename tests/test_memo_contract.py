@@ -4,13 +4,19 @@ each.
 
 Every memo here is a pure function of its key, so a bound is
 bit-invisible: these tests pin which memos exist, what a crawl holds in
-them, and that tiny bounds change no answer.
+them, and that tiny bounds change no answer. They also pin the one
+visit derivation both crawl views read: the rendered pages by digest,
+and the compact view against the cut page inside and at the edges of
+the structural cutoff bands.
 """
 
+import dataclasses
 import datetime as dt
 import functools
+import hashlib
 import operator
 import pickle
+from collections.abc import Mapping
 
 import pytest
 
@@ -32,7 +38,13 @@ from repro.detect.engine import HOST_MASKS, DetectionEngine, hosts_mask
 from repro.memo import FunctionMemo
 from repro.net.psl import DOMAINS, default_psl, registrable_or_host
 from repro.net.url import URL
-from repro.web.serving import make_short_link, visit_compact
+from repro.web.serving import (
+    CompactVisit,
+    VisitSettings,
+    make_short_link,
+    render_page,
+    visit_compact,
+)
 from repro.web.worldgen import World, WorldConfig
 
 WINDOW = (dt.date(2020, 4, 1), dt.date(2020, 4, 4))
@@ -75,6 +87,11 @@ def _world_and_urls():
     return world, tuple(urls)
 
 
+#: sha256 of :func:`_canonical` over the pages of
+#: ``TestOneVisitDerivation.test_render_page_digest``.
+RENDER_DIGEST = "50530c95e072d629891a3970ac767a2b19e242dbab46f66c02a3b3ba2c437e17"
+
+
 def _visits(world, urls, cutoff, dates=DATES, vantages=VANTAGES):
     return [
         visit_compact(world, url, date, region, space, cutoff)
@@ -82,6 +99,27 @@ def _visits(world, urls, cutoff, dates=DATES, vantages=VANTAGES):
         for region, space in vantages
         for url in urls
     ]
+
+
+def _canonical(value) -> str:
+    """A text of *value* that depends on its contents alone: dataclass
+    fields in declaration order, sets and mappings sorted (``repr``
+    prints a frozenset, such as a dialog's ``shown_regions``, in
+    hash-seed order)."""
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__ + "(" + ",".join(
+            _canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        ) + ")"
+    if isinstance(value, (tuple, list)):
+        return "[" + ",".join(map(_canonical, value)) + "]"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ",".join(sorted(map(_canonical, value))) + "}"
+    if isinstance(value, Mapping):
+        return "{" + ",".join(sorted(
+            f"{_canonical(k)}:{_canonical(v)}" for k, v in value.items()
+        )) + "}"
+    return repr(value)
 
 
 class TestVisitsAreDerived:
@@ -111,10 +149,10 @@ class TestVisitsAreDerived:
         ids=["default-band", "keep-all-band"],
     )
     def test_band_visits_equal_the_skeleton_path(self, band, exact):
-        """Inside (3.4, 10.7) every fast transaction is kept and every
-        slow-loader CMP transaction cut, and past 20.1 everything is
-        kept: the draw-exact skeleton path at *exact* (outside the
-        bands) must agree with the fast path at *band*."""
+        """Inside [3.5, 10.4] every fast transaction is kept and every
+        slow-loader CMP transaction cut, and from 20.2 on everything is
+        kept: the structural path at *band* must agree with the page
+        rendered and cut at *exact* (outside the bands)."""
         world, urls = _world_and_urls()
         fast = _visits(world, urls, band)
         assert fast == _visits(world, urls, exact)
@@ -216,3 +254,68 @@ class TestBoundedHostMasks:
         assert digest() == baseline
         for memo in (domains, masks):
             assert len(memo) <= 4 and memo.evictions > 0
+
+
+def _rotating_visits():
+    """Each URL of the contract set once, as ``(url, date, region,
+    space)``, the (date, vantage) pair rotating over ``DATES`` x
+    ``VANTAGES``."""
+    world, urls = _world_and_urls()
+    combos = [
+        (date, region, space)
+        for date in DATES for region, space in VANTAGES
+    ]
+    return world, [
+        (url, *combos[i % len(combos)]) for i, url in enumerate(urls)
+    ]
+
+
+class TestOneVisitDerivation:
+    def test_render_page_digest(self):
+        """The census's full captures -- flesh, cookies, storage records,
+        dialog and page text -- are pinned by the hash of their
+        canonical texts over every site class."""
+        world, visits = _rotating_visits()
+        digest = hashlib.sha256()
+        pages = []
+        for url, date, region, space in visits:
+            page = render_page(world, url, VisitSettings(date, region, space))
+            digest.update(_canonical(page).encode("utf-8") + b"\n")
+            pages.append(page)
+        assert {page.status for page in pages} == {
+            None, 200, 403, 404, 451, 503,
+        }
+        hosts = {host for page in pages for host in page.contacted_hosts}
+        assert "quantcast.mgr.consensu.org" in hosts
+        assert any(
+            tx.response is not None and tx.response.status == 301
+            for page in pages for tx in page.transactions
+        )
+        assert {page.dialog_shown for page in pages if page.dialog} == {
+            True, False,
+        }
+        assert any(page.storage_records for page in pages)
+        assert digest.hexdigest() == RENDER_DIGEST
+
+    def test_band_edges_equal_the_cut_page(self):
+        """At each band edge -- 3.5, 10.4 and 20.2 s -- the structural
+        path keeps exactly what a crawl cut at that cutoff keeps of the
+        rendered page. This pins the timing bounds the bands rest on:
+        fast transactions start before 3.4 s, and slow-loader CMP
+        requests start between 10.5 and 20.1 s."""
+        world, visits = _rotating_visits()
+        edges = (3.5, 10.4, 20.2)
+        timed_out = dict.fromkeys(edges, False)
+        for url, date, region, space in visits:
+            page = render_page(world, url, VisitSettings(date, region, space))
+            for edge in edges:
+                kept, final_url, cut = page.cut(edge)
+                assert visit_compact(
+                    world, url, date, region, space, edge
+                ) == CompactVisit(
+                    page.status, final_url.host,
+                    tuple(tx.request.url.host for tx in kept),
+                    cut, page.blocked_by_antibot,
+                )
+                timed_out[edge] |= cut
+        assert timed_out == {3.5: True, 10.4: True, 20.2: False}
