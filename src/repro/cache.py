@@ -11,11 +11,16 @@ full recomputations. Two artifact classes are cached:
   merges the segment;
 * **Derived analyses** -- :class:`~repro.core.adoption.AdoptionSeries`,
   :class:`~repro.core.vantage.VantageTable`,
-  :class:`~repro.core.marketshare.MarketShareCurve`, toplist probe
-  resolutions and the aggregate :class:`~repro.toplist.tranco.TrancoList`
-  order (the ``toplist`` stage), serialized as a single header + payload
-  JSON artifact. The header records the SHA-256 of the payload line,
-  checked before the payload is parsed.
+  :class:`~repro.core.marketshare.MarketShareCurve` and the aggregate
+  :class:`~repro.toplist.tranco.TrancoList` order (the ``toplist``
+  stage), serialized as a single header + payload JSON artifact. The
+  header records the SHA-256 of the payload line, checked before the
+  payload is parsed.
+
+:class:`~repro.core.pipeline.Study` is the cache's one client: it
+decides what is looked up, under which fingerprint, and what a miss
+computes. The crawlers take no cache. The streaming engine
+(:mod:`repro.stream`) also reads and writes its own checkpoints here.
 
 Correctness model
 -----------------
@@ -55,10 +60,9 @@ import json
 import re
 import shutil
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from repro.crawler.columnar import CaptureStore
-from repro.crawler.spill import SpillingCaptureStore
+from repro.crawler.spill import SpillingCaptureStore, Store, new_store
 from repro.crawler.storage import (
     StorageError,
     load_store,
@@ -90,11 +94,10 @@ CODE_VERSIONS: Dict[str, int] = {
     # social-crawl v3: store entries are binary segments, no longer
     # JSON Lines; older entries are evicted by fingerprint instead of
     # being parsed.
-    # social-crawl v4, toplist-probes v3, vantage v3: fault affliction,
-    # crash points and retry jitter are repro.det keyed draws, so a
-    # faulted run's rows come from other keys than before.
+    # social-crawl v4, vantage v3: fault affliction, crash points and
+    # retry jitter are repro.det keyed draws, so a faulted run's rows
+    # come from other keys than before.
     "social-crawl": 4,
-    "toplist-probes": 3,
     "adoption": 2,
     "vantage": 3,
     "marketshare": 2,
@@ -126,6 +129,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.cmps.onetrust",
         "repro.cmps.quantcast",
         "repro.cmps.trustarc",
+        "repro.core.pipeline",
         "repro.crawler.browser",
         "repro.crawler.capture",
         "repro.crawler.columnar",
@@ -148,27 +152,6 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.valueclass",
         "repro.web.adoption",
         "repro.web.serving",
-        "repro.web.website",
-        "repro.web.worldgen",
-    ],
-    "toplist-probes": [
-        "repro.cmps.base",
-        "repro.cmps.cookiebot",
-        "repro.cmps.crownpeak",
-        "repro.cmps.liveramp",
-        "repro.cmps.onetrust",
-        "repro.cmps.quantcast",
-        "repro.cmps.trustarc",
-        "repro.crawler.executor",
-        "repro.crawler.toplist_crawl",
-        "repro.datasets",
-        "repro.det",
-        "repro.faults.schedule",
-        "repro.net.http",
-        "repro.net.probe",
-        "repro.net.url",
-        "repro.valueclass",
-        "repro.web.adoption",
         "repro.web.website",
         "repro.web.worldgen",
     ],
@@ -214,6 +197,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.web.worldgen",
     ],
     "stream-checkpoint": [
+        "repro.core.pipeline",
         "repro.stream.engine",
         "repro.stream.state",
     ],
@@ -357,7 +341,7 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     def load_capture_store(
         self, fingerprint: Fingerprint, row_budget: Optional[int] = None
-    ) -> Optional[Union[CaptureStore, SpillingCaptureStore]]:
+    ) -> Optional[Store]:
         """The cached store for *fingerprint*, or ``None`` (cold compute).
 
         The entry's segments are merged in order, which reproduces the
@@ -376,11 +360,7 @@ class ArtifactCache:
                 return None
             entry_dir = self.root / fingerprint.slot()
             segments = manifest.get("segments")
-            merged: Union[CaptureStore, SpillingCaptureStore] = (
-                CaptureStore()
-                if row_budget is None
-                else SpillingCaptureStore(row_budget)
-            )
+            merged = new_store(row_budget)
             try:
                 if not isinstance(segments, list) or not segments:
                     raise StorageError("manifest lists no segments")
@@ -402,11 +382,7 @@ class ArtifactCache:
             span.set(outcome="hit", shards=len(segments))
             return merged
 
-    def save_capture_store(
-        self,
-        fingerprint: Fingerprint,
-        store: Union[CaptureStore, SpillingCaptureStore],
-    ) -> Path:
+    def save_capture_store(self, fingerprint: Fingerprint, store: Store) -> Path:
         """Persist *store* under *fingerprint*; returns the entry
         directory.
 
@@ -440,7 +416,7 @@ class ArtifactCache:
         return entry_dir
 
     # ------------------------------------------------------------------
-    # JSON artifacts (derived analyses, probe resolutions)
+    # JSON artifacts (derived analyses, engine checkpoints)
     # ------------------------------------------------------------------
     def load_payload(self, fingerprint: Fingerprint) -> Optional[object]:
         """The cached JSON payload for *fingerprint*, or ``None``."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stream -> pipeline)
     from repro.stream import StreamingStudyEngine
@@ -32,6 +32,7 @@ from repro.crawler.platform import (
     PlatformConfig,
 )
 from repro.crawler.seeds import SocialShareStream, StreamConfig
+from repro.crawler.spill import Store
 from repro.crawler.storage import store_digest
 from repro.crawler.toplist_crawl import (
     CONFIG_NAMES,
@@ -42,6 +43,8 @@ from repro.faults import FaultSchedule, RetryPolicy
 from repro.obs import Observability, resolve_obs
 from repro.toplist.tranco import TrancoList, build_tranco
 from repro.web.worldgen import World, WorldConfig
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -146,15 +149,11 @@ class Study:
     def tranco(self) -> TrancoList:
         """The Tranco list of this study's world, served from the cache
         when one is set (it is a pure function of the world)."""
-        if self.cache is None:
-            return build_tranco(self.world)
-        fingerprint = self.fingerprint("toplist")
-        payload = self.cache.load_payload(fingerprint)
-        if payload is not None:
-            return TrancoList.from_payload(self.world, payload)
-        tranco = build_tranco(self.world)
-        self.cache.save_payload(fingerprint, tranco.to_payload())
-        return tranco
+        return self._cached(
+            lambda: self.fingerprint("toplist"),
+            lambda: build_tranco(self.world),
+            lambda payload: TrancoList.from_payload(self.world, payload),
+        )
 
     # ------------------------------------------------------------------
     # Cache fingerprints
@@ -186,6 +185,26 @@ class Study:
             **fields,
         )
 
+    def _cached(
+        self,
+        fingerprint: Callable[[], Fingerprint],
+        compute: Callable[[], _T],
+        decode: Callable[[object], _T],
+    ) -> _T:
+        """One JSON stage's result: decoded from the cache entry under
+        ``fingerprint()`` on a hit, else computed (and, with a cache,
+        saved through its ``to_payload()``). The fingerprint is built
+        only when there is a cache to look it up in."""
+        if self.cache is None:
+            return compute()
+        key = fingerprint()
+        payload = self.cache.load_payload(key)
+        if payload is not None:
+            return decode(payload)
+        result = compute()
+        self.cache.save_payload(key, result.to_payload())
+        return result
+
     @cached_property
     def toplist_domains(self) -> List[str]:
         return self.tranco.top(self.config.toplist_size)
@@ -193,30 +212,39 @@ class Study:
     # ------------------------------------------------------------------
     # Crawling
     # ------------------------------------------------------------------
-    def run_social_crawl(
-        self,
-        start: Optional[dt.date] = None,
-        end: Optional[dt.date] = None,
-    ) -> CaptureStore:
-        """Run the social-media platform over a window (default: the
-        whole study period)."""
-        platform = NetographPlatform(
+    def platform(self) -> NetographPlatform:
+        """A fresh social platform of this study: share stream seed
+        ``seed + 1``, crawl seed ``seed + 2``, and the study's faults,
+        retry policy and memory budget. The batch crawl and the
+        streaming engine both crawl through it."""
+        cfg = self.config
+        return NetographPlatform(
             self.world,
             stream=SocialShareStream(
                 self.world,
                 StreamConfig(
-                    seed=self.config.seed + 1,
-                    events_per_day=self.config.events_per_day,
+                    seed=cfg.seed + 1, events_per_day=cfg.events_per_day
                 ),
             ),
             config=PlatformConfig(
-                seed=self.config.seed + 2,
-                faults=self.config.faults,
-                retry=self.config.retry,
-                memory_budget=self.config.memory_budget,
+                seed=cfg.seed + 2,
+                faults=cfg.faults,
+                retry=cfg.retry,
+                memory_budget=cfg.memory_budget,
             ),
             obs=self.obs,
         )
+
+    def run_social_crawl(
+        self,
+        start: Optional[dt.date] = None,
+        end: Optional[dt.date] = None,
+    ) -> Store:
+        """Run the social-media platform over a window (default: the
+        whole study period). With a cache, a hit loads the window's
+        store -- bit-identical to a crawl, under the same memory budget
+        -- and skips the crawl; a miss crawls and saves the store."""
+        platform = self.platform()
         self.last_crawl_stats = platform.stats
         start = start or self.config.study_start
         end = end or self.config.study_end
@@ -226,13 +254,15 @@ class Study:
                 "social-crawl",
                 key=(start.isoformat(), end.isoformat()),
             )
-        return platform.run(
-            start,
-            end,
-            workers=self.config.parallelism,
-            cache=self.cache,
-            fingerprint=fingerprint,
-        )
+            store = self.cache.load_capture_store(
+                fingerprint, self.config.memory_budget
+            )
+            if store is not None:
+                return store
+        store = platform.run(start, end, workers=self.config.parallelism)
+        if fingerprint is not None:
+            self.cache.save_capture_store(fingerprint, store)
+        return store
 
     def streaming_engine(
         self, *, resume: bool = False, **kwargs
@@ -280,21 +310,7 @@ class Study:
             faults=self.config.faults,
             retry=self.config.retry,
         )
-        probe_fingerprint = None
-        if self.cache is not None:
-            probe_fingerprint = self.fingerprint(
-                "toplist-probes",
-                key=(f"top{len(domains)}",),
-                domains=digest_domains(domains),
-                retries=crawler.retries,
-            )
-        return crawler.run(
-            domains,
-            when,
-            configs,
-            cache=self.cache,
-            probe_fingerprint=probe_fingerprint,
-        )
+        return crawler.run(domains, when, configs)
 
     # ------------------------------------------------------------------
     # Analyses
@@ -305,12 +321,11 @@ class Study:
         restrict_to_toplist: bool = True,
     ) -> AdoptionSeries:
         restrict = set(self.toplist_domains) if restrict_to_toplist else None
-        fingerprint = None
-        if self.cache is not None:
-            # Content-addressed on the input store: the digest covers
-            # exactly what save_store persists, so any upstream change
-            # (window, faults, code) flows through automatically.
-            fingerprint = self.fingerprint(
+        # Content-addressed on the input store: the digest covers
+        # exactly what save_store persists, so any upstream change
+        # (window, faults, code) flows through automatically.
+        return self._cached(
+            lambda: self.fingerprint(
                 "adoption",
                 key=("toplist" if restrict_to_toplist else "all",),
                 store=store_digest(store),
@@ -319,14 +334,10 @@ class Study:
                     if restrict_to_toplist
                     else "none"
                 ),
-            )
-            payload = self.cache.load_payload(fingerprint)
-            if payload is not None:
-                return AdoptionSeries.from_payload(payload)
-        series = AdoptionSeries.from_columnar(store, restrict)
-        if fingerprint is not None:
-            self.cache.save_payload(fingerprint, series.to_payload())
-        return series
+            ),
+            lambda: AdoptionSeries.from_columnar(store, restrict),
+            AdoptionSeries.from_payload,
+        )
 
     def monthly_dates(self) -> List[dt.date]:
         return month_starts(self.config.study_start, self.config.study_end)
@@ -334,22 +345,17 @@ class Study:
     def marketshare_curve(
         self, date: dt.date, **kwargs
     ) -> MarketShareCurve:
-        fingerprint = None
-        if self.cache is not None:
-            fingerprint = self.fingerprint(
+        return self._cached(
+            lambda: self.fingerprint(
                 "marketshare",
                 key=(date.isoformat(),),
                 params=repr(sorted(kwargs.items())),
-            )
-            payload = self.cache.load_payload(fingerprint)
-            if payload is not None:
-                return MarketShareCurve.from_payload(payload)
-        curve = marketshare_by_toplist_size(
-            self.world, self.tranco, date, **kwargs
+            ),
+            lambda: marketshare_by_toplist_size(
+                self.world, self.tranco, date, **kwargs
+            ),
+            MarketShareCurve.from_payload,
         )
-        if fingerprint is not None:
-            self.cache.save_payload(fingerprint, curve.to_payload())
-        return curve
 
     def switching_flows(self, series: AdoptionSeries) -> SwitchingFlows:
         return SwitchingFlows.from_timelines(series.timelines)
@@ -393,18 +399,15 @@ class Study:
     def vantage_table(self, when: dt.date, size: Optional[int] = None) -> VantageTable:
         """Table 1 for date *when*; a cache hit skips the toplist crawl
         (all six configurations) entirely."""
-        fingerprint = None
-        if self.cache is not None:
-            top = size if size is not None else self.config.toplist_size
-            fingerprint = self.fingerprint(
+        top = size if size is not None else self.config.toplist_size
+        return self._cached(
+            lambda: self.fingerprint(
                 "vantage",
                 key=(when.isoformat(), f"top{top}"),
                 configs=",".join(CONFIG_NAMES),
-            )
-            payload = self.cache.load_payload(fingerprint)
-            if payload is not None:
-                return VantageTable.from_payload(payload)
-        table = VantageTable.from_crawl(self.run_toplist_crawl(when, size=size))
-        if fingerprint is not None:
-            self.cache.save_payload(fingerprint, table.to_payload())
-        return table
+            ),
+            lambda: VantageTable.from_crawl(
+                self.run_toplist_crawl(when, size=size)
+            ),
+            VantageTable.from_payload,
+        )

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from repro.crawler.capture import Capture, ScreenshotInfo, Vantage
 from repro.faults.schedule import FaultSchedule
-from repro.net.psl import default_psl
+from repro.net.psl import DOMAINS
 from repro.net.url import URL
 from repro.web.serving import VisitSettings, render_page
 from repro.web.worldgen import World
@@ -124,8 +124,7 @@ def crawl_url(
 def _schedule_domain(url: URL) -> str:
     """The domain a fault schedule keys on: the registrable domain of
     the seed URL (the queue's dedup unit, Section 3.4)."""
-    reg = default_psl().registrable_domain(url.host)
-    return reg if reg is not None else url.host
+    return DOMAINS(url.host)
 
 
 #: Document status a faulted capture records, by fault kind; kinds

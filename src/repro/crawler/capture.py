@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 from repro.cmps.base import DialogDescriptor
 from repro.net.http import Cookie, HttpTransaction
-from repro.net.psl import default_psl
+from repro.net.psl import DOMAINS
 from repro.net.url import URL
 
 
@@ -106,9 +106,7 @@ class Capture:
         dataclass permits because the write bypasses ``__setattr__``;
         equality and hashing only consider declared fields.)
         """
-        host = self.final_url.host
-        reg = default_psl().registrable_domain(host)
-        return reg if reg is not None else host
+        return DOMAINS(self.final_url.host)
 
     @property
     def contacted_hosts(self) -> Tuple[str, ...]:

@@ -52,6 +52,11 @@ the queue state equal the serial run's. Full captures come from
 its rows through it (``ToplistCrawlResult.captures_for``), and,
 compacted with ``Capture.to_observation``, it is the kernel's row
 oracle in ``tests/test_columnar.py``.
+
+The platform always crawls: it takes no artifact cache. Looking a
+window's store up and saving it is :class:`~repro.core.pipeline.Study`'s
+job, which builds the platform (:meth:`~repro.core.pipeline.Study.platform`)
+for both the batch crawl and the streaming engine.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     List,
     NamedTuple,
@@ -73,9 +77,6 @@ from typing import (
 )
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> storage -> platform)
-    from repro.cache import ArtifactCache, Fingerprint
 
 from repro.crawler import executor
 from repro.crawler.browser import DEFAULT_PROFILE, FAULT_STATUS, CrawlProfile
@@ -89,7 +90,7 @@ from repro.crawler.executor import (
 )
 from repro.crawler.queue import CaptureQueue
 from repro.crawler.seeds import ShareBatch, SocialShareStream, StreamConfig
-from repro.crawler.spill import SpillingCaptureStore
+from repro.crawler.spill import Store, new_store
 from repro.det import key64
 from repro.detect.engine import DetectionEngine, hosts_mask
 from repro.faults import (
@@ -134,9 +135,6 @@ _EU_CLOUD_ID = VANTAGE_IDS[Vantage("EU", "cloud")]
 _US_CLOUD_ID = VANTAGE_IDS[Vantage("US", "cloud")]
 #: Region name by region id (0 = EU, 1 = US, as in the visit key).
 _REGION_NAMES = np.array(["EU", "US"], dtype=object)
-
-#: A crawl-phase store: resident, or spilling past a row budget.
-Store = Union[CaptureStore, SpillingCaptureStore]
 
 
 @dataclass(frozen=True)
@@ -221,13 +219,6 @@ def _draw_arr(keys: "np.ndarray", position: int) -> "np.ndarray":
 
 def _fault_kind(result: Union[CompactVisit, Fault]) -> Optional[str]:
     return result.kind if isinstance(result, Fault) else None
-
-
-def _new_store(config: PlatformConfig) -> Store:
-    """An empty crawl-phase store under *config*'s memory budget."""
-    if config.memory_budget is None:
-        return CaptureStore()
-    return SpillingCaptureStore(config.memory_budget)
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +585,7 @@ def crawl_social_shard(task: SocialShardSpec) -> SocialShardResult:
     if state is None:
         state = SocialShardResult(
             shard_id=part,
-            store=_new_store(config),
+            store=new_store(config.memory_budget),
             queue=task.queue,
             keys=[],
             tasks=sum(counts),
@@ -709,10 +700,8 @@ class NetographPlatform:
         self,
         start: dt.date,
         end: dt.date,
-        store: Optional[CaptureStore] = None,
+        store: Optional[Store] = None,
         workers: int = 1,
-        cache: Optional["ArtifactCache"] = None,
-        fingerprint: Optional["Fingerprint"] = None,
     ) -> Store:
         """Run the platform over ``[start, end)`` and return the store.
 
@@ -722,89 +711,12 @@ class NetographPlatform:
         processes, each generating, deduplicating and crawling its own
         partition over the whole window; the result is identical to the
         serial path for the same seed.
-
-        With a *cache* and *fingerprint*, the run consults the artifact
-        cache first: a hit restores the persisted capture store --
-        bit-identical to a cold run, by the exact-round-trip guarantee
-        of :mod:`repro.crawler.storage`, and under the same memory
-        budget -- and skips the dedup and crawl phases entirely; a miss
-        computes cold and populates the entry.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if cache is None or fingerprint is None:
-            return self._run_cold(start, end, store, workers)
-        result = cache.load_capture_store(
-            fingerprint, self.config.memory_budget
-        )
-        if result is None:
-            result = self._run_cold(start, end, None, workers)
-            cache.save_capture_store(fingerprint, result)
-        if store is None:
-            return result
-        # A plain continuation store concatenates in-memory columns, so
-        # a spilled result is merged into it one segment at a time.
-        for part in result.iter_segment_stores():
-            store.merge(part)
-        return store
-
-    def ingest_day(self, day: dt.date, store: Store) -> Store:
-        """Crawl one stream day into *store* (the streaming entry point).
-
-        Exactly ``run(day, day + 1 day, store=store)`` on the serial
-        path: the queue's cooldown dicts, the capture-id counter and the
-        run stats all persist across calls, so a sequence of
-        ``ingest_day`` calls over ``[start, end)`` produces a store
-        byte-identical to one batch :meth:`run` over the same window --
-        the invariant the :mod:`repro.stream` engine's batch-vs-follow
-        equivalence rests on (pinned by ``tests/test_stream.py``).
-        """
-        return self._run_cold(day, day + dt.timedelta(days=1), store)
-
-    # ------------------------------------------------------------------
-    # Checkpoint serialization (repro.stream)
-    # ------------------------------------------------------------------
-    def state_payload(self) -> dict:
-        """JSON-serializable mid-run platform state.
-
-        Everything the serial dedup + crawl loop threads from one day to
-        the next: the queue's cooldown/stats state, the capture-id
-        counter, and the run counters. Crawl *results* are not here --
-        they live in the store, checkpointed separately under the batch
-        ``social-crawl`` fingerprint of the ingested prefix.
-        """
-        return {
-            "capture_id": self._capture_id,
-            "queue": self.queue.state_payload(),
-            "stats": {
-                "events": self.stats.events,
-                "crawls": self.stats.crawls,
-                "failures": self.stats.failures,
-            },
-        }
-
-    def restore_state(self, payload: dict) -> None:
-        """Exact inverse of :meth:`state_payload` (fresh platform only)."""
-        if self._capture_id:
-            raise ValueError("restore_state requires a fresh platform")
-        self._capture_id = payload["capture_id"]
-        self.queue.restore_state(payload["queue"])
-        stats = payload["stats"]
-        self.stats.events = stats["events"]
-        self.stats.crawls = stats["crawls"]
-        self.stats.failures = stats["failures"]
-
-    def _run_cold(
-        self,
-        start: dt.date,
-        end: dt.date,
-        store: Optional[Store] = None,
-        workers: int = 1,
-    ) -> Store:
-        """The uncached dedup + crawl pipeline behind :meth:`run`."""
         parallel = workers > 1
         if store is None:
-            store = _new_store(self.config)
+            store = new_store(self.config.memory_budget)
         with self.obs.span(
             "platform.run",
             start=start.isoformat(),
@@ -841,6 +753,52 @@ class NetographPlatform:
                     retries_exhausted=run_tally.exhausted,
                 )
         return store
+
+    def ingest_day(self, day: dt.date, store: Store) -> Store:
+        """Crawl one stream day into *store* (the streaming entry point).
+
+        Exactly ``run(day, day + 1 day, store=store)`` on the serial
+        path: the queue's cooldown dicts, the capture-id counter and the
+        run stats all persist across calls, so a sequence of
+        ``ingest_day`` calls over ``[start, end)`` produces a store
+        byte-identical to one batch :meth:`run` over the same window --
+        the invariant the :mod:`repro.stream` engine's batch-vs-follow
+        equivalence rests on (pinned by ``tests/test_stream.py``).
+        """
+        return self.run(day, day + dt.timedelta(days=1), store)
+
+    # ------------------------------------------------------------------
+    # Checkpoint serialization (repro.stream)
+    # ------------------------------------------------------------------
+    def state_payload(self) -> dict:
+        """JSON-serializable mid-run platform state.
+
+        Everything the serial dedup + crawl loop threads from one day to
+        the next: the queue's cooldown/stats state, the capture-id
+        counter, and the run counters. Crawl *results* are not here --
+        they live in the store, checkpointed separately under the batch
+        ``social-crawl`` fingerprint of the ingested prefix.
+        """
+        return {
+            "capture_id": self._capture_id,
+            "queue": self.queue.state_payload(),
+            "stats": {
+                "events": self.stats.events,
+                "crawls": self.stats.crawls,
+                "failures": self.stats.failures,
+            },
+        }
+
+    def restore_state(self, payload: dict) -> None:
+        """Exact inverse of :meth:`state_payload` (fresh platform only)."""
+        if self._capture_id:
+            raise ValueError("restore_state requires a fresh platform")
+        self._capture_id = payload["capture_id"]
+        self.queue.restore_state(payload["queue"])
+        stats = payload["stats"]
+        self.stats.events = stats["events"]
+        self.stats.crawls = stats["crawls"]
+        self.stats.failures = stats["failures"]
 
     def _run_serial(
         self, start: dt.date, end: dt.date, store: Store, tally: FaultTally

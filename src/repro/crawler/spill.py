@@ -32,7 +32,7 @@ import tempfile
 import weakref
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.crawler.columnar import (
     CaptureStore,
@@ -48,7 +48,7 @@ from repro.crawler.storage import (
     segment_path,
 )
 
-__all__ = ["SpillingCaptureStore"]
+__all__ = ["SpillingCaptureStore", "Store", "new_store"]
 
 
 @dataclass(frozen=True)
@@ -276,3 +276,15 @@ class SpillingCaptureStore:
         self._finalizer = None
         if owns_directory:
             self._own_directory()
+
+
+#: A crawl-phase store: resident, or spilling past a row budget.
+Store = Union[CaptureStore, SpillingCaptureStore]
+
+
+def new_store(row_budget: Optional[int]) -> Store:
+    """An empty crawl-phase store: resident when *row_budget* is
+    ``None``, else spilling past *row_budget* rows."""
+    if row_budget is None:
+        return CaptureStore()
+    return SpillingCaptureStore(row_budget)

@@ -25,6 +25,10 @@ Table 1 counts. The toplist crawls also store the DOM tree and a
 full-page screenshot, which the customization analysis (I3) consumes;
 :meth:`ToplistCrawlResult.captures_for` renders those full captures on
 demand, bit-identical to the crawl that produced each row.
+
+The crawler always probes and crawls: it takes no artifact cache. Its
+one cached product is Table 1, whole
+(:meth:`~repro.core.pipeline.Study.vantage_table`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Dict,
     List,
     NamedTuple,
@@ -53,17 +56,9 @@ from repro.faults import (
     VirtualClock,
 )
 from repro.net import publish_cache_gauges
-from repro.net.probe import (
-    ProbeResult,
-    probe_from_record,
-    probe_to_record,
-    resolve_toplist,
-)
+from repro.net.probe import ProbeResult, resolve_toplist
 from repro.obs import Observability, resolve_obs
 from repro.web.worldgen import World
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle (cache uses storage)
-    from repro.cache import ArtifactCache, Fingerprint
 
 #: The six crawl configurations, in Table 1 column order.
 CRAWL_CONFIGS: Tuple[Tuple[str, Vantage, CrawlProfile], ...] = (
@@ -211,24 +206,16 @@ class ToplistCrawler:
         domains: Sequence[str],
         when: dt.date,
         configs: Sequence[str] = CONFIG_NAMES,
-        cache: Optional["ArtifactCache"] = None,
-        probe_fingerprint: Optional["Fingerprint"] = None,
     ) -> ToplistCrawlResult:
-        """Crawl *domains* around date *when* under the given configs.
-
-        With a *cache* and *probe_fingerprint*, the seed-URL resolution
-        phase is served from the artifact cache when a fresh entry
-        exists (probing is deterministic, so cached probes are
-        bit-identical to recomputed ones) and populated on a miss. The
-        crawl phase itself is cached one level up, where whole derived
-        analyses can be skipped (:mod:`repro.core.pipeline`).
-        """
+        """Probe *domains* for seed URLs, then crawl them around date
+        *when* under the given configs."""
         with self.obs.span(
             "toplist.run", domains=len(domains), configs=len(configs)
         ):
             with self.obs.span("toplist.probe") as probe_span:
-                probes = self._resolve_probes(
-                    domains, cache, probe_fingerprint
+                probes = resolve_toplist(
+                    domains, self.world, attempts=self.retries,
+                    faults=self.faults,
                 )
             result = ToplistCrawlResult(probes=probes, world=self.world)
             wanted = [name for name in CONFIG_NAMES if name in configs]
@@ -326,24 +313,3 @@ class ToplistCrawler:
             probe.domain: row._replace(cmp_key=cmp_key)
             for probe, row, cmp_key in zip(crawlable, rows, cmp_keys)
         }
-
-    def _resolve_probes(
-        self,
-        domains: Sequence[str],
-        cache: Optional["ArtifactCache"],
-        fingerprint: Optional["Fingerprint"],
-    ) -> List[ProbeResult]:
-        """Seed-URL resolution, served from the artifact cache if possible."""
-        caching = cache is not None and fingerprint is not None
-        if caching:
-            payload = cache.load_payload(fingerprint)
-            if payload is not None:
-                return [probe_from_record(rec) for rec in payload]
-        probes = resolve_toplist(
-            domains, self.world, attempts=self.retries, faults=self.faults
-        )
-        if caching:
-            cache.save_payload(
-                fingerprint, [probe_to_record(p) for p in probes]
-            )
-        return probes

@@ -33,6 +33,7 @@ from repro.lint.index import (
     Program,
     ProgramContext,
     build_module_index,
+    with_package_data,
 )
 from repro.lint.rules import RULES, WHOLE_PROGRAM_RULES, Rule, RuleContext
 from repro.lint.suppress import (
@@ -297,7 +298,13 @@ def analyze_paths(
             report_path = file_path.as_posix()
         source = file_path.read_text(encoding="utf-8")
         result.files += 1
-        analyses[report_path] = _analyze_file(source, report_path, config)
+        analysis = analyses[report_path] = _analyze_file(
+            source, report_path, config
+        )
+        if file_path.name == "__init__.py" and analysis.index is not None:
+            analysis.index.digest = with_package_data(
+                analysis.index.digest, file_path.parent
+            )
     phase1 = time.perf_counter() - started  # repro-lint: disable=DET002
 
     started = time.perf_counter()  # repro-lint: disable=DET002

@@ -63,18 +63,12 @@ _FALLBACK_STOPLIST = frozenset(
     }
 ) | MUTATING_METHODS
 
-#: ``random.<fn>`` / clock / hash callees seeding *value* taint, and the
-#: filesystem-order producers seeding *order* taint. Kept in sync with
-#: the per-file DET rules by the rule-family tests.
-_VALUE_SOURCE_TIME = frozenset(
-    {
-        "ctime", "gmtime", "localtime", "monotonic", "monotonic_ns",
-        "perf_counter", "perf_counter_ns", "process_time",
-        "process_time_ns", "time", "time_ns",
-    }
-)
-_VALUE_SOURCE_DATETIME = frozenset({"now", "today", "utcnow"})
-_VALUE_SOURCE_RANDOM = frozenset(
+# The nondeterminism sources, defined once for both phases: the per-file
+# DET rules flag them where they appear, and the index records them as
+# the seeds of XMOD's *value* and *order* taint.
+
+#: ``random.<fn>`` calls that draw from the hidden module-level stream.
+RANDOM_FNS = frozenset(
     {
         "betavariate", "choice", "choices", "expovariate", "gauss",
         "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
@@ -83,10 +77,29 @@ _VALUE_SOURCE_RANDOM = frozenset(
         "weibullvariate",
     }
 )
-_ORDER_SOURCE_CALLS = frozenset(
-    {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
+#: ``time.<fn>`` reads of a process/OS clock.
+TIME_FNS = frozenset(
+    {
+        "ctime", "gmtime", "localtime", "monotonic", "monotonic_ns",
+        "perf_counter", "perf_counter_ns", "process_time",
+        "process_time_ns", "time", "time_ns",
+    }
 )
-_ORDER_SOURCE_METHODS = frozenset({"iterdir", "glob", "rglob"})
+#: ``<anything>.now()/.today()/.utcnow()`` -- datetime-style clock reads.
+DATETIME_FNS = frozenset({"now", "today", "utcnow"})
+#: Filesystem listings in directory order, callee -> DET004 label.
+FS_ORDER_CALLS = {
+    "os.listdir": "os.listdir()",
+    "os.scandir": "os.scandir()",
+    "glob.glob": "glob.glob()",
+    "glob.iglob": "glob.iglob()",
+}
+#: Argument-less methods listing a directory, name -> DET004 label.
+FS_ORDER_METHODS = {
+    "iterdir": "Path.iterdir()",
+    "glob": ".glob()",
+    "rglob": ".rglob()",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +307,25 @@ def normalized_digest(tree: ast.AST) -> str:
     return hashlib.sha256(dump.encode("utf-8")).hexdigest()
 
 
+def with_package_data(digest: str, package_dir: Path) -> str:
+    """A package's *digest* with the bytes of every non-Python file
+    beside its ``__init__.py`` folded in, so that editing package data
+    (the PSL snapshot of :mod:`repro.datasets`) changes the digest of
+    every cache stage that lists the package. Unchanged for a package
+    without data files."""
+    data = [
+        path for path in sorted(package_dir.iterdir())
+        if path.is_file() and path.suffix != ".py"
+    ]
+    if not data:
+        return digest
+    sha = hashlib.sha256(digest.encode("utf-8"))
+    for path in data:
+        sha.update(f"\n{path.name}\n".encode("utf-8"))
+        sha.update(hashlib.sha256(path.read_bytes()).digest())
+    return sha.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # Index construction
 # ---------------------------------------------------------------------------
@@ -424,24 +456,24 @@ class _FunctionScanner(ast.NodeVisitor):
         detail: Optional[str] = None
         kind = "value"
         det_rule = ""
-        if mod == "random" and fn in _VALUE_SOURCE_RANDOM:
+        if mod == "random" and fn in RANDOM_FNS:
             detail, det_rule = f"random.{fn}()", "DET001"
         elif name in ("random.Random", "Random") and not node.args \
                 and not node.keywords:
             detail, det_rule = "unseeded random.Random()", "DET001"
         elif name == "random.SystemRandom":
             detail, det_rule = "random.SystemRandom()", "DET001"
-        elif mod == "time" and fn in _VALUE_SOURCE_TIME:
+        elif mod == "time" and fn in TIME_FNS:
             detail, det_rule = f"time.{fn}()", "DET002"
-        elif mod and fn in _VALUE_SOURCE_DATETIME:
+        elif mod and fn in DATETIME_FNS:
             detail, det_rule = f"{name}()", "DET002"
         elif name == "hash" and len(parts) == 1:
             detail, det_rule = "builtin hash()", "DET003"
-        elif name in _ORDER_SOURCE_CALLS:
+        elif name in FS_ORDER_CALLS:
             detail, kind, det_rule = f"{name}()", "order", "DET004"
         elif (
             len(parts) > 1
-            and parts[-1] in _ORDER_SOURCE_METHODS
+            and parts[-1] in FS_ORDER_METHODS
             and not node.args
             and not node.keywords
         ):

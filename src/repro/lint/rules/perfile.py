@@ -13,6 +13,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.lint.index import (
+    DATETIME_FNS,
+    FS_ORDER_CALLS,
+    FS_ORDER_METHODS,
+    RANDOM_FNS,
+    TIME_FNS,
+)
 from repro.lint.rules.base import (
     RawFinding,
     Rule,
@@ -25,17 +32,6 @@ from repro.lint.rules.base import (
 # ---------------------------------------------------------------------------
 # DET001 -- nondeterministic randomness
 # ---------------------------------------------------------------------------
-
-#: ``random.<fn>`` calls that draw from the hidden module-level stream.
-_MODULE_RANDOM_FNS = frozenset(
-    {
-        "betavariate", "choice", "choices", "expovariate", "gauss",
-        "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
-        "randbytes", "randint", "random", "randrange", "sample", "seed",
-        "shuffle", "triangular", "uniform", "vonmisesvariate",
-        "weibullvariate",
-    }
-)
 
 
 @register
@@ -71,7 +67,7 @@ class UnseededRandomRule(Rule):
             )
         else:
             mod, _, fn = name.rpartition(".")
-            if mod == "random" and fn in _MODULE_RANDOM_FNS:
+            if mod == "random" and fn in RANDOM_FNS:
                 yield node, (
                     f"module-level random.{fn}() uses the shared hidden "
                     "stream; call it on a seeded random.Random instance"
@@ -81,18 +77,6 @@ class UnseededRandomRule(Rule):
 # ---------------------------------------------------------------------------
 # DET002 -- wall-clock reads
 # ---------------------------------------------------------------------------
-
-#: ``time.<fn>`` reads of a process/OS clock.
-_TIME_FNS = frozenset(
-    {
-        "ctime", "gmtime", "localtime", "monotonic", "monotonic_ns",
-        "perf_counter", "perf_counter_ns", "process_time",
-        "process_time_ns", "time", "time_ns",
-    }
-)
-
-#: ``<anything>.now()/.today()/.utcnow()`` -- datetime-style clock reads.
-_DATETIME_FNS = frozenset({"now", "today", "utcnow"})
 
 
 @register
@@ -114,12 +98,12 @@ class WallClockRule(Rule):
         if name is None:
             return
         mod, _, fn = name.rpartition(".")
-        if mod == "time" and fn in _TIME_FNS:
+        if mod == "time" and fn in TIME_FNS:
             yield node, (
                 f"time.{fn}() reads a process clock; pipeline results "
                 "must be a function of the seed and the study window"
             )
-        elif mod and fn in _DATETIME_FNS:
+        elif mod and fn in DATETIME_FNS:
             # Any dotted ``.now()/.today()/.utcnow()`` call: catches
             # datetime.now, datetime.datetime.now, dt.date.today, ...
             yield node, (
@@ -171,17 +155,7 @@ class SaltedHashRule(Rule):
 _UNORDERED_CALLS = {
     "set": "set()",
     "frozenset": "frozenset()",
-    "os.listdir": "os.listdir()",
-    "os.scandir": "os.scandir()",
-    "glob.glob": "glob.glob()",
-    "glob.iglob": "glob.iglob()",
-}
-
-#: Method names producing unordered/filesystem-ordered results.
-_UNORDERED_METHODS = {
-    "iterdir": "Path.iterdir()",
-    "glob": ".glob()",
-    "rglob": ".rglob()",
+    **FS_ORDER_CALLS,
 }
 
 #: Wrappers that make consuming an unordered collection safe: they are
@@ -207,11 +181,11 @@ def _unordered_reason(node: ast.AST) -> Optional[str]:
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in _UNORDERED_METHODS
+        and node.func.attr in FS_ORDER_METHODS
         and not node.args
         and not node.keywords
     ):
-        return _UNORDERED_METHODS[node.func.attr]
+        return FS_ORDER_METHODS[node.func.attr]
     return None
 
 

@@ -13,6 +13,10 @@ domains of the Tranco list are converted into crawlable URLs:
 The process is repeated three times over a week to catch temporarily
 unavailable domains.
 
+Probe results are not cached on their own: every toplist crawl probes
+afresh, and the Table 1 it feeds is the cached artifact
+(:meth:`~repro.core.pipeline.Study.vantage_table`).
+
 This module implements that protocol against an abstract
 :class:`ReachabilityOracle`, which the synthetic web implements. The retry
 schedule is modelled explicitly so that transient unavailability (which the
@@ -119,28 +123,3 @@ def resolve_toplist(
     """Resolve every domain in a toplist to a seed URL."""
     return [resolve_seed_url(d, oracle, attempts, faults) for d in domains]
 
-
-# ----------------------------------------------------------------------
-# Cache serialization (repro.cache toplist-probes artifacts)
-# ----------------------------------------------------------------------
-def probe_to_record(probe: ProbeResult) -> dict:
-    """One probe result as a JSON-serializable dict."""
-    return {
-        "domain": probe.domain,
-        "seed_url": None if probe.seed_url is None else str(probe.seed_url),
-        "attempt": probe.succeeded_on_attempt,
-        "method": probe.method,
-    }
-
-
-def probe_from_record(record: dict) -> ProbeResult:
-    """Rebuild a probe result; exact inverse of :func:`probe_to_record`
-    (``URL.parse`` canonicalization is idempotent, so the seed URL
-    round-trips bit-identically)."""
-    seed_url = record["seed_url"]
-    return ProbeResult(
-        domain=record["domain"],
-        seed_url=None if seed_url is None else URL.parse(seed_url),
-        succeeded_on_attempt=record["attempt"],
-        method=record["method"],
-    )

@@ -13,11 +13,11 @@ exception rules (``!www.ck``) -- against a bundled snapshot of rules in
 generator emits plus the common real-world suffixes, so the lookup code
 path is identical to one backed by the full list.
 
-The crawl path reads registrable domains through :data:`DOMAINS`, one
-bounded process-wide host -> domain memo whose misses fill neither of
-the PSL's own caches. The PSL's public methods stay memoized for their
-other callers: the row crawl path and
-:class:`~repro.crawler.capture.Capture`.
+The PSL itself memoizes nothing. Every caller that maps hosts to
+registrable domains repeatedly -- the capture queue, the crawl kernel,
+the fault schedule's keys and :class:`~repro.crawler.capture.Capture`
+-- reads them through :data:`DOMAINS`, one bounded process-wide
+host -> domain memo.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class PublicSuffixList:
             (``// ...``) and blank lines are ignored.
     """
 
-    #: Cached lookups per instance; sized for the row crawl path, where
-    #: the same third-party and toplist hosts recur millions of times.
-    CACHE_SIZE = 65_536
-
     def __init__(self, rules: Iterable[str]):
         self._exact: set = set()
         self._wildcard: set = set()  # rule "*.ck" stored as "ck"
@@ -56,55 +52,18 @@ class PublicSuffixList:
                 self._exact.add(line)
         if not self._exact and not self._wildcard:
             raise ValueError("empty public suffix list")
-        self._install_caches()
-
-    def _install_caches(self) -> None:
-        # Per-instance memoization keeps the caches with the rule set
-        # they were computed from (and lets them die with the instance).
-        self._suffix_cached = lru_cache(maxsize=self.CACHE_SIZE)(
-            self._public_suffix_uncached
-        )
-        self._registrable_cached = lru_cache(maxsize=self.CACHE_SIZE)(
-            self._registrable_domain_uncached
-        )
-
-    # ------------------------------------------------------------------
-    # Pickling: the lru_cache wrappers close over bound methods and are
-    # not picklable, which used to make any object graph holding a PSL
-    # (e.g. payloads shipped to shard worker processes) fail to
-    # serialize. The caches are dropped on pickle and rebuilt cold on
-    # unpickle -- memoized state is per-process by design.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_suffix_cached"]
-        del state["_registrable_cached"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._install_caches()
-
-    def cache_info(self) -> dict:
-        """Per-cache hit/miss/size statistics."""
-        return {
-            "suffix": self._suffix_cached.cache_info(),
-            "registrable": self._registrable_cached.cache_info(),
-        }
 
     def __len__(self) -> int:
         return len(self._exact) + len(self._wildcard) + len(self._exception)
 
     # ------------------------------------------------------------------
     def public_suffix(self, host: str) -> str:
-        """Return the public suffix of *host* (memoized).
+        """Return the public suffix of *host*.
 
         Follows the PSL algorithm: the longest matching rule wins,
         exception rules beat wildcard rules, and if no rule matches the
         suffix is the last label (the "``*``" implicit rule).
         """
-        return self._suffix_cached(host)
-
-    def _public_suffix_uncached(self, host: str) -> str:
         labels = _labels(host)
         suffix_len = 1  # implicit "*" rule
         for i in range(len(labels)):
@@ -122,8 +81,7 @@ class PublicSuffixList:
         return ".".join(labels[-suffix_len:])
 
     def registrable_domain(self, host: str) -> Optional[str]:
-        """Return the eTLD+1 for *host*, or ``None`` for bare suffixes
-        (memoized).
+        """Return the eTLD+1 for *host*, or ``None`` for bare suffixes.
 
         This is the paper's unit of counting: the "effective second-level
         domain" under which internet users can directly register names.
@@ -133,13 +91,8 @@ class PublicSuffixList:
         >>> default_psl().registrable_domain("github.io") is None
         True
         """
-        return self._registrable_cached(host)
-
-    def _registrable_domain_uncached(self, host: str) -> Optional[str]:
         labels = _labels(host)
-        # Uncached: every registrable miss is a distinct host, so a
-        # suffix memo filled here would never be read back.
-        suffix = self._public_suffix_uncached(host)
+        suffix = self.public_suffix(host)
         n_suffix = suffix.count(".") + 1
         if len(labels) <= n_suffix:
             return None
@@ -184,8 +137,8 @@ def default_psl() -> PublicSuffixList:
 
 def registrable_or_host(host: str) -> str:
     """The registrable domain of *host*, or *host* itself for a bare
-    public suffix (the crawl's counting unit; fills no PSL cache)."""
-    reg = default_psl()._registrable_domain_uncached(host)
+    public suffix (the crawl's counting unit)."""
+    reg = default_psl().registrable_domain(host)
     return reg if reg is not None else host
 
 

@@ -49,10 +49,8 @@ from repro.core.marketshare import (
     observed_marketshare,
 )
 from repro.core.vantage import VantageAccumulator, VantageTable
-from repro.crawler.columnar import VANTAGE_STRS, CaptureStore
-from repro.crawler.platform import NetographPlatform, PlatformConfig
-from repro.crawler.seeds import SocialShareStream, StreamConfig
-from repro.crawler.spill import SpillingCaptureStore
+from repro.crawler.columnar import VANTAGE_STRS
+from repro.crawler.spill import Store, new_store
 from repro.memo import MISSING, BoundedMemo
 from repro.stream.state import LiveAdoptionState
 from repro.toplist.tranco import TrancoRanks
@@ -120,32 +118,12 @@ class StreamingStudyEngine:
         #: answers (:meth:`query`); :meth:`advance_day` drops both.
         self._series: Optional[AdoptionSeries] = None
         self._answers = BoundedMemo(ANSWER_MEMO_SIZE)
-        self.platform = NetographPlatform(
-            study.world,
-            stream=SocialShareStream(
-                study.world,
-                StreamConfig(
-                    seed=cfg.seed + 1,
-                    events_per_day=cfg.events_per_day,
-                ),
-            ),
-            config=PlatformConfig(
-                seed=cfg.seed + 2,
-                faults=cfg.faults,
-                retry=cfg.retry,
-            ),
-            obs=study.obs,
-        )
+        self.platform = study.platform()
         #: The append-only capture log; ``memory_budget`` bounds its
         #: resident rows by spilling full segments to disk (the follow
         #: loop only ever reads the suffix via ``rows_since``, so long
         #: follows stay flat-RSS). Bit-invisible either way.
-        if cfg.memory_budget:
-            self.store: "CaptureStore | SpillingCaptureStore" = (
-                SpillingCaptureStore(cfg.memory_budget)
-            )
-        else:
-            self.store = CaptureStore()
+        self.store: Store = new_store(cfg.memory_budget)
         self._cursor = 0
         #: The toplist's domain -> Tranco rank lookup: the restriction
         #: of the series and the ranks of the marketshare curves. It

@@ -277,12 +277,7 @@ def _visit_structure(
     )
     episode = site.episode_on(date) if site.episodes else None
     if episode is not None:
-        embeds = region in site.embed_regions or (
-            region == "US"
-            and site.us_embed_since is not None
-            and date >= site.us_embed_since
-        )
-        if not embeds or not site.subsite_embeds_cmp(
+        if not site.embeds_for(region, date) or not site.subsite_embeds_cmp(
             subsite_index if subsite_index >= 0 else _subsite_index(site, url)
         ):
             episode = None

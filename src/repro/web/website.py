@@ -147,6 +147,12 @@ class Website:
         """True if a visitor from *region* receives the CMP embed."""
         if self.episode_on(date) is None:
             return False
+        return self.embeds_for(region, date)
+
+    def embeds_for(self, region: str, date: dt.date) -> bool:
+        """Whether the site would serve its CMP embed to a visitor from
+        *region* on *date*, assuming a CMP is active then: the region is
+        an embed region, or the US after the site's US roll-out."""
         if region in self.embed_regions:
             return True
         return (

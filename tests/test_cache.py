@@ -465,6 +465,22 @@ class TestWarmStudy:
         assert study.last_crawl_stats.crawls > 0
         assert store.n_rows
 
+    def test_uncached_adoption_never_digests_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """The store digest is only a fingerprint field: a study without
+        a cache has no fingerprint to build and never pays for it."""
+        study = Study(small_config(tmp_path, cache_dir=None))
+        store = study.run_social_crawl()
+
+        def no_digest(store):
+            raise AssertionError("an uncached study digested its store")
+
+        monkeypatch.setattr("repro.core.pipeline.store_digest", no_digest)
+        assert study.adoption_series(store).timelines
+        everyone = study.adoption_series(store, restrict_to_toplist=False)
+        assert everyone.timelines
+
     def test_adoption_content_addressed_on_store(self, tmp_path):
         """A different input store must not be served the cached series."""
         study = Study(small_config(tmp_path))

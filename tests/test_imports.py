@@ -5,6 +5,7 @@ when its module is the first ``repro`` import cannot hide behind the
 order in which the test session happened to import things.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +40,35 @@ def test_module_imports_first(module):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _imported_modules(path: Path):
+    """Every module *path* imports, at any depth: ``import a.b`` and
+    ``from a.b import c`` (relative imports resolved)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    package = ".".join(path.relative_to(SRC).parent.parts)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parts = parts[: len(parts) - node.level + 1]
+                base = ".".join(parts + ([base] if base else []))
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+
+
+def test_no_crawler_module_imports_the_cache():
+    """The crawlers take no cache: Study looks their results up. Not
+    even a typing-only import under ``TYPE_CHECKING`` may name it."""
+    offenders = sorted(
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted((SRC / "repro" / "crawler").rglob("*.py"))
+        for name in _imported_modules(path)
+        if name == "repro.cache" or name.startswith("repro.cache.")
+    )
+    assert offenders == []

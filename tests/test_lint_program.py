@@ -492,6 +492,33 @@ class TestRealTreeMutation:
             for f in cache001
         )
 
+    def test_editing_package_data_without_bump_fails_guard(self, tmp_path):
+        """Package data decides results like code does: without the
+        ``co.uk`` rule the PSL snapshot maps ``shop.example.co.uk`` to
+        ``co.uk``, which changes the rows of every stage that resolves
+        registrable domains."""
+        clone = copy_repo_tree(tmp_path)
+        snapshot = clone / "src" / "repro" / "datasets" / "psl_snapshot.dat"
+        rules = snapshot.read_text(encoding="utf-8").splitlines()
+        assert "co.uk" in rules
+        snapshot.write_text(
+            "\n".join(rule for rule in rules if rule != "co.uk") + "\n",
+            encoding="utf-8",
+        )
+        result = lint_paths(
+            [clone / "src"],
+            LintConfig(select=frozenset({"CACHE"})),
+            root=clone,
+        )
+        flagged = {
+            stage
+            for f in result.findings
+            if f.rule == "CACHE001" and "repro.datasets" in f.message
+            for stage in ("social-crawl", "vantage", "marketshare")
+            if f"'{stage}'" in f.message
+        }
+        assert flagged == {"social-crawl", "vantage", "marketshare"}
+
     @pytest.fixture(scope="class")
     def src_program(self) -> Program:
         _, program, _ = analyze_paths(
@@ -525,20 +552,16 @@ class TestRealTreeMutation:
     ):
         """Every site is drawn by repro.web.worldgen, its CMP history by
         repro.web.adoption, so a change in either must change each
-        stage whose result depends on site draws: the crawl, the
-        toplist probes (they resolve hosts to sites), Table 1 and
-        Fig 5."""
+        stage whose result depends on site draws: the crawl, Table 1
+        (its probes resolve hosts to sites) and Fig 5."""
         assert {
-            "social-crawl", "toplist-probes", "vantage", "marketshare"
+            "social-crawl", "vantage", "marketshare"
         } <= self.stages_changed_by(src_program, module)
 
     @pytest.mark.parametrize(
         "module, stages",
         [
-            (
-                "repro.faults.schedule",
-                {"social-crawl", "toplist-probes", "vantage"},
-            ),
+            ("repro.faults.schedule", {"social-crawl", "vantage"}),
             ("repro.faults.inject", {"social-crawl", "vantage"}),
             ("repro.faults.retry", {"social-crawl", "vantage"}),
             ("repro.det", {"social-crawl", "vantage"}),
@@ -558,24 +581,19 @@ class TestRealTreeMutation:
     @pytest.mark.parametrize(
         "module, stages",
         [
-            (
-                "repro.net.url",
-                {"social-crawl", "vantage", "toplist-probes"},
-            ),
+            ("repro.net.url", {"social-crawl", "vantage"}),
             ("repro.net.psl", {"social-crawl", "vantage"}),
             (
                 "repro.cmps.base",
-                {"social-crawl", "vantage", "toplist-probes", "marketshare"},
+                {"social-crawl", "vantage", "marketshare"},
             ),
             ("repro.detect.fingerprints", {"social-crawl", "vantage"}),
             (
                 "repro.datasets",
-                {"social-crawl", "vantage", "toplist-probes", "marketshare"},
+                {"social-crawl", "vantage", "marketshare"},
             ),
-            (
-                "repro.valueclass",
-                {"social-crawl", "vantage", "toplist-probes"},
-            ),
+            ("repro.valueclass", {"social-crawl", "vantage"}),
+            ("repro.core.pipeline", {"social-crawl", "stream-checkpoint"}),
         ],
     )
     def test_row_deciding_modules_are_in_their_closures(
@@ -586,9 +604,10 @@ class TestRealTreeMutation:
         registrable domain rows are deduped and stored under, the CMP
         registry's launch dates and EU-TLD shares shape site histories,
         FINGERPRINTS attributes a capture to its CMP, STUDY_END bounds
-        the CMP drop windows, and repro.valueclass builds the URL, site
+        the CMP drop windows, repro.valueclass builds the URL, site
         and dialog classes (their pickled form travels between crawl
-        processes)."""
+        processes), and Study.platform() seeds the share stream and
+        the crawl of both the batch run and the follow engine."""
         assert stages <= self.stages_changed_by(src_program, module)
 
 

@@ -113,6 +113,17 @@ class TestBatchEquivalence:
         study.streaming_engine()
         assert study.world.cache_counts()["sites"].misses == 0
 
+    def test_engine_crawls_through_the_study_platform(self):
+        """Follow and batch runs share one platform wiring: seeds,
+        faults, retry policy and the memory budget."""
+        study = Study(dataclasses.replace(CFG, memory_budget=50))
+        engine = study.streaming_engine()
+        batch = study.platform()
+        assert engine.platform.config == batch.config
+        assert engine.platform.config.memory_budget == 50
+        assert engine.platform.stream.config == batch.stream.config
+        assert engine.store.row_budget == 50
+
     def test_mid_window_cut_matches_batch(self, stream_study):
         """Equivalence holds at an interior watermark, not just the end."""
         prefix_engine = Study(CFG).streaming_engine().run_until(MID)
