@@ -1,6 +1,6 @@
 """Coverage gate: the gated subsystems must stay statement-covered.
 
-Four gates, one contract each:
+Five gates, one contract each:
 
 * ``repro.graph`` -- the whole package, >= 90% (the ISSUE-9 gate: new
   subsystems can't land untested);
@@ -15,7 +15,10 @@ Four gates, one contract each:
 * the visit derivation (``repro.web.serving``), >= 90%: every visit is
   decided in one place and read both as a rendered page and as a
   compact crawl row, so every outcome class of both readers stays
-  exercised.
+  exercised;
+* the keyed draws and the seeding kernel (``repro.det``), >= 90%:
+  ``first_randoms`` has a vector path and a scalar path that must
+  agree bit for bit, so both stay exercised by its oracle tests.
 
 Two measurement paths:
 
@@ -112,6 +115,16 @@ GATES: Tuple[Gate, ...] = (
             "tests/test_serving.py",
             "tests/test_memo_contract.py",
             "tests/test_columnar.py",
+        ),
+    ),
+    Gate(
+        name="repro.det",
+        files=(SRC_ROOT / "repro" / "det.py",),
+        floor=90.0,
+        tests=(
+            "tests/test_det.py",
+            "tests/test_toplist.py",
+            "tests/test_faults.py",
         ),
     ),
 )

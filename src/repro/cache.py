@@ -157,6 +157,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
     ],
     "adoption": [
         "repro.core.adoption",
+        "repro.core.pipeline",
         "repro.crawler.columnar",
     ],
     "vantage": [
@@ -167,6 +168,7 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.cmps.onetrust",
         "repro.cmps.quantcast",
         "repro.cmps.trustarc",
+        "repro.core.pipeline",
         "repro.core.vantage",
         "repro.crawler.browser",
         "repro.crawler.platform",
@@ -182,6 +184,8 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.net.probe",
         "repro.net.psl",
         "repro.net.url",
+        "repro.toplist.providers",
+        "repro.toplist.tranco",
         "repro.valueclass",
         "repro.web.adoption",
         "repro.web.serving",
@@ -191,7 +195,10 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
     "marketshare": [
         "repro.cmps.base",
         "repro.core.marketshare",
+        "repro.core.pipeline",
         "repro.datasets",
+        "repro.det",
+        "repro.toplist.providers",
         "repro.toplist.tranco",
         "repro.web.adoption",
         "repro.web.worldgen",
@@ -202,6 +209,8 @@ STAGE_CLOSURES: Dict[str, List[str]] = {
         "repro.stream.state",
     ],
     "toplist": [
+        "repro.core.pipeline",
+        "repro.det",
         "repro.toplist.providers",
         "repro.toplist.tranco",
         "repro.web.worldgen",

@@ -385,16 +385,17 @@ def _cmd_study(study: Study, args) -> int:
     end = args.start + dt.timedelta(days=args.days)
     # Re-window the study to the requested follow range; everything
     # else (seed, world size, cache, obs) carries over.
-    study = Study(
-        dataclasses.replace(
+    try:
+        config = dataclasses.replace(
             study.config,
             study_start=args.start,
             study_end=end,
             events_per_day=args.events_per_day,
             checkpoint_every_days=args.checkpoint_every,
-        ),
-        obs=study.obs,
-    )
+        )
+    except ValueError as exc:  # an execution knob that cannot work
+        raise argparse.ArgumentError(None, str(exc)) from exc
+    study = Study(config, obs=study.obs)
     from repro.cache import CacheError
 
     try:

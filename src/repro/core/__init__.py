@@ -20,33 +20,3 @@ One module per part of the evaluation:
 * :mod:`repro.core.relatedwork` -- the sample-size/time-window
   comparison with prior work (Figure 1).
 """
-
-from repro.core.adoption import AdoptionSeries, DomainTimeline
-from repro.core.compliance import ComplianceReport, audit_captures, audit_dialog
-from repro.core.concentration import hhi, hhi_series, jurisdiction_report
-from repro.core.customization import CustomizationReport, classify_dialogs
-from repro.core.gvl_analysis import GvlAnalysis
-from repro.core.marketshare import MarketShareCurve, marketshare_by_toplist_size
-from repro.core.switching import SwitchingFlows
-from repro.core.timing import OptOutStudy, TimingStudy
-from repro.core.vantage import VantageTable
-
-__all__ = [
-    "DomainTimeline",
-    "AdoptionSeries",
-    "MarketShareCurve",
-    "marketshare_by_toplist_size",
-    "SwitchingFlows",
-    "VantageTable",
-    "CustomizationReport",
-    "classify_dialogs",
-    "GvlAnalysis",
-    "OptOutStudy",
-    "TimingStudy",
-    "ComplianceReport",
-    "audit_dialog",
-    "audit_captures",
-    "hhi",
-    "hhi_series",
-    "jurisdiction_report",
-]

@@ -113,6 +113,12 @@ class StudyConfig:
                 "checkpoint_every_days must be >= 0, got "
                 f"{self.checkpoint_every_days}"
             )
+        if self.checkpoint_every_days and self.cache_dir is None:
+            raise ValueError(
+                "checkpoint_every_days > 0 needs a cache_dir to write "
+                f"checkpoints to, got {self.checkpoint_every_days} "
+                "without one"
+            )
 
 
 class Study:

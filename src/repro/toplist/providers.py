@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.web.worldgen import World
+from repro.web.worldgen import SITE_CLASSES, World
 
 PROVIDER_NAMES: Tuple[str, ...] = ("alexa", "umbrella", "majestic", "quantcast")
 
@@ -37,6 +37,11 @@ _NOISE_SCALE = {
 
 #: Umbrella's boost factor for infrastructure domains.
 _INFRA_BOOST = 8.0
+
+#: Umbrella boosts infrastructure domains among the world's first
+#: this many ranks only: the head of the list is where it matters.
+_INFRA_SCAN_LIMIT = 50_000
+_INFRASTRUCTURE = SITE_CLASSES.index("infrastructure")
 
 #: Quantcast's long-tail coverage: sites beyond this true rank are
 #: randomly dropped with 50% probability.
@@ -65,9 +70,7 @@ class ProviderRanking:
         return pos
 
 
-def provider_ranking(
-    world: World, provider: str, *, infra_scan_limit: int = 50_000
-) -> ProviderRanking:
+def provider_ranking(world: World, provider: str) -> ProviderRanking:
     """Compute one provider's ranking of the whole world."""
     if provider not in PROVIDER_NAMES:
         raise KeyError(f"unknown provider {provider!r}")
@@ -80,12 +83,8 @@ def provider_ranking(
     scores *= np.exp(rng.normal(0.0, _NOISE_SCALE[provider], size=n))
 
     if provider == "umbrella":
-        # Boost infrastructure domains; scanning the site class is
-        # bounded to the head of the list, which is where it matters.
-        limit = min(infra_scan_limit, n)
-        for rank in range(1, limit + 1):
-            if world._class_of(rank) == "infrastructure":
-                scores[rank - 1] *= _INFRA_BOOST
+        head = world.site_classes(min(_INFRA_SCAN_LIMIT, n))
+        scores[: len(head)][head == _INFRASTRUCTURE] *= _INFRA_BOOST
     elif provider == "quantcast":
         tail = np.arange(n) + 1 > _QUANTCAST_TAIL_START
         drop = rng.random(n) < 0.5

@@ -14,14 +14,19 @@ protocol, so the toplist seed-URL resolution runs against it unchanged.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
+import itertools
 import random
 import string
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.cmps import onetrust, quantcast, trustarc, cookiebot, liveramp, crownpeak
 from repro.cmps.base import DialogDescriptor, cmp_by_key
+from repro.det import first_randoms
 from repro.memo import MISSING, BoundedMemo, CountMap, sum_counts
 from repro.web.adoption import AdoptionHistory, AdoptionModel
 from repro.web.website import CmpEpisode, Website
@@ -71,6 +76,22 @@ _CLASS_PROBS = (
     ("alias", 0.0192),
     ("normal", 1.0),  # remainder
 )
+
+#: The site classes in :data:`_CLASS_PROBS` order; a class vector
+#: (:meth:`World.site_classes`) holds indices into this tuple.
+SITE_CLASSES: Tuple[str, ...] = tuple(name for name, _ in _CLASS_PROBS)
+
+#: The running sums of the class probabilities: a site's first double
+#: *roll* picks class ``SITE_CLASSES[bisect_right(_CLASS_BOUNDS, roll)]``
+#: ("normal" past the last sum).
+_CLASS_BOUNDS: Tuple[float, ...] = tuple(
+    itertools.accumulate(p for _, p in _CLASS_PROBS[:-1])
+)
+
+#: Ranks up to this one are infrastructure (class 0, below the first
+#: sum) or normal: the very top of the list contains no dead domains.
+_TOP_RANKS = 30
+_NORMAL = SITE_CLASSES.index("normal")
 
 _EU_TLDS = ("de", "co.uk", "fr", "it", "nl", "es", "pl", "se", "eu", "at", "dk", "ie")
 _NON_EU_TLDS = ("com", "com", "com", "org", "net", "io", "co", "us", "ca", "com.au", "co.jp", "com.br", "in")
@@ -255,10 +276,6 @@ class World:
         if not 1 <= rank <= self.config.n_domains:
             raise KeyError(f"rank {rank} outside [1, {self.config.n_domains}]")
         return self._draw_prefix(rank)[3]
-
-    def sites(self, ranks) -> Iterator[Website]:
-        for rank in ranks:
-            yield self.site(rank)
 
     def site_by_domain(self, domain: str) -> Optional[Website]:
         """Resolve a registrable domain back to its site.
@@ -474,21 +491,31 @@ class World:
         )
 
     def _site_class(self, rng: random.Random, rank: int) -> str:
-        # The very top of the list contains no dead domains.
-        roll = rng.random()
-        acc = 0.0
-        for name, p in _CLASS_PROBS[:-1]:
-            if rank <= 30 and name != "infrastructure":
-                continue
-            acc += p
-            if roll < acc:
-                return name
-        return "normal"
+        index = bisect.bisect_right(_CLASS_BOUNDS, rng.random())
+        if rank <= _TOP_RANKS and index:
+            index = _NORMAL
+        return SITE_CLASSES[index]
 
     def _class_of(self, rank: int) -> str:
         """Re-derive a rank's site class without generating the site."""
         rng = random.Random(f"{self.config.seed}:site:{rank}")
         return self._site_class(rng, rank)
+
+    def site_classes(self, stop: int) -> np.ndarray:
+        """The classes of ranks ``1..stop`` as ``uint8`` indices into
+        :data:`SITE_CLASSES`, without generating a site: entry
+        ``rank - 1`` names ``self._class_of(rank)``. The rolls come
+        from one :func:`~repro.det.first_randoms` pass, the classes
+        from the table :meth:`_site_class` reads."""
+        seed = self.config.seed
+        rolls = first_randoms(
+            f"{seed}:site:{rank}" for rank in range(1, stop + 1)
+        )
+        classes = np.searchsorted(_CLASS_BOUNDS, rolls, side="right")
+        classes = classes.astype(np.uint8)
+        top = classes[:_TOP_RANKS]
+        top[top > 0] = _NORMAL
+        return classes
 
     def _alias_target(self, rng: random.Random, rank: int) -> int:
         # Aliases redirect to a *normal* site of broadly similar

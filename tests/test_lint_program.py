@@ -564,7 +564,10 @@ class TestRealTreeMutation:
             ("repro.faults.schedule", {"social-crawl", "vantage"}),
             ("repro.faults.inject", {"social-crawl", "vantage"}),
             ("repro.faults.retry", {"social-crawl", "vantage"}),
-            ("repro.det", {"social-crawl", "vantage"}),
+            (
+                "repro.det",
+                {"social-crawl", "vantage", "marketshare", "toplist"},
+            ),
             ("repro.crawler.browser", {"social-crawl", "vantage"}),
         ],
     )
@@ -573,10 +576,27 @@ class TestRealTreeMutation:
     ):
         """Each of these decides cached rows: the schedule picks which
         crawls (and probes) fail, run_with_retries and RetryPolicy how
-        many retries a row gets, repro.det keys every visit draw and
-        browser.FAULT_STATUS sets a faulted row's status. A change in
-        any of them must change the digest of every stage it feeds."""
+        many retries a row gets, repro.det keys every visit draw (and
+        its first_randoms rolls the site classes Umbrella boosts, so it
+        shapes the Tranco order) and browser.FAULT_STATUS sets a
+        faulted row's status. A change in any of them must change the
+        digest of every stage it feeds."""
         assert stages <= self.stages_changed_by(src_program, module)
+
+    @pytest.mark.parametrize(
+        "module", ["repro.toplist.providers", "repro.toplist.tranco"]
+    )
+    def test_toplist_modules_are_in_every_closure_that_reads_the_order(
+        self, src_program, module
+    ):
+        """The Tranco order picks Table 1's crawled domains and Fig 5's
+        toplist prefixes. Raising Umbrella's infrastructure boost from
+        8 to 9 changes the Fig-5 payload, and 100 changes Table 1, so
+        a change to a provider or to the aggregation must change the
+        digest of vantage and marketshare as well as toplist."""
+        assert {"vantage", "marketshare", "toplist"} <= self.stages_changed_by(
+            src_program, module
+        )
 
     @pytest.mark.parametrize(
         "module, stages",
@@ -593,7 +613,13 @@ class TestRealTreeMutation:
                 {"social-crawl", "vantage", "marketshare"},
             ),
             ("repro.valueclass", {"social-crawl", "vantage"}),
-            ("repro.core.pipeline", {"social-crawl", "stream-checkpoint"}),
+            (
+                "repro.core.pipeline",
+                {
+                    "social-crawl", "stream-checkpoint", "vantage",
+                    "adoption", "marketshare", "toplist",
+                },
+            ),
         ],
     )
     def test_row_deciding_modules_are_in_their_closures(
@@ -607,7 +633,10 @@ class TestRealTreeMutation:
         the CMP drop windows, repro.valueclass builds the URL, site
         and dialog classes (their pickled form travels between crawl
         processes), and Study.platform() seeds the share stream and
-        the crawl of both the batch run and the follow engine."""
+        the crawl of both the batch run and the follow engine, while
+        Study also decides the toplist crawler's faults and retries,
+        the adoption restrict set and the world the Tranco order and
+        Fig 5 are drawn from."""
         assert stages <= self.stages_changed_by(src_program, module)
 
 

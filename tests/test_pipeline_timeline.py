@@ -24,6 +24,8 @@ class TestStudyConfigValidation:
             ({"checkpoint_every_days": -1}, "checkpoint_every_days"),
             ({"backend": "thread"}, "backend"),
             ({"backend": "serial"}, "backend"),
+            # No cache_dir: the checkpoints would have nowhere to go.
+            ({"checkpoint_every_days": 2}, "checkpoint_every_days"),
         ],
     )
     def test_bad_execution_knob_fails_loudly(self, knobs, field):
@@ -39,6 +41,9 @@ class TestStudyConfigValidation:
         )
         assert config.memory_budget == 1
         assert StudyConfig(memory_budget=None).memory_budget is None
+        assert StudyConfig(
+            checkpoint_every_days=2, cache_dir="cache"
+        ).checkpoint_every_days == 2
 
 
 class TestStudyFacade:

@@ -679,6 +679,27 @@ class TestCli:
         assert "parallelism must be 1" in captured.err
         assert "caught up" not in captured.out
 
+    def test_study_follow_checkpoints_need_a_cache(self, capsys):
+        """--checkpoint-every without --cache-dir would write nothing,
+        so it is a usage error instead of a run without checkpoints."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "--domains", "600",
+                    "--toplist", "200",
+                    "study",
+                    "--follow",
+                    "--days", "4",
+                    "--checkpoint-every", "2",
+                ]
+            )
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "checkpoint_every_days" in captured.err
+        assert "caught up" not in captured.out
+
     def test_graph_query_honours_workers(self, tmp_path, capsys):
         from repro.cli import main
 

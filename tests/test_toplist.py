@@ -1,10 +1,78 @@
 """Provider rankings and the Tranco (Dowdall) aggregation."""
 
+import random
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.toplist.providers import PROVIDER_NAMES, provider_ranking
 from repro.toplist.tranco import TrancoList, build_tranco
+from repro.web.worldgen import _CLASS_PROBS, SITE_CLASSES, World, WorldConfig
+
+
+def class_by_running_sum(roll: float, rank: int) -> str:
+    """A site's class as its first double *roll* picked it one class at
+    a time: the first class whose running probability sum exceeds the
+    roll, only infrastructure counting among the top 30 ranks."""
+    acc = 0.0
+    for name, p in _CLASS_PROBS[:-1]:
+        if rank <= 30 and name != "infrastructure":
+            continue
+        acc += p
+        if roll < acc:
+            return name
+    return "normal"
+
+
+def umbrella_order_by_rank_loop(world: World) -> np.ndarray:
+    """Umbrella's order as ``provider_ranking`` built it one rank at a
+    time: a ``_class_of`` re-derivation per rank of the 50,000-rank
+    head, and a boost of 8 for each infrastructure site."""
+    n = world.config.n_domains
+    rng = np.random.default_rng(
+        zlib.crc32(f"{world.config.seed}:toplist:umbrella".encode("utf-8"))
+    )
+    scores = 1.0 / np.arange(1, n + 1, dtype=np.float64)
+    scores *= np.exp(rng.normal(0.0, 0.55, size=n))
+    for rank in range(1, min(50_000, n) + 1):
+        if world._class_of(rank) == "infrastructure":
+            scores[rank - 1] *= 8.0
+    order = np.argsort(-scores, kind="stable") + 1
+    return order[scores[order - 1] > 0.0]
+
+
+class TestClassScan:
+    @pytest.mark.parametrize("seed", [7, 17])
+    def test_site_classes_match_class_of(self, seed):
+        world = World(WorldConfig(seed=seed, n_domains=20_000))
+        classes = world.site_classes(world.n_domains)
+        assert classes.dtype == np.uint8
+        names = [SITE_CLASSES[c] for c in classes.tolist()]
+        expected = [
+            class_by_running_sum(random.Random(f"{seed}:site:{r}").random(), r)
+            for r in range(1, 20_001)
+        ]
+        assert names == expected
+        assert [world._class_of(r) for r in range(1, 20_001)] == expected
+        assert set(names) == set(SITE_CLASSES)
+        assert set(names[:30]) <= {"infrastructure", "normal"}
+
+    def test_site_classes_of_a_prefix(self, world):
+        np.testing.assert_array_equal(
+            world.site_classes(40), world.site_classes(world.n_domains)[:40]
+        )
+        assert world.site_classes(0).shape == (0,)
+
+    @pytest.mark.parametrize("n", [2_000, 20_000, 60_000])
+    def test_umbrella_order_matches_the_rank_loop(self, n):
+        """Past 50,000 ranks nothing is boosted, so a larger world
+        keeps its order too."""
+        world = World(WorldConfig(seed=7, n_domains=n))
+        np.testing.assert_array_equal(
+            provider_ranking(world, "umbrella").order,
+            umbrella_order_by_rank_loop(world),
+        )
 
 
 class TestProviders:
@@ -47,8 +115,6 @@ class TestProviders:
         assert agreement("quantcast") > agreement("majestic")
 
     def test_quantcast_partial_tail_coverage(self):
-        from repro.web.worldgen import World, WorldConfig
-
         big = World(WorldConfig(seed=3, n_domains=30_000))
         ranking = provider_ranking(big, "quantcast")
         assert len(ranking) < big.n_domains
